@@ -60,6 +60,22 @@ DEFAULT_TOLERANCES = {
 }
 
 
+def _typed(raw: dict, key: str, default, kind: type, what: str):
+    """raw[key] (or default), which must be an instance of kind."""
+    val = raw.get(key, default)
+    if not isinstance(val, kind):
+        raise ConfigError(key, f"must be {what}, got {val!r}")
+    return val
+
+
+def _count(raw: dict, key: str, default: int) -> int:
+    """A positive integer count: zero samples would make a check vacuous."""
+    val = raw.get(key, default)
+    if isinstance(val, bool) or not isinstance(val, int) or val < 1:
+        raise ConfigError(key, f"must be a positive integer, got {val!r}")
+    return val
+
+
 def load_config(source) -> RunConfig:
     """Parse and validate a config dict or a JSON file path."""
     if isinstance(source, dict):
@@ -84,17 +100,17 @@ def load_config(source) -> RunConfig:
     except (ValueError, KeyError) as e:
         raise ConfigError("potential", str(e))
 
-    degrees = raw.get("degrees", [0])
-    if not isinstance(degrees, list) or any(
-            not isinstance(p, int) or p < 0 or p > n for p in degrees):
+    degrees = _typed(raw, "degrees", [0], list, "a list")
+    if any(isinstance(p, bool) or not isinstance(p, int) or p < 0 or p > n
+           for p in degrees):
         raise ConfigError("degrees", f"must be integers in [0, {n}]")
-    realizations = raw.get("realizations", ["normal"])
+    realizations = _typed(raw, "realizations", ["normal"], list, "a list")
     for b in realizations:
         if b not in ("tangential", "normal", "none"):
             raise ConfigError("realizations", f"unknown realization {b!r}")
 
     N_values, inadmissible = [], []
-    for i, val in enumerate(raw.get("N", ["inf"])):
+    for i, val in enumerate(_typed(raw, "N", ["inf"], list, "a list")):
         try:
             N = decode_extended(val)
         except (KeyError, ValueError):
@@ -105,12 +121,12 @@ def load_config(source) -> RunConfig:
             inadmissible.append(N)  # flagged at parse time, skipped as not_applicable
         N_values.append(N)
 
-    checks = raw.get("checks", [])
+    checks = _typed(raw, "checks", [], list, "a list")
     for i, cid in enumerate(checks):
         if cid not in CHECK_IDS:
             raise ConfigError(f"checks[{i}]", f"unknown check id {cid!r}; "
                                               f"see list-presets")
-    mesh = raw.get("mesh", {})
+    mesh = _typed(raw, "mesh", {}, dict, "an object")
     target_h = float(mesh.get("target_h", 0.25))
     if target_h <= 0:
         raise ConfigError("mesh.target_h", "must be positive")
@@ -121,12 +137,12 @@ def load_config(source) -> RunConfig:
     if quad_order < 2:
         raise ConfigError("quad_order", "must be >= 2")
     tolerances = dict(DEFAULT_TOLERANCES)
-    for k, v in raw.get("tolerances", {}).items():
+    for k, v in _typed(raw, "tolerances", {}, dict, "an object").items():
         if k not in DEFAULT_TOLERANCES:
             raise ConfigError(f"tolerances.{k}", "unknown tolerance key")
         tolerances[k] = float(v)
     seed = int(raw.get("seed", 1234))
-    h_list = [float(h) for h in raw.get("h_list", [1.0, 0.5, 0.25])]
+    h_list = [float(h) for h in _typed(raw, "h_list", [1.0, 0.5, 0.25], list, "a list")]
     if any(h <= 0 for h in h_list) or any(
             h_list[i] <= h_list[i + 1] for i in range(len(h_list) - 1)):
         raise ConfigError("h_list", "must be positive and strictly descending")
@@ -134,6 +150,6 @@ def load_config(source) -> RunConfig:
                      realizations=realizations, N_values=N_values, checks=checks,
                      target_h=target_h, refinements=refinements, quad_order=quad_order,
                      tolerances=tolerances, seed=seed, output=raw.get("output"),
-                     h_list=h_list, eigen_count=int(raw.get("eigen_count", 3)),
-                     n_samples=int(raw.get("n_samples", 20)),
+                     h_list=h_list, eigen_count=_count(raw, "eigen_count", 3),
+                     n_samples=_count(raw, "n_samples", 20),
                      inadmissible_N=inadmissible, raw=raw)

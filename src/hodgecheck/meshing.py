@@ -5,7 +5,15 @@ Conventions:
   order, checked by determinant after index sort; 1D: edges follow the
   coordinate/cycle direction);
 * lower simplices are stored with increasing vertex indices;
+* a 2D complex carries one edge table, built once at construction:
+  ``tri_edges[t, k]`` is the global index of the k-th local edge of triangle
+  ``t`` in the local order (v0, v1), (v0, v2), (v1, v2), and
+  ``tri_edge_sign[t, k]`` is +1 when that local edge runs along the stored
+  edge and -1 otherwise.  Incidence, boundary markers, Whitney edge-form
+  DOFs, boundary normals and refinement all read this table;
 * incidence matrices are exact integer sparse matrices with D_{p+1} D_p = 0;
+  the boundary of [v0, v1, v2] is [v0, v1] - [v0, v2] + [v1, v2], so
+  D_1 = tri_edge_sign * (+1, -1, +1) on the table's columns;
 * boundary markers are derived from facet adjacency and are closed under
   taking faces;
 * periodic domains (circle, flat torus) keep coordinates in the fundamental
@@ -37,6 +45,30 @@ __all__ = [
     "write_off",
 ]
 
+# local edges of a triangle (v0, v1, v2), in edge-table column order
+LOCAL_EDGES = ((0, 1), (0, 2), (1, 2))
+_LA, _LB = np.array(LOCAL_EDGES).T
+
+
+def _edge_keys(a, b, nv):
+    """Orientation-free integer key of edge {a, b}; keys sort like (min, max)."""
+    return np.minimum(a, b) * nv + np.maximum(a, b)
+
+
+def _unwrap(coords: np.ndarray, periods) -> np.ndarray:
+    """Per-element (ns, k, n) coordinates unwrapped across periodic seams."""
+    if periods is None:
+        return coords
+    out = coords.copy()
+    for ax, L in enumerate(periods):
+        if L is None:
+            continue
+        anchor = out[:, :1, ax]
+        delta = out[:, :, ax] - anchor
+        delta -= L * np.round(delta / L)
+        out[:, :, ax] = anchor + delta
+    return out
+
 
 @dataclass
 class SimplicialComplex:
@@ -47,6 +79,9 @@ class SimplicialComplex:
     mesh_size_h: float = 0.0
     spec: DomainSpec | None = None
     periodic_lengths: tuple | None = None  # per-axis period or None
+    # 2D edge table (see module docstring); None in 1D
+    tri_edges: np.ndarray | None = field(default=None, init=False, repr=False)
+    tri_edge_sign: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.vertex_coords = np.asarray(self.vertex_coords, dtype=float)
@@ -54,6 +89,8 @@ class SimplicialComplex:
             self.simplices[0] = np.arange(self.vertex_coords.shape[0])[:, None]
         for p in self.simplices:
             self.simplices[p] = np.asarray(self.simplices[p], dtype=int)
+        if self.dim == 2:
+            self._build_edge_table()
         if not self.boundary_marker:
             self._derive_boundary_markers()
         if self.mesh_size_h == 0.0:
@@ -69,18 +106,7 @@ class SimplicialComplex:
 
     def element_coords(self, p: int) -> np.ndarray:
         """Per-simplex vertex coordinates, unwrapped across periodic seams."""
-        coords = self.vertex_coords[self.simplices[p]]
-        if self.periodic_lengths is None:
-            return coords
-        out = coords.copy()
-        for ax, L in enumerate(self.periodic_lengths):
-            if L is None:
-                continue
-            anchor = out[:, :1, ax]
-            delta = out[:, :, ax] - anchor
-            delta -= L * np.round(delta / L)
-            out[:, :, ax] = anchor + delta
-        return out
+        return _unwrap(self.vertex_coords[self.simplices[p]], self.periodic_lengths)
 
     def edge_lengths(self) -> np.ndarray:
         ec = self.element_coords(1)
@@ -97,28 +123,35 @@ class SimplicialComplex:
         v = 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
         return v if signed else np.abs(v)
 
+    def _build_edge_table(self):
+        """Fill tri_edges / tri_edge_sign; raise if a triangle edge is absent."""
+        edges, tris = self.simplices[1], self.simplices[2]
+        nv = self.vertex_coords.shape[0]
+        ekey = _edge_keys(edges[:, 0], edges[:, 1], nv)
+        order = np.argsort(ekey, kind="stable")
+        sorted_keys = np.append(ekey[order], -1)  # sentinel for keys past the end
+        a = tris[:, _LA]
+        key = _edge_keys(a, tris[:, _LB], nv)
+        pos = np.searchsorted(sorted_keys[:-1], key)
+        if not np.array_equal(sorted_keys[pos], key):
+            raise ValueError("missing face edge")
+        self.tri_edges = order[pos]
+        self.tri_edge_sign = np.where(a == edges[self.tri_edges, 0], 1, -1)
+
     def _derive_boundary_markers(self):
         nv = self.vertex_coords.shape[0]
+        edges = self.simplices[1]
         if self.dim == 1:
-            deg = np.zeros(nv, dtype=int)
-            for (a, b) in self.simplices[1]:
-                deg[a] += 1
-                deg[b] += 1
+            deg = np.bincount(edges.ravel(), minlength=nv)
             self.boundary_marker = {
                 0: deg == 1,
                 1: np.zeros(self.num(1), dtype=bool),
             }
             return
         # 2D: boundary edges have exactly one incident triangle
-        edge_pos = {tuple(sorted(e)): i for i, e in enumerate(self.simplices[1])}
-        count = np.zeros(self.num(1), dtype=int)
-        for t in self.simplices[2]:
-            for (a, b) in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-                count[edge_pos[tuple(sorted((a, b)))]] += 1
-        bedge = count == 1
+        bedge = np.bincount(self.tri_edges.ravel(), minlength=self.num(1)) == 1
         bvert = np.zeros(nv, dtype=bool)
-        for i in np.nonzero(bedge)[0]:
-            bvert[self.simplices[1][i]] = True
+        bvert[edges[bedge]] = True
         self.boundary_marker = {
             0: bvert,
             1: bedge,
@@ -126,17 +159,15 @@ class SimplicialComplex:
         }
 
     def validate(self):
-        """Structural invariants: faces present, orientation, marker closure."""
+        """Structural invariants: orientation, marker closure, D D = 0.
+
+        Face presence is checked when the edge table is built.
+        """
         if self.dim == 2:
-            edge_pos = {tuple(sorted(e)) for e in map(tuple, self.simplices[1])}
-            for t in self.simplices[2]:
-                for (a, b) in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-                    assert tuple(sorted((a, b))) in edge_pos, "missing face edge"
             assert np.all(self.top_volumes(signed=True) > 0), "negatively oriented triangle"
-            for i, marked in enumerate(self.boundary_marker[1]):
-                if marked:
-                    assert all(self.boundary_marker[0][v] for v in self.simplices[1][i]), \
-                        "boundary markers not closed under faces"
+            bedges = self.simplices[1][self.boundary_marker[1]]
+            assert np.all(self.boundary_marker[0][bedges]), \
+                "boundary markers not closed under faces"
         else:
             assert np.all(self.top_volumes(signed=True) > 0), "reversed 1D edge"
         D_list = [incidence_matrix(self, p).entries for p in range(self.dim)]
@@ -164,21 +195,12 @@ def incidence_matrix(cplx: SimplicialComplex, p: int) -> IncidenceMatrix:
         vals = np.tile(np.array([-1, 1]), ne)
         D = sparse.csr_matrix((vals, (rows, cols)), shape=(ne, nv), dtype=np.int64)
         return IncidenceMatrix(0, D)
-    # p == 1, dim == 2
-    edge_pos = {}
-    for i, e in enumerate(cplx.simplices[1]):
-        edge_pos[tuple(e)] = (i, 1)
-        edge_pos[tuple(e[::-1])] = (i, -1)
-    tris = cplx.simplices[2]
-    rows, cols, vals = [], [], []
-    for ti, t in enumerate(tris):
-        for (a, b) in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            ei, s = edge_pos[(a, b)]
-            rows.append(ti)
-            cols.append(ei)
-            vals.append(s)
-    D = sparse.csr_matrix((vals, (rows, cols)),
-                          shape=(tris.shape[0], cplx.simplices[1].shape[0]), dtype=np.int64)
+    # p == 1, dim == 2: d[v0, v1, v2] = [v0, v1] - [v0, v2] + [v1, v2]
+    nt, ne = cplx.num(2), cplx.num(1)
+    rows = np.repeat(np.arange(nt), 3)
+    vals = (cplx.tri_edge_sign * np.array([1, -1, 1])).ravel()
+    D = sparse.csr_matrix((vals, (rows, cplx.tri_edges.ravel())), shape=(nt, ne),
+                          dtype=np.int64)
     return IncidenceMatrix(1, D)
 
 
@@ -369,29 +391,15 @@ def ear_clip_triangulation(verts: np.ndarray) -> list[tuple[int, int, int]]:
 def _from_triangles(verts, tris, spec, periodic=None) -> SimplicialComplex:
     """Canonicalize triangles (positive orientation), derive edges."""
     periods = tuple(periodic) if periodic is not None else None
-    tris = np.asarray(tris, dtype=int)
-    tris = np.sort(tris, axis=1)
-
-    def unwrapped(tri):
-        c = verts[list(tri)].astype(float)
-        if periods is not None:
-            for ax, L in enumerate(periods):
-                d = c[:, ax] - c[0, ax]
-                d -= L * np.round(d / L)
-                c[:, ax] = c[0, ax] + d
-        return c
-
-    oriented = []
-    for t in tris:
-        c = unwrapped(t)
-        det = (c[1, 0] - c[0, 0]) * (c[2, 1] - c[0, 1]) - (c[1, 1] - c[0, 1]) * (c[2, 0] - c[0, 0])
-        oriented.append((t[0], t[1], t[2]) if det > 0 else (t[0], t[2], t[1]))
-    tris = np.asarray(oriented, dtype=int)
-    pairs = set()
-    for t in tris:
-        for (a, b) in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            pairs.add((min(a, b), max(a, b)))
-    edges = np.asarray(sorted(pairs), dtype=int)
+    verts = np.asarray(verts, dtype=float)
+    nv = len(verts)
+    tris = np.sort(np.asarray(tris, dtype=int), axis=1)
+    keys = np.unique(_edge_keys(tris[:, _LA], tris[:, _LB], nv))
+    edges = np.column_stack(np.divmod(keys, nv))
+    ec = _unwrap(verts[tris], periods)
+    a, b = ec[:, 1] - ec[:, 0], ec[:, 2] - ec[:, 0]
+    flip = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0] <= 0
+    tris[flip] = tris[flip][:, [0, 2, 1]]
     return SimplicialComplex(2, verts, {1: edges, 2: tris}, spec=spec,
                              periodic_lengths=periods)
 
@@ -407,33 +415,21 @@ def refine(cplx: SimplicialComplex) -> SimplicialComplex:
     return _refine_2d(cplx)
 
 
-def _midpoint(cplx, a, b):
-    pa = cplx.vertex_coords[a].copy()
-    pb = cplx.vertex_coords[b].copy()
-    if cplx.periodic_lengths is not None:
-        for ax, L in enumerate(cplx.periodic_lengths):
-            d = pb[ax] - pa[ax]
-            d -= L * np.round(d / L)
-            pb[ax] = pa[ax] + d
-    mid = 0.5 * (pa + pb)
-    if cplx.periodic_lengths is not None:
-        for ax, L in enumerate(cplx.periodic_lengths):
-            mid[ax] = mid[ax] % L
-    return mid
+def _edge_midpoints(cplx) -> np.ndarray:
+    """Midpoint of every edge, taken across periodic seams and wrapped back."""
+    mids = 0.5 * cplx.element_coords(1).sum(axis=1)
+    for ax, L in enumerate(cplx.periodic_lengths or ()):
+        if L is not None:
+            mids[:, ax] %= L
+    return mids
 
 
 def _refine_1d(cplx):
-    verts = [cplx.vertex_coords]
-    nv = cplx.vertex_coords.shape[0]
-    new_edges = []
-    mids = []
-    for (a, b) in cplx.simplices[1]:
-        mid_id = nv + len(mids)
-        mids.append(_midpoint(cplx, a, b))
-        new_edges.append((a, mid_id))
-        new_edges.append((mid_id, b))
-    verts = np.vstack([cplx.vertex_coords, np.asarray(mids)])
-    return SimplicialComplex(1, verts, {1: np.asarray(new_edges, dtype=int)},
+    a, b = cplx.simplices[1].T
+    mid = cplx.vertex_coords.shape[0] + np.arange(len(a))
+    verts = np.vstack([cplx.vertex_coords, _edge_midpoints(cplx)])
+    edges = np.column_stack([a, mid, mid, b]).reshape(-1, 2)
+    return SimplicialComplex(1, verts, {1: edges},
                              spec=cplx.spec, periodic_lengths=cplx.periodic_lengths)
 
 
@@ -454,23 +450,17 @@ def _snap_to_boundary(spec: DomainSpec, pts: np.ndarray) -> np.ndarray:
 
 
 def _refine_2d(cplx):
-    nv = cplx.vertex_coords.shape[0]
-    edge_pos = {tuple(sorted(e)): i for i, e in enumerate(cplx.simplices[1])}
-    mids = np.array([_midpoint(cplx, a, b) for (a, b) in cplx.simplices[1]])
+    mids = _edge_midpoints(cplx)
     if cplx.spec is not None and cplx.spec.has_boundary:
         on_bdy = cplx.boundary_marker[1]
         if on_bdy.any():
             mids[on_bdy] = _snap_to_boundary(cplx.spec, mids[on_bdy])
     verts = np.vstack([cplx.vertex_coords, mids])
-
-    def mid_id(a, b):
-        return nv + edge_pos[tuple(sorted((a, b)))]
-
-    tris = []
-    for (a, b, c) in cplx.simplices[2]:
-        mab, mbc, mca = mid_id(a, b), mid_id(b, c), mid_id(c, a)
-        tris.extend([(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)])
-    return _from_triangles(verts, np.asarray(tris, dtype=int), cplx.spec,
+    a, b, c = cplx.simplices[2].T
+    mab, mca, mbc = (cplx.vertex_coords.shape[0] + cplx.tri_edges).T
+    # four children per triangle, in order: three corners, then the middle
+    children = np.column_stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca])
+    return _from_triangles(verts, children.reshape(-1, 3), cplx.spec,
                            periodic=cplx.periodic_lengths)
 
 
@@ -527,34 +517,24 @@ def boundary_geometry(cplx: SimplicialComplex, spec: DomainSpec | None,
     m = max(1, (quad_order + 2) // 2)
     xg, wg = np.polynomial.legendre.leggauss(m)
     t = 0.5 * (xg + 1.0)
-    # outward normal per boundary edge from its unique adjacent triangle
-    edge_pos = {tuple(sorted(e)): i for i, e in enumerate(cplx.simplices[1])}
-    opposite = {}
-    for tri in cplx.simplices[2]:
-        for (a, b, c) in ((tri[0], tri[1], tri[2]), (tri[1], tri[2], tri[0]),
-                          (tri[2], tri[0], tri[1])):
-            ei = edge_pos[tuple(sorted((a, b)))]
-            if cplx.boundary_marker[1][ei]:
-                opposite[ei] = c
-    pts, wts, nrm, fid = [], [], [], []
-    for ei in bedges:
-        a, b = cplx.simplices[1][ei]
-        pa, pb = cplx.vertex_coords[a], cplx.vertex_coords[b]
-        L = np.linalg.norm(pb - pa)
-        tang = (pb - pa) / L
-        nu = np.array([tang[1], -tang[0]])
-        pc = cplx.vertex_coords[opposite[ei]]
-        if np.dot(nu, pa - pc) < 0:
-            nu = -nu
-        P = pa[None, :] + t[:, None] * (pb - pa)[None, :]
-        pts.append(P)
-        wts.append(0.5 * wg * L)
-        nrm.append(np.tile(nu, (m, 1)))
-        fid.append(np.full(m, ei))
-    pts = np.vstack(pts)
-    wts = np.concatenate(wts)
-    nrm = np.vstack(nrm)
-    fid = np.concatenate(fid)
+    a, b = cplx.simplices[1][bedges].T
+    pa, pb = cplx.vertex_coords[a], cplx.vertex_coords[b]
+    # outward normal per boundary edge, pointing away from the vertex opposite
+    # it in its unique triangle; local edge k of the table is opposite vertex 2 - k
+    opposite = np.empty(cplx.num(1), dtype=int)
+    on_bdy = cplx.boundary_marker[1][cplx.tri_edges]
+    opposite[cplx.tri_edges[on_bdy]] = cplx.simplices[2][:, ::-1][on_bdy]
+    pc = cplx.vertex_coords[opposite[bedges]]
+    d = pb - pa
+    # per-edge dot products (stacked matmul), bit-identical to norm() of each edge
+    L = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
+    tang = d / L[:, None]
+    nu = np.column_stack([tang[:, 1], -tang[:, 0]])
+    nu[np.einsum("ex,ex->e", nu, pa - pc) < 0] *= -1
+    pts = (pa[:, None, :] + t[None, :, None] * d[:, None, :]).reshape(-1, 2)
+    wts = (0.5 * wg[None, :] * L[:, None]).ravel()
+    nrm = np.repeat(nu, m, axis=0)
+    fid = np.repeat(bedges, m)
     k1 = np.zeros(len(wts))
     if spec is not None and spec.kind in ("disk", "annulus"):
         p = spec.parameters
@@ -599,17 +579,21 @@ def read_off(path) -> SimplicialComplex:
             line = line.split("#")[0].strip()
             if line:
                 tokens.extend(line.split())
-    if tokens[0] != "OFF":
+    if not tokens or tokens[0] != "OFF":
         raise ValueError("not an OFF file")
+    if len(tokens) < 4:
+        raise ValueError("truncated OFF header")
     nv, nf = int(tokens[1]), int(tokens[2])
-    pos = 4
-    verts = np.array(tokens[pos:pos + 3 * nv], dtype=float).reshape(nv, 3)[:, :2]
-    pos += 3 * nv
-    tris = []
-    for _ in range(nf):
-        cnt = int(tokens[pos])
-        if cnt != 3:
-            raise ValueError("only triangle faces supported")
-        tris.append(tuple(int(t) for t in tokens[pos + 1:pos + 4]))
-        pos += cnt + 1
-    return _from_triangles(verts, np.asarray(tris, dtype=int), spec=None)
+    vtok, ftok = tokens[4:4 + 3 * nv], tokens[4 + 3 * nv:4 + 3 * nv + 4 * nf]
+    if len(vtok) < 3 * nv:
+        raise ValueError(f"truncated vertex list: {nv} vertices declared")
+    if len(ftok) < 4 * nf:
+        raise ValueError(f"truncated face list: {nf} faces declared")
+    verts = np.array(vtok, dtype=float).reshape(nv, 3)[:, :2]
+    faces = np.array(ftok, dtype=int).reshape(nf, 4)
+    if np.any(faces[:, 0] != 3):
+        raise ValueError("only triangle faces supported")
+    tris = faces[:, 1:]
+    if tris.size and (tris.min() < 0 or tris.max() >= nv):
+        raise ValueError(f"face vertex index outside [0, {nv})")
+    return _from_triangles(verts, tris, spec=None)

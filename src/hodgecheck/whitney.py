@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 import scipy.sparse as sparse
 
-from .meshing import SimplicialComplex
+from .meshing import LOCAL_EDGES, SimplicialComplex
 from .potentials import Potential
 
 __all__ = ["assemble_mass", "interpolate", "AssemblyWarning", "segment_rule", "triangle_rule"]
@@ -102,7 +102,6 @@ def _mass_1d(cplx, p, potential, order):
 
 
 _REF_GRAD = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-_LOCAL_EDGES = [(0, 1), (0, 2), (1, 2)]
 
 
 def _element_geometry(cplx):
@@ -116,20 +115,6 @@ def _element_geometry(cplx):
     Jinv[:, 1, 1] = J[:, 0, 0] / detJ
     grads = np.einsum("ak,tkx->tax", _REF_GRAD, Jinv)     # (nt, 3, 2)
     return ec, J, detJ, grads
-
-
-def _triangle_edge_dofs(cplx):
-    """Global edge index and orientation sign for each local edge."""
-    edge_pos = {tuple(e): i for i, e in enumerate(cplx.simplices[1])}
-    tris = cplx.simplices[2]
-    idx = np.empty((tris.shape[0], 3), dtype=int)
-    sgn = np.empty((tris.shape[0], 3))
-    for li, (la, lb) in enumerate(_LOCAL_EDGES):
-        ga, gb = tris[:, la], tris[:, lb]
-        lo, hi = np.minimum(ga, gb), np.maximum(ga, gb)
-        idx[:, li] = [edge_pos[(a, b)] for a, b in zip(lo, hi)]
-        sgn[:, li] = np.where(ga < gb, 1.0, -1.0)
-    return idx, sgn
 
 
 def _mass_2d(cplx, p, potential, order):
@@ -152,14 +137,13 @@ def _mass_2d(cplx, p, potential, order):
     # p == 1: Whitney edge forms
     lam = np.column_stack([1 - ref[:, 0] - ref[:, 1], ref[:, 0], ref[:, 1]])
     W = np.empty((nt, nq, 3, 2))
-    for li, (la, lb) in enumerate(_LOCAL_EDGES):
+    for li, (la, lb) in enumerate(LOCAL_EDGES):
         W[:, :, li, :] = (lam[None, :, la, None] * grads[:, None, lb, :]
                           - lam[None, :, lb, None] * grads[:, None, la, :])
-    idx, sgn = _triangle_edge_dofs(cplx)
     loc = np.einsum("tq,tqax,tqbx->tab", rho * wq, W, W)
+    sgn = cplx.tri_edge_sign
     loc = loc * sgn[:, :, None] * sgn[:, None, :]
-    ne = cplx.simplices[1].shape[0]
-    return _scatter(loc, idx, ne)
+    return _scatter(loc, cplx.tri_edges, cplx.num(1))
 
 
 def _scatter(loc, dofs, size):

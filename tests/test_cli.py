@@ -50,6 +50,20 @@ def test_config_validation_paths():
         load_config({**BASE, "realizations": ["diagonal"]})
     with pytest.raises(ConfigError, match="tolerances"):
         load_config({**BASE, "tolerances": {"nope": 1.0}})
+    # counts must be positive integers: zero samples would pass vacuously
+    for key in ("n_samples", "eigen_count"):
+        for bad in (0, -3, True, 2.5):
+            with pytest.raises(ConfigError, match=f"at {key}:"):
+                load_config({**BASE, key: bad})
+    with pytest.raises(ConfigError, match="degrees"):
+        load_config({**BASE, "degrees": [True]})
+    for key, bad in (("N", 5), ("realizations", "normal"), ("degrees", 0),
+                     ("checks", "eigen_spectrum"), ("h_list", 0.5)):
+        with pytest.raises(ConfigError, match=f"at {key}: must be a list"):
+            load_config({**BASE, key: bad})
+    for key in ("mesh", "tolerances"):
+        with pytest.raises(ConfigError, match=f"at {key}: must be an object"):
+            load_config({**BASE, key: "x"})
 
 
 def test_inadmissible_N_flagged_and_skipped():
@@ -149,6 +163,11 @@ def test_convergence_identity_vs_quad_order():
     tab = [t for t in rep.convergence if t["check_id"] == "decomposition_identity"][0]
     errs = [max(e, 1e-15) for e in tab["rel_errs"]]
     assert errs[1] <= 2 * errs[0] and errs[2] <= 2 * errs[1]
+    # orders below the configured one are ladder data, never graded records
+    assert tab["levels"] == [4, 8, 12]
+    graded = [r.quad_order for r in rep.records if r.check_id == "decomposition_identity"]
+    assert graded and min(graded) >= cfg.quad_order == 8
+    assert {8, 12} <= set(graded)
 
 
 def test_record_status_logic():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from hodgecheck.domains import DomainSpec, DomainValidationError
-from hodgecheck.meshing import (boundary_geometry, generate_mesh, incidence_matrix,
-                                read_off, refine, write_off)
+from hodgecheck.meshing import (SimplicialComplex, boundary_geometry, generate_mesh,
+                                incidence_matrix, read_off, refine, write_off)
+from oracles import edge_table_oracle
 
 ALL_SPECS = [
     DomainSpec.interval(0, 1),
@@ -147,3 +148,55 @@ def test_lshape_polygon_mesh():
 def test_refined_mesh_invariants():
     for spec in (DomainSpec.annulus(0.5, 1.0), DomainSpec.flat_torus(1.0, 1.0)):
         refine(generate_mesh(spec, 0.4)).validate()
+
+
+def _edge_table_cases(tmp_path):
+    for spec in ALL_SPECS:
+        yield spec.kind, generate_mesh(spec, 0.3)
+    for spec in (DomainSpec.annulus(0.5, 1.0), DomainSpec.flat_torus(1.0, 1.0)):
+        yield f"refined {spec.kind}", refine(refine(generate_mesh(spec, 0.4)))
+    path = tmp_path / "disk.off"
+    write_off(generate_mesh(DomainSpec.disk(1.0), 0.35), path)
+    yield "off", read_off(path)
+    # edges stored in shuffled order, some against increasing index order
+    m = generate_mesh(DomainSpec.rectangle(0, 1, 0, 2), 0.3)
+    rng = np.random.default_rng(0)
+    edges = m.simplices[1][rng.permutation(m.num(1))]
+    flip = rng.random(len(edges)) < 0.5
+    edges[flip] = edges[flip, ::-1]
+    yield "shuffled", SimplicialComplex(2, m.vertex_coords, {1: edges, 2: m.simplices[2]})
+
+
+def test_edge_table_matches_dict_oracle(tmp_path):
+    seen_2d = 0
+    for label, m in _edge_table_cases(tmp_path):
+        if m.dim == 1:
+            assert m.tri_edges is None and m.tri_edge_sign is None
+            continue
+        seen_2d += 1
+        idx, sgn, D1, bedge, bvert = edge_table_oracle(m)
+        assert np.array_equal(m.tri_edges, idx), label
+        assert np.array_equal(m.tri_edge_sign, sgn), label
+        assert np.array_equal(incidence_matrix(m, 1).entries.toarray(), D1), label
+        assert np.array_equal(m.boundary_marker[1], bedge), label
+        assert np.array_equal(m.boundary_marker[0], bvert), label
+    assert seen_2d == 9
+
+
+def test_missing_face_edge_raises():
+    verts = [(0, 0), (1, 0), (0, 1)]
+    with pytest.raises(ValueError, match="missing face edge"):
+        SimplicialComplex(2, verts, {1: [(0, 1), (0, 2)], 2: [(0, 1, 2)]})
+
+
+@pytest.mark.parametrize("body,message", [
+    ("3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 -1\n", "outside"),
+    ("3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 3\n", "outside"),
+    ("3 1 0\n0 0 0\n1 0 0\n", "truncated vertex list"),
+    ("3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 2\n", "truncated face list"),
+])
+def test_read_off_rejects_malformed(tmp_path, body, message):
+    path = tmp_path / "bad.off"
+    path.write_text("OFF\n" + body)
+    with pytest.raises(ValueError, match=message):
+        read_off(path)
