@@ -36,7 +36,7 @@ from .curvature import (bakry_emery_tensor, boundary_operator, hessian_p,
                         invert_endo_field, restricted_min_eig, ricci_p, zero_ricci)
 from .domains import DomainSpec, boundary_quadrature, domain_quadrature
 from .meshing import generate_mesh, refine
-from .operators import Cochain, OperatorChain
+from .operators import Cochain, OperatorChain, realization_route
 from .potentials import Potential, WeightedMeasure
 from .records import CheckRecord, identity_record, inequality_record
 from .spectral import kernel_projector, lowest_eigenpairs, solve_on_range
@@ -538,30 +538,23 @@ def check_bl_forms(form: AnalyticForm, potential: Potential, domain: DomainSpec,
 
 def _projected_deficit(form, potential, domain, b, sigma, Z, mesh_h, seed):
     """||w - pi_b w||^2_{L^2(dnu)} = sigma - ||pi_b w||^2 with the kernel
-    projector from the discrete complex (dual complex for normal, q >= 1)."""
+    projector of the complex realization_route picks (the weighted-star dual
+    complex for normal, q >= 1)."""
     q, n = form.degree, form.n
     if b == "normal" and q == 0:
         measure = WeightedMeasure(potential, domain, 8)
         mean = measure.expect(form.components(measure.quadrature.points)[:, 0])
         return sigma - mean ** 2, 1, mean ** 2
     cplx = generate_mesh(domain, mesh_h)
-    if b == "tangential":
-        chain = OperatorChain(cplx, potential, "tangential")
-        c = chain.interpolate(form)
-        op = chain.operator(q)
-        kp = kernel_projector(op, seed=seed)
-        proj = kp.apply(c.values)
-        proj_sq = float(proj @ (chain.mass(q) @ proj)) / Z
-        return sigma - proj_sq, kp.dim, proj_sq
-    # normal, q >= 1: weighted-star dual (n - q, tangential, -V)
-    dual_pot = potential.negated()
-    dual_form = form.scale(sp.exp(-potential.expr)).star()
-    chain = OperatorChain(cplx, dual_pot, "tangential")
-    c = chain.interpolate(dual_form)
-    op = chain.operator(n - q)
-    kp = kernel_projector(op, seed=seed)
+    degree, pot, realization, route = realization_route(q, b, potential, n,
+                                                        domain.has_boundary)
+    if route == "dual":
+        form = form.scale(sp.exp(-potential.expr)).star()
+    chain = OperatorChain(cplx, pot, realization)
+    c = chain.interpolate(form)
+    kp = kernel_projector(chain.operator(degree), seed=seed)
     proj = kp.apply(c.values)
-    proj_sq = float(proj @ (chain.mass(n - q) @ proj)) / Z
+    proj_sq = float(proj @ (chain.mass(degree) @ proj)) / Z
     return sigma - proj_sq, kp.dim, proj_sq
 
 

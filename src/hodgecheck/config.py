@@ -68,16 +68,59 @@ def _typed(raw: dict, key: str, default, kind: type, what: str):
     return val
 
 
-def _count(raw: dict, key: str, default: int) -> int:
-    """A positive integer count: zero samples would make a check vacuous."""
-    val = raw.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, int) or val < 1:
-        raise ConfigError(key, f"must be a positive integer, got {val!r}")
+def _integer(val, path: str, lo: int, hi: int | None = None) -> int:
+    """val, which must be an integer (not a boolean) in [lo, hi]."""
+    if isinstance(val, bool) or not isinstance(val, int) or val < lo or (
+            hi is not None and val > hi):
+        span = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
+        raise ConfigError(path, f"must be an integer {span}, got {val!r}")
     return val
 
 
+def _count(raw: dict, key: str, default: int) -> int:
+    """A positive integer count: zero samples would make a check vacuous."""
+    return _integer(raw.get(key, default), key, 1)
+
+
+def _positive(val, path: str) -> float:
+    """val, which must be a finite positive number: an infinite tolerance
+    would pass every identity."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not (
+            math.isfinite(val) and val > 0):
+        raise ConfigError(path, f"must be a finite positive number, got {val!r}")
+    return float(val)
+
+
+def _axis(raw: dict, key: str, default: list, parse) -> list:
+    """A case axis: a non-empty list of distinct entries parse(path, entry)."""
+    entries = _typed(raw, key, default, list, "a list")
+    if not entries:
+        raise ConfigError(key, "must not be empty")
+    values = []
+    for i, val in enumerate(entries):
+        val = parse(f"{key}[{i}]", val)
+        if val in values:
+            raise ConfigError(f"{key}[{i}]", f"repeats {val!r}")
+        values.append(val)
+    return values
+
+
+def _extended(path: str, val) -> float:
+    try:
+        N = decode_extended(val)
+    except (KeyError, TypeError, ValueError):
+        raise ConfigError(path, f"cannot parse {val!r}")
+    if N is None:
+        raise ConfigError(path, "null is not an extended real")
+    return N
+
+
 def load_config(source) -> RunConfig:
-    """Parse and validate a config dict or a JSON file path."""
+    """Parse and validate a config dict or a JSON file path.
+
+    The realizations are settled against the domain here: a domain with
+    boundary takes tangential and normal, a closed domain only none.
+    """
     if isinstance(source, dict):
         raw = source
     else:
@@ -92,34 +135,25 @@ def load_config(source) -> RunConfig:
     except (DomainValidationError, KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"domain.{getattr(e, 'field_name', '')}".rstrip("."), str(e))
     n = domain.ambient_dim
-    h_param = float(raw.get("h_param", 1.0))
-    if h_param <= 0:
-        raise ConfigError("h_param", "must be positive")
+    h_param = _positive(raw.get("h_param", 1.0), "h_param")
     try:
         potential = parse_potential(raw.get("potential", "zero"), n, h_param)
     except (ValueError, KeyError) as e:
         raise ConfigError("potential", str(e))
 
-    degrees = _typed(raw, "degrees", [0], list, "a list")
-    if any(isinstance(p, bool) or not isinstance(p, int) or p < 0 or p > n
-           for p in degrees):
-        raise ConfigError("degrees", f"must be integers in [0, {n}]")
-    realizations = _typed(raw, "realizations", ["normal"], list, "a list")
-    for b in realizations:
-        if b not in ("tangential", "normal", "none"):
-            raise ConfigError("realizations", f"unknown realization {b!r}")
+    degrees = _axis(raw, "degrees", [0], lambda path, p: _integer(p, path, 0, n))
+    allowed = ("tangential", "normal") if domain.has_boundary else ("none",)
 
-    N_values, inadmissible = [], []
-    for i, val in enumerate(_typed(raw, "N", ["inf"], list, "a list")):
-        try:
-            N = decode_extended(val)
-        except (KeyError, ValueError):
-            raise ConfigError(f"N[{i}]", f"cannot parse {val!r}")
-        if N is None:
-            raise ConfigError(f"N[{i}]", "null is not an extended real")
-        if not (N == math.inf or N <= 0 or N >= n):
-            inadmissible.append(N)  # flagged at parse time, skipped as not_applicable
-        N_values.append(N)
+    def realization(path, b):
+        if b not in allowed:
+            raise ConfigError(path, f"the {domain.kind} domain takes "
+                                    f"{' or '.join(allowed)}, got {b!r}")
+        return b
+
+    realizations = _axis(raw, "realizations", [allowed[-1]], realization)  # normal/none
+    N_values = _axis(raw, "N", ["inf"], _extended)
+    # flagged at parse time, reported as not_applicable
+    inadmissible = [N for N in N_values if not (N == math.inf or N <= 0 or N >= n)]
 
     checks = _typed(raw, "checks", [], list, "a list")
     for i, cid in enumerate(checks):
@@ -127,25 +161,20 @@ def load_config(source) -> RunConfig:
             raise ConfigError(f"checks[{i}]", f"unknown check id {cid!r}; "
                                               f"see list-presets")
     mesh = _typed(raw, "mesh", {}, dict, "an object")
-    target_h = float(mesh.get("target_h", 0.25))
-    if target_h <= 0:
-        raise ConfigError("mesh.target_h", "must be positive")
-    refinements = int(mesh.get("refinements", 0))
-    if not (0 <= refinements <= MAX_REFINEMENTS):
-        raise ConfigError("mesh.refinements", f"must be in [0, {MAX_REFINEMENTS}]")
-    quad_order = int(raw.get("quad_order", 8))
-    if quad_order < 2:
-        raise ConfigError("quad_order", "must be >= 2")
+    target_h = _positive(mesh.get("target_h", 0.25), "mesh.target_h")
+    refinements = _integer(mesh.get("refinements", 0), "mesh.refinements", 0,
+                           MAX_REFINEMENTS)
+    quad_order = _integer(raw.get("quad_order", 8), "quad_order", 2)
     tolerances = dict(DEFAULT_TOLERANCES)
     for k, v in _typed(raw, "tolerances", {}, dict, "an object").items():
         if k not in DEFAULT_TOLERANCES:
             raise ConfigError(f"tolerances.{k}", "unknown tolerance key")
-        tolerances[k] = float(v)
-    seed = int(raw.get("seed", 1234))
-    h_list = [float(h) for h in _typed(raw, "h_list", [1.0, 0.5, 0.25], list, "a list")]
-    if any(h <= 0 for h in h_list) or any(
-            h_list[i] <= h_list[i + 1] for i in range(len(h_list) - 1)):
-        raise ConfigError("h_list", "must be positive and strictly descending")
+        tolerances[k] = _positive(v, f"tolerances.{k}")
+    seed = _integer(raw.get("seed", 1234), "seed", 0)
+    h_list = [_positive(h, f"h_list[{i}]") for i, h in
+              enumerate(_typed(raw, "h_list", [1.0, 0.5, 0.25], list, "a list"))]
+    if any(h_list[i] <= h_list[i + 1] for i in range(len(h_list) - 1)):
+        raise ConfigError("h_list", "must be strictly descending")
     return RunConfig(domain=domain, potential=potential, degrees=degrees,
                      realizations=realizations, N_values=N_values, checks=checks,
                      target_h=target_h, refinements=refinements, quad_order=quad_order,

@@ -11,10 +11,13 @@ On a chain sharing one mass matrix per degree this gives the exact matrix
 identity ``L^(p+1) D_p = D_p L^(p)`` (supersymmetry), the backbone of the
 variance-identity checks.
 
-Realizations: the tangential realization drops DOFs on boundary simplices
-(t w = 0 strongly; t d*_V w = 0 arises weakly); the normal realization is
-natural (unconstrained) at p = 0 and goes through Hodge-star duality for
-p >= 1 (see dual_problem), because Whitney DOFs carry tangential traces.
+Realizations: a domain with boundary has tangential and normal, a closed
+domain only none.  The tangential realization drops DOFs on boundary
+simplices (t w = 0 strongly; t d*_V w = 0 arises weakly); normal is the
+natural (unconstrained) chain at p = 0 and goes through Hodge-star duality
+for p >= 1 (see dual_problem), because Whitney DOFs carry tangential
+traces; none is the natural chain at every degree.  realization_route is
+the one place that decides the route.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ __all__ = [
     "AssembledOperator",
     "assemble_weighted_laplacian",
     "dual_problem",
+    "realization_route",
 ]
 
 REALIZATIONS = ("tangential", "normal", "none")
@@ -248,14 +252,13 @@ def assemble_weighted_laplacian(cplx: SimplicialComplex, p: int, potential: Pote
         raise UnsupportedRealizationError(f"unknown realization {b!r}")
     has_bdry = cplx.spec.has_boundary if cplx.spec is not None else bool(
         cplx.boundary_marker[0].any())
-    if b == "normal" and p >= 1 and has_bdry:
-        n = cplx.dim
+    degree, _, realization, route = realization_route(p, b, potential, cplx.dim, has_bdry)
+    if route == "dual":
         raise UnsupportedRealizationError(
             f"normal realization at p={p} is not available in the primal Whitney basis; "
-            f"use dual_problem: assemble (p={n - p}, tangential, -V) and map spectra "
+            f"use dual_problem: assemble (p={degree}, {realization}, -V) and map spectra "
             f"through the weighted Hodge star")
-    chain = OperatorChain(cplx, potential, _chain_realization(b), quad_order)
-    return chain.operator(p)
+    return OperatorChain(cplx, potential, realization, quad_order).operator(p)
 
 
 def dual_problem(p: int, b: str, potential: Potential, n: int):
@@ -272,3 +275,18 @@ def dual_problem(p: int, b: str, potential: Potential, n: int):
         raise UnsupportedRealizationError(f"dual_problem needs tangential/normal, got {b!r}")
     dual_b = "tangential" if b == "normal" else "normal"
     return (n - p, dual_b, potential.negated())
+
+
+def realization_route(p: int, b: str, potential: Potential, n: int,
+                      has_boundary: bool):
+    """How the realization (p, b, V) is assembled.
+
+    Returns (degree, potential, chain realization, route), route being
+    "direct" or "dual".  The normal realization at p >= 1 on a domain with
+    boundary goes through the star dual (n - p, tangential, -V) of
+    dual_problem; every other case is assembled directly on its own chain.
+    """
+    if b == "normal" and p >= 1 and has_boundary:
+        degree, dual_b, dual_pot = dual_problem(p, b, potential, n)
+        return degree, dual_pot, dual_b, "dual"
+    return p, potential, _chain_realization(b), "direct"

@@ -2,13 +2,20 @@
 
 import json
 import math
+import time
+from pathlib import Path
 
 import pytest
 
+from hodgecheck import report as report_mod
 from hodgecheck.cli import main
 from hodgecheck.config import ConfigError, load_config
+from hodgecheck.presets import CHECK_IDS
 from hodgecheck.records import CheckRecord, decode_extended, encode_extended
-from hodgecheck.report import convergence_study, run_config
+from hodgecheck.report import RUNNERS, convergence_study, run_config
+
+ROOT = Path(__file__).resolve().parents[1]
+EXAMPLES = sorted((ROOT / "examples_config").glob("*.json"))
 
 BASE = {
     "domain": {"kind": "interval", "parameters": [0, 1]},
@@ -64,6 +71,46 @@ def test_config_validation_paths():
     for key in ("mesh", "tolerances"):
         with pytest.raises(ConfigError, match=f"at {key}: must be an object"):
             load_config({**BASE, key: "x"})
+    # scalars are typed: no raw ValueError, no truncation, no bool as 1
+    for path, cfg in (("quad_order", {"quad_order": "x"}),
+                      ("quad_order", {"quad_order": 8.7}),
+                      ("seed", {"seed": "abc"}),
+                      ("seed", {"seed": -1}),
+                      ("h_param", {"h_param": "x"}),
+                      ("mesh.target_h", {"mesh": {"target_h": "x"}}),
+                      ("mesh.refinements", {"mesh": {"refinements": True}}),
+                      ("h_list\\[0\\]", {"h_list": ["x"]}),
+                      ("tolerances.identity_rel", {"tolerances": {"identity_rel": "x"}}),
+                      ("tolerances.identity_rel", {"tolerances": {"identity_rel": "inf"}}),
+                      ("tolerances.identity_rel", {"tolerances": {"identity_rel": math.inf}}),
+                      ("tolerances.identity_rel", {"tolerances": {"identity_rel": 0.0}}),
+                      ("tolerances.identity_rel", {"tolerances": {"identity_rel": math.nan}})):
+        with pytest.raises(ConfigError, match=f"at {path}:"):
+            load_config({**BASE, **cfg})
+    # case axes: no repeated entry, no empty list
+    for path, cfg in (("degrees\\[1\\]", {"degrees": [0, 0]}),
+                      ("realizations\\[1\\]", {"realizations": ["normal", "normal"]}),
+                      ("N\\[1\\]", {"N": ["inf", "+inf"]}),
+                      ("N\\[1\\]", {"N": [4, 4.0]}),
+                      ("degrees", {"degrees": []}),
+                      ("realizations", {"realizations": []}),
+                      ("N", {"N": []})):
+        with pytest.raises(ConfigError, match=f"at {path}:"):
+            load_config({**BASE, **cfg})
+    with pytest.raises(ConfigError, match="N\\[0\\]"):
+        load_config({**BASE, "N": [[4]]})
+
+
+def test_realizations_settled_against_domain():
+    torus = {**BASE, "domain": {"kind": "flat_torus", "parameters": [1.0, 1.0]}}
+    with pytest.raises(ConfigError, match="at realizations\\[1\\]: the flat_torus"):
+        load_config({**torus, "realizations": ["none", "normal"]})
+    with pytest.raises(ConfigError, match="at realizations\\[1\\]: the interval"):
+        load_config({**BASE, "realizations": ["tangential", "none"]})
+    del torus["realizations"]
+    assert load_config(torus).realizations == ["none"]
+    assert load_config({k: v for k, v in BASE.items()
+                        if k != "realizations"}).realizations == ["normal"]
 
 
 def test_inadmissible_N_flagged_and_skipped():
@@ -205,3 +252,132 @@ def test_boundaryless_domain_run():
     # two harmonic 1-form classes
     hodge1 = [r for r in by_id["hodge_decomposition"] if r.p == 1]
     assert hodge1 and hodge1[0].extra["kernel_dim"] == 2
+
+
+def test_closed_domain_cases_run_once():
+    """A closed domain's one realization reaches every check exactly once."""
+    cfg = load_config({
+        "domain": {"kind": "flat_torus", "parameters": [1.0, 1.0]},
+        "potential": "quadratic(1.0)", "degrees": [0, 1],
+        "checks": ["decomposition_identity", "hypothesis_check", "semiclassical_sweep"],
+        "mesh": {"target_h": 0.35}, "h_list": [1.0, 0.5], "seed": 4})
+    report = run_config(cfg)
+    assert {r.b for r in report.records} == {"none"}
+    by_id = {}
+    for r in report.records:
+        by_id.setdefault(r.check_id, []).append((r.p, r.h_param))
+    assert by_id["decomposition_identity"] == [(0, 1.0), (1, 1.0)]
+    assert by_id["hypothesis_check"] == [(1, 1.0)]
+    assert by_id["semiclassical_sweep"] == [(0, 1.0), (0, 0.5), (1, 1.0), (1, 0.5)]
+
+
+def test_runners_cover_check_ids():
+    assert list(RUNNERS) == list(CHECK_IDS)
+
+
+def test_raising_case_becomes_its_error_record():
+    cfg = load_config({**BASE, "potential": "quadratic(1.0)", "degrees": [0, 1],
+                       "realizations": ["normal", "tangential"], "N": ["inf", 2]})
+    ran = []
+
+    def case(cfg, b, p, N):
+        ran.append((b, p, N))
+        if (b, p, N) == ("normal", 1, 2.0):
+            raise RuntimeError("boom")
+        return CheckRecord("hypothesis_check", kind="identity", p=p, b=b, N=N,
+                           passed=True, hypothesis_status="satisfied")
+
+    runner = report_mod._runner("hypothesis_check", (report_mod.REALIZATIONS,
+                                                     report_mod.BOUND_DEGREES,
+                                                     report_mod.N_VALUES), case)
+    recs = runner(cfg)
+    # bound degrees max(p, 1) run once each: p = 0 and p = 1 share degree 1
+    assert ran == [("normal", 1, math.inf), ("normal", 1, 2.0),
+                   ("tangential", 1, math.inf), ("tangential", 1, 2.0)]
+    assert [(r.b, r.p, r.N, r.status) for r in recs] == [
+        ("normal", 1, math.inf, "pass"), ("normal", 1, 2.0, "fail"),
+        ("tangential", 1, math.inf, "pass"), ("tangential", 1, 2.0, "pass")]
+    assert recs[1].error == "RuntimeError: boom"
+    assert recs[1].domain == "interval[0.0, 1.0]" and recs[1].potential == "quadratic(1)"
+
+
+def test_converge_captures_raising_case(tmp_path):
+    """gamma2 has no bump on a closed domain: an error record, not a config error."""
+    path = _write(tmp_path, {
+        "domain": {"kind": "flat_torus", "parameters": [1.0, 1.0]},
+        "checks": ["gamma2"], "mesh": {"target_h": 0.3, "refinements": 2}})
+    out = tmp_path / "conv.json"
+    assert main(["converge", path, "--out", str(out)]) == 1
+    rep = json.loads(out.read_text())
+    assert [r["error"] for r in rep["records"]] == \
+        ["ValueError: no bubble for flat_torus"] * 2   # graded orders 8 and 12
+    assert rep["convergence"][0]["order"] is None
+
+
+def test_inadmissible_N_is_not_applicable_in_every_N_check():
+    cfg = load_config({**BASE, "potential": "quadratic(1.0)", "degrees": [0, 1],
+                       "N": [0.5, "inf"], "mesh": {"target_h": 0.125},
+                       "checks": ["bl_scalar", "gap_lower_bound", "hypothesis_check"]})
+    assert cfg.inadmissible_N == [0.5]
+    report = run_config(cfg)
+    flagged = {}
+    for r in report.records:
+        if r.N == 0.5:
+            assert r.status == "not_applicable" and r.hypothesis_status == "violated"
+            assert r.extra == {"note": "N flagged inadmissible at parse time"}
+            flagged.setdefault(r.check_id, []).append(r.p)
+    assert flagged == {"bl_scalar": [1], "gap_lower_bound": [0, 1],
+                       "hypothesis_check": [1]}
+    assert report.summary["fail"] == 0
+
+
+def test_timings_are_per_case(monkeypatch):
+    cfg = load_config({**BASE, "realizations": ["tangential", "normal"]})
+
+    def case(cfg, b):
+        if b == "tangential":
+            time.sleep(0.05)
+        return CheckRecord("eigen_spectrum", b=b, passed=True)
+
+    monkeypatch.setitem(RUNNERS, "eigen_spectrum", report_mod._runner(
+        "eigen_spectrum", (report_mod.REALIZATIONS,), case))
+    slow, fast = run_config(cfg, timings=True).records
+    assert slow.runtime_ms >= 50.0 > fast.runtime_ms > 0.0
+    assert all(r.runtime_ms == 0.0 for r in run_config(cfg).records)
+
+
+def test_converge_timings(tmp_path):
+    path = _write(tmp_path, {**BASE, "mesh": {"target_h": 1 / 8, "refinements": 2}})
+    for flag, timed in (([], False), (["--timings"], True)):
+        out = tmp_path / "conv.json"
+        assert main(["converge", path, "--out", str(out), *flag]) == 0
+        runtimes = [r["runtime_ms"] for r in json.loads(out.read_text())["records"]]
+        assert len(runtimes) == 3
+        assert all(t > 0 for t in runtimes) if timed else all(t == 0 for t in runtimes)
+
+
+@pytest.fixture(scope="module")
+def shipped(tmp_path_factory):
+    """Exit status and report of `run` on every shipped example config and
+    of the README's `converge examples_config/interval_spectrum.json`."""
+    tmp = tmp_path_factory.mktemp("shipped")
+    commands = [("run", p) for p in EXAMPLES]
+    commands.append(("converge", ROOT / "examples_config" / "interval_spectrum.json"))
+    results = {}
+    for cmd, path in commands:
+        out, csv = tmp / f"{cmd}-{path.stem}.json", tmp / f"{cmd}-{path.stem}.csv"
+        status = main([cmd, str(path), "--out", str(out), "--csv", str(csv)])
+        results[cmd, path.stem] = status, json.loads(out.read_text())
+    return results
+
+
+def test_shipped_commands_exit_zero(shipped):
+    assert len(shipped) == len(EXAMPLES) + 1 >= 3
+    assert {key: status for key, (status, _) in shipped.items()} == \
+        dict.fromkeys(shipped, 0)
+
+
+def test_disk_suite_records_distinct(shipped):
+    records = shipped["run", "disk_suite"][1]["records"]
+    keys = [json.dumps(r, sort_keys=True) for r in records]
+    assert len(set(keys)) == len(keys) == 51
