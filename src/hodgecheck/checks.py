@@ -39,7 +39,8 @@ from .meshing import generate_mesh, refine
 from .operators import Cochain, OperatorChain, realization_route
 from .potentials import Potential, WeightedMeasure
 from .records import CheckRecord, identity_record, inequality_record
-from .spectral import kernel_projector, lowest_eigenpairs, solve_on_range
+from .spectral import (kernel_projector, lowest_eigenpairs, range_kernel_projector,
+                       range_solver, solve_on_range)
 
 __all__ = [
     "quadratic_form_analytic",
@@ -596,7 +597,7 @@ def variance_identity_record(domain: DomainSpec, potential: Potential, b: str,
     chain = OperatorChain(cplx, potential, b, quad_order)
     kernel1 = None
     if domain.kind in ("annulus", "flat_torus", "circle"):
-        kernel1 = kernel_projector(chain.operator(1), seed=seed)
+        kernel1 = range_kernel_projector(chain.operator(1), seed=seed)
     rng = np.random.default_rng(seed)
     worst = 0.0
     pair = (0.0, 0.0)
@@ -612,7 +613,8 @@ def variance_identity_record(domain: DomainSpec, potential: Potential, b: str,
                       passed=worst <= tol, hypothesis_status="satisfied",
                       mesh_h=cplx.mesh_size_h, quad_order=quad_order,
                       h_param=potential.h_param,
-                      extra={"samples": n_samples, "worst_rel": worst})
+                      extra={"samples": n_samples, "worst_rel": worst,
+                             "range_solver": range_solver(chain.dim(1))})
     return rec
 
 
@@ -779,7 +781,7 @@ def hodge_decomposition_record(domain: DomainSpec, potential: Potential, b: str,
     cplx = generate_mesh(domain, mesh_h)
     chain = OperatorChain(cplx, potential, b, quad_order)
     op = chain.operator(p)
-    kp = kernel_projector(op, seed=seed)
+    kp = range_kernel_projector(op, seed=seed)
     rng = np.random.default_rng(seed)
     worst_rec, worst_orth = 0.0, 0.0
     for _ in range(n_samples):
@@ -794,4 +796,5 @@ def hodge_decomposition_record(domain: DomainSpec, potential: Potential, b: str,
                        passed=rel <= tol, hypothesis_status="satisfied",
                        mesh_h=cplx.mesh_size_h, quad_order=quad_order,
                        extra={"kernel_dim": kp.dim, "recomposition": worst_rec,
-                              "orthogonality": worst_orth, "samples": n_samples})
+                              "orthogonality": worst_orth, "samples": n_samples,
+                              "range_solver": range_solver(op.dim)})

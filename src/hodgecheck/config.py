@@ -91,17 +91,23 @@ def _positive(val, path: str) -> float:
     return float(val)
 
 
-def _axis(raw: dict, key: str, default: list, parse) -> list:
-    """A case axis: a non-empty list of distinct entries parse(path, entry)."""
+def _distinct(raw: dict, key: str, default: list, parse) -> list:
+    """A list of distinct entries parse(path, entry)."""
     entries = _typed(raw, key, default, list, "a list")
-    if not entries:
-        raise ConfigError(key, "must not be empty")
     values = []
     for i, val in enumerate(entries):
         val = parse(f"{key}[{i}]", val)
         if val in values:
             raise ConfigError(f"{key}[{i}]", f"repeats {val!r}")
         values.append(val)
+    return values
+
+
+def _axis(raw: dict, key: str, default: list, parse) -> list:
+    """A case axis: a non-empty list of distinct entries parse(path, entry)."""
+    values = _distinct(raw, key, default, parse)
+    if not values:
+        raise ConfigError(key, "must not be empty")
     return values
 
 
@@ -155,11 +161,12 @@ def load_config(source) -> RunConfig:
     # flagged at parse time, reported as not_applicable
     inadmissible = [N for N in N_values if not (N == math.inf or N <= 0 or N >= n)]
 
-    checks = _typed(raw, "checks", [], list, "a list")
-    for i, cid in enumerate(checks):
-        if cid not in CHECK_IDS:
-            raise ConfigError(f"checks[{i}]", f"unknown check id {cid!r}; "
-                                              f"see list-presets")
+    def check_id(path, cid):
+        if not isinstance(cid, str) or cid not in CHECK_IDS:
+            raise ConfigError(path, f"unknown check id {cid!r}; see list-presets")
+        return cid
+
+    checks = _distinct(raw, "checks", [], check_id)   # empty: nothing to run
     mesh = _typed(raw, "mesh", {}, dict, "an object")
     target_h = _positive(mesh.get("target_h", 0.25), "mesh.target_h")
     refinements = _integer(mesh.get("refinements", 0), "mesh.refinements", 0,

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as dla
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
@@ -82,9 +83,10 @@ class OperatorChain:
 
     Masses and incidence matrices are assembled lazily and shared between
     the per-degree operators, which is what makes the supersymmetry
-    identity exact at the matrix level.  ``quad_orders`` may assign a
-    different quadrature order per degree (used as a negative control:
-    mismatched orders break the shared-mass assumption).
+    identity exact at the matrix level.  Mass factorizations and the dense
+    pencils of range solves are cached beside them.  ``quad_orders`` may
+    assign a different quadrature order per degree (used as a negative
+    control: mismatched orders break the shared-mass assumption).
     """
 
     def __init__(self, cplx: SimplicialComplex, potential: Potential,
@@ -99,6 +101,7 @@ class OperatorChain:
         self.quad_orders = dict(quad_orders or {})
         self._mass = {}
         self._factor = {}
+        self._pencil = {}
         self._D = {}
         self._free = {}
 
@@ -234,6 +237,22 @@ class AssembledOperator:
             B = (D.T @ self.M).toarray()           # (dim_{p-1}, dim_p)
             S += B.T @ self.chain.mass_factor(self.p - 1).solve(B)
         return 0.5 * (S + S.T)
+
+    def pencil(self, keep: bool = True):
+        """Eigenvalues (ascending) and M-orthonormal eigenvectors of the dense
+        pencil (S_p, M_p).
+
+        Read from the chain's cache when present; otherwise computed, and
+        cached only when keep (the range solves keep it, a spectrum alone
+        does not hold the dense vectors).
+        """
+        cache = self.chain._pencil
+        if self.p in cache:
+            return cache[self.p]
+        pair = dla.eigh(self.stiffness_dense(), self.M.toarray())
+        if keep:
+            cache[self.p] = pair
+        return pair
 
     def stiffness_linear_operator(self) -> spla.LinearOperator:
         return spla.LinearOperator((self.dim, self.dim), matvec=self.stiff_matvec,

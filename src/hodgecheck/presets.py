@@ -44,7 +44,7 @@ CHECK_IDS = {
     "gap_lower_bound": "first nonkernel eigenvalue vs pointwise curvature bound",
     "semiclassical_sweep": "rescaled potentials V/h: hypotheses and scaled gaps",
     "hypothesis_check": "pointwise hypothesis report (sign conditions, positivity), "
-                        "once per bound degree max(p, 1)",
+                        "once per bound degree max(p, 1), per N at degree 1 only",
     "intertwining": "supersymmetry residual of the assembled operators",
     "hodge_decomposition": "kernel/exact/coexact split of random cochains",
     "duality_spectrum": "star-duality validation of the normal realization at p = 0",

@@ -17,7 +17,6 @@ shared by the records it yields, and forfeit byte-identity.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import time
@@ -102,29 +101,37 @@ def _interval_oracle(cfg: RunConfig, p: int, b: str, k: int):
     return [(j * math.pi / L) ** 2 for j in range(first, first + k)]
 
 
-# Case axes: the record label an axis fills and its values in a config.
-DEGREES = ("p", lambda cfg: cfg.degrees)
-BOUND_DEGREES = ("p", lambda cfg: list(dict.fromkeys(max(p, 1) for p in cfg.degrees)))
-SCALAR_DEGREE = ("p", lambda cfg: [1])   # the scalar bound is a degree-1 bound
-REALIZATIONS = ("b", lambda cfg: cfg.realizations)
-N_VALUES = ("N", lambda cfg: cfg.N_values)
+# Case axes: the record label an axis fills and its values in a config,
+# given the values the outer axes took in the case.
+DEGREES = ("p", lambda cfg, case: cfg.degrees)
+BOUND_DEGREES = ("p", lambda cfg, case: list(dict.fromkeys(max(p, 1)
+                                                          for p in cfg.degrees)))
+SCALAR_DEGREE = ("p", lambda cfg, case: [1])   # the scalar bound is a degree-1 bound
+REALIZATIONS = ("b", lambda cfg, case: cfg.realizations)
+N_VALUES = ("N", lambda cfg, case: cfg.N_values)
+# N enters a curvature bound only at degree 1; above it the case has no N
+BOUND_N_VALUES = ("N", lambda cfg, case: cfg.N_values if case["p"] == 1 else [None])
+
+
+def _cases(cfg: RunConfig, axes) -> list:
+    """Every case of the axes, outermost first, as {label: value} dicts."""
+    cases = [{}]
+    for label, values in axes:
+        cases = [{**case, label: v} for case in cases for v in values(cfg, case)]
+    return cases
 
 
 def _runner(check_id: str, axes, case_fn):
     """Runner of check_id: case_fn(cfg, **case) for every case of the axes.
 
-    Cases run in the order of the product of the axes, outermost first;
-    case_fn returns one record or a list of them.  A case whose N was
-    flagged inadmissible at parse time yields a not_applicable record
-    without running, and an exception raised in a case becomes that case's
-    error record.  With timings, the records of a case share its wall time.
+    Cases run in the order of _cases, outermost first; case_fn returns one
+    record or a list of them.  A case whose N was flagged inadmissible at
+    parse time yields a not_applicable record without running, and an
+    exception raised in a case becomes that case's error record.  With timings, the records of a case share its wall time.
     """
-    labels = [label for label, _ in axes]
-
     def run(cfg: RunConfig, timings: bool = False) -> list:
         records = []
-        for values in itertools.product(*(values(cfg) for _, values in axes)):
-            case = dict(zip(labels, values))
+        for case in _cases(cfg, axes):
             start = time.perf_counter()
             if case.get("N") in cfg.inadmissible_N:
                 batch = [CheckRecord(check_id, kind="inequality", **_labels(cfg), **case,
@@ -234,8 +241,8 @@ def _semiclassical(cfg: RunConfig, b: str, p: int):
 
 
 def _hypothesis(cfg: RunConfig, b: str, p: int, N: float):
-    rep = checks.hypothesis_check(cfg.potential, cfg.domain, b, p,
-                                  N=N if p == 1 else None, quad_order=cfg.quad_order)
+    rep = checks.hypothesis_check(cfg.potential, cfg.domain, b, p, N=N,
+                                  quad_order=cfg.quad_order)
     return CheckRecord("hypothesis_check", kind="inequality", **_labels(cfg), p=p, b=b,
                        N=N, lhs=rep.interior_min, rhs=rep.boundary_min,
                        passed=rep.status == "satisfied", hypothesis_status=rep.status,
@@ -295,7 +302,7 @@ _CASES = {  # check id: (case axes, outermost first; case function)
     "variance_identity": ((REALIZATIONS,), _variance),
     "gap_lower_bound": ((DEGREES, N_VALUES), _gap),
     "semiclassical_sweep": ((REALIZATIONS, DEGREES), _semiclassical),
-    "hypothesis_check": ((REALIZATIONS, BOUND_DEGREES, N_VALUES), _hypothesis),
+    "hypothesis_check": ((REALIZATIONS, BOUND_DEGREES, BOUND_N_VALUES), _hypothesis),
     "intertwining": ((REALIZATIONS,), _intertwining),
     "hodge_decomposition": ((DEGREES, REALIZATIONS), _hodge),
     "duality_spectrum": ((), _duality),
@@ -317,18 +324,26 @@ def run_config(cfg: RunConfig, timings: bool = False) -> Report:
 # ---------------------------------------------------------------------------
 
 _QUAD_SWEEP = (4, 8, 12)
+ROUNDOFF_FLOOR = 1e-12   # a ladder error at or below this is roundoff
 
 
 def _fit_order(hs, errs):
-    """Log-log least-squares slope; needs >= 3 levels with positive error."""
-    pairs = [(h, e) for h, e in zip(hs, errs) if e > 0 and np.isfinite(e)]
+    """Log-log least-squares slope and a note.
+
+    Only levels with a finite error above ROUNDOFF_FLOOR count; with fewer
+    than 3 of them the order is None and the note says why.
+    """
+    finite = [(h, e) for h, e in zip(hs, errs) if np.isfinite(e)]
+    pairs = [(h, e) for h, e in finite if e > ROUNDOFF_FLOOR]
     if len(pairs) < 3:
-        return None
+        if len(pairs) < len(finite):
+            return None, "errors at roundoff floor"
+        return None, "order omitted: fewer than 3 levels with finite error"
     lx = np.log([p[0] for p in pairs])
     ly = np.log([p[1] for p in pairs])
     A = np.column_stack([lx, np.ones_like(lx)])
     slope, _ = np.linalg.lstsq(A, ly, rcond=None)[0]
-    return float(slope)
+    return float(slope), ""
 
 
 def _worst(records) -> float:
@@ -354,10 +369,10 @@ def convergence_study(cfg: RunConfig, timings: bool = False) -> Report:
                 if qo >= cfg.quad_order:
                     records.extend(sub)
                 errs.append(_worst(sub))
+            order, note = _fit_order([1.0 / q for q in levels], errs)
             tables.append({"check_id": check_id, "axis": "quad_order",
-                           "levels": levels, "rel_errs": errs,
-                           "order": _fit_order([1.0 / q for q in levels], errs),
-                           "note": "error vs inverse quadrature order"})
+                           "levels": levels, "rel_errs": errs, "order": order,
+                           "note": note or "error vs inverse quadrature order"})
         elif check_id in ("eigen_spectrum", "variance_identity"):
             hs, errs = [], []
             h = cfg.target_h
@@ -367,10 +382,7 @@ def convergence_study(cfg: RunConfig, timings: bool = False) -> Report:
                 hs.append(max(r.mesh_h or h for r in sub))
                 errs.append(_worst(sub))
                 h = h / 2
-            order = _fit_order(hs, errs)
-            note = ""
-            if order is None:
-                note = "order omitted: fewer than 3 levels with finite error"
+            order, note = _fit_order(hs, errs)
             tables.append({"check_id": check_id, "axis": "mesh_h", "levels": hs,
                            "rel_errs": errs, "order": order, "note": note})
         else:

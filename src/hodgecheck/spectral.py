@@ -13,9 +13,17 @@ Eigenproblems S x = lambda M x are solved on two paths:
 
   whose finite eigenvalues are exactly those of the primal pencil.
 
-Solves on Ran d use conjugate gradients preconditioned by the mass matrix
-with explicit kernel deflation each iteration, mirroring the restriction of
-the operator to the orthogonal complement of its kernel.
+Solves on Ran d restrict the operator to the M-orthogonal complement of its
+kernel on one of two paths (range_solver names it):
+
+* "dense-pencil" up to DENSE_CUTOFF, where the dense eigensolver runs: the
+  pseudo-inverse of the generalized eigendecomposition of the dense pencil,
+  computed once per chain and degree and cached on the OperatorChain (a
+  kernel projector built first reads the same decomposition), with
+  iterative refinement on the true residual;
+* "projected-cg" above it: conjugate gradients preconditioned by the mass
+  matrix with explicit kernel deflation each iteration, stopped on its
+  recursive residual.
 """
 
 from __future__ import annotations
@@ -23,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as dla
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
@@ -35,13 +42,16 @@ __all__ = [
     "SolverError",
     "lowest_eigenpairs",
     "kernel_projector",
+    "range_kernel_projector",
     "KernelProjector",
     "hodge_decompose",
     "solve_on_range",
+    "range_solver",
     "check_intertwining",
 ]
 
 DENSE_CUTOFF = 1700
+REFINE_STEPS = 4   # most refinement steps of a range solve after the first pencil solve
 
 
 class SolverError(RuntimeError):
@@ -120,7 +130,7 @@ def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-9,
     if tol <= 0:
         raise ValueError("tol must be positive")
     if op.dim <= DENSE_CUTOFF:
-        vals, vecs = dla.eigh(op.stiffness_dense(), op.M.toarray())
+        vals, vecs = op.pencil(keep=False)
         vals, vecs = vals[:k], vecs[:, :k]
         solver = "dense-eigh"
     elif not op.has_down:
@@ -237,28 +247,64 @@ def kernel_projector(op: AssembledOperator, kernel_threshold: float | None = Non
     return KernelProjector(op.M, basis, window)
 
 
+def range_kernel_projector(op: AssembledOperator, seed: int = 1234) -> KernelProjector:
+    """kernel_projector of an operator that range solves will follow.
+
+    On the dense-pencil path the pencil is computed and kept on the chain
+    first, so the projector and the solves share one decomposition.
+    """
+    if range_solver(op.dim) == "dense-pencil":
+        op.pencil()
+    return kernel_projector(op, seed=seed)
+
+
+def range_solver(dim: int) -> str:
+    """The path solve_on_range takes on an operator of dimension dim:
+    "dense-pencil" or "projected-cg"."""
+    return "dense-pencil" if dim <= DENSE_CUTOFF else "projected-cg"
+
+
 def solve_on_range(op: AssembledOperator, rhs: np.ndarray, tol: float = 1e-11,
                    kernel: KernelProjector | None = None,
                    maxiter: int | None = None) -> np.ndarray:
     """Solve L^(p) w = rhs for rhs in Ran d, with w orthogonal to the kernel.
 
-    Conjugate gradients on S w = M rhs, preconditioned by M^{-1}, deflating
-    kernel components by explicit projection every iteration.
+    Both paths solve S w = M rhs; the M^{-1}-norm of the residual, kernel
+    components deflated, must come to at most tol times that of M rhs,
+    else SolverError.
+
+    * "dense-pencil" (dim <= DENSE_CUTOFF): the pseudo-inverse of the cached
+      generalized eigendecomposition of (S, M), followed by iterative
+      refinement; the test is applied to the true residual b - S w.  It
+      drops the lowest kernel.dim modes (the span of a projector built by
+      kernel_projector from the same decomposition) and any mode whose
+      eigenvalue is at roundoff, at most dim * eps * lambda_max; every
+      other mode is inverted however small its eigenvalue, as CG does.  A
+      right side that needs a mode at roundoff fails the test on this path.
+      The first solve on a chain pays the decomposition unless
+      range_kernel_projector already did; on a 2D chain a single solve
+      without a projector costs more than CG.
+    * "projected-cg": conjugate gradients preconditioned by M^{-1}, deflating
+      kernel components by explicit projection every iteration; the test is
+      applied to the recursive residual, maxiter bounds the iterations.
     """
     chain, p = op.chain, op.p
-    if maxiter is None:
-        maxiter = max(2000, 30 * op.dim)
     b = op.M @ np.asarray(rhs, dtype=float)
 
     def project(x):
         return kernel.complement(x) if kernel is not None and kernel.dim else x
 
+    bnorm = np.sqrt(max(float(b @ chain.mass_solve(p, b)), 1e-300))
+    if range_solver(op.dim) == "dense-pencil":
+        kernel_dim = kernel.dim if kernel is not None else 0
+        return _pencil_solve(op, b, tol * bnorm, kernel_dim, project)
+    if maxiter is None:
+        maxiter = max(2000, 30 * op.dim)
     x = np.zeros_like(b)
     r = b.copy()
     z = project(chain.mass_solve(p, r))
     q = z.copy()
     rz = float(r @ z)
-    bnorm = np.sqrt(max(float(b @ chain.mass_solve(p, b)), 1e-300))
     for _ in range(maxiter):
         if np.sqrt(max(rz, 0.0)) <= tol * bnorm:
             return x
@@ -273,6 +319,29 @@ def solve_on_range(op: AssembledOperator, rhs: np.ndarray, tol: float = 1e-11,
         q = z + (rz_new / rz) * q
         rz = rz_new
     raise SolverError(f"projected CG stagnated: residual {np.sqrt(max(rz,0))/bnorm:.2e}")
+
+
+def _pencil_solve(op: AssembledOperator, b, target, kernel_dim, project) -> np.ndarray:
+    """Pseudo-inverse solve of S x = b on the dense pencil, refined until the
+    true residual's M^{-1}-norm, kernel deflated, meets target."""
+    vals, vecs = op.pencil()
+    roundoff = op.dim * np.finfo(float).eps * abs(vals[-1])
+    start = max(kernel_dim, int(np.searchsorted(vals, roundoff, side="right")))
+    V, inv = vecs[:, start:], 1.0 / vals[start:]   # a view: vals ascend
+    x = np.zeros_like(b)
+    r = b
+    for step in range(1 + REFINE_STEPS):
+        x += project(V @ (inv * (V.T @ r)))
+        r = b - op.stiff_matvec(x)
+        z = project(op.chain.mass_solve(op.p, r))
+        res = np.sqrt(float(z @ (op.M @ z)))   # z.Mz, not r.z: no cancellation
+        # at least one refinement step: the residual barely sees the error
+        # of a mode with a small eigenvalue, one step removes most of it
+        if step and res <= target:
+            return x
+    raise SolverError(f"dense pencil solve did not certify: residual {res:.2e} "
+                      f"above {target:.2e} after {REFINE_STEPS} refinement steps",
+                      residuals=np.array([res]))
 
 
 @dataclass
@@ -293,7 +362,7 @@ def hodge_decompose(x: Cochain, op: AssembledOperator,
     """
     chain, p = op.chain, op.p
     if kernel is None:
-        kernel = kernel_projector(op)
+        kernel = range_kernel_projector(op)
     xk = kernel.apply(x.values)
     v = solve_on_range(op, x.values - xk, tol=tol, kernel=kernel)
     vc = Cochain(p, x.realization, v)

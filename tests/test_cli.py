@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import time
 from pathlib import Path
 
@@ -101,6 +102,23 @@ def test_config_validation_paths():
         load_config({**BASE, "N": [[4]]})
 
 
+def test_checks_list_validated(tmp_path, capsys):
+    """A repeated or non-string check id exits 2 with its key path; an
+    absent or empty checks list runs nothing."""
+    for checks, path, what in ((["eigen_spectrum", "eigen_spectrum"], "checks[1]", "repeats"),
+                               ([["eigen_spectrum"]], "checks[0]", "unknown check id"),
+                               ([{"id": "gamma2"}], "checks[0]", "unknown check id"),
+                               ([3], "checks[0]", "unknown check id")):
+        with pytest.raises(ConfigError, match=re.escape(f"at {path}: {what}")):
+            load_config({**BASE, "checks": checks})
+        assert main(["run", _write(tmp_path, {**BASE, "checks": checks})]) == 2
+        assert f"at {path}: {what}" in capsys.readouterr().err
+    assert load_config({**BASE, "checks": []}).checks == []
+    cfg = dict(BASE)
+    del cfg["checks"]
+    assert load_config(cfg).checks == []
+
+
 def test_realizations_settled_against_domain():
     torus = {**BASE, "domain": {"kind": "flat_torus", "parameters": [1.0, 1.0]}}
     with pytest.raises(ConfigError, match="at realizations\\[1\\]: the flat_torus"):
@@ -194,6 +212,7 @@ def test_convergence_study_orders():
     rep2 = convergence_study(cfg2)
     tab2 = [t for t in rep2.convergence if t["check_id"] == "variance_identity"][0]
     assert max(tab2["rel_errs"]) <= 1e-10
+    assert tab2["order"] is None and tab2["note"] == "errors at roundoff floor"
     with pytest.raises(ValueError):
         convergence_study(load_config({**BASE, "mesh": {"target_h": 0.1,
                                                         "refinements": 1}}))
@@ -381,3 +400,33 @@ def test_disk_suite_records_distinct(shipped):
     records = shipped["run", "disk_suite"][1]["records"]
     keys = [json.dumps(r, sort_keys=True) for r in records]
     assert len(set(keys)) == len(keys) == 51
+
+
+def test_hypothesis_check_takes_N_at_degree_one_only():
+    """N enters only the degree-1 bound: a higher bound degree gives one
+    record with N null, never an inadmissible-N record."""
+    disk = {"domain": {"kind": "disk", "parameters": [1.0, 0.0, 0.0]},
+            "potential": "quadratic(1.0)", "realizations": ["normal"],
+            "checks": ["hypothesis_check"]}
+    recs = run_config(load_config({**disk, "degrees": [2], "N": ["inf", 4]})).records
+    assert [(r.p, r.N) for r in recs] == [(2, None)]
+    assert recs[0].to_json_dict()["N"] is None and recs[0].status == "pass"
+    recs = run_config(load_config({**disk, "degrees": [1, 2], "N": ["inf", 1]})).records
+    assert [(r.p, r.N, r.status) for r in recs] == [
+        (1, math.inf, "pass"), (1, 1.0, "not_applicable"), (2, None, "pass")]
+
+
+def test_fit_order_ignores_roundoff_levels():
+    fit = report_mod._fit_order
+    hs = [0.4, 0.2, 0.1, 0.05]
+    order, note = fit(hs, [4e-3, 1e-3, 2.5e-4, 6.25e-5])
+    assert abs(order - 2.0) < 1e-12 and note == ""
+    # gamma2 on the disk: one true error, two at the roundoff floor
+    assert fit([1 / 4, 1 / 8, 1 / 12], [5.1e-6, 5.9e-15, 1.1e-15]) == \
+        (None, "errors at roundoff floor")
+    assert fit(hs, [4e-14, 2e-13, 0.0, 4e-13]) == (None, "errors at roundoff floor")
+    # a level at the floor does not count toward the three levels
+    order, note = fit(hs, [4e-3, 1e-3, 2.5e-4, 1e-12])
+    assert abs(order - 2.0) < 1e-12 and note == ""
+    assert fit(hs, [4e-3, math.nan, 2.5e-4, math.nan]) == \
+        (None, "order omitted: fewer than 3 levels with finite error")

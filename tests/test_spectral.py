@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from scipy.special import jnp_zeros
 
+import hodgecheck.operators as operators
+from hodgecheck.checks import (check_variance_identity, hodge_decomposition_record,
+                               variance_identity_record)
 from hodgecheck.domains import DomainSpec
 from hodgecheck.meshing import generate_mesh, refine
 from hodgecheck.operators import Cochain, OperatorChain
 from hodgecheck.potentials import Potential
-from hodgecheck.spectral import (hodge_decompose, kernel_projector,
-                                 lowest_eigenpairs, solve_on_range)
+import hodgecheck.spectral as spectral
+from hodgecheck.spectral import (KernelProjector, SolverError, hodge_decompose,
+                                 kernel_projector, lowest_eigenpairs, solve_on_range)
 
 from oracles import fd_oracle_1d
 
@@ -229,3 +233,191 @@ def test_circle_periodic_spectrum():
     res = lowest_eigenpairs(OperatorChain(m, Potential.zero(1), "none").operator(0), 5)
     assert res.kernel_dim == 1
     assert np.allclose(res.eigenvalues, [0, 1, 1, 4, 4], rtol=5e-3)
+
+
+def _range_case(domain, realization, h, p, with_projector):
+    """Operator, a right side on the range of d (or off the kernel at p = 0)
+    and the kernel projector, if one is used."""
+    V = Potential.quadratic(1.0, domain.ambient_dim)
+    chain = OperatorChain(generate_mesh(domain, h), V, realization)
+    op = chain.operator(p)
+    kp = kernel_projector(op) if with_projector else None
+    rng = np.random.default_rng(5)
+    if p == 1:
+        rhs = chain.apply_d(Cochain(0, realization, rng.standard_normal(chain.dim(0)))).values
+    else:
+        rhs = kp.complement(rng.standard_normal(op.dim))
+    return op, rhs, kp
+
+
+def _certified_residual(op, rhs, w, kp=None) -> float:
+    """||M rhs - S w||_{M^-1} / ||M rhs||_{M^-1}, kernel deflated, recomputed here."""
+    b = op.M @ rhs
+    r = b - op.stiff_matvec(w)
+    z = np.linalg.solve(op.M.toarray(), r)
+    if kp is not None:
+        z = kp.complement(z)
+    return float(np.sqrt(z @ (op.M @ z) / (b @ np.linalg.solve(op.M.toarray(), b))))
+
+
+@pytest.mark.parametrize("domain, realization, h, p, with_projector", [
+    (DomainSpec.interval(0, 1), "natural", 1 / 64, 1, False),
+    (DomainSpec.interval(0, 1), "tangential", 1 / 64, 1, False),  # kernel, not deflated
+    (DomainSpec.annulus(0.5, 1.0), "natural", 0.3, 1, True),
+    (DomainSpec.disk(1.0), "natural", 0.3, 0, True),              # constants kernel
+], ids=["interval-natural-p1", "interval-tangential-p1", "annulus-p1", "disk-normal-p0"])
+def test_range_solve_paths_agree(monkeypatch, domain, realization, h, p, with_projector):
+    """The dense pencil and projected CG (forced by a zero cutoff) give the
+    same certified solution."""
+    op, rhs, kp = _range_case(domain, realization, h, p, with_projector)
+    if realization == "tangential":
+        assert lowest_eigenpairs(op, 2).kernel_dim == 1
+    assert spectral.range_solver(op.dim) == "dense-pencil"
+    w_dense = solve_on_range(op, rhs, kernel=kp)
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 0)
+    assert spectral.range_solver(op.dim) == "projected-cg"
+    w_cg = solve_on_range(op, rhs, kernel=kp)
+    d = w_dense - w_cg
+    assert np.sqrt(d @ (op.M @ d) / (w_cg @ (op.M @ w_cg))) <= 1e-9
+    assert _certified_residual(op, rhs, w_dense, kp) <= 1e-10
+
+
+def test_range_solve_refines_smooth_fine_rhs():
+    """h = 1/1024, d of the interpolant of x: a single pencil solve misses
+    the certificate here, the refined one meets it and the 1/12 variance."""
+    m = generate_mesh(DomainSpec.interval(0, 1), 1 / 1024)
+    chain = OperatorChain(m, Potential.zero(1), "natural")
+    op = chain.operator(1)
+    eta = chain.interpolate(_linear_form())
+    deta = chain.apply_d(eta).values
+    assert spectral.range_solver(op.dim) == "dense-pencil"
+    w = solve_on_range(op, deta, tol=1e-11)
+    assert _certified_residual(op, deta, w) <= 1e-11
+    lhs, rhs = check_variance_identity(eta, chain)
+    assert abs(lhs - rhs) <= 1e-12 * lhs and abs(lhs - 1 / 12) <= 1e-6
+
+
+@pytest.mark.parametrize("cutoff", [None, 0], ids=["dense-pencil", "projected-cg"])
+def test_range_solve_zero_and_kernel_rhs(monkeypatch, cutoff):
+    if cutoff is not None:
+        monkeypatch.setattr(spectral, "DENSE_CUTOFF", cutoff)
+    op, rhs, kp = _range_case(DomainSpec.disk(1.0), "natural", 0.3, 0, True)
+    assert np.array_equal(solve_on_range(op, np.zeros(op.dim)), np.zeros(op.dim))
+    # a constant part lies in the kernel: no w solves it, so no certificate
+    with pytest.raises(SolverError):
+        solve_on_range(op, rhs + 1.0)
+
+
+def test_pencil_deflates_kernel_rhs_with_projector():
+    """With the projector, the pencil drops a kernel part of the right side
+    and still meets the certificate on the true residual."""
+    op, rhs, kp = _range_case(DomainSpec.disk(1.0), "natural", 0.3, 0, True)
+    w = solve_on_range(op, rhs + 1.0, kernel=kp)
+    assert _certified_residual(op, rhs + 1.0, w, kp) <= 1e-11
+    assert np.allclose(w, solve_on_range(op, rhs, kernel=kp), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("cutoff", [None, 0], ids=["dense-pencil", "projected-cg"])
+def test_range_solve_deflates_given_projector(monkeypatch, cutoff):
+    """A projector wider than the kernel (here it also holds the first
+    nonzero mode) is deflated from the solution on both paths alike."""
+    op, rhs, kp = _range_case(DomainSpec.disk(1.0), "natural", 0.3, 0, True)
+    wide = KernelProjector(op.M, lowest_eigenpairs(op, 2).eigenvectors)
+    w_dense = solve_on_range(op, rhs, kernel=wide)
+    if cutoff is not None:
+        monkeypatch.setattr(spectral, "DENSE_CUTOFF", cutoff)
+    w = solve_on_range(op, rhs, kernel=wide)
+    assert np.linalg.norm(wide.apply(w)) <= 1e-12 * np.linalg.norm(w)
+    assert np.allclose(w, w_dense, rtol=0, atol=1e-10 * np.abs(w_dense).max())
+
+
+def test_pencil_cached_per_chain_and_degree(monkeypatch):
+    """Range solves keep the pencil on the chain and a spectrum reads it;
+    a spectrum alone computes it without keeping it."""
+    m = generate_mesh(DomainSpec.disk(1.0), 0.3)
+    chain = OperatorChain(m, Potential.quadratic(1.0, 2), "natural")
+    calls = []
+    eigh = operators.dla.eigh
+    monkeypatch.setattr(operators.dla, "eigh", lambda *a: calls.append(1) or eigh(*a))
+    alone = lowest_eigenpairs(chain.operator(0), 3)
+    assert chain._pencil == {} and len(calls) == 1
+    first = chain.operator(1).pencil()
+    assert chain.operator(1).pencil() is first
+    assert chain.operator(0).pencil() is not first
+    assert len(calls) == 3
+    shared = lowest_eigenpairs(chain.operator(0), 3)
+    assert len(calls) == 3
+    assert np.array_equal(shared.eigenvalues, alone.eigenvalues)
+    assert np.array_equal(shared.eigenvectors, alone.eigenvectors)
+
+
+@pytest.mark.parametrize("record, args", [
+    (hodge_decomposition_record, (1,)),
+    (variance_identity_record, ()),
+], ids=["hodge_decomposition", "variance_identity"])
+def test_projector_and_range_solves_share_one_decomposition(monkeypatch, record, args):
+    """On the annulus both records build a kernel projector and then solve
+    on the range of the same operator: one dense eigendecomposition serves both."""
+    calls = []
+    eigh = operators.dla.eigh
+    monkeypatch.setattr(operators.dla, "eigh", lambda *a: calls.append(1) or eigh(*a))
+    rec = record(DomainSpec.annulus(0.5, 1.0), Potential.quadratic(1.0, 2), "natural",
+                 *args, mesh_h=0.3, n_samples=3)
+    assert rec.passed and rec.extra["range_solver"] == "dense-pencil"
+    assert len(calls) == 1
+
+
+def _double_well_case(h_param):
+    """Tangential p = 1 on [-2, 2] under the double well rescaled by h_param:
+    the lowest mode above the kernel has a small eigenvalue (tunnelling),
+    1.9e-7, 8.4e-9 and 3.1e-10 of lambda_max at h_param 0.3, 0.2, 0.15, and
+    one at roundoff at 0.07.  No projector: the variance identity inverts it."""
+    V = Potential.quartic_double_well(1.0, 1).rescaled(h_param)
+    chain = OperatorChain(generate_mesh(DomainSpec.interval(-2, 2), 1 / 64), V, "tangential")
+    eta = Cochain(0, "tangential", np.random.default_rng(3).standard_normal(chain.dim(0)))
+    return chain, eta
+
+
+@pytest.mark.parametrize("h_param", [0.3, 0.2, 0.15])
+def test_range_solve_inverts_small_nonkernel_modes(monkeypatch, h_param):
+    """The dense path drops only the kernel, so it certifies wherever CG
+    does, and the variance identity holds on both paths."""
+    chain, eta = _double_well_case(h_param)
+    op = chain.operator(1)
+    deta = chain.apply_d(eta).values
+    w = solve_on_range(op, deta)
+    assert _certified_residual(op, deta, w) <= 1e-11
+    lhs, rhs = check_variance_identity(eta, chain)
+    assert abs(lhs - rhs) <= 1e-13 * lhs
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 0)
+    lhs, rhs = check_variance_identity(eta, chain)
+    assert abs(lhs - rhs) <= 1e-11 * lhs
+
+
+@pytest.mark.parametrize("h_param", [0.2, 0.15])
+def test_pencil_drops_projector_span(monkeypatch, h_param):
+    """kernel_projector counts the tunnelling mode into the kernel here (it
+    lies below 1e-8 lambda_max): the dense path leaves it out rather than
+    invert it and project it away, which would cost precision."""
+    chain, eta = _double_well_case(h_param)
+    op = chain.operator(1)
+    kp = kernel_projector(op)
+    assert kp.dim == 2
+    deta = chain.apply_d(eta).values
+    w = solve_on_range(op, deta, kernel=kp)
+    assert _certified_residual(op, deta, w, kp) <= 1e-13
+    assert chain.norm(Cochain(1, "tangential", kp.apply(w))) <= 1e-14 * \
+        chain.norm(Cochain(1, "tangential", w))
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 0)
+    d = w - solve_on_range(op, deta, kernel=kp)
+    assert np.sqrt(d @ (op.M @ d) / (w @ (op.M @ w))) <= 1e-11
+
+
+def test_range_solve_refuses_modes_at_roundoff():
+    """A mode whose eigenvalue is at roundoff cannot be inverted: the dense
+    path refuses rather than return an uncertified solution."""
+    chain, eta = _double_well_case(0.07)
+    vals, _ = chain.operator(1).pencil()
+    assert abs(vals[1]) <= 1e-15 * vals[-1]
+    with pytest.raises(SolverError, match="did not certify"):
+        solve_on_range(chain.operator(1), chain.apply_d(eta).values)
