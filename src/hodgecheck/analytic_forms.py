@@ -135,10 +135,6 @@ class AnalyticForm:
                 out[pos[J]] += sign * cov_exprs[i] * self.comps[j]
         return AnalyticForm(n, p + 1, out, name=f"a^({self.name})")
 
-    def scale(self, expr) -> "AnalyticForm":
-        return AnalyticForm(self.n, self.degree, [sp.sympify(expr) * c for c in self.comps],
-                            bc=self.bc, name=f"({expr})*{self.name}")
-
     def add(self, other: "AnalyticForm") -> "AnalyticForm":
         return AnalyticForm(self.n, self.degree,
                             [a + b for a, b in zip(self.comps, other.comps)],

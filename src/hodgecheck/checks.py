@@ -36,7 +36,7 @@ from .curvature import (bakry_emery_tensor, boundary_operator, hessian_p,
                         invert_endo_field, restricted_min_eig, ricci_p, zero_ricci)
 from .domains import DomainSpec, boundary_quadrature, domain_quadrature
 from .meshing import generate_mesh, refine
-from .operators import Cochain, OperatorChain, realization_route
+from .operators import Cochain, OperatorChain, dual_problem
 from .potentials import Potential, WeightedMeasure
 from .records import CheckRecord, identity_record, inequality_record
 from .spectral import (kernel_projector, lowest_eigenpairs, range_kernel_projector,
@@ -475,9 +475,9 @@ def check_bl_forms(form: AnalyticForm, potential: Potential, domain: DomainSpec,
 
     variant "coclosed" (d*_V w = 0, D = d, p = q+1) or "closed"
     (d w = 0, D = d*_V, p = q-1).  The projector pi_b comes from the
-    discrete kernel projector applied to the Whitney interpolant (through
-    the weighted-star dual complex for the normal realization at q >= 1);
-    its interpolation error is reported separately in extra.
+    discrete kernel projector of the degree-q operator of realization b,
+    applied to the Whitney interpolant; the interpolant's projection norm
+    and kernel dimension are reported in extra.
     """
     q = form.degree
     n = form.n
@@ -539,23 +539,18 @@ def check_bl_forms(form: AnalyticForm, potential: Potential, domain: DomainSpec,
 
 def _projected_deficit(form, potential, domain, b, sigma, Z, mesh_h, seed):
     """||w - pi_b w||^2_{L^2(dnu)} = sigma - ||pi_b w||^2 with the kernel
-    projector of the complex realization_route picks (the weighted-star dual
-    complex for normal, q >= 1)."""
-    q, n = form.degree, form.n
+    projector of the degree-q operator on the chain of b (for normal 0-forms
+    the kernel is the constants, projected by quadrature)."""
+    q = form.degree
     if b == "normal" and q == 0:
         measure = WeightedMeasure(potential, domain, 8)
         mean = measure.expect(form.components(measure.quadrature.points)[:, 0])
         return sigma - mean ** 2, 1, mean ** 2
-    cplx = generate_mesh(domain, mesh_h)
-    degree, pot, realization, route = realization_route(q, b, potential, n,
-                                                        domain.has_boundary)
-    if route == "dual":
-        form = form.scale(sp.exp(-potential.expr)).star()
-    chain = OperatorChain(cplx, pot, realization)
+    chain = OperatorChain(generate_mesh(domain, mesh_h), potential, b)
     c = chain.interpolate(form)
-    kp = kernel_projector(chain.operator(degree), seed=seed)
+    kp = kernel_projector(chain.operator(q), seed=seed)
     proj = kp.apply(c.values)
-    proj_sq = float(proj @ (chain.mass(degree) @ proj)) / Z
+    proj_sq = float(proj @ (chain.mass(q) @ proj)) / Z
     return sigma - proj_sq, kp.dim, proj_sq
 
 
@@ -734,26 +729,25 @@ def _richardson(values: np.ndarray) -> float:
 def duality_spectrum_check(domain: DomainSpec, potential: Potential, k: int = 3,
                            mesh_h: float = 0.4, levels: int = 3, quad_order: int = 4,
                            seed: int = 1234, tol: float = 1e-6) -> CheckRecord:
-    """Star-duality validation at p = 0.
+    """Star-duality validation of the normal realization at p = 0.
 
-    Route A: natural (normal) assembly of the degree-0 operator with V.
-    Route B: the dual problem (n, tangential, -V).  Both discretizations
+    Direct: the degree-0 operator with V on the normal chain.  Dual: the
+    star dual of dual_problem, (n, tangential, -V).  Both discretizations
     converge to the same spectrum (the content of the duality); eigenvalues
-    are Richardson-extrapolated over the refinement ladder on each route and
+    are Richardson-extrapolated over the refinement ladder on each side and
     compared index by index.
     """
-    n = domain.ambient_dim
-    dual_pot = potential.negated()
+    dual_p, dual_b, dual_pot = dual_problem(0, "normal", potential, domain.ambient_dim)
     cplx = generate_mesh(domain, mesh_h)
     a_levels, b_levels = [], []
     for _ in range(levels):
-        chain_a = OperatorChain(cplx, potential, "natural", quad_order)
+        chain_a = OperatorChain(cplx, potential, "normal", quad_order)
         res_a = lowest_eigenpairs(chain_a.operator(0), k + 1, seed=seed)
         if res_a.kernel_dim != 1:
             raise RuntimeError(f"direct route kernel dim {res_a.kernel_dim} != 1")
         a_levels.append(res_a.eigenvalues[1:k + 1])
-        chain_b = OperatorChain(cplx, dual_pot, "tangential", quad_order)
-        res_b = lowest_eigenpairs(chain_b.operator(n), k + 1, seed=seed)
+        chain_b = OperatorChain(cplx, dual_pot, dual_b, quad_order)
+        res_b = lowest_eigenpairs(chain_b.operator(dual_p), k + 1, seed=seed)
         if res_b.kernel_dim != 1:
             raise RuntimeError(f"dual route kernel dim {res_b.kernel_dim} != 1")
         b_levels.append(res_b.eigenvalues[1:k + 1])

@@ -12,12 +12,14 @@ identity ``L^(p+1) D_p = D_p L^(p)`` (supersymmetry), the backbone of the
 variance-identity checks.
 
 Realizations: a domain with boundary has tangential and normal, a closed
-domain only none.  The tangential realization drops DOFs on boundary
-simplices (t w = 0 strongly; t d*_V w = 0 arises weakly); normal is the
-natural (unconstrained) chain at p = 0 and goes through Hodge-star duality
-for p >= 1 (see dual_problem), because Whitney DOFs carry tangential
-traces; none is the natural chain at every degree.  realization_route is
-the one place that decides the route.
+domain only none; a chain takes the same three words.  The tangential
+realization drops DOFs on boundary simplices (t w = 0 strongly;
+t d*_V w = 0 arises weakly).  Normal and none keep every DOF: on the
+unconstrained Whitney complex the weak codifferential M^{-1} D^T M imposes
+n w = 0 and n d w = 0 as natural conditions, so this chain is the normal
+realization at every degree (Arnold-Falk-Winther, Acta Numerica 2006).
+dual_problem gives the Hodge-star dual (n - p, tangential, -V) that the
+duality checks compare the direct assembly against.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
     "AssembledOperator",
     "assemble_weighted_laplacian",
     "dual_problem",
-    "realization_route",
 ]
 
 REALIZATIONS = ("tangential", "normal", "none")
@@ -70,36 +71,33 @@ class Cochain:
                 f.write(f"{i},{float(v)!r}\n")
 
 
-def _chain_realization(b: str) -> str:
-    if b in ("normal", "none"):
-        return "natural"
-    if b == "tangential":
-        return "tangential"
-    raise UnsupportedRealizationError(f"unknown realization {b!r}")
-
-
 class OperatorChain:
     """All degrees of the weighted complex under one boundary realization.
 
-    Masses and incidence matrices are assembled lazily and shared between
-    the per-degree operators, which is what makes the supersymmetry
-    identity exact at the matrix level.  Mass factorizations and the dense
-    pencils of range solves are cached beside them.  ``quad_orders`` may
+    ``realization`` is tangential, normal or none.  Masses and incidence
+    matrices are assembled lazily and shared between the per-degree
+    operators, which is what makes the supersymmetry identity exact at the
+    matrix level.  The sparse up-blocks of the stiffness, mass
+    factorizations and the dense pencils of range solves are cached beside
+    them.  The chain keeps no AssembledOperator: an operator refers back to
+    its chain, and that cycle would keep each chain and its factorizations
+    alive until the cyclic garbage collector runs.  ``quad_orders`` may
     assign a different quadrature order per degree (used as a negative
     control: mismatched orders break the shared-mass assumption).
     """
 
     def __init__(self, cplx: SimplicialComplex, potential: Potential,
-                 realization: str = "natural", quad_order: int = 4,
+                 realization: str = "normal", quad_order: int = 4,
                  quad_orders: dict | None = None):
-        if realization not in ("natural", "tangential"):
-            realization = _chain_realization(realization)
+        if realization not in REALIZATIONS:
+            raise UnsupportedRealizationError(f"unknown realization {realization!r}")
         self.cplx = cplx
         self.potential = potential
         self.realization = realization
         self.quad_order = quad_order
         self.quad_orders = dict(quad_orders or {})
         self._mass = {}
+        self._up = {}
         self._factor = {}
         self._pencil = {}
         self._D = {}
@@ -109,10 +107,7 @@ class OperatorChain:
     def free_dofs(self, p: int) -> np.ndarray:
         if p not in self._free:
             nsimp = self.cplx.num(p)
-            if self.realization == "tangential" and self.cplx.spec is not None \
-                    and p in self.cplx.boundary_marker:
-                self._free[p] = np.nonzero(~self.cplx.boundary_marker[p])[0]
-            elif self.realization == "tangential":
+            if self.realization == "tangential":
                 self._free[p] = np.nonzero(~self.cplx.boundary_marker.get(
                     p, np.zeros(nsimp, dtype=bool)))[0]
             else:
@@ -136,6 +131,13 @@ class OperatorChain:
             free = self.free_dofs(p)
             self._mass[p] = M[np.ix_(free, free)].tocsc()
         return self._mass[p]
+
+    def up_stiffness(self, p: int) -> sparse.csr_matrix:
+        """D_p^T M_{p+1} D_p, the sparse up-block of the degree-p stiffness."""
+        if p not in self._up:
+            D = self.d_matrix(p)
+            self._up[p] = (D.T @ self.mass(p + 1) @ D).tocsr()
+        return self._up[p]
 
     def mass_factor(self, p: int):
         if p not in self._factor:
@@ -178,8 +180,7 @@ class OperatorChain:
         from .whitney import interpolate
 
         full = interpolate(form, self.cplx, quad_order)
-        b = "tangential" if self.realization == "tangential" else "none"
-        return Cochain(form.degree, b, full[self.free_dofs(form.degree)])
+        return Cochain(form.degree, self.realization, full[self.free_dofs(form.degree)])
 
 
 class AssembledOperator:
@@ -198,10 +199,7 @@ class AssembledOperator:
         self.has_up = p < cplx.dim
         self.has_down = p > 0 and chain.dim(p - 1) > 0
         self.M = chain.mass(p)
-        self.up_stiff = None
-        if self.has_up:
-            D = chain.d_matrix(p)
-            self.up_stiff = (D.T @ chain.mass(p + 1) @ D).tocsr()
+        self.up_stiff = chain.up_stiffness(p) if self.has_up else None
 
     @property
     def realization(self) -> str:
@@ -261,23 +259,8 @@ class AssembledOperator:
 
 def assemble_weighted_laplacian(cplx: SimplicialComplex, p: int, potential: Potential,
                                 b: str, quad_order: int = 4) -> AssembledOperator:
-    """Spec-facing constructor for the realization b in {tangential, normal}.
-
-    Normal realizations with p >= 1 are not expressible in the primal Whitney
-    basis (its DOFs carry tangential traces); use dual_problem and assemble
-    the (n-p, tangential, -V) operator instead.
-    """
-    if b not in REALIZATIONS:
-        raise UnsupportedRealizationError(f"unknown realization {b!r}")
-    has_bdry = cplx.spec.has_boundary if cplx.spec is not None else bool(
-        cplx.boundary_marker[0].any())
-    degree, _, realization, route = realization_route(p, b, potential, cplx.dim, has_bdry)
-    if route == "dual":
-        raise UnsupportedRealizationError(
-            f"normal realization at p={p} is not available in the primal Whitney basis; "
-            f"use dual_problem: assemble (p={degree}, {realization}, -V) and map spectra "
-            f"through the weighted Hodge star")
-    return OperatorChain(cplx, potential, realization, quad_order).operator(p)
+    """Spec-facing constructor for the realization b in {tangential, normal, none}."""
+    return OperatorChain(cplx, potential, b, quad_order).operator(p)
 
 
 def dual_problem(p: int, b: str, potential: Potential, n: int):
@@ -285,8 +268,8 @@ def dual_problem(p: int, b: str, potential: Potential, n: int):
 
     The weighted star w -> star(exp(-V) w) is unitary from L^2(e^{-V}dmu)
     p-forms to L^2(e^{+V}dmu) (n-p)-forms and intertwines the two
-    realizations, so their spectra agree; this is the implementation route
-    for normal realizations at p >= 1 and a cross-check at p = 0.
+    realizations, so their spectra agree; the duality checks compare the
+    direct assembly of (p, b, V) against this dual one.
     """
     if not (0 <= p <= n):
         raise ValueError("degree out of range")
@@ -294,18 +277,3 @@ def dual_problem(p: int, b: str, potential: Potential, n: int):
         raise UnsupportedRealizationError(f"dual_problem needs tangential/normal, got {b!r}")
     dual_b = "tangential" if b == "normal" else "normal"
     return (n - p, dual_b, potential.negated())
-
-
-def realization_route(p: int, b: str, potential: Potential, n: int,
-                      has_boundary: bool):
-    """How the realization (p, b, V) is assembled.
-
-    Returns (degree, potential, chain realization, route), route being
-    "direct" or "dual".  The normal realization at p >= 1 on a domain with
-    boundary goes through the star dual (n - p, tangential, -V) of
-    dual_problem; every other case is assembled directly on its own chain.
-    """
-    if b == "normal" and p >= 1 and has_boundary:
-        degree, dual_b, dual_pot = dual_problem(p, b, potential, n)
-        return degree, dual_pot, dual_b, "dual"
-    return p, potential, _chain_realization(b), "direct"

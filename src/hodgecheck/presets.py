@@ -47,7 +47,7 @@ CHECK_IDS = {
                         "once per bound degree max(p, 1), per N at degree 1 only",
     "intertwining": "supersymmetry residual of the assembled operators",
     "hodge_decomposition": "kernel/exact/coexact split of random cochains",
-    "duality_spectrum": "star-duality validation of the normal realization at p = 0",
+    "duality_spectrum": "direct normal assembly at p = 0 vs its star dual (n, tangential, -V)",
 }
 
 

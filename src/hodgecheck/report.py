@@ -5,8 +5,8 @@ axes (degree p, realization b, dimension parameter N).  The runner reports
 an inadmissible N as not_applicable and captures an exception into the
 record of the case that raised it, so the batch never aborts on one bad
 case; summary counts and the process exit status derive from record
-statuses: not_applicable records do not fail a run.  How a (p, b) case is
-assembled, directly or through the star dual, is realization_route's call.
+statuses: not_applicable records do not fail a run.  Every (p, b) case is
+assembled directly, on the chain of its own realization b.
 
 Determinism contract: identical configs produce byte-identical JSON
 reports.  Wall-clock timings are therefore zeroed by default; pass
@@ -27,7 +27,7 @@ import scipy
 
 from . import __version__, checks
 from .config import RunConfig
-from .operators import OperatorChain, realization_route
+from .operators import OperatorChain
 from .meshing import generate_mesh
 from .presets import bl_form_cases, gamma2_bump, test_form
 from .records import CSV_COLUMNS, CheckRecord
@@ -83,11 +83,6 @@ def _environment() -> dict:
             "scipy": scipy.__version__}
 
 
-def _route(cfg: RunConfig, p: int, b: str):
-    return realization_route(p, b, cfg.potential, cfg.domain.ambient_dim,
-                             cfg.domain.has_boundary)
-
-
 def _labels(cfg: RunConfig) -> dict:
     return {"domain": checks._label(cfg.domain), "potential": cfg.potential.name}
 
@@ -109,8 +104,10 @@ BOUND_DEGREES = ("p", lambda cfg, case: list(dict.fromkeys(max(p, 1)
 SCALAR_DEGREE = ("p", lambda cfg, case: [1])   # the scalar bound is a degree-1 bound
 REALIZATIONS = ("b", lambda cfg, case: cfg.realizations)
 N_VALUES = ("N", lambda cfg, case: cfg.N_values)
-# N enters a curvature bound only at degree 1; above it the case has no N
-BOUND_N_VALUES = ("N", lambda cfg, case: cfg.N_values if case["p"] == 1 else [None])
+# N enters a curvature bound only at bound degree max(p, 1) = 1; above it
+# the case has no N
+BOUND_N_VALUES = ("N", lambda cfg, case: cfg.N_values if max(case["p"], 1) == 1
+                  else [None])
 
 
 def _cases(cfg: RunConfig, axes) -> list:
@@ -161,11 +158,10 @@ def _runner(check_id: str, axes, case_fn):
 
 def _eigen_spectrum(cfg: RunConfig, p: int, b: str):
     cplx = generate_mesh(cfg.domain, cfg.target_h)
-    degree, pot, realization, route = _route(cfg, p, b)
-    chain = OperatorChain(cplx, pot, realization, 4)
-    res = lowest_eigenpairs(chain.operator(degree), cfg.eigen_count, seed=cfg.seed)
+    chain = OperatorChain(cplx, cfg.potential, b, 4)
+    res = lowest_eigenpairs(chain.operator(p), cfg.eigen_count, seed=cfg.seed)
     oracle = _interval_oracle(cfg, p, b, cfg.eigen_count)
-    extra = {"spectral": res.to_json_dict(), "route": route}
+    extra = {"spectral": res.to_json_dict()}
     common = dict(**_labels(cfg), p=p, b=b, hypothesis_status="satisfied",
                   mesh_h=cplx.mesh_size_h, quad_order=4, extra=extra)
     if oracle is not None:
@@ -250,34 +246,25 @@ def _hypothesis(cfg: RunConfig, b: str, p: int, N: float):
 
 
 def _intertwining(cfg: RunConfig, b: str):
-    """Supersymmetry residuals on every chain that the routes of b assemble."""
-    n = cfg.domain.ambient_dim
+    """Supersymmetry residuals at every degree below the top on the chain of b."""
     tol = cfg.tolerances["intertwining_rel"]
     cplx = generate_mesh(cfg.domain, cfg.target_h)
-    routes = {}
-    for p in range(n + 1):
-        _, pot, realization, _ = _route(cfg, p, b)
-        routes.setdefault((realization, pot.name), pot)
+    chain = OperatorChain(cplx, cfg.potential, b, 4)
     recs = []
-    for (realization, _), pot in routes.items():
-        chain = OperatorChain(cplx, pot, realization, 4)  # one chain alive at a time
-        for p in range(n):
-            if chain.dim(p) == 0:
-                continue
-            rep = check_intertwining(chain, p, n_samples=5, seed=cfg.seed)
-            recs.append(CheckRecord(
-                "intertwining", kind="identity", domain=checks._label(cfg.domain),
-                potential=pot.name, p=p, b=realization,
-                lhs=rep["residual"], rhs=0.0, abs_err=rep["residual"],
-                rel_err=rep["residual"], tolerance=tol, passed=rep["residual"] <= tol,
-                hypothesis_status="satisfied", mesh_h=cplx.mesh_size_h, quad_order=4,
-                extra=rep))
+    for p in range(cfg.domain.ambient_dim):
+        if chain.dim(p) == 0:
+            continue
+        rep = check_intertwining(chain, p, n_samples=5, seed=cfg.seed)
+        recs.append(CheckRecord(
+            "intertwining", kind="identity", **_labels(cfg), p=p, b=b,
+            lhs=rep["residual"], rhs=0.0, abs_err=rep["residual"],
+            rel_err=rep["residual"], tolerance=tol, passed=rep["residual"] <= tol,
+            hypothesis_status="satisfied", mesh_h=cplx.mesh_size_h, quad_order=4,
+            extra=rep))
     return recs
 
 
 def _hodge(cfg: RunConfig, p: int, b: str):
-    if _route(cfg, p, b)[3] == "dual":
-        return []  # the primal basis carries tangential traces; see dual_problem
     return checks.hodge_decomposition_record(
         cfg.domain, cfg.potential, b, p, cfg.target_h, n_samples=5, seed=cfg.seed,
         tol=cfg.tolerances["hodge_rel"])
@@ -300,7 +287,7 @@ _CASES = {  # check id: (case axes, outermost first; case function)
     "bl_scalar": ((SCALAR_DEGREE, REALIZATIONS, N_VALUES), _bl_scalar),
     "bl_forms": ((REALIZATIONS,), _bl_forms),
     "variance_identity": ((REALIZATIONS,), _variance),
-    "gap_lower_bound": ((DEGREES, N_VALUES), _gap),
+    "gap_lower_bound": ((DEGREES, BOUND_N_VALUES), _gap),
     "semiclassical_sweep": ((REALIZATIONS, DEGREES), _semiclassical),
     "hypothesis_check": ((REALIZATIONS, BOUND_DEGREES, BOUND_N_VALUES), _hypothesis),
     "intertwining": ((REALIZATIONS,), _intertwining),

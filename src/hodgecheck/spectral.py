@@ -23,7 +23,9 @@ kernel on one of two paths (range_solver names it):
   iterative refinement on the true residual;
 * "projected-cg" above it: conjugate gradients preconditioned by the mass
   matrix with explicit kernel deflation each iteration, stopped on its
-  recursive residual.
+  recursive residual and restarted from the true one until that certifies.
+
+Both paths certify on the true residual through one helper, _certificate.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ __all__ = [
 ]
 
 DENSE_CUTOFF = 1700
-REFINE_STEPS = 4   # most refinement steps of a range solve after the first pencil solve
+REFINE_STEPS = 4   # most refinement steps or CG restarts after a range solve's first pass
 
 
 class SolverError(RuntimeError):
@@ -153,9 +155,8 @@ def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-9,
     kernel_dim = int(np.sum(vals < threshold))
     vals = np.where(np.abs(vals) < 1e-14 * max(lam_max, 1.0), 0.0, vals)
     h = op.chain.cplx.mesh_size_h
-    b = "tangential" if op.realization == "tangential" else "none"
     return SpectralResult(vals, vecs, kernel_dim, res, threshold, seed, h, solver, tol,
-                          degree=op.p, realization=b)
+                          degree=op.p, realization=op.realization)
 
 
 def _sparse_eigs(S, M, k, seed):
@@ -269,24 +270,27 @@ def solve_on_range(op: AssembledOperator, rhs: np.ndarray, tol: float = 1e-11,
                    maxiter: int | None = None) -> np.ndarray:
     """Solve L^(p) w = rhs for rhs in Ran d, with w orthogonal to the kernel.
 
-    Both paths solve S w = M rhs; the M^{-1}-norm of the residual, kernel
-    components deflated, must come to at most tol times that of M rhs,
-    else SolverError.
+    Both paths solve S w = M rhs; the M^{-1}-norm of the true residual
+    b - S w, kernel components deflated (_certificate), must come to at
+    most tol times that of b = M rhs, else SolverError.
 
     * "dense-pencil" (dim <= DENSE_CUTOFF): the pseudo-inverse of the cached
       generalized eigendecomposition of (S, M), followed by iterative
-      refinement; the test is applied to the true residual b - S w.  It
-      drops the lowest kernel.dim modes (the span of a projector built by
-      kernel_projector from the same decomposition) and any mode whose
-      eigenvalue is at roundoff, at most dim * eps * lambda_max; every
-      other mode is inverted however small its eigenvalue, as CG does.  A
+      refinement.  It drops the lowest kernel.dim modes (the span of a
+      projector built by kernel_projector from the same decomposition) and
+      any mode whose eigenvalue is at roundoff, at most dim * eps *
+      lambda_max; every other mode is inverted however small its
+      eigenvalue, as CG does.  A
       right side that needs a mode at roundoff fails the test on this path.
       The first solve on a chain pays the decomposition unless
       range_kernel_projector already did; on a 2D chain a single solve
       without a projector costs more than CG.
     * "projected-cg": conjugate gradients preconditioned by M^{-1}, deflating
-      kernel components by explicit projection every iteration; the test is
-      applied to the recursive residual, maxiter bounds the iterations.
+      kernel components by explicit projection every iteration.  When the
+      recursive residual meets the test, the true one is computed; CG
+      restarts from it at most REFINE_STEPS times (the recursive residual
+      drifts from the true one, most where the right side has a kernel
+      part).  maxiter bounds the iterations of all passes together.
     """
     chain, p = op.chain, op.p
     b = op.M @ np.asarray(rhs, dtype=float)
@@ -300,25 +304,43 @@ def solve_on_range(op: AssembledOperator, rhs: np.ndarray, tol: float = 1e-11,
         return _pencil_solve(op, b, tol * bnorm, kernel_dim, project)
     if maxiter is None:
         maxiter = max(2000, 30 * op.dim)
+    target = tol * bnorm
     x = np.zeros_like(b)
     r = b.copy()
-    z = project(chain.mass_solve(p, r))
-    q = z.copy()
-    rz = float(r @ z)
-    for _ in range(maxiter):
-        if np.sqrt(max(rz, 0.0)) <= tol * bnorm:
-            return x
-        Sq = op.stiff_matvec(q)
-        alpha = rz / float(q @ Sq)
-        x += alpha * q
-        r -= alpha * Sq
+    iters = 0
+    for _ in range(1 + REFINE_STEPS):
         z = project(chain.mass_solve(p, r))
-        rz_new = float(r @ z)
-        if np.sqrt(max(rz_new, 0.0)) <= tol * bnorm:
+        q = z.copy()
+        rz = float(r @ z)
+        while np.sqrt(max(rz, 0.0)) > target:
+            if iters == maxiter:
+                raise SolverError(f"projected CG stagnated: residual "
+                                  f"{np.sqrt(max(rz, 0.0)) / bnorm:.2e}")
+            iters += 1
+            Sq = op.stiff_matvec(q)
+            alpha = rz / float(q @ Sq)
+            x += alpha * q
+            r -= alpha * Sq
+            z = project(chain.mass_solve(p, r))
+            rz_new = float(r @ z)
+            q = z + (rz_new / rz) * q
+            rz = rz_new
+        _, z, res = _certificate(op, b, x, project)
+        if res <= target:
             return x
-        q = z + (rz_new / rz) * q
-        rz = rz_new
-    raise SolverError(f"projected CG stagnated: residual {np.sqrt(max(rz,0))/bnorm:.2e}")
+        r = op.M @ z   # restart from the true residual, kernel part deflated
+    raise SolverError(f"projected CG did not certify: true residual {res:.2e} above "
+                      f"{target:.2e} after {REFINE_STEPS} restarts",
+                      residuals=np.array([res]))
+
+
+def _certificate(op: AssembledOperator, b, x, project):
+    """True residual r = b - S x, z = M^{-1} r with kernel components
+    deflated, and the certified norm sqrt(z.Mz) (not r.z, which cancels
+    when r lies almost wholly in the kernel)."""
+    r = b - op.stiff_matvec(x)
+    z = project(op.chain.mass_solve(op.p, r))
+    return r, z, np.sqrt(float(z @ (op.M @ z)))
 
 
 def _pencil_solve(op: AssembledOperator, b, target, kernel_dim, project) -> np.ndarray:
@@ -332,9 +354,7 @@ def _pencil_solve(op: AssembledOperator, b, target, kernel_dim, project) -> np.n
     r = b
     for step in range(1 + REFINE_STEPS):
         x += project(V @ (inv * (V.T @ r)))
-        r = b - op.stiff_matvec(x)
-        z = project(op.chain.mass_solve(op.p, r))
-        res = np.sqrt(float(z @ (op.M @ z)))   # z.Mz, not r.z: no cancellation
+        r, _, res = _certificate(op, b, x, project)
         # at least one refinement step: the residual barely sees the error
         # of a mode with a small eigenvalue, one step removes most of it
         if step and res <= target:

@@ -47,14 +47,17 @@ def _potentials(n):
 
 
 def test_criterion_01_supersymmetry():
-    """Intertwining residual <= 1e-10 across presets x potentials x routes."""
+    """Intertwining residual <= 1e-10 across presets x potentials x chains."""
     worst = 0.0
     for spec in (INTERVAL, RECT, DISK, ANNULUS):
         cplx = generate_mesh(spec, MESH_H[spec.kind])
         n = spec.ambient_dim
         for pot in _potentials(n):
-            for route_pot in (pot, pot.negated()):  # tangential / normal-via-duality
-                chain = OperatorChain(cplx, route_pot, "tangential", 4)
+            # tangential, the star dual of normal, and normal itself
+            for realization, chain_pot in [("tangential", pot),
+                                           ("tangential", pot.negated()),
+                                           ("normal", pot)]:
+                chain = OperatorChain(cplx, chain_pot, realization, 4)
                 for p in range(n):
                     rep = check_intertwining(chain, p, n_samples=3, seed=5)
                     worst = max(worst, rep["residual"])
@@ -305,6 +308,7 @@ def test_criterion_09_hodge_decomposition():
         (INTERVAL, Potential.quadratic(1.0, 1), "normal", 1),
         (DISK, Potential.quadratic(1.0, 2), "tangential", 1),
         (ANNULUS, Potential.zero(2), "tangential", 1),
+        (ANNULUS, Potential.zero(2), "normal", 1),
         (DISK, Potential.linear(0.5, 2), "normal", 0),
     ]:
         rec = hodge_decomposition_record(spec, pot, b, p,
@@ -313,12 +317,13 @@ def test_criterion_09_hodge_decomposition():
         worst = max(worst, rec.rel_err)
         assert rec.passed
     # annulus, V = 0, normal 1-forms: kernel dimension = first Betti number,
-    # computed through the star dual (1, tangential, -V = 0)
+    # assembled directly and through the star dual (1, tangential, -V = 0)
     cplx = generate_mesh(ANNULUS, 0.22)
-    dual_chain = OperatorChain(cplx, Potential.zero(2), "tangential", 4)
-    kdim = kernel_projector(dual_chain.operator(1), seed=3).dim
-    _announce(9, "Hodge decomposition", worst <= 1e-8 and kdim == 1,
-              f"(worst residual {worst:.2e}; annulus normal 1-form kernel dim {kdim})")
+    kdims = [kernel_projector(OperatorChain(cplx, Potential.zero(2), b, 4).operator(1),
+                              seed=3).dim for b in ("normal", "tangential")]
+    _announce(9, "Hodge decomposition", worst <= 1e-8 and kdims == [1, 1],
+              f"(worst residual {worst:.2e}; annulus normal 1-form kernel dim "
+              f"{kdims[0]} direct, {kdims[1]} dual)")
 
 
 def test_criterion_10_duality_validation():

@@ -95,7 +95,7 @@ def test_interpolation_exact_for_whitney_fields():
     from hodgecheck.operators import OperatorChain
 
     m = generate_mesh(DomainSpec.rectangle(0, 1, 0, 1), 0.3)
-    chain = OperatorChain(m, Potential.zero(2), "natural")
+    chain = OperatorChain(m, Potential.zero(2), "normal")
     const = AnalyticForm(2, 1, [sp.Integer(2), sp.Integer(-1)])
     c = chain.interpolate(const)
     ec = m.element_coords(1)

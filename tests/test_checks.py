@@ -252,7 +252,7 @@ def test_duality_interval():
 
 
 def test_duality_disk_example():
-    """Direct natural p = 0 assembly vs the dual (2, tangential, -V) route on
+    """Direct normal p = 0 assembly vs the dual (2, tangential, -V) route on
     the disk preset with V = |x|^2, compared after ladder extrapolation."""
     rec = duality_spectrum_check(DISK, VX2, k=3, mesh_h=0.28, levels=4)
     assert rec.passed and rec.rel_err <= 1e-6

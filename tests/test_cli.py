@@ -248,7 +248,7 @@ def test_record_status_logic():
 
 
 def test_boundaryless_domain_run():
-    """Flat torus through the CLI path: the none realization is the natural one."""
+    """Flat torus through the CLI path: the none realization keeps every DOF."""
     cfg = load_config({
         "domain": {"kind": "flat_torus", "parameters": [1.0, 1.0]},
         "potential": "zero",
@@ -399,18 +399,22 @@ def test_shipped_commands_exit_zero(shipped):
 def test_disk_suite_records_distinct(shipped):
     records = shipped["run", "disk_suite"][1]["records"]
     keys = [json.dumps(r, sort_keys=True) for r in records]
-    assert len(set(keys)) == len(keys) == 51
+    assert len(set(keys)) == len(keys) == 50
 
 
 def test_hypothesis_check_takes_N_at_degree_one_only():
     """N enters only the degree-1 bound: a higher bound degree gives one
-    record with N null, never an inadmissible-N record."""
+    record with N null, never an inadmissible-N record; the same holds for
+    the gap bound, whose bound degree is max(p, 1)."""
     disk = {"domain": {"kind": "disk", "parameters": [1.0, 0.0, 0.0]},
             "potential": "quadratic(1.0)", "realizations": ["normal"],
             "checks": ["hypothesis_check"]}
-    recs = run_config(load_config({**disk, "degrees": [2], "N": ["inf", 4]})).records
-    assert [(r.p, r.N) for r in recs] == [(2, None)]
-    assert recs[0].to_json_dict()["N"] is None and recs[0].status == "pass"
+    for extra in ({"N": ["inf", 4]},
+                  {"N": ["inf", 4, 1], "checks": ["gap_lower_bound"],
+                   "mesh": {"target_h": 0.45}}):
+        recs = run_config(load_config({**disk, "degrees": [2], **extra})).records
+        assert [(r.p, r.N) for r in recs] == [(2, None)]
+        assert recs[0].to_json_dict()["N"] is None and recs[0].status == "pass"
     recs = run_config(load_config({**disk, "degrees": [1, 2], "N": ["inf", 1]})).records
     assert [(r.p, r.N, r.status) for r in recs] == [
         (1, math.inf, "pass"), (1, 1.0, "not_applicable"), (2, None, "pass")]

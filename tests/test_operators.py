@@ -56,7 +56,7 @@ def test_quadrature_warning_and_nonfinite_abort():
 
 def test_apply_d_and_dd_zero():
     m = generate_mesh(DomainSpec.disk(1.0), 0.3)
-    chain = OperatorChain(m, Potential.quadratic(1.0, 2), "natural")
+    chain = OperatorChain(m, Potential.quadratic(1.0, 2), "normal")
     rng = np.random.default_rng(0)
     c = Cochain(0, "none", rng.standard_normal(chain.dim(0)))
     dd = chain.apply_d(chain.apply_d(c))
@@ -69,7 +69,7 @@ def test_apply_d_and_dd_zero():
 
 def test_interpolant_of_x_gives_edge_lengths():
     m = generate_mesh(DomainSpec.interval(0, 1), 0.25)
-    chain = OperatorChain(m, Potential.zero(1), "natural")
+    chain = OperatorChain(m, Potential.zero(1), "normal")
     form = AnalyticForm(1, 0, [x1], name="x")
     c = chain.interpolate(form)
     d = chain.apply_d(c)
@@ -103,7 +103,7 @@ def test_codifferential_of_dx_is_flat():
 
 def test_supersymmetry_matrix_identity():
     m = generate_mesh(DomainSpec.annulus(0.5, 1.0), 0.3)
-    for realization in ("tangential", "natural"):
+    for realization in ("tangential", "normal"):
         chain = OperatorChain(m, Potential.linear(0.6, 2), realization)
         rng = np.random.default_rng(1)
         for p in (0, 1):
@@ -131,15 +131,16 @@ def test_realization_rules():
     m = generate_mesh(DomainSpec.disk(1.0), 0.4)
     V = Potential.quadratic(1.0, 2)
     op = assemble_weighted_laplacian(m, 0, V, "normal")
-    assert op.dim == m.vertex_coords.shape[0]  # natural: no essential constraint
+    assert op.dim == m.vertex_coords.shape[0]  # normal: no essential constraint
     opt = assemble_weighted_laplacian(m, 0, V, "tangential")
     assert opt.dim == int((~m.boundary_marker[0]).sum())
-    with pytest.raises(UnsupportedRealizationError) as e:
-        assemble_weighted_laplacian(m, 1, V, "normal")
-    assert "dual_problem" in str(e.value)
-    # boundaryless domains: normal realization is unconstrained at every degree
+    # normal keeps every DOF at every degree: n w = 0 is a natural condition
+    assert assemble_weighted_laplacian(m, 1, V, "normal").dim == m.num(1)
+    with pytest.raises(UnsupportedRealizationError):
+        assemble_weighted_laplacian(m, 1, V, "neumann")
+    # boundaryless domains: the none realization is unconstrained at every degree
     t = generate_mesh(DomainSpec.flat_torus(1.0, 1.0), 0.4)
-    op = assemble_weighted_laplacian(t, 1, Potential.zero(2), "normal")
+    op = assemble_weighted_laplacian(t, 1, Potential.zero(2), "none")
     assert op.dim == t.num(1)
 
 
@@ -158,7 +159,7 @@ def test_conjugation_similarity_spectrum():
     """Flat Witten matrix E^{1/2} L E^{-1/2} shares the weighted spectrum."""
     m = generate_mesh(DomainSpec.interval(0, 1), 1 / 16)
     V = Potential.quadratic(2.0, 1)
-    chain = OperatorChain(m, V, "natural")
+    chain = OperatorChain(m, V, "normal")
     op = chain.operator(0)
     L = np.linalg.solve(op.M.toarray(), op.stiffness_dense())
     E = np.diag(np.exp(-V.value(m.vertex_coords)))

@@ -9,7 +9,7 @@ from hodgecheck.checks import (check_variance_identity, hodge_decomposition_reco
                                variance_identity_record)
 from hodgecheck.domains import DomainSpec
 from hodgecheck.meshing import generate_mesh, refine
-from hodgecheck.operators import Cochain, OperatorChain
+from hodgecheck.operators import Cochain, OperatorChain, dual_problem
 from hodgecheck.potentials import Potential
 import hodgecheck.spectral as spectral
 from hodgecheck.spectral import (KernelProjector, SolverError, hodge_decompose,
@@ -20,7 +20,7 @@ from oracles import fd_oracle_1d
 
 def test_interval_closed_form_spectra():
     m = generate_mesh(DomainSpec.interval(0, 1), 1 / 64)
-    res = lowest_eigenpairs(OperatorChain(m, Potential.zero(1), "natural").operator(0), 3)
+    res = lowest_eigenpairs(OperatorChain(m, Potential.zero(1), "normal").operator(0), 3)
     assert res.kernel_dim == 1
     assert np.allclose(res.eigenvalues, [0, np.pi**2, 4 * np.pi**2], rtol=3e-3)
     rest = lowest_eigenpairs(OperatorChain(m, Potential.zero(1), "tangential").operator(0), 2)
@@ -32,7 +32,7 @@ def test_interval_convergence_order():
     errs, hs = [], []
     for ne in (16, 32, 64, 128):
         m = generate_mesh(DomainSpec.interval(0, 1), 1 / ne)
-        res = lowest_eigenpairs(OperatorChain(m, Potential.zero(1), "natural").operator(0), 2)
+        res = lowest_eigenpairs(OperatorChain(m, Potential.zero(1), "normal").operator(0), 2)
         errs.append(abs(res.eigenvalues[1] - np.pi**2))
         hs.append(1 / ne)
     order = np.polyfit(np.log(hs), np.log(errs), 1)[0]
@@ -43,9 +43,9 @@ def test_fd_oracle_agreement():
     """Independent dense FD oracle matches the Whitney route at matched h."""
     ne = 256
     for pot, bc, realization in [
-        (Potential.zero(1), "neumann", "natural"),
+        (Potential.zero(1), "neumann", "normal"),
         (Potential.zero(1), "dirichlet", "tangential"),
-        (Potential.quadratic(2.0, 1), "neumann", "natural"),
+        (Potential.quadratic(2.0, 1), "neumann", "normal"),
     ]:
         m = generate_mesh(DomainSpec.interval(0, 1), 1 / ne)
         res = lowest_eigenpairs(OperatorChain(m, pot, realization).operator(0), 3)
@@ -61,7 +61,7 @@ def test_disk_neumann_bessel_convergence():
     errs, hs = [], []
     m = generate_mesh(DomainSpec.disk(1.0), 0.4)
     for _ in range(3):
-        chain = OperatorChain(m, Potential.zero(2), "natural")
+        chain = OperatorChain(m, Potential.zero(2), "normal")
         res = lowest_eigenpairs(chain.operator(0), 2)
         errs.append(abs(res.eigenvalues[1] - target))
         hs.append(m.mesh_size_h)
@@ -92,7 +92,7 @@ def test_annulus_harmonic_one_form():
 
 def test_kernel_projector_properties():
     m = generate_mesh(DomainSpec.disk(1.0), 0.3)
-    chain = OperatorChain(m, Potential.quadratic(1.0, 2), "natural")
+    chain = OperatorChain(m, Potential.quadratic(1.0, 2), "normal")
     op = chain.operator(0)
     kp = kernel_projector(op)
     assert kp.dim == 1
@@ -108,7 +108,7 @@ def test_kernel_projector_properties():
 
 def test_solve_on_range_consistency():
     m = generate_mesh(DomainSpec.interval(0, 1), 1 / 128)
-    chain = OperatorChain(m, Potential.zero(1), "natural")
+    chain = OperatorChain(m, Potential.zero(1), "normal")
     op0, op1 = chain.operator(0), chain.operator(1)
     eta = chain.interpolate(_linear_form())
     kp = kernel_projector(op0)
@@ -154,7 +154,7 @@ def test_hodge_decomposition():
 
 def test_lowest_eigenpairs_validation():
     m = generate_mesh(DomainSpec.interval(0, 1), 0.25)
-    op = OperatorChain(m, Potential.zero(1), "natural").operator(0)
+    op = OperatorChain(m, Potential.zero(1), "normal").operator(0)
     with pytest.raises(ValueError):
         lowest_eigenpairs(op, 0)
     with pytest.raises(ValueError):
@@ -165,7 +165,7 @@ def test_lowest_eigenpairs_validation():
 
 def test_spectral_result_json():
     m = generate_mesh(DomainSpec.interval(0, 1), 1 / 16)
-    res = lowest_eigenpairs(OperatorChain(m, Potential.zero(1), "natural").operator(0), 2,
+    res = lowest_eigenpairs(OperatorChain(m, Potential.zero(1), "normal").operator(0), 2,
                             seed=42)
     d = res.to_json_dict()
     assert set(d) == {"eigenvalues", "kernel_dim", "residuals", "seed", "mesh_h"}
@@ -200,31 +200,36 @@ def test_spectral_result_cochains():
     assert abs(chain.norm(cochains[0]) - 1.0) <= 1e-9
 
 
-def test_normal_realization_two_routes_agree():
-    """p = 1 normal realization: the unconstrained (natural-bc) chain with V
-    and the star-dual tangential chain with -V extrapolate to the same
-    spectrum, validating the duality signs beyond p = 0."""
+@pytest.mark.parametrize("domain, V, p, h, levels, kernel, lowest", [
+    (DomainSpec.disk(1.0), Potential.quadratic(2.0, 2), 1, 0.3, 4, 0, 4.344690),
+    (DomainSpec.annulus(0.5, 1.0), Potential.zero(2), 1, 0.3, 4, 1, None),
+    (DomainSpec.rectangle(0, 1, 0, 1), Potential.quadratic(1.0, 2), 2, 0.2, 4, 0, None),
+    (DomainSpec.interval(0, 1), Potential.quadratic(1.0, 1), 1, 1 / 64, 3, 0, None),
+], ids=["disk-p1", "annulus-p1", "rectangle-p2", "interval-p1"])
+def test_normal_realization_two_routes_agree(domain, V, p, h, levels, kernel, lowest):
+    """The normal realization (p, normal, V) assembled directly on the
+    unconstrained chain and its star dual from dual_problem have kernels of
+    one dimension (the harmonic field on the annulus) and extrapolate to the
+    same spectrum above them, validating the direct assembly beyond p = 0."""
     from hodgecheck.checks import _richardson
 
-    disk = DomainSpec.disk(1.0)
-    V = Potential.quadratic(2.0, 2)
-    cplx = generate_mesh(disk, 0.3)
-    nat_levels, dual_levels = [], []
-    for _ in range(4):
-        res_n = lowest_eigenpairs(OperatorChain(cplx, V, "natural").operator(1), 3,
+    dual_p, dual_b, dual_V = dual_problem(p, "normal", V, domain.ambient_dim)
+    cplx = generate_mesh(domain, h)
+    direct_levels, dual_levels = [], []
+    for _ in range(levels):
+        res_n = lowest_eigenpairs(OperatorChain(cplx, V, "normal").operator(p), 3, seed=1)
+        res_d = lowest_eigenpairs(OperatorChain(cplx, dual_V, dual_b).operator(dual_p), 3,
                                   seed=1)
-        res_d = lowest_eigenpairs(OperatorChain(cplx, V.negated(),
-                                                "tangential").operator(1), 3, seed=1)
-        assert res_n.kernel_dim == 0 and res_d.kernel_dim == 0  # H^1(disk) = 0
-        nat_levels.append(res_n.eigenvalues)
+        assert res_n.kernel_dim == res_d.kernel_dim == kernel
+        direct_levels.append(res_n.eigenvalues)
         dual_levels.append(res_d.eigenvalues)
         cplx = refine(cplx)
-    for i in range(3):
-        a = _richardson([lev[i] for lev in nat_levels])
+    for i in range(kernel, 3):
+        a = _richardson([lev[i] for lev in direct_levels])
         b = _richardson([lev[i] for lev in dual_levels])
         assert abs(a - b) <= 1e-6 * abs(a)
-    # the exact branch shares the degree-0 spectrum (supersymmetry)
-    assert abs(_richardson([lev[0] for lev in nat_levels]) - 4.344690) < 1e-4
+    if lowest is not None:  # on the disk the exact branch shares the degree-0 spectrum
+        assert abs(_richardson([lev[0] for lev in direct_levels]) - lowest) < 1e-4
 
 
 def test_circle_periodic_spectrum():
@@ -261,11 +266,11 @@ def _certified_residual(op, rhs, w, kp=None) -> float:
 
 
 @pytest.mark.parametrize("domain, realization, h, p, with_projector", [
-    (DomainSpec.interval(0, 1), "natural", 1 / 64, 1, False),
+    (DomainSpec.interval(0, 1), "normal", 1 / 64, 1, False),
     (DomainSpec.interval(0, 1), "tangential", 1 / 64, 1, False),  # kernel, not deflated
-    (DomainSpec.annulus(0.5, 1.0), "natural", 0.3, 1, True),
-    (DomainSpec.disk(1.0), "natural", 0.3, 0, True),              # constants kernel
-], ids=["interval-natural-p1", "interval-tangential-p1", "annulus-p1", "disk-normal-p0"])
+    (DomainSpec.annulus(0.5, 1.0), "normal", 0.3, 1, True),
+    (DomainSpec.disk(1.0), "normal", 0.3, 0, True),              # constants kernel
+], ids=["interval-normal-p1", "interval-tangential-p1", "annulus-p1", "disk-normal-p0"])
 def test_range_solve_paths_agree(monkeypatch, domain, realization, h, p, with_projector):
     """The dense pencil and projected CG (forced by a zero cutoff) give the
     same certified solution."""
@@ -286,7 +291,7 @@ def test_range_solve_refines_smooth_fine_rhs():
     """h = 1/1024, d of the interpolant of x: a single pencil solve misses
     the certificate here, the refined one meets it and the 1/12 variance."""
     m = generate_mesh(DomainSpec.interval(0, 1), 1 / 1024)
-    chain = OperatorChain(m, Potential.zero(1), "natural")
+    chain = OperatorChain(m, Potential.zero(1), "normal")
     op = chain.operator(1)
     eta = chain.interpolate(_linear_form())
     deta = chain.apply_d(eta).values
@@ -301,7 +306,7 @@ def test_range_solve_refines_smooth_fine_rhs():
 def test_range_solve_zero_and_kernel_rhs(monkeypatch, cutoff):
     if cutoff is not None:
         monkeypatch.setattr(spectral, "DENSE_CUTOFF", cutoff)
-    op, rhs, kp = _range_case(DomainSpec.disk(1.0), "natural", 0.3, 0, True)
+    op, rhs, kp = _range_case(DomainSpec.disk(1.0), "normal", 0.3, 0, True)
     assert np.array_equal(solve_on_range(op, np.zeros(op.dim)), np.zeros(op.dim))
     # a constant part lies in the kernel: no w solves it, so no certificate
     with pytest.raises(SolverError):
@@ -311,7 +316,7 @@ def test_range_solve_zero_and_kernel_rhs(monkeypatch, cutoff):
 def test_pencil_deflates_kernel_rhs_with_projector():
     """With the projector, the pencil drops a kernel part of the right side
     and still meets the certificate on the true residual."""
-    op, rhs, kp = _range_case(DomainSpec.disk(1.0), "natural", 0.3, 0, True)
+    op, rhs, kp = _range_case(DomainSpec.disk(1.0), "normal", 0.3, 0, True)
     w = solve_on_range(op, rhs + 1.0, kernel=kp)
     assert _certified_residual(op, rhs + 1.0, w, kp) <= 1e-11
     assert np.allclose(w, solve_on_range(op, rhs, kernel=kp), rtol=0, atol=1e-12)
@@ -321,7 +326,7 @@ def test_pencil_deflates_kernel_rhs_with_projector():
 def test_range_solve_deflates_given_projector(monkeypatch, cutoff):
     """A projector wider than the kernel (here it also holds the first
     nonzero mode) is deflated from the solution on both paths alike."""
-    op, rhs, kp = _range_case(DomainSpec.disk(1.0), "natural", 0.3, 0, True)
+    op, rhs, kp = _range_case(DomainSpec.disk(1.0), "normal", 0.3, 0, True)
     wide = KernelProjector(op.M, lowest_eigenpairs(op, 2).eigenvectors)
     w_dense = solve_on_range(op, rhs, kernel=wide)
     if cutoff is not None:
@@ -335,7 +340,7 @@ def test_pencil_cached_per_chain_and_degree(monkeypatch):
     """Range solves keep the pencil on the chain and a spectrum reads it;
     a spectrum alone computes it without keeping it."""
     m = generate_mesh(DomainSpec.disk(1.0), 0.3)
-    chain = OperatorChain(m, Potential.quadratic(1.0, 2), "natural")
+    chain = OperatorChain(m, Potential.quadratic(1.0, 2), "normal")
     calls = []
     eigh = operators.dla.eigh
     monkeypatch.setattr(operators.dla, "eigh", lambda *a: calls.append(1) or eigh(*a))
@@ -361,7 +366,7 @@ def test_projector_and_range_solves_share_one_decomposition(monkeypatch, record,
     calls = []
     eigh = operators.dla.eigh
     monkeypatch.setattr(operators.dla, "eigh", lambda *a: calls.append(1) or eigh(*a))
-    rec = record(DomainSpec.annulus(0.5, 1.0), Potential.quadratic(1.0, 2), "natural",
+    rec = record(DomainSpec.annulus(0.5, 1.0), Potential.quadratic(1.0, 2), "normal",
                  *args, mesh_h=0.3, n_samples=3)
     assert rec.passed and rec.extra["range_solver"] == "dense-pencil"
     assert len(calls) == 1
@@ -411,6 +416,27 @@ def test_pencil_drops_projector_span(monkeypatch, h_param):
     monkeypatch.setattr(spectral, "DENSE_CUTOFF", 0)
     d = w - solve_on_range(op, deta, kernel=kp)
     assert np.sqrt(d @ (op.M @ d) / (w @ (op.M @ w))) <= 1e-11
+
+
+@pytest.mark.parametrize("h_param", [None, 0.1, 0.07],
+                         ids=["disk-kernel-rhs", "double-well-0.1", "double-well-0.07"])
+def test_cg_certifies_on_true_residual(monkeypatch, h_param):
+    """Cases where CG's recursive residual met tol while the true one did
+    not (4.2e-9 on the disk, 2.5e-11 and 9.2e-10 on the double well): a
+    solution CG returns meets tol on the recomputed residual, else CG
+    refuses with SolverError."""
+    if h_param is None:  # the constant part of the right side is deflated
+        op, rhs, kp = _range_case(DomainSpec.disk(1.0), "normal", 0.3, 0, True)
+        rhs = rhs + 1.0
+    else:
+        chain, eta = _double_well_case(h_param)
+        op, rhs, kp = chain.operator(1), chain.apply_d(eta).values, None
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 0)
+    try:
+        w = solve_on_range(op, rhs, kernel=kp)
+    except SolverError:
+        return
+    assert _certified_residual(op, rhs, w, kp) <= 1e-11
 
 
 def test_range_solve_refuses_modes_at_roundoff():
