@@ -361,7 +361,7 @@ class HypothesisReport:
 
 def hypothesis_check(potential: Potential, domain: DomainSpec, b: str, p: int,
                      N: float | None = None, quad_order: int = 8,
-                     kt_scale: float = 1.0, curvature=None) -> HypothesisReport:
+                     kt_scale: float = 1.0) -> HypothesisReport:
     """Pointwise hypothesis validation for the curvature-based bounds.
 
     Interior: Ric_V^(p) > 0 (or Ric_{V,N} > 0 at p = 1 when N is given) at
@@ -375,9 +375,9 @@ def hypothesis_check(potential: Potential, domain: DomainSpec, b: str, p: int,
                                 note="curvature term is identically zero on 0-forms")
     quad = domain_quadrature(domain, quad_order)
     if p == 1 and N is not None:
-        field = bakry_emery_tensor(potential, N, curvature)
+        field = bakry_emery_tensor(potential, N)
     else:
-        field = hessian_p(potential, p) + ricci_p(curvature or zero_ricci(n), p)
+        field = hessian_p(potential, p) + ricci_p(zero_ricci(n), p)
     vals = field.min_eigenvalues(quad.points)
     i_min = float(vals.min())
     witness = None
@@ -613,52 +613,59 @@ def variance_identity_record(domain: DomainSpec, potential: Potential, b: str,
     return rec
 
 
-def _first_nonkernel_eigenvalue(op, seed, k=4):
-    res = lowest_eigenpairs(op, min(k, op.dim), seed=seed)
+def _ladder(domain: DomainSpec, mesh_h: float, levels: int, problems, k: int,
+            seed: int, quad_order: int = 4) -> list:
+    """min(k, dim) lowest eigenpairs of each (potential, b, degree) problem
+    at every level of one mesh ladder, refined between levels only and
+    solved one chain at a time: one list of SpectralResults (each with its
+    level's mesh_h) per problem, coarsest level first."""
+    spectra = [[] for _ in problems]
+    cplx = generate_mesh(domain, mesh_h)
+    for level in range(levels):
+        if level:
+            cplx = refine(cplx)
+        for rungs, (potential, b, degree) in zip(spectra, problems):
+            op = OperatorChain(cplx, potential, b, quad_order).operator(degree)
+            rungs.append(lowest_eigenpairs(op, min(k, op.dim), seed=seed))
+            del op   # frees the chain before the next one is assembled
+    return spectra
+
+
+def _first_nonkernel_eigenvalue(res) -> float:
     above = res.eigenvalues[res.kernel_dim:]
     if len(above) == 0:
         raise RuntimeError("no nonkernel eigenvalue found; raise k")
-    return float(above[0]), res
+    return float(above[0])
 
 
 def check_gap_lower_bound(potential: Potential, domain: DomainSpec, b: str, p: int,
                           use_N: float | None = None, mesh_h: float = 0.3,
                           levels: int = 3, quad_order: int = 4, seed: int = 1234,
-                          c_cap: float | None = None,
                           tol_rel: float = INEQ_REL) -> CheckRecord:
     """First nonkernel eigenvalue vs the pointwise curvature lower bound.
 
     lambda_1(h) >= bound - C*h across a refinement ladder with C required
-    bounded (default cap max(10, 10|bound|)).  For p = 0 the bound lives at
-    degree 1 restricted to Ran d; a finite N scales it by N/(N-1) and only
-    controls that exact branch, so the measured eigenvalue is then the
-    degree-0 gap (= the bottom of L^(1) restricted to Ran d) for p <= 1.
+    bounded by max(10, 10|bound|); the bound is hypothesis_check's interior
+    minimum at degree max(p, 1).  For p = 0 it lives at degree 1 restricted
+    to Ran d; a given N scales it by N/(N-1) and only controls that exact
+    branch, so the measured eigenvalue is then the degree-0 gap (= the
+    bottom of L^(1) restricted to Ran d) for p <= 1.
     """
     bound_degree = max(p, 1)
     n_scaled = use_N is not None and bound_degree == 1
     hyp = hypothesis_check(potential, domain, b, bound_degree,
                            N=use_N if n_scaled else None,
                            quad_order=max(quad_order, 6))
-    quad = domain_quadrature(domain, max(quad_order, 6))
+    bound = hyp.interior_min
     if n_scaled:
-        field = bakry_emery_tensor(potential, use_N)
         nf = _n_factor(use_N)
-        scale = math.inf if nf == 0 else 1.0 / nf
-        bound = scale * float(field.min_eigenvalues(quad.points).min())
-    else:
-        field = hessian_p(potential, bound_degree) + ricci_p(zero_ricci(potential.n),
-                                                             bound_degree)
-        bound = float(field.min_eigenvalues(quad.points).min())
+        bound *= math.inf if nf == 0 else 1.0 / nf
     eig_degree = 0 if n_scaled else p
-    cplx = generate_mesh(domain, mesh_h)
-    lam, hs = [], []
-    for _ in range(levels):
-        chain = OperatorChain(cplx, potential, b, quad_order)
-        l1, _ = _first_nonkernel_eigenvalue(chain.operator(eig_degree), seed)
-        lam.append(l1)
-        hs.append(cplx.mesh_size_h)
-        cplx = refine(cplx)
-    cap = c_cap if c_cap is not None else max(10.0, 10.0 * abs(bound))
+    [rungs] = _ladder(domain, mesh_h, levels, [(potential, b, eig_degree)], 4, seed,
+                      quad_order)
+    lam = [_first_nonkernel_eigenvalue(res) for res in rungs]
+    hs = [res.mesh_h for res in rungs]
+    cap = max(10.0, 10.0 * abs(bound))
     cs = [max(0.0, (bound - l) / h) for l, h in zip(lam, hs)]
     c_fit = max(cs)
     passed = hyp.status == "satisfied" and c_fit <= cap
@@ -683,33 +690,29 @@ def semiclassical_sweep(potential: Potential, domain: DomainSpec, b: str, p: int
     Hypotheses per the semiclassical scaling: the normal-side condition is
     h-independent; the tangential side needs h*K_t^(p') - dV/dn >= 0.
     On flat domains h * lambda_1(V/h) is bounded below by the Hess V
-    minimum up to the mesh-resolution term.
+    minimum (the interior minimum of hypothesis_check) up to the
+    mesh-resolution term.  Every h is solved on the one mesh of mesh_h.
     """
-    records = []
     bound_degree = max(p, 1)
-    quad = domain_quadrature(domain, max(quad_order, 6))
-    hessmin = float((hessian_p(potential, bound_degree)
-                     + ricci_p(zero_ricci(potential.n), bound_degree))
-                    .min_eigenvalues(quad.points).min())
-    cplx = generate_mesh(domain, mesh_h)
-    for h in h_list:
+    spectra = _ladder(domain, mesh_h, 1, [(potential.rescaled(h), b, p) for h in h_list],
+                      4, seed, quad_order)
+    records = []
+    for h, [res] in zip(h_list, spectra):
         hyp = hypothesis_check(potential, domain, b, bound_degree,
                                quad_order=max(quad_order, 6), kt_scale=h)
-        scaled = potential.rescaled(h)
-        chain = OperatorChain(cplx, scaled, b, quad_order)
-        lam1, _ = _first_nonkernel_eigenvalue(chain.operator(p), seed)
-        lhs_bound = hessmin
+        hessmin = hyp.interior_min
+        lam1 = _first_nonkernel_eigenvalue(res)
         gap_scaled = h * lam1
         cap = max(10.0, 10.0 * abs(hessmin))
-        passed = hyp.status != "satisfied" or gap_scaled >= lhs_bound - cap * cplx.mesh_size_h
+        passed = hyp.status == "satisfied" and gap_scaled >= hessmin - cap * res.mesh_h
         records.append(CheckRecord(
             "semiclassical_sweep", kind="inequality", domain=_label(domain),
             potential=potential.name, p=p, b=b, h_param=h,
-            lhs=lhs_bound, rhs=gap_scaled, abs_err=lhs_bound - gap_scaled,
-            rel_err=max(0.0, lhs_bound - gap_scaled) / max(abs(lhs_bound), 1e-300),
-            tolerance=INEQ_REL, passed=passed and hyp.status == "satisfied",
+            lhs=hessmin, rhs=gap_scaled, abs_err=hessmin - gap_scaled,
+            rel_err=max(0.0, hessmin - gap_scaled) / max(abs(hessmin), 1e-300),
+            tolerance=INEQ_REL, passed=passed,
             hypothesis_status=hyp.status, witness=hyp.witness,
-            mesh_h=cplx.mesh_size_h, quad_order=quad_order,
+            mesh_h=res.mesh_h, quad_order=quad_order,
             extra={"h": h, "lambda1": lam1, "h_lambda1": gap_scaled,
                    "hypothesis": hyp.to_dict()}))
     return records
@@ -732,26 +735,21 @@ def duality_spectrum_check(domain: DomainSpec, potential: Potential, k: int = 3,
     """Star-duality validation of the normal realization at p = 0.
 
     Direct: the degree-0 operator with V on the normal chain.  Dual: the
-    star dual of dual_problem, (n, tangential, -V).  Both discretizations
-    converge to the same spectrum (the content of the duality); eigenvalues
-    are Richardson-extrapolated over the refinement ladder on each side and
-    compared index by index.
+    star dual of dual_problem, (n, tangential, -V).  Both sides are solved
+    on one shared refinement ladder; both discretizations converge to the
+    same spectrum (the content of the duality); eigenvalues are
+    Richardson-extrapolated over the ladder on each side and compared index
+    by index.
     """
     dual_p, dual_b, dual_pot = dual_problem(0, "normal", potential, domain.ambient_dim)
-    cplx = generate_mesh(domain, mesh_h)
-    a_levels, b_levels = [], []
-    for _ in range(levels):
-        chain_a = OperatorChain(cplx, potential, "normal", quad_order)
-        res_a = lowest_eigenpairs(chain_a.operator(0), k + 1, seed=seed)
-        if res_a.kernel_dim != 1:
-            raise RuntimeError(f"direct route kernel dim {res_a.kernel_dim} != 1")
-        a_levels.append(res_a.eigenvalues[1:k + 1])
-        chain_b = OperatorChain(cplx, dual_pot, dual_b, quad_order)
-        res_b = lowest_eigenpairs(chain_b.operator(dual_p), k + 1, seed=seed)
-        if res_b.kernel_dim != 1:
-            raise RuntimeError(f"dual route kernel dim {res_b.kernel_dim} != 1")
-        b_levels.append(res_b.eigenvalues[1:k + 1])
-        cplx = refine(cplx)
+    sides = _ladder(domain, mesh_h, levels,
+                    [(potential, "normal", 0), (dual_pot, dual_b, dual_p)], k + 1, seed,
+                    quad_order)
+    for route, rungs in zip(("direct", "dual"), sides):
+        for res in rungs:
+            if res.kernel_dim != 1:
+                raise RuntimeError(f"{route} route kernel dim {res.kernel_dim} != 1")
+    a_levels, b_levels = ([res.eigenvalues[1:k + 1] for res in rungs] for rungs in sides)
     a_ex = [_richardson([lev[i] for lev in a_levels]) for i in range(k)]
     b_ex = [_richardson([lev[i] for lev in b_levels]) for i in range(k)]
     rel = max(abs(a - b) / max(abs(a), abs(b), 1e-300) for a, b in zip(a_ex, b_ex))

@@ -56,7 +56,6 @@ DEFAULT_TOLERANCES = {
     "intertwining_rel": 1e-10,
     "hodge_rel": 1e-8,
     "duality_rel": 1e-6,
-    "solver": 1e-11,
 }
 
 

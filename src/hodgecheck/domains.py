@@ -167,62 +167,12 @@ class DomainSpec:
         x, y = v[:, 0], v[:, 1]
         return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
-    def boundary_measure(self) -> float:
-        p = self.parameters
-        if self.kind == "interval":
-            return 2.0  # counting measure on two endpoints
-        if self.kind == "rectangle":
-            return 2 * (p[1] - p[0]) + 2 * (p[3] - p[2])
-        if self.kind == "disk":
-            return 2 * np.pi * p[0]
-        if self.kind == "annulus":
-            return 2 * np.pi * (p[0] + p[1])
-        if self.kind == "polygon":
-            v = np.asarray(self.vertices)
-            return float(np.sum(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)))
-        return 0.0
-
-    def contains(self, x: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        p = self.parameters
-        if self.kind == "interval":
-            return (x[:, 0] >= p[0] - tol) & (x[:, 0] <= p[1] + tol)
-        if self.kind == "rectangle":
-            return ((x[:, 0] >= p[0] - tol) & (x[:, 0] <= p[1] + tol)
-                    & (x[:, 1] >= p[2] - tol) & (x[:, 1] <= p[3] + tol))
-        if self.kind == "disk":
-            r = np.linalg.norm(x - np.array(p[1:3]), axis=1)
-            return r <= p[0] + tol
-        if self.kind == "annulus":
-            r = np.linalg.norm(x - np.array(p[2:4]), axis=1)
-            return (r >= p[0] - tol) & (r <= p[1] + tol)
-        if self.kind in ("circle", "flat_torus"):
-            return np.ones(x.shape[0], dtype=bool)
-        return _points_in_polygon(x, np.asarray(self.vertices))
-
 
 def _segments_intersect(a, b, c, d) -> bool:
     def orient(p, q, r):
         return np.sign((q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]))
 
     return (orient(a, b, c) != orient(a, b, d)) and (orient(c, d, a) != orient(c, d, b))
-
-
-def _points_in_polygon(x: np.ndarray, verts: np.ndarray) -> np.ndarray:
-    inside = np.zeros(x.shape[0], dtype=bool)
-    m = len(verts)
-    for k in range(x.shape[0]):
-        px, py = x[k]
-        hit = False
-        for i in range(m):
-            x1, y1 = verts[i]
-            x2, y2 = verts[(i + 1) % m]
-            if (y1 > py) != (y2 > py):
-                xi = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
-                if px < xi:
-                    hit = not hit
-        inside[k] = hit
-    return inside
 
 
 # ---------------------------------------------------------------------------

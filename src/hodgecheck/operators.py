@@ -252,10 +252,6 @@ class AssembledOperator:
             cache[self.p] = pair
         return pair
 
-    def stiffness_linear_operator(self) -> spla.LinearOperator:
-        return spla.LinearOperator((self.dim, self.dim), matvec=self.stiff_matvec,
-                                   dtype=float)
-
 
 def assemble_weighted_laplacian(cplx: SimplicialComplex, p: int, potential: Potential,
                                 b: str, quad_order: int = 4) -> AssembledOperator:

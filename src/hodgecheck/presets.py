@@ -41,7 +41,8 @@ CHECK_IDS = {
     "bl_scalar": "scalar variance/Dirichlet bound vs inverse curvature tensor (N-refined)",
     "bl_forms": "form-degree bound with discrete kernel projector",
     "variance_identity": "exact discrete variance identity, two independent routes",
-    "gap_lower_bound": "first nonkernel eigenvalue vs pointwise curvature bound",
+    "gap_lower_bound": "first nonkernel eigenvalue on a refinement ladder vs the "
+                       "hypothesis_check curvature minimum (N at p = 0 only)",
     "semiclassical_sweep": "rescaled potentials V/h: hypotheses and scaled gaps",
     "hypothesis_check": "pointwise hypothesis report (sign conditions, positivity), "
                         "once per bound degree max(p, 1), per N at degree 1 only",

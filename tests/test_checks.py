@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from hodgecheck import checks as checks_mod
 from hodgecheck.analytic_forms import AnalyticForm, BoundaryConditionError
 from hodgecheck.checks import (check_bl_forms, check_bl_scalar, check_gamma2,
                                check_gap_lower_bound, check_variance_identity,
@@ -233,6 +234,42 @@ def test_semiclassical_sweep_behaviour():
     assert all(g >= 2.0 - 1e-9 for g in gaps)
     recs = semiclassical_sweep(VX2, DISK, "tangential", 0, [1.0, 0.5], mesh_h=0.3)
     assert all(r.status == "not_applicable" for r in recs)  # dV/dn > 0 on the boundary
+
+
+def test_ladder_walks_one_mesh_ladder(monkeypatch):
+    """A ladder of L levels generates one mesh and refines it L - 1 times;
+    the duality check solves both sides on one ladder and the semiclassical
+    sweep solves every h on one mesh."""
+    calls = {}
+    for name in ("generate_mesh", "refine"):
+        def counted(*args, _fn=getattr(checks_mod, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(checks_mod, name, counted)
+    interval, pot = DomainSpec.interval(0, 1), Potential.quadratic(1.0, 1)
+    runs = [(levels, lambda levels=levels: check_gap_lower_bound(
+        pot, interval, "normal", 0, mesh_h=1 / 16, levels=levels)) for levels in (1, 3)]
+    runs.append((3, lambda: duality_spectrum_check(interval, pot, k=2, mesh_h=1 / 16,
+                                                   levels=3)))
+    runs.append((1, lambda: semiclassical_sweep(pot, interval, "normal", 0,
+                                                [1.0, 0.5, 0.25], mesh_h=1 / 16)))
+    for levels, run in runs:
+        calls.update(generate_mesh=0, refine=0)
+        run()
+        assert calls == {"generate_mesh": 1, "refine": levels - 1}
+
+
+@pytest.mark.parametrize("p, N", [(0, None), (0, math.inf), (0, 4.0), (0, -1.0),
+                                  (2, None)])
+def test_gap_bound_is_hypothesis_interior_min(p, N):
+    """The gap bound is hypothesis_check's interior minimum at the bound
+    degree, times N/(N-1) for a finite N, bit for bit."""
+    rec = check_gap_lower_bound(VX2, DISK, "normal", p, use_N=N, mesh_h=0.45, levels=1)
+    hyp = hypothesis_check(VX2, DISK, "normal", max(p, 1), N=N if p == 0 else None,
+                           quad_order=6)
+    scale = N / (N - 1.0) if N is not None and math.isfinite(N) else 1.0
+    assert rec.lhs == hyp.interior_min * scale
+    assert rec.N == N and rec.extra["hypothesis"] == hyp.to_dict()
 
 
 def test_hodge_decomposition_record_and_annulus_kernel():

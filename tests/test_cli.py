@@ -56,8 +56,9 @@ def test_config_validation_paths():
         load_config({**BASE, "potential": "cubic(2)"})
     with pytest.raises(ConfigError, match="realizations"):
         load_config({**BASE, "realizations": ["diagonal"]})
-    with pytest.raises(ConfigError, match="tolerances"):
-        load_config({**BASE, "tolerances": {"nope": 1.0}})
+    for key in ("nope", "solver"):
+        with pytest.raises(ConfigError, match=f"at tolerances.{key}: unknown tolerance key"):
+            load_config({**BASE, "tolerances": {key: 1.0}})
     # counts must be positive integers: zero samples would pass vacuously
     for key in ("n_samples", "eigen_count"):
         for bad in (0, -3, True, 2.5):
@@ -345,7 +346,7 @@ def test_inadmissible_N_is_not_applicable_in_every_N_check():
             assert r.status == "not_applicable" and r.hypothesis_status == "violated"
             assert r.extra == {"note": "N flagged inadmissible at parse time"}
             flagged.setdefault(r.check_id, []).append(r.p)
-    assert flagged == {"bl_scalar": [1], "gap_lower_bound": [0, 1],
+    assert flagged == {"bl_scalar": [1], "gap_lower_bound": [0],
                        "hypothesis_check": [1]}
     assert report.summary["fail"] == 0
 
@@ -399,7 +400,7 @@ def test_shipped_commands_exit_zero(shipped):
 def test_disk_suite_records_distinct(shipped):
     records = shipped["run", "disk_suite"][1]["records"]
     keys = [json.dumps(r, sort_keys=True) for r in records]
-    assert len(set(keys)) == len(keys) == 50
+    assert len(set(keys)) == len(keys) == 48
 
 
 def test_hypothesis_check_takes_N_at_degree_one_only():
@@ -418,6 +419,19 @@ def test_hypothesis_check_takes_N_at_degree_one_only():
     recs = run_config(load_config({**disk, "degrees": [1, 2], "N": ["inf", 1]})).records
     assert [(r.p, r.N, r.status) for r in recs] == [
         (1, math.inf, "pass"), (1, 1.0, "not_applicable"), (2, None, "pass")]
+
+
+def test_gap_takes_N_at_degree_zero_only():
+    """N scales the gap bound at p = 0 only, and the N = inf case is labelled
+    inf like bl_scalar and hypothesis_check; p = 1 gives one record, N null."""
+    recs = run_config(load_config({
+        "domain": {"kind": "disk", "parameters": [1.0, 0.0, 0.0]},
+        "potential": "quadratic(1.0)", "degrees": [0, 1], "realizations": ["normal"],
+        "N": ["inf", 4], "checks": ["gap_lower_bound"],
+        "mesh": {"target_h": 0.45}})).records
+    assert [(r.p, r.N) for r in recs] == [(0, math.inf), (0, 4.0), (1, None)]
+    assert [r.to_json_dict()["N"] for r in recs] == ["inf", 4.0, None]
+    assert all(r.status == "pass" for r in recs)
 
 
 def test_fit_order_ignores_roundoff_levels():
