@@ -13,24 +13,13 @@ import numpy as np
 import sympy as sp
 
 from . import exterior
-from .potentials import Potential, _COORDS
+from .potentials import Potential, _COORDS, _lambdify
 
 __all__ = ["AnalyticForm", "BoundaryConditionError"]
 
 
 class BoundaryConditionError(ValueError):
     pass
-
-
-def _lambdify_comp(expr, n):
-    f = sp.lambdify(_COORDS[:n], expr, modules="numpy")
-
-    def wrapped(x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = f(*[x[:, i] for i in range(n)])
-        return np.broadcast_to(np.asarray(out, dtype=float), (x.shape[0],)).copy()
-
-    return wrapped
 
 
 class AnalyticForm:
@@ -46,8 +35,8 @@ class AnalyticForm:
         self.comps = comps
         self.bc = bc
         self.name = name
-        self._vals = [_lambdify_comp(c, self.n) for c in comps]
-        self._grads = [[_lambdify_comp(sp.diff(c, s), self.n) for s in _COORDS[:self.n]]
+        self._vals = [_lambdify(c, self.n) for c in comps]
+        self._grads = [[_lambdify(sp.diff(c, s), self.n) for s in _COORDS[:self.n]]
                        for c in comps]
 
     # -- pointwise evaluation ------------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import sympy as sp
 
-from . import exterior
+from . import exterior, runcache
 from .analytic_forms import AnalyticForm, BoundaryConditionError
 from .curvature import (bakry_emery_tensor, boundary_operator, hessian_p,
                         invert_endo_field, restricted_min_eig, ricci_p, zero_ricci)
@@ -369,23 +369,16 @@ def hypothesis_check(potential: Potential, domain: DomainSpec, b: str, p: int,
     traces (normal realization) or kt_scale*K_t^(p) - dV/dn >= 0 on normal
     traces (tangential realization).  Returns witnesses and margins.
     """
-    n = potential.n
     if p == 0:
         return HypothesisReport("violated", None, 0.0, math.inf,
                                 note="curvature term is identically zero on 0-forms")
-    quad = domain_quadrature(domain, quad_order)
-    if p == 1 and N is not None:
-        field = bakry_emery_tensor(potential, N)
-    else:
-        field = hessian_p(potential, p) + ricci_p(zero_ricci(n), p)
-    vals = field.min_eigenvalues(quad.points)
-    i_min = float(vals.min())
+    i_min, i_point = _interior_min(potential, domain, p, N, quad_order)
     witness = None
     note = ""
     status = "satisfied"
     if i_min < POSITIVITY_TOL:
         status = "violated"
-        witness = [float(c) for c in quad.points[int(np.argmin(vals))]]
+        witness = list(i_point)
         note = "curvature tensor not positive definite"
     b_min = math.inf
     if domain.has_boundary:
@@ -410,6 +403,26 @@ def hypothesis_check(potential: Potential, domain: DomainSpec, b: str, p: int,
                     np.where(np.isfinite(r), r, math.inf)))]]
                 note = f"boundary sign condition fails for realization {b}"
     return HypothesisReport(status, witness, i_min, b_min, note)
+
+
+def _interior_min(potential: Potential, domain: DomainSpec, p: int, N: float | None,
+                  quad_order: int) -> tuple:
+    """Smallest eigenvalue of the interior curvature field of hypothesis_check
+    over the interior quadrature points, and a point where it is attained;
+    once per run: it depends on neither the realization nor kt_scale, and on
+    N at degree 1 only."""
+    def compute():
+        quad = domain_quadrature(domain, quad_order)
+        if p == 1 and N is not None:
+            field = bakry_emery_tensor(potential, N)
+        else:
+            field = hessian_p(potential, p) + ricci_p(zero_ricci(potential.n), p)
+        vals = field.min_eigenvalues(quad.points)
+        i = int(np.argmin(vals))
+        return float(vals[i]), tuple(float(c) for c in quad.points[i])
+
+    return runcache.cached(("interior_min", potential.expr, potential.n, domain, p,
+                            N if p == 1 else None, quad_order), compute)
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +559,7 @@ def _projected_deficit(form, potential, domain, b, sigma, Z, mesh_h, seed):
         measure = WeightedMeasure(potential, domain, 8)
         mean = measure.expect(form.components(measure.quadrature.points)[:, 0])
         return sigma - mean ** 2, 1, mean ** 2
-    chain = OperatorChain(generate_mesh(domain, mesh_h), potential, b)
+    chain = OperatorChain(_mesh(domain, mesh_h), potential, b)
     c = chain.interpolate(form)
     kp = kernel_projector(chain.operator(q), seed=seed)
     proj = kp.apply(c.values)
@@ -588,7 +601,7 @@ def check_variance_identity(eta: Cochain, chain: OperatorChain,
 def variance_identity_record(domain: DomainSpec, potential: Potential, b: str,
                              mesh_h: float, n_samples: int = 50, seed: int = 1234,
                              tol: float = 1e-7, quad_order: int = 4) -> CheckRecord:
-    cplx = generate_mesh(domain, mesh_h)
+    cplx = _mesh(domain, mesh_h)
     chain = OperatorChain(cplx, potential, b, quad_order)
     kernel1 = None
     if domain.kind in ("annulus", "flat_torus", "circle"):
@@ -613,21 +626,39 @@ def variance_identity_record(domain: DomainSpec, potential: Potential, b: str,
     return rec
 
 
+def _mesh(domain: DomainSpec, mesh_h: float, level: int = 0, coarser=None):
+    """Level `level` of the mesh ladder of (domain, mesh_h), once per run:
+    generate_mesh at level 0, refine of `coarser` (level - 1) above it."""
+    return runcache.cached(("mesh", domain, mesh_h, level),
+                           lambda: refine(coarser) if level else generate_mesh(domain, mesh_h))
+
+
 def _ladder(domain: DomainSpec, mesh_h: float, levels: int, problems, k: int,
             seed: int, quad_order: int = 4) -> list:
     """min(k, dim) lowest eigenpairs of each (potential, b, degree) problem
     at every level of one mesh ladder, refined between levels only and
     solved one chain at a time: one list of SpectralResults (each with its
-    level's mesh_h) per problem, coarsest level first."""
+    level's mesh_h) per problem, coarsest level first.
+
+    Meshes and spectra are read from the run cache, keyed by content (the
+    potential by its expression, never its name); a spectrum's arrays are
+    read-only, since a run may share it between checks.
+    """
     spectra = [[] for _ in problems]
-    cplx = generate_mesh(domain, mesh_h)
+    cplx = None
     for level in range(levels):
-        if level:
-            cplx = refine(cplx)
+        cplx = _mesh(domain, mesh_h, level, cplx)
         for rungs, (potential, b, degree) in zip(spectra, problems):
-            op = OperatorChain(cplx, potential, b, quad_order).operator(degree)
-            rungs.append(lowest_eigenpairs(op, min(k, op.dim), seed=seed))
-            del op   # frees the chain before the next one is assembled
+            def solve():
+                op = OperatorChain(cplx, potential, b, quad_order).operator(degree)
+                res = lowest_eigenpairs(op, min(k, op.dim), seed=seed)
+                for array in (res.eigenvalues, res.eigenvectors, res.residual_norms):
+                    array.flags.writeable = False
+                return res   # the chain is freed before the next one is assembled
+
+            rungs.append(runcache.cached(
+                ("spectrum", domain, mesh_h, level, potential.expr, potential.n, b, degree,
+                 quad_order, k, seed), solve))
     return spectra
 
 
@@ -770,7 +801,7 @@ def hodge_decomposition_record(domain: DomainSpec, potential: Potential, b: str,
                                quad_order: int = 4) -> CheckRecord:
     from .spectral import hodge_decompose
 
-    cplx = generate_mesh(domain, mesh_h)
+    cplx = _mesh(domain, mesh_h)
     chain = OperatorChain(cplx, potential, b, quad_order)
     op = chain.operator(p)
     kp = range_kernel_projector(op, seed=seed)

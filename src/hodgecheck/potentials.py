@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import sympy as sp
 
+from . import runcache
 from .domains import DomainSpec, domain_quadrature
 
 __all__ = ["Potential", "WeightedMeasure", "parse_potential", "PRESET_POTENTIALS"]
@@ -27,16 +28,20 @@ _COORDS = [sp.Symbol("x1"), sp.Symbol("x2")]
 
 
 def _lambdify(expr, n):
-    syms = _COORDS[:n]
-    f = sp.lambdify(syms, expr, modules="numpy")
+    """Vectorized evaluator of a sympy expression in x1..xn: (m, n) points
+    -> (m,) values; once per (expr, n) in a run."""
+    def build():
+        # docstring_limit=0: no printing of the expression into a docstring
+        f = sp.lambdify(_COORDS[:n], expr, modules="numpy", docstring_limit=0)
 
-    def wrapped(x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        cols = [x[:, i] for i in range(n)]
-        out = f(*cols)
-        return np.broadcast_to(np.asarray(out, dtype=float), (x.shape[0],)).copy()
+        def wrapped(x):
+            x = np.atleast_2d(np.asarray(x, dtype=float))
+            out = f(*[x[:, i] for i in range(n)])
+            return np.broadcast_to(np.asarray(out, dtype=float), (x.shape[0],)).copy()
 
-    return wrapped
+        return wrapped
+
+    return runcache.cached(("lambdify", expr, n), build)
 
 
 class Potential:

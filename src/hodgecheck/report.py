@@ -25,13 +25,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy
 
-from . import __version__, checks
+from . import __version__, checks, runcache
 from .config import RunConfig
 from .operators import OperatorChain
-from .meshing import generate_mesh
 from .presets import bl_form_cases, gamma2_bump, test_form
 from .records import CSV_COLUMNS, CheckRecord
-from .spectral import check_intertwining, lowest_eigenpairs
+from .spectral import check_intertwining
 
 __all__ = ["Report", "run_config", "convergence_study"]
 
@@ -160,17 +159,18 @@ def _runner(check_id: str, axes, case_fn):
 # ---------------------------------------------------------------------------
 
 def _eigen_spectrum(cfg: RunConfig, p: int, b: str):
-    cplx = generate_mesh(cfg.domain, cfg.target_h)
-    chain = OperatorChain(cplx, cfg.potential, b, 4)
-    res = lowest_eigenpairs(chain.operator(p), cfg.eigen_count, seed=cfg.seed)
+    [[res]] = checks._ladder(cfg.domain, cfg.target_h, 1, [(cfg.potential, b, p)],
+                             cfg.eigen_count, cfg.seed)
+    if len(res.eigenvalues) < cfg.eigen_count:
+        raise ValueError(f"need 1 <= k <= {len(res.eigenvalues)}, got {cfg.eigen_count}")
     oracle = _interval_oracle(cfg, p, b, cfg.eigen_count)
     extra = {"spectral": res.to_json_dict()}
     common = dict(**_labels(cfg), p=p, b=b, hypothesis_status="satisfied",
-                  mesh_h=cplx.mesh_size_h, quad_order=4, extra=extra)
+                  mesh_h=res.mesh_h, quad_order=4, extra=extra)
     if oracle is not None:
         scale = max(max(abs(v) for v in oracle), 1.0)
         rel = max(abs(x - y) for x, y in zip(res.eigenvalues, oracle)) / scale
-        tol = 10.0 * cplx.mesh_size_h ** 2
+        tol = 10.0 * res.mesh_h ** 2
         extra["oracle"] = oracle
         return CheckRecord("eigen_spectrum", kind="identity",
                            lhs=float(res.eigenvalues[-1]), rhs=oracle[-1],
@@ -251,7 +251,7 @@ def _hypothesis(cfg: RunConfig, b: str, p: int, N: float):
 def _intertwining(cfg: RunConfig, b: str):
     """Supersymmetry residuals at every degree below the top on the chain of b."""
     tol = cfg.tolerances["intertwining_rel"]
-    cplx = generate_mesh(cfg.domain, cfg.target_h)
+    cplx = checks._mesh(cfg.domain, cfg.target_h)
     chain = OperatorChain(cplx, cfg.potential, b, 4)
     recs = []
     for p in range(cfg.domain.ambient_dim):
@@ -303,9 +303,11 @@ RUNNERS = {cid: _runner(cid, axes, fn) for cid, (axes, fn) in _CASES.items()}
 
 
 def run_config(cfg: RunConfig, timings: bool = False) -> Report:
+    """Every configured check in one run-cache scope (see runcache)."""
     records = []
-    for check_id in cfg.checks:
-        records.extend(RUNNERS[check_id](cfg, timings=timings))
+    with runcache.scope():
+        for check_id in cfg.checks:
+            records.extend(RUNNERS[check_id](cfg, timings=timings))
     return Report(cfg.echo(), _environment(), records).finalize()
 
 
@@ -342,44 +344,46 @@ def _worst(records) -> float:
 
 
 def convergence_study(cfg: RunConfig, timings: bool = False) -> Report:
-    """Refinement/quadrature ladders with fitted observed orders."""
+    """Refinement/quadrature ladders with fitted observed orders, in one
+    run-cache scope (see runcache)."""
     if cfg.refinements < 2:
         raise ValueError("convergence study needs refinements >= 2 (>= 3 levels)")
     records = []
     tables = []
-    for check_id in cfg.checks:
-        if check_id in ("decomposition_identity", "green_identity", "h1_identity",
-                        "gamma2"):
-            # levels below the configured order are ladder data only: the
-            # production tolerance is graded at the configured order and above
-            levels = sorted({*_QUAD_SWEEP, cfg.quad_order})
-            errs = []
-            for qo in levels:
-                sub = RUNNERS[check_id](replace(cfg, quad_order=qo), timings=timings)
-                if qo >= cfg.quad_order:
+    with runcache.scope():
+        for check_id in cfg.checks:
+            if check_id in ("decomposition_identity", "green_identity", "h1_identity",
+                            "gamma2"):
+                # levels below the configured order are ladder data only: the
+                # production tolerance is graded at the configured order and above
+                levels = sorted({*_QUAD_SWEEP, cfg.quad_order})
+                errs = []
+                for qo in levels:
+                    sub = RUNNERS[check_id](replace(cfg, quad_order=qo), timings=timings)
+                    if qo >= cfg.quad_order:
+                        records.extend(sub)
+                    errs.append(_worst(sub))
+                order, note = _fit_order([1.0 / q for q in levels], errs)
+                tables.append({"check_id": check_id, "axis": "quad_order",
+                               "levels": levels, "rel_errs": errs, "order": order,
+                               "note": note or "error vs inverse quadrature order"})
+            elif check_id in ("eigen_spectrum", "variance_identity"):
+                hs, errs = [], []
+                h = cfg.target_h
+                for _ in range(cfg.refinements + 1):
+                    sub = RUNNERS[check_id](replace(cfg, target_h=h), timings=timings)
                     records.extend(sub)
-                errs.append(_worst(sub))
-            order, note = _fit_order([1.0 / q for q in levels], errs)
-            tables.append({"check_id": check_id, "axis": "quad_order",
-                           "levels": levels, "rel_errs": errs, "order": order,
-                           "note": note or "error vs inverse quadrature order"})
-        elif check_id in ("eigen_spectrum", "variance_identity"):
-            hs, errs = [], []
-            h = cfg.target_h
-            for _ in range(cfg.refinements + 1):
-                sub = RUNNERS[check_id](replace(cfg, target_h=h), timings=timings)
+                    hs.append(max(r.mesh_h or h for r in sub))
+                    errs.append(_worst(sub))
+                    h = h / 2
+                order, note = _fit_order(hs, errs)
+                tables.append({"check_id": check_id, "axis": "mesh_h", "levels": hs,
+                               "rel_errs": errs, "order": order, "note": note})
+            else:
+                sub = RUNNERS[check_id](cfg, timings=timings)
                 records.extend(sub)
-                hs.append(max(r.mesh_h or h for r in sub))
-                errs.append(_worst(sub))
-                h = h / 2
-            order, note = _fit_order(hs, errs)
-            tables.append({"check_id": check_id, "axis": "mesh_h", "levels": hs,
-                           "rel_errs": errs, "order": order, "note": note})
-        else:
-            sub = RUNNERS[check_id](cfg, timings=timings)
-            records.extend(sub)
-            tables.append({"check_id": check_id, "axis": "none", "levels": [],
-                           "rel_errs": [], "order": None,
-                           "note": "check runs its own ladder"})
+                tables.append({"check_id": check_id, "axis": "none", "levels": [],
+                               "rel_errs": [], "order": None,
+                               "note": "check runs its own ladder"})
     report = Report(cfg.echo(), _environment(), records, convergence=tables)
     return report.finalize()

@@ -1,0 +1,44 @@
+"""Run-scoped cache: each mesh, spectrum and lambdified expression once per run.
+
+``run_config`` and ``convergence_study`` open a scope; inside it ``cached``
+keeps the value computed for a key until the scope closes, when the store
+is dropped.  Outside a scope ``cached`` just computes, so a direct call
+behaves as if there were no cache.
+
+Keys are content, never names: a mesh is keyed by (domain, mesh_h, level),
+a spectrum by its mesh key, potential expression, realization, degree,
+quadrature order, k and seed, a lambdified function by (expr, n).  Only
+meshes, spectra (k eigenpairs), interior curvature minima and functions are
+cached: no chain, operator or dense pencil is held beyond the check that
+built it.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from contextvars import ContextVar
+
+__all__ = ["scope", "cached"]
+
+_store: ContextVar[dict | None] = ContextVar("hodgecheck_run_cache", default=None)
+
+
+@contextmanager
+def scope():
+    """A fresh store for the duration of the block, dropped when it exits."""
+    token = _store.set({})
+    try:
+        yield
+    finally:
+        _store.reset(token)
+
+
+def cached(key, compute):
+    """The value stored under key in the open scope, computed on first use;
+    compute() itself outside a scope."""
+    store = _store.get()
+    if store is None:
+        return compute()
+    if key not in store:
+        store[key] = compute()
+    return store[key]

@@ -1,0 +1,172 @@
+"""The run-scoped cache: byte-identical reports, scope lifetime, content keys."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from hodgecheck import checks as checks_mod
+from hodgecheck import report as report_mod
+from hodgecheck import runcache
+from hodgecheck.config import load_config
+from hodgecheck.domains import DomainSpec
+from hodgecheck.meshing import SimplicialComplex
+from hodgecheck.potentials import Potential, _COORDS, _lambdify
+from hodgecheck.spectral import SpectralResult
+
+ROOT = Path(__file__).resolve().parents[1]
+SMALL_DISK = {
+    "domain": {"kind": "disk", "parameters": [1.0, 0.0, 0.0]},
+    "potential": "quadratic(1.0)", "degrees": [0, 1],
+    "realizations": ["normal", "tangential"], "N": ["inf", 4],
+    "checks": ["eigen_spectrum", "gap_lower_bound", "duality_spectrum",
+               "semiclassical_sweep", "hypothesis_check", "bl_scalar", "bl_forms",
+               "variance_identity", "intertwining", "hodge_decomposition"],
+    "mesh": {"target_h": 0.4, "refinements": 0}, "h_list": [1.0, 0.5],
+    "eigen_count": 3, "n_samples": 3, "seed": 5,
+}
+INTERVAL = DomainSpec.interval(0, 1)
+V1 = Potential.quadratic(1.0, 1)
+
+
+def _open():
+    return runcache._store.get() is not None
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_report_byte_identical_inside_and_outside_a_scope(monkeypatch):
+    """run_config shares meshes and spectra between checks; the same runners
+    called outside a scope compute everything afresh and give the same bytes.
+    The cache holds meshes, spectra, curvature minima and functions only,
+    never a chain, an operator or a dense pencil."""
+    cfg = load_config(SMALL_DISK)
+    stored = set()
+    lookup = runcache.cached
+
+    def spy(key, compute):
+        value = lookup(key, compute)
+        stored.add(type(value))
+        return value
+
+    monkeypatch.setattr(runcache, "cached", spy)
+    inside = report_mod.run_config(cfg).to_json()
+    assert not _open()
+    records = [r for cid in cfg.checks for r in report_mod.RUNNERS[cid](cfg)]
+    outside = report_mod.Report(cfg.echo(), report_mod._environment(), records)
+    assert outside.finalize().to_json() == inside
+    assert json.loads(inside)["summary"]["fail"] == 0
+    assert {t for t in stored if t.__name__ != "function"} == {
+        SimplicialComplex, SpectralResult, tuple}
+
+
+@pytest.mark.parametrize("entry", [report_mod.run_config, report_mod.convergence_study])
+def test_scope_dropped_on_return_and_on_raise(monkeypatch, entry):
+    cfg = load_config({"domain": {"kind": "interval", "parameters": [0, 1]},
+                       "potential": "zero", "degrees": [0], "realizations": ["normal"],
+                       "checks": ["eigen_spectrum"],
+                       "mesh": {"target_h": 0.25, "refinements": 2}})
+    seen = []
+    runner = report_mod.RUNNERS["eigen_spectrum"]
+
+    def spy(cfg, timings=False):
+        seen.append(_open())
+        return runner(cfg, timings=timings)
+
+    monkeypatch.setitem(report_mod.RUNNERS, "eigen_spectrum", spy)
+    entry(cfg)
+    assert seen and all(seen) and not _open()
+
+    def boom(cfg, timings=False):
+        raise RuntimeError("runner failed")
+
+    monkeypatch.setitem(report_mod.RUNNERS, "eigen_spectrum", boom)
+    with pytest.raises(RuntimeError, match="runner failed"):
+        entry(cfg)
+    assert not _open()
+
+
+def test_problems_differing_in_one_key_field_do_not_share(monkeypatch):
+    """Each of quad_order, realization, k, seed, the potential expression
+    (semiclassical h) and mesh_h makes a new entry; the potential's name
+    does not: rescaled(1.0) renames V but solves the same problem."""
+    solved = _counting(monkeypatch, checks_mod, "lowest_eigenpairs")
+
+    def spectrum(potential=V1, b="normal", k=3, seed=1, quad_order=4, mesh_h=1 / 16):
+        [[res]] = checks_mod._ladder(INTERVAL, mesh_h, 1, [(potential, b, 0)], k, seed,
+                                     quad_order)
+        return res
+
+    with runcache.scope():
+        base = spectrum()
+        assert spectrum() is base and spectrum(V1.rescaled(1.0)) is base
+        assert len(solved) == 1
+        variants = [dict(quad_order=6), dict(b="tangential"), dict(k=2), dict(seed=2),
+                    dict(potential=V1.rescaled(0.5)), dict(mesh_h=1 / 8)]
+        for i, variant in enumerate(variants, start=2):
+            assert spectrum(**variant) is not base
+            assert len(solved) == i
+    spectrum()
+    assert len(solved) == len(variants) + 2   # outside a scope every call solves
+
+
+def test_disk_suite_solves_each_spectrum_once(monkeypatch):
+    """On the shipped disk suite the three p = 0 gap cases and the direct
+    side of duality_spectrum ask for one ladder; it is solved once."""
+    raw = json.loads((ROOT / "examples_config" / "disk_suite.json").read_text())
+    raw["checks"] = ["eigen_spectrum", "gap_lower_bound", "duality_spectrum"]
+    requested = []
+    lookup = runcache.cached
+
+    def spy(key, compute):
+        if key[0] == "spectrum":
+            requested.append(key)
+        return lookup(key, compute)
+
+    monkeypatch.setattr(runcache, "cached", spy)
+    solved = _counting(monkeypatch, checks_mod, "lowest_eigenpairs")
+    rep = report_mod.run_config(load_config(raw))
+    assert rep.summary["fail"] == 0
+    assert len(solved) == len(set(requested)) < len(requested)
+    # levels 0-2 of the p = 0 normal ladder: three gap cases and duality's direct side
+    assert sorted(map(requested.count, set(requested)))[-4:] == [1, 4, 4, 4]
+
+
+def test_cached_spectrum_is_read_only():
+    with runcache.scope():
+        [[res]] = checks_mod._ladder(INTERVAL, 1 / 16, 1, [(V1, "normal", 0)], 3, 1)
+    for array in (res.eigenvalues, res.eigenvectors, res.residual_norms):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_lambdify_and_interior_minimum_once_per_run(monkeypatch):
+    """One function per (expr, n) in a run; the interior curvature minimum
+    of hypothesis_check is evaluated once for every realization and h."""
+    expr = _COORDS[0] ** 2
+    assert _lambdify(expr, 1) is not _lambdify(expr, 1)
+    with runcache.scope():
+        assert _lambdify(expr, 1) is _lambdify(expr, 1)
+    disk, pot = DomainSpec.disk(1.0), Potential.quadratic(2.0, 2)
+
+    def sweep():
+        return [r.to_json_dict() for b in ("normal", "tangential") for r in
+                checks_mod.semiclassical_sweep(pot, disk, b, 1, [1.0, 0.5, 0.25],
+                                               mesh_h=0.45)]
+
+    quads = _counting(monkeypatch, checks_mod, "domain_quadrature")
+    outside = sweep()
+    assert len(quads) == 6
+    with runcache.scope():
+        assert sweep() == outside
+    assert len(quads) == 7
