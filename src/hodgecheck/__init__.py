@@ -16,9 +16,9 @@ from .checks import (check_bl_forms, check_bl_scalar, check_gamma2,
                      eval_green_identity, eval_h1_identity, hypothesis_check,
                      quadratic_form_analytic, semiclassical_sweep)
 from .config import ConfigError, RunConfig, load_config
-from .curvature import (CurvatureData, EndomorphismField, PositivityViolationError,
+from .curvature import (EndomorphismField, PositivityViolationError,
                         bakry_emery_tensor, boundary_operator, hessian_p,
-                        invert_endo_field, lift_endomorphism, ricci_p, zero_ricci)
+                        invert_endo_field, lift_endomorphism)
 from .domains import DomainSpec, boundary_quadrature, domain_quadrature
 from .meshing import (SimplicialComplex, boundary_geometry, generate_mesh,
                       incidence_matrix, read_off, refine, write_off)
@@ -35,7 +35,7 @@ from .whitney import assemble_mass, interpolate
 
 __all__ = [
     "AnalyticForm", "AssembledOperator", "BoundaryConditionError", "CheckRecord",
-    "Cochain", "ConfigError", "CurvatureData", "DomainSpec", "EndomorphismField",
+    "Cochain", "ConfigError", "DomainSpec", "EndomorphismField",
     "HodgeSplit", "OperatorChain", "PositivityViolationError", "Potential",
     "Report", "RunConfig", "SimplicialComplex", "SpectralResult",
     "UnsupportedRealizationError", "WeightedMeasure", "assemble_mass",
@@ -48,6 +48,5 @@ __all__ = [
     "hodge_decompose", "hypothesis_check", "incidence_matrix", "interpolate",
     "invert_endo_field", "kernel_projector", "lift_endomorphism", "load_config",
     "lowest_eigenpairs", "parse_potential", "quadratic_form_analytic", "read_off",
-    "refine", "ricci_p", "run_config", "semiclassical_sweep", "solve_on_range",
-    "write_off", "zero_ricci",
+    "refine", "run_config", "semiclassical_sweep", "solve_on_range", "write_off",
 ]

@@ -1,10 +1,13 @@
 """Analytic differential forms with exact derivative evaluators.
 
 Components are sympy expressions in Cartesian coordinates (x1[, x2]); the
-constructors lambdify values and first derivatives, and the calculus
-helpers (exterior derivative, flat/weighted codifferential, weighted
-scalar Laplacian) produce new forms symbolically, so every identity check
-can integrate both of its sides from independent closed-form integrands.
+constructor lambdifies values, and first derivatives are lambdified on the
+first ``component_grads`` call.  The calculus helpers (exterior derivative,
+flat/weighted codifferential, interior and wedge products, Hodge star,
+weighted scalar Laplacian) produce new forms symbolically, so every identity
+check can integrate both of its sides from independent closed-form
+integrands.  The wedge, interior and star helpers contract the components
+with the matrices of ``exterior``, which owns the sign conventions.
 """
 
 from __future__ import annotations
@@ -36,8 +39,7 @@ class AnalyticForm:
         self.bc = bc
         self.name = name
         self._vals = [_lambdify(c, self.n) for c in comps]
-        self._grads = [[_lambdify(sp.diff(c, s), self.n) for s in _COORDS[:self.n]]
-                       for c in comps]
+        self._grads = None   # derivative evaluators, built by component_grads
 
     # -- pointwise evaluation ------------------------------------------------
     def components(self, x) -> np.ndarray:
@@ -46,6 +48,9 @@ class AnalyticForm:
 
     def component_grads(self, x) -> np.ndarray:
         """(m, C, n) array of d(component_c)/dx_i."""
+        if self._grads is None:
+            self._grads = [[_lambdify(sp.diff(c, s), self.n) for s in _COORDS[:self.n]]
+                           for c in self.comps]
         x = np.atleast_2d(np.asarray(x, dtype=float))
         out = np.empty((x.shape[0], len(self.comps), self.n))
         for c, row in enumerate(self._grads):
@@ -58,71 +63,56 @@ class AnalyticForm:
         return np.einsum("mc,mc->m", v, v)
 
     # -- symbolic calculus -----------------------------------------------------
+    def _contract(self, mats, coeffs, differentiate: bool, degree: int,
+                  name: str) -> "AnalyticForm":
+        """The form with components sum_{i, c} M_i[r, c] coeffs[i] v_c^i, where
+        v_c^i is component c, or its x_i derivative when differentiate.
+
+        Each term is built coefficient first, int(M_i[r, c]) * coeffs[i] *
+        v_c^i, summed over source components c, then i, and v_c^i is formed
+        only where M_i[r, c] is nonzero.
+        """
+        out = [sp.Integer(0)] * mats[0].shape[0]
+        for c in range(mats[0].shape[1]):
+            for i, M in enumerate(mats):
+                for r in np.flatnonzero(M[:, c]):
+                    v = sp.diff(self.comps[c], _COORDS[i]) if differentiate else self.comps[c]
+                    out[r] += int(M[r, c]) * coeffs[i] * v
+        return AnalyticForm(self.n, degree, out, name=name)
+
+    def _wedges(self):
+        """Matrices of dx_i ^ . on this degree, i = 1..n."""
+        return [exterior.wedge_covector_matrix(e, self.degree) for e in np.eye(self.n)]
+
+    def _interiors(self):
+        """Matrices of i_{e_i} on this degree, i = 1..n."""
+        return [exterior.interior_product_matrix(e, self.degree) for e in np.eye(self.n)]
+
     def d(self) -> "AnalyticForm":
-        """Exterior derivative (zero form at top degree)."""
-        n, p = self.n, self.degree
-        if p >= n:
+        """Exterior derivative d = sum_i dx_i ^ partial_i."""
+        if self.degree >= self.n:
             raise ValueError("exterior derivative at top degree")
-        src = exterior.basis_indices(n, p)
-        pos = exterior.basis_position(n, p + 1)
-        out = [sp.Integer(0)] * exterior.num_components(n, p + 1)
-        for j, I in enumerate(src):
-            for i in range(n):
-                ins = exterior._insertion_sign(i, I)
-                if ins is None:
-                    continue
-                sign, J = ins
-                out[pos[J]] += sign * sp.diff(self.comps[j], _COORDS[i])
-        return AnalyticForm(n, p + 1, out, bc="none", name=f"d({self.name})")
+        return self._contract(self._wedges(), [1] * self.n, True, self.degree + 1,
+                              f"d({self.name})")
 
     def codifferential(self) -> "AnalyticForm":
         """Flat codifferential d* = -sum_i i_{e_i} partial_i."""
-        n, p = self.n, self.degree
-        if p < 1:
+        if self.degree < 1:
             raise ValueError("codifferential at degree 0")
-        tgt = exterior.basis_indices(n, p - 1)
-        pos_src = exterior.basis_position(n, p)
-        out = [sp.Integer(0)] * len(tgt)
-        for kpos, K in enumerate(tgt):
-            for i in range(n):
-                ins = exterior._insertion_sign(i, K)
-                if ins is None:
-                    continue
-                sign, J = ins
-                out[kpos] += -sign * sp.diff(self.comps[pos_src[J]], _COORDS[i])
-        return AnalyticForm(n, p - 1, out, bc="none", name=f"d*({self.name})")
+        return self._contract(self._interiors(), [-1] * self.n, True, self.degree - 1,
+                              f"d*({self.name})")
 
     def interior_with(self, vec_exprs) -> "AnalyticForm":
         """Interior product with a vector field given by sympy components."""
-        n, p = self.n, self.degree
-        if p < 1:
+        if self.degree < 1:
             raise ValueError("interior product at degree 0")
-        tgt = exterior.basis_indices(n, p - 1)
-        pos_src = exterior.basis_position(n, p)
-        out = [sp.Integer(0)] * len(tgt)
-        for kpos, K in enumerate(tgt):
-            for i in range(n):
-                ins = exterior._insertion_sign(i, K)
-                if ins is None:
-                    continue
-                sign, J = ins
-                out[kpos] += sign * vec_exprs[i] * self.comps[pos_src[J]]
-        return AnalyticForm(n, p - 1, out, name=f"i_X({self.name})")
+        return self._contract(self._interiors(), vec_exprs, False, self.degree - 1,
+                              f"i_X({self.name})")
 
     def wedge_with(self, cov_exprs) -> "AnalyticForm":
         """Left wedge with a 1-form given by sympy components."""
-        n, p = self.n, self.degree
-        src = exterior.basis_indices(n, p)
-        pos = exterior.basis_position(n, p + 1)
-        out = [sp.Integer(0)] * exterior.num_components(n, p + 1)
-        for j, I in enumerate(src):
-            for i in range(n):
-                ins = exterior._insertion_sign(i, I)
-                if ins is None:
-                    continue
-                sign, J = ins
-                out[pos[J]] += sign * cov_exprs[i] * self.comps[j]
-        return AnalyticForm(n, p + 1, out, name=f"a^({self.name})")
+        return self._contract(self._wedges(), cov_exprs, False, self.degree + 1,
+                              f"a^({self.name})")
 
     def add(self, other: "AnalyticForm") -> "AnalyticForm":
         return AnalyticForm(self.n, self.degree,
@@ -135,13 +125,8 @@ class AnalyticForm:
         return self.codifferential().add(self.interior_with(gradV))
 
     def star(self) -> "AnalyticForm":
-        M = exterior.hodge_star_matrix(self.n, self.degree)
-        out = [sp.Integer(0)] * M.shape[0]
-        for i in range(M.shape[0]):
-            for j in range(M.shape[1]):
-                if M[i, j] != 0:
-                    out[i] += sp.Rational(int(M[i, j])) * self.comps[j]
-        return AnalyticForm(self.n, self.n - self.degree, out, name=f"*({self.name})")
+        return self._contract([exterior.hodge_star_matrix(self.n, self.degree)], [1], False,
+                              self.n - self.degree, f"*({self.name})")
 
     def weighted_laplacian_scalar(self, potential: Potential):
         """L^(0) w = -Delta w + grad V . grad w as a sympy expression (p = 0)."""

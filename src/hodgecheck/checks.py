@@ -33,14 +33,13 @@ import sympy as sp
 from . import exterior, runcache
 from .analytic_forms import AnalyticForm, BoundaryConditionError
 from .curvature import (bakry_emery_tensor, boundary_operator, hessian_p,
-                        invert_endo_field, restricted_min_eig, ricci_p, zero_ricci)
+                        invert_endo_field, restricted_min_eig)
 from .domains import DomainSpec, boundary_quadrature, domain_quadrature
 from .meshing import generate_mesh, refine
 from .operators import Cochain, OperatorChain, dual_problem
 from .potentials import Potential, WeightedMeasure
 from .records import CheckRecord, identity_record, inequality_record
-from .spectral import (kernel_projector, lowest_eigenpairs, range_kernel_projector,
-                       range_solver, solve_on_range)
+from .spectral import kernel_projector, lowest_eigenpairs, range_solver, solve_on_range
 
 __all__ = [
     "quadratic_form_analytic",
@@ -169,7 +168,7 @@ def eval_decomposition_identity(form: AnalyticForm, potential: Potential,
     vals = form.components(quad.points)
     t_curv = 0.0
     if form.degree >= 1:
-        field = hessian_p(potential, form.degree) + ricci_p(zero_ricci(form.n), form.degree)
+        field = hessian_p(potential, form.degree)
         t_curv = quad.integrate(field.quadratic(quad.points, vals))
     t_h1 = _weighted_h1_seminorm(form, fpot, domain, quad_order)
     t_bdy = 0.0
@@ -213,9 +212,7 @@ def _lie_term_quadratic(form, fpot, quad):
     lap = fpot.laplacian(pts)
     directional = np.einsum("mcx,mx->mc", grads, gf)
     lie = directional.copy()
-    from .curvature import lift_batch
-
-    lie += np.einsum("mij,mj->mi", lift_batch(H, p), vals)
+    lie += np.einsum("mij,mj->mi", exterior.lift_matrix(H, p), vals)
     lie_star = -directional - lap[:, None] * vals
     if p >= 1:
         W = [exterior.wedge_covector_matrix(e, p - 1) for e in np.eye(n)]
@@ -416,7 +413,7 @@ def _interior_min(potential: Potential, domain: DomainSpec, p: int, N: float | N
         if p == 1 and N is not None:
             field = bakry_emery_tensor(potential, N)
         else:
-            field = hessian_p(potential, p) + ricci_p(zero_ricci(potential.n), p)
+            field = hessian_p(potential, p)
         vals = field.min_eigenvalues(quad.points)
         i = int(np.argmin(vals))
         return float(vals[i]), tuple(float(c) for c in quad.points[i])
@@ -537,7 +534,7 @@ def check_bl_forms(form: AnalyticForm, potential: Potential, domain: DomainSpec,
                   "l2_norm_sq": sigma})
     rhs = math.nan
     if hyp.status == "satisfied":
-        field = hessian_p(potential, p) + ricci_p(zero_ricci(n), p)
+        field = hessian_p(potential, p)
         inv = invert_endo_field(field, POSITIVITY_TOL)
         D = form.d() if variant == "coclosed" else form.codifferential_weighted(potential)
         dvals = D.components(quad.points)
@@ -605,7 +602,7 @@ def variance_identity_record(domain: DomainSpec, potential: Potential, b: str,
     chain = OperatorChain(cplx, potential, b, quad_order)
     kernel1 = None
     if domain.kind in ("annulus", "flat_torus", "circle"):
-        kernel1 = range_kernel_projector(chain.operator(1), seed=seed)
+        kernel1 = kernel_projector(chain.operator(1), seed=seed)
     rng = np.random.default_rng(seed)
     worst = 0.0
     pair = (0.0, 0.0)
@@ -804,7 +801,7 @@ def hodge_decomposition_record(domain: DomainSpec, potential: Potential, b: str,
     cplx = _mesh(domain, mesh_h)
     chain = OperatorChain(cplx, potential, b, quad_order)
     op = chain.operator(p)
-    kp = range_kernel_projector(op, seed=seed)
+    kp = kernel_projector(op, seed=seed)
     rng = np.random.default_rng(seed)
     worst_rec, worst_orth = 0.0, 0.0
     for _ in range(n_samples):

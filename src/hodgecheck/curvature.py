@@ -2,8 +2,10 @@
 
 Everything is expressed in the global Cartesian frame of the flat ambient
 space, where the local orthonormal frames collapse to the standard basis;
-this is the package's scope boundary (Ric == 0 on all supported domains,
-carried as a pluggable field regardless).
+this is the package's scope boundary: Ric = 0 on every supported domain, so
+the Bochner-Weitzenboeck curvature term of the Witten Laplacian is the lift
+of 2 Hess f = Hess V alone (``hessian_p``).  Lifts to Lambda^p come from
+``exterior.lift_matrix``, applied to whole batches of points at once.
 
 Boundary operators, with outward unit normal nu, tangent T, scalar shape
 operator K1 (so grad_T nu = -K1 T, convex <=> K1 <= 0):
@@ -20,7 +22,7 @@ Both vanish on 0-forms and on 1D domains (the boundary is points).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 import json
 
 import numpy as np
@@ -30,13 +32,9 @@ from .potentials import Potential
 
 __all__ = [
     "EndomorphismField",
-    "CurvatureData",
     "PositivityViolationError",
-    "lift_batch",
     "lift_endomorphism",
     "hessian_p",
-    "ricci_p",
-    "zero_ricci",
     "bakry_emery_tensor",
     "boundary_operator",
     "invert_endo_field",
@@ -81,14 +79,6 @@ class EndomorphismField:
             raise ValueError(f"field {self.name} not symmetric: deviation {sym_dev:.2e}")
         return out
 
-    def __add__(self, other: "EndomorphismField") -> "EndomorphismField":
-        if (self.degree, self.n) != (other.degree, other.n):
-            raise ValueError("field degree/dimension mismatch")
-        return EndomorphismField(
-            self.degree, self.n,
-            lambda x, a=self, b=other: a.evaluate(x) + b.evaluate(x),
-            self.support, f"{self.name}+{other.name}")
-
     def apply(self, points: np.ndarray, comps: np.ndarray) -> np.ndarray:
         """Matrix-vector action at each point: (m, C) -> (m, C)."""
         return np.einsum("mij,mj->mi", self.evaluate(points), comps)
@@ -114,39 +104,6 @@ def constant_field(degree: int, n: int, matrix: np.ndarray, name="const",
         support, name)
 
 
-@dataclass
-class CurvatureData:
-    """Pluggable ambient curvature; identically zero on supported flat domains."""
-
-    n: int
-    ric1_field: EndomorphismField = dc_field(default=None)
-
-    def __post_init__(self):
-        if self.ric1_field is None:
-            C = exterior.num_components(self.n, 1)
-            self.ric1_field = constant_field(1, self.n, np.zeros((C, C)), name="Ric1=0")
-
-
-def lift_batch(A: np.ndarray, p: int) -> np.ndarray:
-    """Derivation lift applied to a batch of 1-form endomorphisms (m,n,n)."""
-    A = np.asarray(A, dtype=float)
-    m, n = A.shape[0], A.shape[1]
-    src = exterior.basis_indices(n, p)
-    pos = exterior.basis_position(n, p)
-    C = len(src)
-    out = np.zeros((m, C, C))
-    for j, I in enumerate(src):
-        for slot in range(p):
-            rest = I[:slot] + I[slot + 1:]
-            for k in range(n):
-                ins = exterior._insertion_sign(k, rest)
-                if ins is None:
-                    continue
-                sign, J = ins
-                out[:, pos[J], j] += sign * (-1) ** slot * A[:, k, I[slot]]
-    return out
-
-
 def lift_endomorphism(field: EndomorphismField, p: int) -> EndomorphismField:
     """(A)^(p): sum over wedge slots of the 1-form endomorphism A."""
     if field.degree != 1:
@@ -154,7 +111,7 @@ def lift_endomorphism(field: EndomorphismField, p: int) -> EndomorphismField:
     if not (0 <= p <= field.n):
         raise ValueError(f"lift degree p={p} out of range")
     return EndomorphismField(p, field.n,
-                             lambda x, f=field: lift_batch(f.evaluate(x), p),
+                             lambda x, f=field: exterior.lift_matrix(f.evaluate(x), p),
                              field.support, f"lift{p}({field.name})")
 
 
@@ -165,20 +122,8 @@ def hessian_p(potential: Potential, p: int) -> EndomorphismField:
     return lift_endomorphism(base, p)
 
 
-def zero_ricci(n: int) -> CurvatureData:
-    return CurvatureData(n)
-
-
-def ricci_p(curvature: CurvatureData, p: int) -> EndomorphismField:
-    """Weitzenboeck curvature term on Lambda^p; vanishes on 0-forms."""
-    if p == 0:
-        return constant_field(0, curvature.n, np.zeros((1, 1)), name="Ric0=0")
-    return lift_endomorphism(curvature.ric1_field, p)
-
-
-def bakry_emery_tensor(potential: Potential, N: float,
-                       curvature: CurvatureData | None = None) -> EndomorphismField:
-    """Ric + Hess V - (1/(N-n)) grad V (x) grad V on 1-forms.
+def bakry_emery_tensor(potential: Potential, N: float) -> EndomorphismField:
+    """Ric + Hess V - (1/(N-n)) grad V (x) grad V on 1-forms, with Ric = 0.
 
     Admissible N: (-inf, 0] union [n, +inf]; N = n only for constant V
     (the correction term is dropped entirely at N = +inf).
@@ -188,10 +133,9 @@ def bakry_emery_tensor(potential: Potential, N: float,
         raise ValueError(f"N={N} in the forbidden band (0, {n})")
     if N == n and not potential.is_constant:
         raise ValueError(f"N = n = {n} requires a constant potential")
-    curv = curvature if curvature is not None else zero_ricci(n)
 
     def evaluator(x):
-        H = potential.hess(x) + curv.ric1_field.evaluate(x)
+        H = potential.hess(x)
         if N == np.inf or N == n:
             return H
         g = potential.grad(x)
@@ -212,13 +156,13 @@ def _boundary_matrices(b: str, p: int, normals: np.ndarray, k1: np.ndarray,
     T = np.column_stack([-normals[:, 1], normals[:, 0]])
     K1_full = k1[:, None, None] * np.einsum("mi,mj->mij", T, T)
     if b == "normal":
-        lift = lift_batch(-K1_full, p)
+        lift = exterior.lift_matrix(-K1_full, p)
         for i in range(m):
             Pt = exterior.tangential_projector(normals[i], p)
             out[i] = Pt @ lift[i] @ Pt
         return out
     if b == "tangential":
-        lift = lift_batch(K1_full, p - 1)
+        lift = exterior.lift_matrix(K1_full, p - 1)
         Cm = exterior.num_components(n, p - 1)
         mid = lift - trace_k1[:, None, None] * np.eye(Cm)[None, :, :]
         for i in range(m):

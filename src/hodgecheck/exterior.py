@@ -7,6 +7,11 @@ product, derivation lifts, exterior powers, Hodge star) become small dense
 matrices on those coefficient vectors, which is what the quadrature-point
 evaluators in the rest of the package consume.
 
+This is the one module that knows the insertion-sign rule
+(``_insertion_sign``): the symbolic calculus of ``analytic_forms`` contracts
+with ``wedge_covector_matrix`` and ``interior_product_matrix``, and every
+curvature and boundary lift goes through ``lift_matrix``.
+
 The domain modules only use n in {1, 2}; everything here works for any n
 since the lift algebra is tested against brute-force enumeration in n = 3.
 """
@@ -90,28 +95,27 @@ def lift_matrix(a: np.ndarray, p: int) -> np.ndarray:
 
     Acts on decomposable forms as the sum over wedge slots of ``a`` applied
     in each slot; the lift of the Hessian and of the Weitzenboeck/boundary
-    operators all go through here.  For p = 0 the lift is the 1x1 zero
-    matrix (empty slot sum).
+    operators all go through here.  ``a`` may be one (n, n) matrix or a
+    batch (..., n, n), lifted matrix by matrix.  For p = 0 the lift is the
+    1x1 zero matrix (empty slot sum).
     """
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
+    n = a.shape[-1]
     src = basis_indices(n, p)
     pos = basis_position(n, p)
-    out = np.zeros((len(src), len(src)))
+    out = np.zeros(a.shape[:-2] + (len(src), len(src)))
     for j, I in enumerate(src):
         for slot in range(p):
             rest = I[:slot] + I[slot + 1:]
-            col = a[:, I[slot]]  # a e_{I[slot]} = sum_k a[k, I[slot]] e_k
             for k in range(n):
-                if col[k] == 0.0:
-                    continue
                 ins = _insertion_sign(k, rest)
                 if ins is None:
                     continue
                 sign, J = ins
-                # e_k sits in the replaced slot; sorting it into place costs
+                # a e_{I[slot]} = sum_k a[k, I[slot]] e_k; e_k sits in the
+                # replaced slot, and sorting it into place costs
                 # (slot - insertion position) transpositions
-                out[pos[J], j] += sign * (-1) ** slot * col[k]
+                out[..., pos[J], j] += sign * (-1) ** slot * a[..., k, I[slot]]
     return out
 
 

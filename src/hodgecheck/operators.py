@@ -78,10 +78,11 @@ class OperatorChain:
     matrices are assembled lazily and shared between the per-degree
     operators, which is what makes the supersymmetry identity exact at the
     matrix level.  The sparse up-blocks of the stiffness, mass
-    factorizations and the dense pencils of range solves are cached beside
-    them.  The chain keeps no AssembledOperator: an operator refers back to
-    its chain, and that cycle would keep each chain and its factorizations
-    alive until the cyclic garbage collector runs.  ``quad_orders`` may
+    factorizations and the dense pencils (of spectra, kernel projectors and
+    range solves alike) are cached beside them.  The chain keeps no
+    AssembledOperator: an operator refers back to its chain, and that cycle
+    would keep each chain and its factorizations alive until the cyclic
+    garbage collector runs.  ``quad_orders`` may
     assign a different quadrature order per degree (used as a negative
     control: mismatched orders break the shared-mass assumption).
     """
@@ -236,21 +237,15 @@ class AssembledOperator:
             S += B.T @ self.chain.mass_factor(self.p - 1).solve(B)
         return 0.5 * (S + S.T)
 
-    def pencil(self, keep: bool = True):
+    def pencil(self):
         """Eigenvalues (ascending) and M-orthonormal eigenvectors of the dense
-        pencil (S_p, M_p).
-
-        Read from the chain's cache when present; otherwise computed, and
-        cached only when keep (the range solves keep it, a spectrum alone
-        does not hold the dense vectors).
+        pencil (S_p, M_p), computed once per chain and degree and kept on the
+        chain (a spectrum, a kernel projector and the range solves share it).
         """
         cache = self.chain._pencil
-        if self.p in cache:
-            return cache[self.p]
-        pair = dla.eigh(self.stiffness_dense(), self.M.toarray())
-        if keep:
-            cache[self.p] = pair
-        return pair
+        if self.p not in cache:
+            cache[self.p] = dla.eigh(self.stiffness_dense(), self.M.toarray())
+        return cache[self.p]
 
 
 def assemble_weighted_laplacian(cplx: SimplicialComplex, p: int, potential: Potential,

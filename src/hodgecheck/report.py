@@ -87,7 +87,9 @@ def _labels(cfg: RunConfig) -> dict:
 
 
 def _interval_oracle(cfg: RunConfig, p: int, b: str, k: int):
-    if (cfg.domain.kind != "interval" or p != 0 or cfg.potential.name != "zero"):
+    """(j pi / L)^2 for p = 0 on an interval under a constant potential,
+    whose weight cancels from both sides of the pencil."""
+    if cfg.domain.kind != "interval" or p != 0 or not cfg.potential.is_constant:
         return None
     a, c = cfg.domain.parameters
     L = c - a

@@ -44,7 +44,6 @@ __all__ = [
     "SolverError",
     "lowest_eigenpairs",
     "kernel_projector",
-    "range_kernel_projector",
     "KernelProjector",
     "hodge_decompose",
     "solve_on_range",
@@ -132,7 +131,7 @@ def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-9,
     if tol <= 0:
         raise ValueError("tol must be positive")
     if op.dim <= DENSE_CUTOFF:
-        vals, vecs = op.pencil(keep=False)
+        vals, vecs = op.pencil()
         vals, vecs = vals[:k], vecs[:, :k]
         solver = "dense-eigh"
     elif not op.has_down:
@@ -248,17 +247,6 @@ def kernel_projector(op: AssembledOperator, kernel_threshold: float | None = Non
     return KernelProjector(op.M, basis, window)
 
 
-def range_kernel_projector(op: AssembledOperator, seed: int = 1234) -> KernelProjector:
-    """kernel_projector of an operator that range solves will follow.
-
-    On the dense-pencil path the pencil is computed and kept on the chain
-    first, so the projector and the solves share one decomposition.
-    """
-    if range_solver(op.dim) == "dense-pencil":
-        op.pencil()
-    return kernel_projector(op, seed=seed)
-
-
 def range_solver(dim: int) -> str:
     """The path solve_on_range takes on an operator of dimension dim:
     "dense-pencil" or "projected-cg"."""
@@ -282,8 +270,8 @@ def solve_on_range(op: AssembledOperator, rhs: np.ndarray, tol: float = 1e-11,
       lambda_max; every other mode is inverted however small its
       eigenvalue, as CG does.  A
       right side that needs a mode at roundoff fails the test on this path.
-      The first solve on a chain pays the decomposition unless
-      range_kernel_projector already did; on a 2D chain a single solve
+      The first solve on a chain pays the decomposition unless a spectrum
+      or kernel_projector already did; on a 2D chain a single solve
       without a projector costs more than CG.
     * "projected-cg": conjugate gradients preconditioned by M^{-1}, deflating
       kernel components by explicit projection every iteration.  When the
@@ -382,7 +370,7 @@ def hodge_decompose(x: Cochain, op: AssembledOperator,
     """
     chain, p = op.chain, op.p
     if kernel is None:
-        kernel = range_kernel_projector(op)
+        kernel = kernel_projector(op)
     xk = kernel.apply(x.values)
     v = solve_on_range(op, x.values - xk, tol=tol, kernel=kernel)
     vc = Cochain(p, x.realization, v)

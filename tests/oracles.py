@@ -1,7 +1,12 @@
 """Independent oracles shared by the test modules."""
 
+from itertools import combinations
+
 import numpy as np
 import scipy.linalg as dla
+import sympy as sp
+
+from hodgecheck.potentials import _COORDS
 
 
 def fd_oracle_1d(a, b, ne, potential, bc):
@@ -62,3 +67,72 @@ def edge_table_oracle(cplx):
     for i in np.nonzero(bedge)[0]:
         bvert[edges[i]] = True
     return idx, sgn, D1, bedge, bvert
+
+
+def _insert(idx, tup):
+    """Insert idx into the increasing tuple: (sign, tuple), None if present."""
+    if idx in tup:
+        return None
+    pos = sum(1 for t in tup if t < idx)
+    return (-1) ** pos, tup[:pos] + (idx,) + tup[pos:]
+
+
+def _basis(n, p):
+    return list(combinations(range(n), p))
+
+
+def exterior_calculus_oracle(form, op, exprs=None):
+    """Components of d, d*, i_X, a ^ or star of an AnalyticForm, one
+    insertion at a time with the sign rule written out here.
+
+    op is "d", "codifferential", "interior", "wedge" or "star"; exprs holds
+    the vector field (interior) or 1-form (wedge) components.  Each term is
+    accumulated coefficient first, so the result is structurally equal to
+    the symbolic calculus it checks.
+    """
+    n, p, comps = form.n, form.degree, form.comps
+    xs = _COORDS[:n]
+    if op in ("d", "wedge"):
+        src = _basis(n, p)
+        pos = {J: k for k, J in enumerate(_basis(n, p + 1))}
+        out = [sp.Integer(0)] * len(pos)
+        for j, I in enumerate(src):
+            for i in range(n):
+                ins = _insert(i, I)
+                if ins is None:
+                    continue
+                sign, J = ins
+                if op == "d":
+                    out[pos[J]] += sign * sp.diff(comps[j], xs[i])
+                else:
+                    out[pos[J]] += sign * exprs[i] * comps[j]
+        return out
+    if op in ("codifferential", "interior"):
+        tgt = _basis(n, p - 1)
+        pos_src = {J: k for k, J in enumerate(_basis(n, p))}
+        out = [sp.Integer(0)] * len(tgt)
+        for kpos, K in enumerate(tgt):
+            for i in range(n):
+                ins = _insert(i, K)
+                if ins is None:
+                    continue
+                sign, J = ins
+                if op == "codifferential":
+                    out[kpos] += -sign * sp.diff(comps[pos_src[J]], xs[i])
+                else:
+                    out[kpos] += sign * exprs[i] * comps[pos_src[J]]
+        return out
+    if op == "star":
+        pos = {J: k for k, J in enumerate(_basis(n, n - p))}
+        out = [sp.Integer(0)] * len(pos)
+        for j, I in enumerate(_basis(n, p)):
+            Ic = tuple(k for k in range(n) if k not in I)
+            perm = list(I + Ic)
+            sign = 1
+            for a in range(n):
+                for b in range(a + 1, n):
+                    if perm[a] > perm[b]:
+                        sign = -sign
+            out[pos[Ic]] += sp.Rational(sign) * comps[j]
+        return out
+    raise ValueError(op)

@@ -7,6 +7,7 @@ import sympy as sp
 from hodgecheck.analytic_forms import AnalyticForm, BoundaryConditionError
 from hodgecheck.domains import DomainSpec, boundary_quadrature, domain_quadrature
 from hodgecheck.potentials import Potential, _COORDS
+from oracles import exterior_calculus_oracle
 
 x1, x2 = _COORDS
 
@@ -104,3 +105,53 @@ def test_interpolation_exact_for_whitney_fields():
     top = AnalyticForm(2, 2, [sp.Integer(3)])
     c2 = chain.interpolate(top)
     assert np.allclose(c2.values, 3 * m.top_volumes(), atol=1e-13)
+
+
+_CALCULUS_FORMS = {
+    1: {0: [0.3 * x1**3 - x1], 1: [x1**2 + 0.2 * x1]},
+    2: {0: [0.7 * x1**2 * x2 + sp.sin(x2)],
+        1: [x1 * x2 + 0.25 * x2**3, 1.5 * x1**2 - x2],
+        2: [0.5 * x1 * x2**2 + x1]},
+}
+_CALCULUS_POTENTIALS = {1: 0.5 * x1**2 + 0.3 * x1,
+                        2: 0.5 * x1**2 + 0.5 * x2**2 + 0.3 * x1 * x2}
+
+
+@pytest.mark.parametrize("n, p", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)])
+def test_calculus_matches_insertion_oracle(n, p):
+    """d, d*, i_X, a ^ and star are structurally equal to the one-insertion-
+    at-a-time loops of the oracle, so the lambdified integrands do not move;
+    the vector field and 1-form are the gradient of a float-coefficient
+    potential, whose components are sums."""
+    form = AnalyticForm(n, p, _CALCULUS_FORMS[n][p])
+    grad = [sp.diff(_CALCULUS_POTENTIALS[n], s) for s in _COORDS[:n]]
+    ops = {"wedge": form.wedge_with(grad), "star": form.star()}
+    if p < n:
+        ops["d"] = form.d()
+    if p >= 1:
+        ops["codifferential"] = form.codifferential()
+        ops["interior"] = form.interior_with(grad)
+    for op, got in ops.items():
+        want = exterior_calculus_oracle(form, op, grad)
+        assert [sp.srepr(c) for c in got.comps] == [sp.srepr(c) for c in want], op
+
+
+def test_derivatives_built_on_first_use(monkeypatch):
+    """Constructing a form takes no derivative; component_grads takes one per
+    component and coordinate and returns the exact gradients."""
+    comps = _CALCULUS_FORMS[2][1]
+    want = [[sp.lambdify(_COORDS, sp.diff(c, s)) for s in _COORDS] for c in comps]
+    calls = []
+    diff = sp.diff
+    monkeypatch.setattr(sp, "diff", lambda *a, **k: calls.append(1) or diff(*a, **k))
+    form = AnalyticForm(2, 1, comps)
+    assert calls == []
+    pts = np.random.default_rng(4).uniform(-1, 1, (7, 2))
+    grads = form.component_grads(pts)
+    assert len(calls) == 4
+    for c in range(2):
+        for i in range(2):
+            assert np.allclose(grads[:, c, i], want[c][i](pts[:, 0], pts[:, 1]),
+                               rtol=1e-14, atol=1e-14)
+    form.component_grads(pts)
+    assert len(calls) == 4

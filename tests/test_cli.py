@@ -201,6 +201,20 @@ def test_list_presets(capsys):
         assert needle in out
 
 
+@pytest.mark.parametrize("extra", [{"h_param": 0.5},
+                                   {"potential": {"terms": [[0, 0.0]]}}],
+                         ids=["zero-rescaled", "constant-table"])
+def test_interval_oracle_for_any_constant_potential(extra):
+    """A constant potential cancels from S and M, so the closed-form interval
+    oracle grades it whatever the potential is called."""
+    cfg = load_config({**BASE, **extra, "realizations": ["normal", "tangential"]})
+    assert cfg.potential.name != "zero" and cfg.potential.is_constant
+    records = run_config(cfg).records
+    assert len(records) == 2
+    for rec in records:
+        assert rec.kind == "identity" and rec.passed and "oracle" in rec.extra
+
+
 def test_convergence_study_orders():
     cfg = load_config({**BASE, "checks": ["eigen_spectrum"],
                        "mesh": {"target_h": 1 / 16, "refinements": 3}})

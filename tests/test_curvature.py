@@ -9,8 +9,7 @@ import pytest
 from hodgecheck.curvature import (EndomorphismField,
                                   PositivityViolationError, bakry_emery_tensor,
                                   boundary_operator, hessian_p, invert_endo_field,
-                                  lift_endomorphism, restricted_min_eig, ricci_p,
-                                  zero_ricci)
+                                  lift_endomorphism, restricted_min_eig)
 from hodgecheck.domains import DomainSpec, boundary_quadrature
 from hodgecheck.potentials import Potential
 
@@ -38,23 +37,16 @@ def test_lift_endomorphism_identity_passthrough():
         lift_endomorphism(field, 3)
 
 
-def test_ricci_zero_on_flat():
-    curv = zero_ricci(2)
-    for p in (0, 1, 2):
-        assert np.abs(ricci_p(curv, p).evaluate(PTS)).max() == 0.0
-
-
 def test_bakry_emery_tensor():
     V = Potential.quadratic(1.5, 1)
     x = np.array([[0.7]])
     for N in (4.0, -1.0, 0.0):
         got = bakry_emery_tensor(V, N).evaluate(x)[0, 0, 0]
         assert np.isclose(got, 1.5 - (1.5 * 0.7) ** 2 / (N - 1))
-    # N = +inf drops the correction and equals Ric + Hess exactly
+    # N = +inf drops the correction and equals Ric + Hess = Hess exactly (Ric = 0)
     V2 = Potential.quartic_double_well(0.9, 2)
     inf_field = bakry_emery_tensor(V2, math.inf)
-    ref = hessian_p(V2, 1) + ricci_p(zero_ricci(2), 1)
-    assert np.allclose(inf_field.evaluate(PTS), ref.evaluate(PTS), atol=1e-14)
+    assert np.allclose(inf_field.evaluate(PTS), hessian_p(V2, 1).evaluate(PTS), atol=1e-14)
     with pytest.raises(ValueError):
         bakry_emery_tensor(Potential.quadratic(1.0, 2), 1.5)
     with pytest.raises(ValueError):

@@ -39,6 +39,19 @@ def test_lift_examples():
     assert exterior.lift_matrix(A, 0)[0, 0] == 0.0
 
 
+def test_lift_batch_equals_stacked_lifts():
+    """A batch (m, k, n, n) lifts matrix by matrix."""
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 3):
+        A = rng.standard_normal((4, 3, n, n))
+        for p in range(n + 1):
+            batch = exterior.lift_matrix(A, p)
+            C = exterior.num_components(n, p)
+            assert batch.shape == (4, 3, C, C)
+            for idx in np.ndindex(4, 3):
+                assert np.array_equal(batch[idx], exterior.lift_matrix(A[idx], p))
+
+
 def test_lift_linearity():
     rng = np.random.default_rng(5)
     for n, p in [(2, 2), (3, 2), (3, 3)]:
