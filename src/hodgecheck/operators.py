@@ -31,6 +31,7 @@ import scipy.linalg as dla
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
+from . import runcache
 from .meshing import SimplicialComplex, incidence_matrix
 from .potentials import Potential
 from .whitney import assemble_mass
@@ -82,9 +83,12 @@ class OperatorChain:
     range solves alike) are cached beside them.  The chain keeps no
     AssembledOperator: an operator refers back to its chain, and that cycle
     would keep each chain and its factorizations alive until the cyclic
-    garbage collector runs.  ``quad_orders`` may
-    assign a different quadrature order per degree (used as a negative
-    control: mismatched orders break the shared-mass assumption).
+    garbage collector runs.  The full mass of each degree, before a
+    realization restricts it to its free DOFs, is read from the run cache
+    (see runcache), so the chains of one run on one mesh assemble it once.
+    ``quad_orders`` may assign a different quadrature order per degree (used
+    as a negative control: mismatched orders break the shared-mass
+    assumption).
     """
 
     def __init__(self, cplx: SimplicialComplex, potential: Potential,
@@ -128,7 +132,15 @@ class OperatorChain:
     def mass(self, p: int) -> sparse.csr_matrix:
         if p not in self._mass:
             order = self.quad_orders.get(p, self.quad_order)
-            M = assemble_mass(self.cplx, p, self.potential, order)
+
+            def assemble():
+                M = assemble_mass(self.cplx, p, self.potential, order)
+                for array in (M.data, M.indices, M.indptr):
+                    array.flags.writeable = False   # shared by the chains of a run
+                return self.cplx, M   # holding the complex keeps its id from reuse
+
+            _, M = runcache.cached(("mass", id(self.cplx), p, self.potential.expr,
+                                    self.potential.n, order), assemble)
             free = self.free_dofs(p)
             self._mass[p] = M[np.ix_(free, free)].tocsc()
         return self._mass[p]

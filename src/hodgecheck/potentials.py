@@ -1,6 +1,6 @@
 """Analytic potentials V and the weighted probability measure exp(-V) dmu / Z.
 
-A Potential bundles mutually consistent evaluators for V, grad V, Hess V и
+A Potential bundles mutually consistent evaluators for V, grad V, Hess V and
 Delta V (= trace Hess V, the Euclidean sign convention).  Evaluators are
 lambdified from one sympy expression so consistency is structural; the
 finite-difference validator below is the independent guard the type
@@ -44,6 +44,22 @@ def _lambdify(expr, n):
     return runcache.cached(("lambdify", expr, n), build)
 
 
+def _derive(expr, n):
+    """(gradient, Hessian, Laplacian evaluators, is_constant, poly_degree)
+    of V = expr on R^n; once per (expr, n) in a run."""
+    def build():
+        syms = _COORDS[:n]
+        grad = tuple(_lambdify(sp.diff(expr, s), n) for s in syms)
+        hess = tuple(tuple(_lambdify(sp.diff(expr, si, sj), n) for sj in syms) for si in syms)
+        lap = _lambdify(sum(sp.diff(expr, s, 2) for s in syms), n)
+        is_constant = all(sp.simplify(sp.diff(expr, s)) == 0 for s in syms)
+        poly = expr.as_poly(*syms) if expr.free_symbols else None
+        poly_degree = poly.total_degree() if poly is not None else (0 if is_constant else None)
+        return grad, hess, lap, is_constant, poly_degree
+
+    return runcache.cached(("potential", expr, n), build)
+
+
 class Potential:
     """Potential with exact derivative evaluators on R^n."""
 
@@ -55,15 +71,9 @@ class Potential:
         self.h_param = float(h_param)
         # effective potential V/h is what every evaluator sees
         self.expr = sp.sympify(expr) / h_param
-        syms = _COORDS[: self.n]
         self._v = _lambdify(self.expr, self.n)
-        self._grad = [_lambdify(sp.diff(self.expr, s), self.n) for s in syms]
-        self._hess = [[_lambdify(sp.diff(self.expr, si, sj), self.n) for sj in syms] for si in syms]
-        lap = sum(sp.diff(self.expr, s, 2) for s in syms)
-        self._lap = _lambdify(lap, self.n)
-        self.is_constant = all(sp.simplify(sp.diff(self.expr, s)) == 0 for s in syms)
-        poly = self.expr.as_poly(*syms) if self.expr.free_symbols else None
-        self.poly_degree = poly.total_degree() if poly is not None else (0 if self.is_constant else None)
+        (self._grad, self._hess, self._lap, self.is_constant,
+         self.poly_degree) = _derive(self.expr, self.n)
 
     # -- evaluators ----------------------------------------------------------
     def value(self, x) -> np.ndarray:

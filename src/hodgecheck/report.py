@@ -20,6 +20,7 @@ import csv
 import json
 import math
 import time
+import traceback
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -128,7 +129,10 @@ def _runner(check_id: str, axes, case_fn):
     Cases run in the order of _cases, outermost first; case_fn returns one
     record or a list of them.  A case whose N was flagged inadmissible at
     parse time yields a not_applicable record without running, and an
-    exception raised in a case becomes that case's error record.  With timings, the records of a case share its wall time.
+    exception raised in a case becomes that case's error record, with
+    ``Type: message`` as its error and the formatted traceback as
+    ``extra.traceback``.  With timings, the records of a case share its wall
+    time.
     """
     def run(cfg: RunConfig, timings: bool = False) -> list:
         records = []
@@ -145,7 +149,8 @@ def _runner(check_id: str, axes, case_fn):
                     batch = out if isinstance(out, list) else [out]
                 except Exception as e:  # captured per case, never aborts the batch
                     batch = [CheckRecord(check_id, kind="report", **_labels(cfg), **case,
-                                         error=f"{type(e).__name__}: {e}")]
+                                         error=f"{type(e).__name__}: {e}",
+                                         extra={"traceback": traceback.format_exc()})]
             if timings and batch:
                 per = (time.perf_counter() - start) * 1000.0 / len(batch)
                 for r in batch:

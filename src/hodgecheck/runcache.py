@@ -1,4 +1,5 @@
-"""Run-scoped cache: each mesh, spectrum and lambdified expression once per run.
+"""Run-scoped cache: each mesh, spectrum, mass, potential derivation and
+lambdified expression once per run.
 
 ``run_config`` and ``convergence_study`` open a scope; inside it ``cached``
 keeps the value computed for a key until the scope closes, when the store
@@ -7,10 +8,14 @@ behaves as if there were no cache.
 
 Keys are content, never names: a mesh is keyed by (domain, mesh_h, level),
 a spectrum by its mesh key, potential expression, realization, degree,
-quadrature order, k and seed, a lambdified function by (expr, n).  Only
-meshes, spectra (k eigenpairs), interior curvature minima and functions are
-cached: no chain, operator or dense pencil is held beyond the check that
-built it.
+quadrature order, k and seed, a full weighted mass by the identity of its
+complex (held in the value, so the id is not reused while the scope is
+open), degree, potential expression, n and quadrature order, a potential's
+derivatives by (expr, n), a lambdified function by (expr, n).  Only meshes,
+spectra (k eigenpairs), interior curvature minima, functions, full masses
+(read-only, before a realization restricts them) and potential derivations
+are cached: no chain, operator, factorization or dense pencil is held beyond
+the check that built it.
 """
 
 from __future__ import annotations

@@ -335,6 +335,28 @@ def test_raising_case_becomes_its_error_record():
     assert recs[1].domain == "interval[0.0, 1.0]" and recs[1].potential == "quadratic(1)"
 
 
+def test_error_record_carries_the_traceback(tmp_path):
+    """An error record keeps the formatted traceback of the exception that
+    made it, and the JSON report carries it as extra.traceback."""
+    cfg = load_config(BASE)
+
+    def case(cfg, p, b):
+        raise RuntimeError("boom")
+
+    [rec] = report_mod._runner("eigen_spectrum", (report_mod.DEGREES,
+                                                  report_mod.REALIZATIONS), case)(cfg)
+    assert rec.error == "RuntimeError: boom"
+    tb = rec.extra["traceback"]
+    assert tb.startswith("Traceback (most recent call last):\n")
+    assert 'raise RuntimeError("boom")' in tb and tb.endswith("RuntimeError: boom\n")
+    path = _write(tmp_path, {
+        "domain": {"kind": "flat_torus", "parameters": [1.0, 1.0]}, "checks": ["gamma2"]})
+    out = tmp_path / "report.json"
+    assert main(["run", path, "--out", str(out)]) == 1
+    [rec] = json.loads(out.read_text())["records"]
+    assert rec["extra"]["traceback"].endswith("ValueError: no bubble for flat_torus\n")
+
+
 def test_converge_captures_raising_case(tmp_path):
     """gamma2 has no bump on a closed domain: an error record, not a config error."""
     path = _write(tmp_path, {

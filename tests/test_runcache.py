@@ -3,16 +3,20 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+import sympy as sp
 
 from hodgecheck import checks as checks_mod
+from hodgecheck import operators as operators_mod
 from hodgecheck import report as report_mod
 from hodgecheck import runcache
 from hodgecheck.config import load_config
 from hodgecheck.domains import DomainSpec
-from hodgecheck.meshing import SimplicialComplex
+from hodgecheck.meshing import SimplicialComplex, generate_mesh
+from hodgecheck.operators import OperatorChain
 from hodgecheck.potentials import Potential, _COORDS, _lambdify
-from hodgecheck.spectral import SpectralResult
+from hodgecheck.spectral import SpectralResult, check_intertwining
 
 ROOT = Path(__file__).resolve().parents[1]
 SMALL_DISK = {
@@ -48,8 +52,9 @@ def _counting(monkeypatch, module, name):
 def test_report_byte_identical_inside_and_outside_a_scope(monkeypatch):
     """run_config shares meshes and spectra between checks; the same runners
     called outside a scope compute everything afresh and give the same bytes.
-    The cache holds meshes, spectra, curvature minima and functions only,
-    never a chain, an operator or a dense pencil."""
+    The cache holds meshes, spectra, curvature minima, functions, full
+    masses and potential derivations only (minima, masses and derivations
+    are tuples), never a chain, an operator or a dense pencil."""
     cfg = load_config(SMALL_DISK)
     stored = set()
     lookup = runcache.cached
@@ -170,3 +175,111 @@ def test_lambdify_and_interior_minimum_once_per_run(monkeypatch):
     with runcache.scope():
         assert sweep() == outside
     assert len(quads) == 7
+
+
+def test_run_config_assembles_each_mass_once(monkeypatch):
+    """The chains of a run, tangential and normal alike, share one full mass
+    per (mesh, p, V, quadrature order)."""
+    requested = []
+    lookup = runcache.cached
+
+    def spy(key, compute):
+        if key[0] == "mass":
+            requested.append(key)
+        return lookup(key, compute)
+
+    monkeypatch.setattr(runcache, "cached", spy)
+    assembled = _counting(monkeypatch, operators_mod, "assemble_mass")
+    rep = report_mod.run_config(load_config(SMALL_DISK))
+    assert rep.summary["fail"] == 0
+    distinct = {(id(cplx), p, pot.expr, pot.n, order) for cplx, p, pot, order in assembled}
+    assert len(assembled) == len(distinct) == len(set(requested)) < len(requested)
+
+
+@pytest.mark.parametrize("b", ["tangential", "normal"])
+def test_cached_mass_is_bit_identical(b):
+    """A chain's mass read from the cache, where the other realization's
+    chain assembled it, has the bytes of the mass built without a cache."""
+    mesh, V = generate_mesh(DomainSpec.disk(1.0), 0.4), Potential.quadratic(1.0, 2)
+    outside = [OperatorChain(mesh, V, b).mass(p) for p in range(3)]
+    other = "normal" if b == "tangential" else "tangential"
+    with runcache.scope():
+        for p in range(3):
+            OperatorChain(mesh, V, other).mass(p)
+        inside = [OperatorChain(mesh, V, b).mass(p) for p in range(3)]
+    for A, B in zip(outside, inside):
+        assert A.format == B.format and A.shape == B.shape
+        for x, y in ((A.data, B.data), (A.indices, B.indices), (A.indptr, B.indptr)):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def test_cached_mass_is_read_only():
+    with runcache.scope():
+        mesh = generate_mesh(DomainSpec.disk(1.0), 0.4)
+        OperatorChain(mesh, Potential.quadratic(1.0, 2), "normal").mass(1)
+        [(_, full)] = [v for k, v in runcache._store.get().items() if k[0] == "mass"]
+    for array in (full.data, full.indices, full.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_mismatched_quadrature_control_gets_its_own_mass(monkeypatch):
+    """The quadrature order is in the key: the negative control of
+    check_intertwining, a chain at another order, assembles its own masses
+    inside a scope and still breaks the identity."""
+    mesh, V = generate_mesh(DomainSpec.disk(1.0), 0.35), Potential.quadratic(2.0, 2)
+    assembled = _counting(monkeypatch, operators_mod, "assemble_mass")
+    with runcache.scope():
+        chain = OperatorChain(mesh, V, "tangential", 4)
+        assert check_intertwining(chain, 0)["residual"] <= 1e-10
+        mismatched = OperatorChain(mesh, V, "tangential", 8)
+        assert check_intertwining(chain, 0, upper_chain=mismatched)["residual"] > 1e-10
+        per_degree = OperatorChain(mesh, V, "tangential", quad_orders={0: 4, 1: 6, 2: 4})
+        assert check_intertwining(per_degree, 0)["residual"] <= 1e-10
+    # the per-degree chain assembles only its degree-1 mass at order 6
+    assert sorted((p, order) for _, p, _, order in assembled) == [
+        (0, 4), (0, 8), (1, 4), (1, 6), (1, 8), (2, 4), (2, 8)]
+
+
+def test_rescaled_derives_once_per_expression(monkeypatch):
+    """A semiclassical sweep rescales V once per h and check: inside a scope
+    each V/h is derived once, outside every construction derives."""
+    V = Potential.quartic_double_well(1.0, 2)
+    derived = []
+    lookup = runcache.cached
+
+    def spy(key, compute):
+        def derive():
+            derived.append(key)
+            return compute()
+
+        return lookup(key, derive if key[0] == "potential" else compute)
+
+    monkeypatch.setattr(runcache, "cached", spy)
+    hs = (1.0, 0.5, 0.25, 0.125)
+    with runcache.scope():
+        for _ in range(4):
+            for h in hs:
+                V.rescaled(h)
+    assert len(derived) == len(set(derived)) == len(hs)
+    for h in hs:
+        V.rescaled(h)
+    assert len(derived) == 2 * len(hs)
+
+
+@pytest.mark.parametrize("pot, is_constant, poly_degree", [
+    (Potential.zero(2), True, 0), (Potential.linear(0.5, 1), False, 1),
+    (Potential.quartic_double_well(1.0, 2), False, 4),
+    (Potential.quartic_double_well(1.0, 2).rescaled(0.5), False, 4),
+    (Potential(sp.exp(_COORDS[0]), 1), False, None)], ids=str)
+def test_cached_derivation_equals_uncached(pot, is_constant, poly_degree):
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, (7, pot.n))
+    with runcache.scope():
+        inside = Potential(pot.expr, pot.n)
+        again = Potential(pot.expr, pot.n)
+        assert again._grad is inside._grad and again._hess is inside._hess
+    outside = Potential(pot.expr, pot.n)
+    assert (inside.is_constant, inside.poly_degree) == (is_constant, poly_degree)
+    assert (outside.is_constant, outside.poly_degree) == (is_constant, poly_degree)
+    for f in ("value", "grad", "hess", "laplacian"):
+        assert np.array_equal(getattr(inside, f)(x), getattr(outside, f)(x))
