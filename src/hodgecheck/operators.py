@@ -20,6 +20,12 @@ n w = 0 and n d w = 0 as natural conditions, so this chain is the normal
 realization at every degree (Arnold-Falk-Winther, Acta Numerica 2006).
 dual_problem gives the Hodge-star dual (n - p, tangential, -V) that the
 duality checks compare the direct assembly against.
+
+Every sparse LU factorization of the package goes through sparse_lu: the
+mass factors here (the codifferential, the dense down-block of the
+stiffness, the mass-preconditioned solves) and the shifted pencils that the
+sparse eigensolvers of spectral invert.  All of these matrices are
+symmetric, so sparse_lu orders them with a symmetric fill-reducing order.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ __all__ = [
     "AssembledOperator",
     "assemble_weighted_laplacian",
     "dual_problem",
+    "sparse_lu",
 ]
 
 REALIZATIONS = ("tangential", "normal", "none")
@@ -50,6 +57,25 @@ REALIZATIONS = ("tangential", "normal", "none")
 
 class UnsupportedRealizationError(ValueError):
     pass
+
+
+def sparse_lu(A):
+    """SuperLU factorization of a sparse symmetric matrix; the package's one splu.
+
+    * ``permc_spec="MMD_AT_PLUS_A"``: minimum degree on the pattern of
+      A^T + A.  Every matrix factored here is symmetric (a weighted mass,
+      the shifted pencil S - sigma M, the mixed saddle), and SuperLU's
+      default COLAMD is an order for unsymmetric matrices.  On the disk at
+      h = 0.05 this order cuts L + U of the p = 1 mass (7656 DOFs) from
+      436 676 to 241 216 nonzeros and that of the p = 1 saddle (10 267 DOFs)
+      from 1 363 925 to 856 604; factorizations and solves get faster.
+    * ``relax=1``: no relaxed supernodes.  Under SuperLU's default
+      relaxation this order meets a slow case at the same fill: the
+      23 880-DOF saddle of the disk suite's duality ladder took 1.8 s to
+      factor, against 0.05 s with relax=1 (0.10 s under COLAMD).
+    Pivoting keeps SuperLU's default, since the saddle is indefinite.
+    """
+    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1)
 
 
 @dataclass
@@ -154,7 +180,7 @@ class OperatorChain:
 
     def mass_factor(self, p: int):
         if p not in self._factor:
-            self._factor[p] = spla.splu(self.mass(p).tocsc())
+            self._factor[p] = sparse_lu(self.mass(p))
         return self._factor[p]
 
     def mass_solve(self, p: int, b: np.ndarray) -> np.ndarray:

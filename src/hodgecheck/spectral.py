@@ -1,17 +1,23 @@
 """Generalized symmetric eigensolves, kernel projectors, and range solves.
 
-Eigenproblems S x = lambda M x are solved on two paths:
+Eigenproblems S x = lambda M x are solved on three paths (SpectralResult.solver
+names the one taken):
 
-* dense ``scipy.linalg.eigh`` on the materialized pencil for small problems
-  (the down-block of S is dense anyway once materialized);
-* sparse shift-invert ``eigsh`` for larger problems.  When the operator has
-  a codifferential block, the dense inverse is avoided through the mixed
-  saddle form with the auxiliary variable sigma = d*_V u:
+* "dense-eigh": ``scipy.linalg.eigh`` on the materialized pencil up to
+  DENSE_CUTOFF (the down-block of S is dense anyway once materialized);
+* "eigsh-shift-invert": sparse shift-invert ``eigsh`` on (S, M) above it,
+  for an operator without a codifferential block (degree 0);
+* "eigsh-mixed": with a codifferential block, the dense inverse is avoided
+  through the mixed saddle form with the auxiliary variable sigma = d*_V u:
 
       [-M_{p-1}   D^T M_p ] [sigma]          [0   0 ] [sigma]
       [ M_p D     S_up    ] [  u  ]  = lambda [0  M_p] [  u  ],
 
   whose finite eigenvalues are exactly those of the primal pencil.
+
+Both sparse paths factor their shifted pencil once with operators.sparse_lu
+(the package's one sparse LU, under a symmetric fill-reducing order) and
+pass its solve to ``eigsh`` as ``OPinv``, so ARPACK never factors on its own.
 
 Solves on Ran d restrict the operator to the M-orthogonal complement of its
 kernel on one of two paths (range_solver names it):
@@ -36,7 +42,7 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .operators import AssembledOperator, Cochain, OperatorChain
+from .operators import AssembledOperator, Cochain, OperatorChain, sparse_lu
 
 __all__ = [
     "SpectralResult",
@@ -87,6 +93,8 @@ class SpectralResult:
             "residuals": [float(v) for v in self.residual_norms],
             "seed": int(self.seed),
             "mesh_h": float(self.mesh_h),
+            "solver": self.solver,
+            "dim": int(self.eigenvectors.shape[0]),
         }
 
 
@@ -158,21 +166,28 @@ def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-9,
                           degree=op.p, realization=op.realization)
 
 
+def _shift_invert(A, M, sigma):
+    """(A - sigma M)^{-1} as the operator eigsh iterates with: one sparse_lu."""
+    lu = sparse_lu(A - sigma * M)
+    return spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
+
+
 def _sparse_eigs(S, M, k, seed):
     n = S.shape[0]
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
     sigma = -1e-2
     try:
-        vals, vecs = spla.eigsh(S.tocsc(), k=k, M=M.tocsc(), sigma=sigma, which="LM",
-                                v0=v0, maxiter=500)
+        vals, vecs = spla.eigsh(S, k=k, M=M, sigma=sigma, which="LM", v0=v0,
+                                maxiter=500, OPinv=_shift_invert(S, M, sigma))
     except spla.ArpackNoConvergence as e:
         raise SolverError(f"eigensolver hit the iteration cap: {e}",
                           residuals=getattr(e, "eigenvalues", None)) from e
     return vals, vecs
 
 
-def _mixed_eigs(op: AssembledOperator, k, seed):
+def _mixed_pencil(op: AssembledOperator):
+    """The saddle pencil (A, Mbig) of the module docstring, both CSC."""
     chain, p = op.chain, op.p
     Mlow = chain.mass(p - 1).tocsr()
     D = chain.d_matrix(p - 1)
@@ -182,13 +197,19 @@ def _mixed_eigs(op: AssembledOperator, k, seed):
     nlow = Mlow.shape[0]
     Mbig = sparse.bmat([[sparse.csr_matrix((nlow, nlow)), None],
                         [None, op.M]], format="csc")
+    return A, Mbig
+
+
+def _mixed_eigs(op: AssembledOperator, k, seed):
+    A, Mbig = _mixed_pencil(op)
+    nlow = A.shape[0] - op.dim
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(A.shape[0])
     scale = float(np.mean(op.M.diagonal()))
     sigma = -1e-2 * scale
     try:
         vals, vecs = spla.eigsh(A, k=k, M=Mbig, sigma=sigma, which="LM", v0=v0,
-                                maxiter=500)
+                                maxiter=500, OPinv=_shift_invert(A, Mbig, sigma))
     except spla.ArpackNoConvergence as e:
         raise SolverError(f"mixed-pencil eigensolver hit the iteration cap: {e}",
                           residuals=getattr(e, "eigenvalues", None)) from e

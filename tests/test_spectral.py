@@ -1,7 +1,10 @@
 """Eigensolves against closed forms and an independent finite-difference oracle."""
 
+import importlib
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy.special import jnp_zeros
 
 import hodgecheck.operators as operators
@@ -168,26 +171,65 @@ def test_spectral_result_json():
     res = lowest_eigenpairs(OperatorChain(m, Potential.zero(1), "normal").operator(0), 2,
                             seed=42)
     d = res.to_json_dict()
-    assert set(d) == {"eigenvalues", "kernel_dim", "residuals", "seed", "mesh_h"}
+    assert set(d) == {"eigenvalues", "kernel_dim", "residuals", "seed", "mesh_h",
+                      "solver", "dim"}
     assert d["seed"] == 42 and d["kernel_dim"] == 1
+    assert d["solver"] == "dense-eigh" and d["dim"] == 17
 
 
-def test_sparse_paths_match_dense():
-    """Shift-invert and mixed-pencil paths agree with dense eigh."""
-    import hodgecheck.spectral as spectral
+def test_sparse_paths_match_dense(monkeypatch):
+    """Shift-invert (p = 0) and mixed-pencil (p > 0) paths agree with dense
+    eigh on eigenvalues and kernel dimension: both realizations at every
+    degree on the disk, and the harmonic 1-form of the annulus."""
+    V = Potential.quadratic(1.0, 2)
+    disk = generate_mesh(DomainSpec.disk(1.0), 0.25)
+    cases = [(disk, b, p) for b in ("tangential", "normal") for p in (0, 1, 2)]
+    cases.append((generate_mesh(DomainSpec.annulus(0.5, 1.0), 0.25), "tangential", 1))
+    kernels = [0, 0, 1, 1, 0, 0, 1]   # normal p = 0: constants; tangential p = 2: their
+                                      # star dual; annulus: the harmonic 1-form
+    ops = [OperatorChain(cplx, V, b).operator(p) for cplx, b, p in cases]
+    dense = [lowest_eigenpairs(op, 4) for op in ops]
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 1)
+    for op, d, kernel in zip(ops, dense, kernels):
+        s = lowest_eigenpairs(op, 4)
+        assert d.solver == "dense-eigh"
+        assert s.solver == ("eigsh-shift-invert" if op.p == 0 else "eigsh-mixed")
+        assert d.kernel_dim == s.kernel_dim == kernel
+        assert np.allclose(d.eigenvalues, s.eigenvalues, rtol=1e-7, atol=1e-9)
 
-    m = generate_mesh(DomainSpec.disk(1.0), 0.25)
-    chain = OperatorChain(m, Potential.quadratic(1.0, 2), "tangential")
-    for p in (0, 1):
-        op = chain.operator(p)
-        dense = lowest_eigenpairs(op, 4).eigenvalues
-        old = spectral.DENSE_CUTOFF
-        spectral.DENSE_CUTOFF = 1
-        try:
-            sparse_vals = lowest_eigenpairs(op, 4).eigenvalues
-        finally:
-            spectral.DENSE_CUTOFF = old
-        assert np.allclose(dense, sparse_vals, rtol=1e-7, atol=1e-9)
+
+def test_eigsh_paths_never_factor_inside_arpack(monkeypatch):
+    """Both eigsh paths hand ARPACK the one sparse_lu factorization as OPinv:
+    they run with ARPACK's own splu made to raise."""
+    arpack = importlib.import_module(spla.eigsh.__module__)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ARPACK factored a matrix itself")
+
+    monkeypatch.setattr(arpack, "splu", refuse)
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 1)
+    chain = OperatorChain(generate_mesh(DomainSpec.disk(1.0), 0.3), Potential.quadratic(1.0, 2),
+                          "normal")
+    assert lowest_eigenpairs(chain.operator(0), 3).solver == "eigsh-shift-invert"
+    assert lowest_eigenpairs(chain.operator(1), 3).solver == "eigsh-mixed"
+
+
+def test_sparse_lu_fill_and_solves():
+    """On the disk at h = 0.05 the symmetric order of sparse_lu fills L + U
+    less than SuperLU's default order, for the p = 1 mass and the p = 1 mixed
+    saddle, and its solves match spsolve."""
+    chain = OperatorChain(generate_mesh(DomainSpec.disk(1.0), 0.05),
+                          Potential.quadratic(1.0, 2), "normal")
+    op = chain.operator(1)
+    A, Mbig = spectral._mixed_pencil(op)
+    sigma = -1e-2 * float(np.mean(op.M.diagonal()))
+    rng = np.random.default_rng(0)
+    for X in (chain.mass(1), (A - sigma * Mbig).tocsc()):
+        lu, default = operators.sparse_lu(X), spla.splu(X)
+        assert lu.L.nnz + lu.U.nnz < default.L.nnz + default.U.nnz
+        b = rng.standard_normal(X.shape[0])
+        x, ref = lu.solve(b), spla.spsolve(X, b)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_spectral_result_cochains():
