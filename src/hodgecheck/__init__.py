@@ -14,7 +14,7 @@ from .checks import (check_bl_forms, check_bl_scalar, check_gamma2,
                      check_gap_lower_bound, check_variance_identity,
                      duality_spectrum_check, eval_decomposition_identity,
                      eval_green_identity, eval_h1_identity, hypothesis_check,
-                     quadratic_form_analytic, semiclassical_sweep)
+                     semiclassical_sweep)
 from .config import ConfigError, RunConfig, load_config
 from .curvature import (EndomorphismField, PositivityViolationError,
                         bakry_emery_tensor, boundary_operator, hessian_p,
@@ -23,8 +23,7 @@ from .domains import DomainSpec, boundary_quadrature, domain_quadrature
 from .meshing import (SimplicialComplex, boundary_geometry, generate_mesh,
                       incidence_matrix, read_off, refine, write_off)
 from .operators import (AssembledOperator, Cochain, OperatorChain,
-                        UnsupportedRealizationError, assemble_weighted_laplacian,
-                        dual_problem)
+                        UnsupportedRealizationError, dual_problem)
 from .potentials import Potential, WeightedMeasure, parse_potential
 from .records import CheckRecord
 from .report import Report, convergence_study, run_config
@@ -39,7 +38,7 @@ __all__ = [
     "HodgeSplit", "OperatorChain", "PositivityViolationError", "Potential",
     "Report", "RunConfig", "SimplicialComplex", "SpectralResult",
     "UnsupportedRealizationError", "WeightedMeasure", "assemble_mass",
-    "assemble_weighted_laplacian", "bakry_emery_tensor", "boundary_geometry",
+    "bakry_emery_tensor", "boundary_geometry",
     "boundary_operator", "boundary_quadrature", "check_bl_forms", "check_bl_scalar",
     "check_gamma2", "check_gap_lower_bound", "check_intertwining",
     "check_variance_identity", "convergence_study", "domain_quadrature",
@@ -47,6 +46,6 @@ __all__ = [
     "eval_green_identity", "eval_h1_identity", "generate_mesh", "hessian_p",
     "hodge_decompose", "hypothesis_check", "incidence_matrix", "interpolate",
     "invert_endo_field", "kernel_projector", "lift_endomorphism", "load_config",
-    "lowest_eigenpairs", "parse_potential", "quadratic_form_analytic", "read_off",
+    "lowest_eigenpairs", "parse_potential", "read_off",
     "refine", "run_config", "semiclassical_sweep", "solve_on_range", "write_off",
 ]

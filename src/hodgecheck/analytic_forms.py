@@ -81,12 +81,12 @@ class AnalyticForm:
         return AnalyticForm(self.n, degree, out, name=name)
 
     def _wedges(self):
-        """Matrices of dx_i ^ . on this degree, i = 1..n."""
-        return [exterior.wedge_covector_matrix(e, self.degree) for e in np.eye(self.n)]
+        """Matrices of dx_i ^ . on this degree, stacked over i = 1..n."""
+        return exterior.wedge_covector_matrix(np.eye(self.n), self.degree)
 
     def _interiors(self):
-        """Matrices of i_{e_i} on this degree, i = 1..n."""
-        return [exterior.interior_product_matrix(e, self.degree) for e in np.eye(self.n)]
+        """Matrices of i_{e_i} on this degree, stacked over i = 1..n."""
+        return exterior.interior_product_matrix(np.eye(self.n), self.degree)
 
     def d(self) -> "AnalyticForm":
         """Exterior derivative d = sum_i dx_i ^ partial_i."""
@@ -159,14 +159,10 @@ class AnalyticForm:
         if pts.shape[0] == 0:
             return 0.0, 0.0
         comp = self.components(pts)
-        tmax = nmax = 0.0
-        for i in range(pts.shape[0]):
-            Pt = exterior.tangential_projector(boundary.normals[i], self.degree)
-            tpart = Pt @ comp[i]
-            npart = comp[i] - tpart
-            tmax = max(tmax, float(np.linalg.norm(tpart)))
-            nmax = max(nmax, float(np.linalg.norm(npart)))
-        return tmax, nmax
+        Pt = exterior.tangential_projector(boundary.normals, self.degree)
+        tpart = np.einsum("mij,mj->mi", Pt, comp)
+        return (float(np.linalg.norm(tpart, axis=1).max()),
+                float(np.linalg.norm(comp - tpart, axis=1).max()))
 
     def verify_bc(self, boundary, tol: float = 1e-10):
         """Check the declared boundary condition on sampled boundary points."""

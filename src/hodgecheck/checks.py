@@ -42,7 +42,6 @@ from .records import CheckRecord, identity_record, inequality_record
 from .spectral import kernel_projector, lowest_eigenpairs, range_solver, solve_on_range
 
 __all__ = [
-    "quadratic_form_analytic",
     "eval_decomposition_identity",
     "eval_green_identity",
     "eval_h1_identity",
@@ -82,31 +81,6 @@ def _label(spec: DomainSpec) -> str:
 # ---------------------------------------------------------------------------
 # Quadratic forms and the integration-by-parts identities
 # ---------------------------------------------------------------------------
-
-def quadratic_form_analytic(form: AnalyticForm, potential: Potential,
-                            domain: DomainSpec, quad_order: int = 8):
-    """Weighted quadratic form int (|d w|^2 + |d*_V w|^2) e^{-V} dmu.
-
-    Returns (value, converged); converged is False when doubling the
-    quadrature order moves the value by more than 1e-6 relative.
-    """
-    dform = form.d() if form.degree < form.n else None
-    cform = form.codifferential_weighted(potential) if form.degree >= 1 else None
-
-    def value(qo):
-        quad = domain_quadrature(domain, qo)
-        w = potential.weight(quad.points)
-        total = 0.0
-        if dform is not None:
-            total += quad.integrate(w * dform.norm_sq(quad.points))
-        if cform is not None:
-            total += quad.integrate(w * cform.norm_sq(quad.points))
-        return total
-
-    coarse, fine = value(quad_order), value(2 * quad_order)
-    converged = abs(fine - coarse) <= 1e-6 * max(abs(fine), 1e-300)
-    return fine, converged
-
 
 def _flat_witten_quadratic_form(form, fpot, domain, quad_order):
     """D_f(w) = ||(d + df^)w||^2 + ||(d* + i_{grad f})w||^2 in L^2(dmu)."""
@@ -215,9 +189,9 @@ def _lie_term_quadratic(form, fpot, quad):
     lie += np.einsum("mij,mj->mi", exterior.lift_matrix(H, p), vals)
     lie_star = -directional - lap[:, None] * vals
     if p >= 1:
-        W = [exterior.wedge_covector_matrix(e, p - 1) for e in np.eye(n)]
-        I = [exterior.interior_product_matrix(e, p) for e in np.eye(n)]
-        G = np.array([[W[k] @ I[i] for i in range(n)] for k in range(n)])
+        W = exterior.wedge_covector_matrix(np.eye(n), p - 1)
+        I = exterior.interior_product_matrix(np.eye(n), p)
+        G = W[:, None] @ I[None, :]           # G[k, i] = dx_k ^ i_{e_i}
         lie_star += np.einsum("mki,kiab,mb->ma", H, G, vals)
     total = np.einsum("mc,mc->m", lie + lie_star, vals)
     return quad.integrate(total)
@@ -575,8 +549,7 @@ def _constant_kernel_projection(chain: OperatorChain, values: np.ndarray) -> np.
 
 
 def check_variance_identity(eta: Cochain, chain: OperatorChain,
-                            tol: float = 1e-7, solver_tol: float = 1e-11,
-                            kernel1=None) -> tuple[float, float]:
+                            solver_tol: float = 1e-11, kernel1=None) -> tuple[float, float]:
     """Two routes of the exact discrete variance identity.
 
     lhs = ||eta - pi eta||^2_M,  rhs = <(L^(1)|_{Ran d})^{-1} d eta, d eta>_M.

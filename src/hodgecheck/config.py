@@ -8,12 +8,14 @@ from dataclasses import dataclass, field
 
 from .domains import DomainSpec, DomainValidationError
 from .potentials import Potential, parse_potential
-from .presets import CHECK_IDS, domain_from_config
+from .presets import CHECK_IDS
 from .records import decode_extended
 
 __all__ = ["ConfigError", "RunConfig", "load_config"]
 
 MAX_REFINEMENTS = 6  # desk-scale guard
+MAX_POTENTIAL_DEGREE = 12  # total degree of a polynomial-table term; sympy
+                           # derives each term symbolically at load time
 
 
 class ConfigError(ValueError):
@@ -59,11 +61,10 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def _typed(raw: dict, key: str, default, kind: type, what: str):
-    """raw[key] (or default), which must be an instance of kind."""
-    val = raw.get(key, default)
+def _typed(val, path: str, kind: type, what: str):
+    """val, which must be an instance of kind."""
     if not isinstance(val, kind):
-        raise ConfigError(key, f"must be {what}, got {val!r}")
+        raise ConfigError(path, f"must be {what}, got {val!r}")
     return val
 
 
@@ -81,18 +82,32 @@ def _count(raw: dict, key: str, default: int) -> int:
     return _integer(raw.get(key, default), key, 1)
 
 
+def _finite(val, path: str, what: str = "a finite number") -> float:
+    """val as a float; it must be a finite JSON number, not a boolean."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(path, f"must be {what}, got {val!r}")
+    try:
+        x = float(val)
+    except OverflowError:          # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(path, f"must be {what}, got {val!r}")
+    return x
+
+
 def _positive(val, path: str) -> float:
     """val, which must be a finite positive number: an infinite tolerance
     would pass every identity."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)) or not (
-            math.isfinite(val) and val > 0):
-        raise ConfigError(path, f"must be a finite positive number, got {val!r}")
-    return float(val)
+    what = "a finite positive number"
+    x = _finite(val, path, what)
+    if x <= 0:
+        raise ConfigError(path, f"must be {what}, got {val!r}")
+    return x
 
 
 def _distinct(raw: dict, key: str, default: list, parse) -> list:
     """A list of distinct entries parse(path, entry)."""
-    entries = _typed(raw, key, default, list, "a list")
+    entries = _typed(raw.get(key, default), key, list, "a list")
     values = []
     for i, val in enumerate(entries):
         val = parse(f"{key}[{i}]", val)
@@ -111,13 +126,60 @@ def _axis(raw: dict, key: str, default: list, parse) -> list:
 
 
 def _extended(path: str, val) -> float:
+    """A number or "inf"/"+inf"/"-inf"; NaN is no extended real."""
+    if isinstance(val, bool):
+        raise ConfigError(path, f"cannot parse {val!r}")
     try:
         N = decode_extended(val)
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise ConfigError(path, f"cannot parse {val!r}")
-    if N is None:
-        raise ConfigError(path, "null is not an extended real")
+    if N is None or math.isnan(N):
+        raise ConfigError(path, f"{val!r} is not an extended real")
     return N
+
+
+def _domain(cfg) -> DomainSpec:
+    """The domain object: a polygon takes vertices ([x, y] pairs), every
+    other kind parameters; all coordinates are finite numbers."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("domain", f"must be an object, got {cfg!r}")
+    kind = cfg.get("kind")
+    try:
+        if kind == "polygon":
+            verts = _typed(cfg.get("vertices", []), "domain.vertices", list, "a list")
+            for i, v in enumerate(verts):
+                if not isinstance(v, list) or len(v) != 2:
+                    raise ConfigError(f"domain.vertices[{i}]",
+                                      f"must be an [x, y] pair, got {v!r}")
+            return DomainSpec.polygon([[_finite(c, f"domain.vertices[{i}][{j}]")
+                                        for j, c in enumerate(v)] for i, v in enumerate(verts)])
+        params = _typed(cfg.get("parameters", []), "domain.parameters", list, "a list")
+        return DomainSpec(kind, tuple(_finite(v, f"domain.parameters[{i}]")
+                                      for i, v in enumerate(params)))
+    except DomainValidationError as e:
+        raise ConfigError(f"domain.{e.field_name}", str(e))
+
+
+def _potential(val, n: int, h_param: float) -> Potential:
+    """A preset name or {"terms": [[exponents..., coefficient], ...]} with n
+    non-negative integer exponents of total degree at most
+    MAX_POTENTIAL_DEGREE and a finite coefficient per row."""
+    if isinstance(val, dict):
+        terms = _typed(val.get("terms"), "potential.terms", list, "a list of rows")
+        for i, row in enumerate(terms):
+            path = f"potential.terms[{i}]"
+            if not isinstance(row, list) or len(row) != n + 1:
+                raise ConfigError(path, f"must be {n} exponents and a coefficient, got {row!r}")
+            degree = sum(_integer(e, f"{path}[{j}]", 0) for j, e in enumerate(row[:n]))
+            if degree > MAX_POTENTIAL_DEGREE:
+                raise ConfigError(path, f"total degree {degree} exceeds {MAX_POTENTIAL_DEGREE}")
+            _finite(row[n], f"{path}[{n}]")
+    elif not isinstance(val, str):
+        raise ConfigError("potential", f"must be a preset name or an object, got {val!r}")
+    try:
+        return parse_potential(val, n, h_param)
+    except ValueError as e:
+        raise ConfigError("potential", str(e))
 
 
 def load_config(source) -> RunConfig:
@@ -135,16 +197,10 @@ def load_config(source) -> RunConfig:
         raise ConfigError("$", "config must be a JSON object")
     if "domain" not in raw:
         raise ConfigError("domain", "missing")
-    try:
-        domain = domain_from_config(raw["domain"])
-    except (DomainValidationError, KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"domain.{getattr(e, 'field_name', '')}".rstrip("."), str(e))
+    domain = _domain(raw["domain"])
     n = domain.ambient_dim
     h_param = _positive(raw.get("h_param", 1.0), "h_param")
-    try:
-        potential = parse_potential(raw.get("potential", "zero"), n, h_param)
-    except (ValueError, KeyError) as e:
-        raise ConfigError("potential", str(e))
+    potential = _potential(raw.get("potential", "zero"), n, h_param)
 
     degrees = _axis(raw, "degrees", [0], lambda path, p: _integer(p, path, 0, n))
     allowed = ("tangential", "normal") if domain.has_boundary else ("none",)
@@ -166,25 +222,28 @@ def load_config(source) -> RunConfig:
         return cid
 
     checks = _distinct(raw, "checks", [], check_id)   # empty: nothing to run
-    mesh = _typed(raw, "mesh", {}, dict, "an object")
+    mesh = _typed(raw.get("mesh", {}), "mesh", dict, "an object")
     target_h = _positive(mesh.get("target_h", 0.25), "mesh.target_h")
     refinements = _integer(mesh.get("refinements", 0), "mesh.refinements", 0,
                            MAX_REFINEMENTS)
     quad_order = _integer(raw.get("quad_order", 8), "quad_order", 2)
     tolerances = dict(DEFAULT_TOLERANCES)
-    for k, v in _typed(raw, "tolerances", {}, dict, "an object").items():
+    for k, v in _typed(raw.get("tolerances", {}), "tolerances", dict, "an object").items():
         if k not in DEFAULT_TOLERANCES:
             raise ConfigError(f"tolerances.{k}", "unknown tolerance key")
         tolerances[k] = _positive(v, f"tolerances.{k}")
     seed = _integer(raw.get("seed", 1234), "seed", 0)
     h_list = [_positive(h, f"h_list[{i}]") for i, h in
-              enumerate(_typed(raw, "h_list", [1.0, 0.5, 0.25], list, "a list"))]
+              enumerate(_typed(raw.get("h_list", [1.0, 0.5, 0.25]), "h_list", list, "a list"))]
     if any(h_list[i] <= h_list[i + 1] for i in range(len(h_list) - 1)):
         raise ConfigError("h_list", "must be strictly descending")
+    output = raw.get("output")
+    if output is not None and not isinstance(output, str):
+        raise ConfigError("output", f"must be a file path or null, got {output!r}")
     return RunConfig(domain=domain, potential=potential, degrees=degrees,
                      realizations=realizations, N_values=N_values, checks=checks,
                      target_h=target_h, refinements=refinements, quad_order=quad_order,
-                     tolerances=tolerances, seed=seed, output=raw.get("output"),
+                     tolerances=tolerances, seed=seed, output=output,
                      h_list=h_list, eigen_count=_count(raw, "eigen_count", 3),
                      n_samples=_count(raw, "n_samples", 20),
                      inadmissible_N=inadmissible, raw=raw)

@@ -4,8 +4,9 @@ Everything is expressed in the global Cartesian frame of the flat ambient
 space, where the local orthonormal frames collapse to the standard basis;
 this is the package's scope boundary: Ric = 0 on every supported domain, so
 the Bochner-Weitzenboeck curvature term of the Witten Laplacian is the lift
-of 2 Hess f = Hess V alone (``hessian_p``).  Lifts to Lambda^p come from
-``exterior.lift_matrix``, applied to whole batches of points at once.
+of 2 Hess f = Hess V alone (``hessian_p``).  Lifts, projectors and wedge
+matrices come from ``exterior``, each built once for a whole batch of
+points; no function here loops over points.
 
 Boundary operators, with outward unit normal nu, tangent T, scalar shape
 operator K1 (so grad_T nu = -K1 T, convex <=> K1 <= 0):
@@ -23,7 +24,6 @@ Both vanish on 0-forms and on 1D domains (the boundary is points).
 from __future__ import annotations
 
 from dataclasses import dataclass
-import json
 
 import numpy as np
 
@@ -89,12 +89,6 @@ class EndomorphismField:
     def min_eigenvalues(self, points: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(self.evaluate(points))[:, 0]
 
-    def to_sample_json(self, points: np.ndarray) -> str:
-        mats = self.evaluate(points)
-        rows = [{"point": list(map(float, p)), "matrix": m.tolist()}
-                for p, m in zip(np.atleast_2d(points), mats)]
-        return json.dumps(rows, sort_keys=True)
-
 
 def constant_field(degree: int, n: int, matrix: np.ndarray, name="const",
                    support="interior") -> EndomorphismField:
@@ -149,26 +143,19 @@ def _boundary_matrices(b: str, p: int, normals: np.ndarray, k1: np.ndarray,
                        trace_k1: np.ndarray) -> np.ndarray:
     m, n = normals.shape
     C = exterior.num_components(n, p)
-    out = np.zeros((m, C, C))
     if p == 0 or n == 1:
-        return out
+        return np.zeros((m, C, C))
     # n == 2: tangent T = rot90(nu), K1_full = k1 * T T^T
     T = np.column_stack([-normals[:, 1], normals[:, 0]])
     K1_full = k1[:, None, None] * np.einsum("mi,mj->mij", T, T)
     if b == "normal":
-        lift = exterior.lift_matrix(-K1_full, p)
-        for i in range(m):
-            Pt = exterior.tangential_projector(normals[i], p)
-            out[i] = Pt @ lift[i] @ Pt
-        return out
+        Pt = exterior.tangential_projector(normals, p)
+        return Pt @ exterior.lift_matrix(-K1_full, p) @ Pt
     if b == "tangential":
-        lift = exterior.lift_matrix(K1_full, p - 1)
         Cm = exterior.num_components(n, p - 1)
-        mid = lift - trace_k1[:, None, None] * np.eye(Cm)[None, :, :]
-        for i in range(m):
-            W = exterior.wedge_covector_matrix(normals[i], p - 1)
-            out[i] = W @ mid[i] @ W.T
-        return out
+        mid = exterior.lift_matrix(K1_full, p - 1) - trace_k1[:, None, None] * np.eye(Cm)
+        W = exterior.wedge_covector_matrix(normals, p - 1)
+        return W @ mid @ W.swapaxes(-1, -2)
     raise ValueError(f"boundary operator needs tangential/normal, got {b!r}")
 
 
@@ -219,16 +206,15 @@ def restricted_min_eig(mats: np.ndarray, normals: np.ndarray, p: int,
 
     trace="tangential": forms with n w = 0 (the invariant block of K_n);
     trace="normal": forms with t w = 0 (the block entering the K_t terms).
-    Points whose subspace is trivial report +inf (no constraint).
+    The subspace has the same dimension at every unit normal; when it is
+    trivial every point reports +inf (no constraint).
     """
-    m = mats.shape[0]
-    out = np.full(m, np.inf)
-    for i in range(m):
-        proj = (exterior.tangential_projector(normals[i], p) if trace == "tangential"
-                else exterior.normal_projector(normals[i], p))
-        w, v = np.linalg.eigh(proj)
-        basis = v[:, w > 0.5]
-        if basis.shape[1] == 0:
-            continue
-        out[i] = np.linalg.eigvalsh(basis.T @ mats[i] @ basis)[0]
-    return out
+    proj = (exterior.tangential_projector(normals, p) if trace == "tangential"
+            else exterior.normal_projector(normals, p))
+    C = proj.shape[-1]
+    rank = exterior.num_components(normals.shape[-1] - 1,
+                                   p if trace == "tangential" else p - 1)
+    if rank == 0:
+        return np.full(mats.shape[0], np.inf)
+    basis = np.linalg.eigh(proj)[1][..., C - rank:]   # eigenvalue-1 eigenvectors
+    return np.linalg.eigvalsh(basis.swapaxes(-1, -2) @ mats @ basis)[:, 0]

@@ -5,7 +5,10 @@ basis ``e_I = dx_{i1} ^ ... ^ dx_{ip}`` with ``I`` running over increasing
 index tuples.  All operators on forms (wedge with a covector, interior
 product, derivation lifts, exterior powers, Hodge star) become small dense
 matrices on those coefficient vectors, which is what the quadrature-point
-evaluators in the rest of the package consume.
+evaluators in the rest of the package consume.  Every builder that takes a
+covector, vector, normal or matrix also takes a batch of them (leading axes
+``...``) and returns the stack of the single-call matrices, so boundary and
+quadrature-point code calls each builder once for all of its points.
 
 This is the one module that knows the insertion-sign rule
 (``_insertion_sign``): the symbolic calculus of ``analytic_forms`` contracts
@@ -65,29 +68,32 @@ def _insertion_sign(idx: int, tup: tuple[int, ...]) -> tuple[int, tuple[int, ...
 def wedge_covector_matrix(a: np.ndarray, p: int) -> np.ndarray:
     """Matrix of ``w -> a ^ w`` from Lambda^p to Lambda^(p+1).
 
-    ``a`` is the coefficient vector of a 1-form (length n).
+    ``a`` is the coefficient vector of a 1-form (length n) or a batch
+    (..., n) of them.
     """
-    n = len(a)
+    a = np.asarray(a, dtype=float)
+    n = a.shape[-1]
     src = basis_indices(n, p)
     pos = basis_position(n, p + 1)
-    out = np.zeros((num_components(n, p + 1), num_components(n, p)))
+    out = np.zeros(a.shape[:-1] + (num_components(n, p + 1), num_components(n, p)))
     for j, I in enumerate(src):
         for idx in range(n):
             ins = _insertion_sign(idx, I)
             if ins is None:
                 continue
             sign, J = ins
-            out[pos[J], j] += sign * a[idx]
+            out[..., pos[J], j] += sign * a[..., idx]
     return out
 
 
 def interior_product_matrix(x: np.ndarray, p: int) -> np.ndarray:
-    """Matrix of ``w -> i_X w`` from Lambda^p to Lambda^(p-1) for the vector X.
+    """Matrix of ``w -> i_X w`` from Lambda^p to Lambda^(p-1) for the vector X
+    (or a batch (..., n) of vectors).
 
     Pointwise adjoint of ``wedge_covector_matrix(x_flat, p-1)`` since the
     metric is Euclidean.
     """
-    return wedge_covector_matrix(np.asarray(x, dtype=float), p - 1).T
+    return wedge_covector_matrix(x, p - 1).swapaxes(-1, -2)
 
 
 def lift_matrix(a: np.ndarray, p: int) -> np.ndarray:
@@ -122,21 +128,18 @@ def lift_matrix(a: np.ndarray, p: int) -> np.ndarray:
 def exterior_power_matrix(m: np.ndarray, p: int) -> np.ndarray:
     """Matrix of slotwise precomposition with ``m``: (Q w)(X1..Xp) = w(mX1..mXp).
 
-    Entry [I, J] is the (I, J) minor determinant of ``m``.  Used for the
-    tangential projector on boundary traces (exterior power of I - nu nu^T),
-    which is idempotent but is not the derivation lift.
+    Entry [I, J] is the (I, J) minor determinant of ``m``, an (n, n) matrix
+    or a batch (..., n, n).  Used for the tangential projector on boundary
+    traces (exterior power of I - nu nu^T), which is idempotent but is not
+    the derivation lift.
     """
     m = np.asarray(m, dtype=float)
-    n = m.shape[0]
-    src = basis_indices(n, p)
-    out = np.zeros((len(src), len(src)))
-    for j, J in enumerate(src):
-        for i, I in enumerate(src):
-            if p == 0:
-                out[i, j] = 1.0
-            else:
-                out[i, j] = np.linalg.det(m[np.ix_(I, J)])
-    return out
+    if p == 0:
+        return np.ones(m.shape[:-2] + (1, 1))
+    src = basis_indices(m.shape[-1], p)
+    rows = np.array(src, dtype=int).reshape(len(src), p)
+    # minors[..., i, j, :, :] = m[np.ix_(src[i], src[j])]
+    return np.linalg.det(m[..., rows[:, None, :, None], rows[None, :, None, :]])
 
 
 def hodge_star_matrix(n: int, p: int) -> np.ndarray:
@@ -163,16 +166,18 @@ def _permutation_sign(perm: tuple[int, ...]) -> int:
 
 
 def tangential_projector(nu: np.ndarray, p: int) -> np.ndarray:
-    """Projector onto tangential p-forms at a boundary point with unit normal nu.
+    """Projector onto tangential p-forms at a boundary point with unit normal
+    nu, or at each of a batch (..., n) of normals.
 
     Tangential part of a form = its values on tangential vectors only, i.e.
     slotwise precomposition with P = I - nu nu^T.
     """
     nu = np.asarray(nu, dtype=float)
-    P = np.eye(len(nu)) - np.outer(nu, nu)
+    P = np.eye(nu.shape[-1]) - nu[..., :, None] * nu[..., None, :]
     return exterior_power_matrix(P, p)
 
 
 def normal_projector(nu: np.ndarray, p: int) -> np.ndarray:
-    n = len(nu)
+    """Complement of ``tangential_projector``; takes the same batches."""
+    n = np.shape(nu)[-1]
     return np.eye(num_components(n, p)) - tangential_projector(nu, p)

@@ -47,7 +47,6 @@ __all__ = [
     "Cochain",
     "OperatorChain",
     "AssembledOperator",
-    "assemble_weighted_laplacian",
     "dual_problem",
     "sparse_lu",
 ]
@@ -88,14 +87,6 @@ class Cochain:
 
     def copy(self):
         return Cochain(self.degree, self.realization, self.values.copy())
-
-    def export_csv(self, chain: "OperatorChain", path):
-        """Write (simplex id, value) rows, zeros on constrained simplices."""
-        full = chain.prolong(self)
-        with open(path, "w") as f:
-            f.write("simplex_id,value\n")
-            for i, v in enumerate(full):
-                f.write(f"{i},{float(v)!r}\n")
 
 
 class OperatorChain:
@@ -147,12 +138,6 @@ class OperatorChain:
 
     def dim(self, p: int) -> int:
         return len(self.free_dofs(p))
-
-    def prolong(self, c: Cochain) -> np.ndarray:
-        """Cochain values on all simplices (zeros on constrained ones)."""
-        full = np.zeros(self.cplx.num(c.degree))
-        full[self.free_dofs(c.degree)] = c.values
-        return full
 
     # -- assembled pieces ---------------------------------------------------
     def mass(self, p: int) -> sparse.csr_matrix:
@@ -262,9 +247,6 @@ class AssembledOperator:
         """Action of L^(p) = M^{-1} S on cochain coefficients."""
         return self.chain.mass_solve(self.p, self.stiff_matvec(x))
 
-    def quadratic_form(self, x: np.ndarray) -> float:
-        return float(np.dot(x, self.stiff_matvec(x)))
-
     def stiffness_dense(self) -> np.ndarray:
         S = np.zeros((self.dim, self.dim))
         if self.has_up:
@@ -284,12 +266,6 @@ class AssembledOperator:
         if self.p not in cache:
             cache[self.p] = dla.eigh(self.stiffness_dense(), self.M.toarray())
         return cache[self.p]
-
-
-def assemble_weighted_laplacian(cplx: SimplicialComplex, p: int, potential: Potential,
-                                b: str, quad_order: int = 4) -> AssembledOperator:
-    """Spec-facing constructor for the realization b in {tangential, normal, none}."""
-    return OperatorChain(cplx, potential, b, quad_order).operator(p)
 
 
 def dual_problem(p: int, b: str, potential: Potential, n: int):

@@ -17,7 +17,7 @@ from .analytic_forms import AnalyticForm
 from .domains import DomainSpec
 from .potentials import _COORDS, PRESET_POTENTIALS
 
-__all__ = ["DOMAIN_PRESETS", "CHECK_IDS", "domain_from_config", "test_form",
+__all__ = ["DOMAIN_PRESETS", "CHECK_IDS", "test_form",
             "gamma2_bump", "bl_form_cases", "PRESET_POTENTIALS"]
 
 x1, x2 = _COORDS
@@ -50,13 +50,6 @@ CHECK_IDS = {
     "hodge_decomposition": "kernel/exact/coexact split of random cochains",
     "duality_spectrum": "direct normal assembly at p = 0 vs its star dual (n, tangential, -V)",
 }
-
-
-def domain_from_config(cfg: dict) -> DomainSpec:
-    kind = cfg.get("kind")
-    if kind == "polygon":
-        return DomainSpec.polygon(cfg["vertices"])
-    return DomainSpec(kind, tuple(cfg.get("parameters", ())))
 
 
 def _bubble(spec: DomainSpec):

@@ -78,13 +78,6 @@ class SpectralResult:
     mesh_h: float
     solver: str
     tol: float
-    degree: int = 0
-    realization: str = "none"
-
-    def cochains(self) -> list:
-        """Eigenvectors as Cochain objects (M-orthonormal)."""
-        return [Cochain(self.degree, self.realization, self.eigenvectors[:, i].copy())
-                for i in range(self.eigenvectors.shape[1])]
 
     def to_json_dict(self) -> dict:
         return {
@@ -162,8 +155,7 @@ def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-9,
     kernel_dim = int(np.sum(vals < threshold))
     vals = np.where(np.abs(vals) < 1e-14 * max(lam_max, 1.0), 0.0, vals)
     h = op.chain.cplx.mesh_size_h
-    return SpectralResult(vals, vecs, kernel_dim, res, threshold, seed, h, solver, tol,
-                          degree=op.p, realization=op.realization)
+    return SpectralResult(vals, vecs, kernel_dim, res, threshold, seed, h, solver, tol)
 
 
 def _shift_invert(A, M, sigma):
@@ -226,7 +218,6 @@ class KernelProjector:
 
     M: sparse.csr_matrix
     basis: np.ndarray          # columns, M-orthonormal kernel vectors
-    eigenvalue_window: tuple = (0.0, 0.0)
 
     @property
     def dim(self) -> int:
@@ -262,10 +253,7 @@ def kernel_projector(op: AssembledOperator, kernel_threshold: float | None = Non
                 "has no clean gap")
     elif kdim == k and k < op.dim:
         raise SolverError("kernel candidate count reached probe size; raise n_probe")
-    basis = res.eigenvectors[:, :kdim]
-    window = (float(res.eigenvalues[kdim - 1]) if kdim else 0.0,
-              float(res.eigenvalues[kdim]) if kdim < k else np.inf)
-    return KernelProjector(op.M, basis, window)
+    return KernelProjector(op.M, res.eigenvectors[:, :kdim])
 
 
 def range_solver(dim: int) -> str:

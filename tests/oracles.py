@@ -6,6 +6,7 @@ import numpy as np
 import scipy.linalg as dla
 import sympy as sp
 
+from hodgecheck import exterior
 from hodgecheck.potentials import _COORDS
 
 
@@ -67,6 +68,23 @@ def edge_table_oracle(cplx):
     for i in np.nonzero(bedge)[0]:
         bvert[edges[i]] = True
     return idx, sgn, D1, bedge, bvert
+
+
+def restricted_min_eig_oracle(mats, normals, p, trace):
+    """Per-point min eigenvalue of each matrix compressed to the tangential
+    (trace="tangential") or normal trace subspace at its boundary point,
+    one projector and one eigendecomposition per point; +inf where the
+    subspace is trivial."""
+    out = np.full(mats.shape[0], np.inf)
+    for i in range(mats.shape[0]):
+        proj = (exterior.tangential_projector(normals[i], p) if trace == "tangential"
+                else exterior.normal_projector(normals[i], p))
+        w, v = np.linalg.eigh(proj)
+        basis = v[:, w > 0.5]
+        if basis.shape[1] == 0:
+            continue
+        out[i] = np.linalg.eigvalsh(basis.T @ mats[i] @ basis)[0]
+    return out
 
 
 def _insert(idx, tup):

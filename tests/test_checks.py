@@ -13,7 +13,7 @@ from hodgecheck.checks import (check_bl_forms, check_bl_scalar, check_gamma2,
                                duality_spectrum_check, eval_decomposition_identity,
                                eval_green_identity, eval_h1_identity,
                                hodge_decomposition_record, hypothesis_check,
-                               quadratic_form_analytic, semiclassical_sweep,
+                               semiclassical_sweep,
                                variance_identity_record)
 from hodgecheck.domains import DomainSpec
 from hodgecheck.meshing import generate_mesh
@@ -26,18 +26,6 @@ VX2 = Potential.quadratic(2.0, 2)       # V = |x|^2
 
 RADIAL = AnalyticForm(2, 1, [x1, x2], bc="tangential", name="radial")
 ROT = AnalyticForm(2, 1, [-x2, x1], bc="normal", name="rot")
-
-
-def test_quadratic_form_examples():
-    interval = DomainSpec.interval(0, 1)
-    one = AnalyticForm(1, 0, [sp.Integer(1)])
-    val, ok = quadratic_form_analytic(one, Potential.linear(1.0, 1), interval)
-    assert ok and abs(val) < 1e-14
-    xf = AnalyticForm(1, 0, [x1])
-    val, ok = quadratic_form_analytic(xf, Potential.zero(1), interval)
-    assert ok and abs(val - 1.0) < 1e-12
-    val, ok = quadratic_form_analytic(xf, Potential.linear(1.0, 1), interval)
-    assert ok and abs(val - (1 - math.exp(-1))) < 1e-12
 
 
 def test_decomposition_identity_hand_values():

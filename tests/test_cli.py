@@ -43,7 +43,7 @@ def test_extended_real_coding():
     assert decode_extended(2.5) == 2.5
 
 
-def test_config_validation_paths():
+def test_config_validation_paths(tmp_path, capsys):
     with pytest.raises(ConfigError, match="domain"):
         load_config({"potential": "zero"})
     with pytest.raises(ConfigError, match="checks\\[0\\]"):
@@ -101,6 +101,39 @@ def test_config_validation_paths():
             load_config({**BASE, **cfg})
     with pytest.raises(ConfigError, match="N\\[0\\]"):
         load_config({**BASE, "N": [[4]]})
+    # malformed values exit 2 with their key path instead of a traceback, a
+    # hang (a 1e9 exponent), a silent 1/x "polynomial" or non-finite data
+    disk = {"kind": "disk", "parameters": [1.0, 0.0, 0.0]}
+    for path, cfg in (("domain", {"domain": "disk"}),
+                      ("domain.parameters", {"domain": {"kind": "disk", "parameters": 1.0}}),
+                      ("domain.parameters[0]",
+                       {"domain": {**disk, "parameters": [math.nan, 0, 0]}}),
+                      ("domain.vertices[1]",
+                       {"domain": {"kind": "polygon", "vertices": [[0, 0], [1], [0, 1]]}}),
+                      ("potential.terms", {"potential": {"terms": 3}}),
+                      ("potential.terms", {"potential": {}}),
+                      ("potential.terms[0][0]", {"potential": {"terms": [[1e9, 1]]}}),
+                      ("potential.terms[0]", {"potential": {"terms": [[10**9, 1]]}}),
+                      ("potential.terms[0]", {"potential": {"terms": [[1, 2, 1]]}}),
+                      ("potential.terms[0][0]", {"potential": {"terms": [[True, 1]]}}),
+                      ("potential.terms[0][0]", {"potential": {"terms": [[-1, 1]]}}),
+                      ("potential.terms[0][1]", {"potential": {"terms": [[1, math.nan]]}}),
+                      ("potential.terms[0][1]", {"potential": {"terms": [[1, -math.inf]]}}),
+                      ("potential", {"potential": "quadratic(nan)"}),
+                      ("potential", {"potential": "linear(inf)"}),
+                      ("potential", {"potential": 5}),
+                      ("N[0]", {"N": [math.nan]}),
+                      ("N[0]", {"N": ["nan"]}),
+                      ("N[0]", {"N": [True]}),
+                      ("N[0]", {"N": [10**400]}),
+                      ("h_param", {"h_param": 10**400}),
+                      ("output", {"output": 5}),
+                      ("output", {"output": ["r.json"]})):
+        with pytest.raises(ConfigError, match=re.escape(f"at {path}:")):
+            load_config({**BASE, **cfg})
+        assert main(["run", _write(tmp_path, {**BASE, **cfg})]) == 2
+        assert f"at {path}:" in capsys.readouterr().err
+    assert load_config({**BASE, "output": None}).output is None
 
 
 def test_checks_list_validated(tmp_path, capsys):

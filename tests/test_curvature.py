@@ -1,6 +1,5 @@
 """Endomorphism fields: lifts, Hessians, boundary operators, BE tensor."""
 
-import json
 import math
 
 import numpy as np
@@ -11,7 +10,9 @@ from hodgecheck.curvature import (EndomorphismField,
                                   boundary_operator, hessian_p, invert_endo_field,
                                   lift_endomorphism, restricted_min_eig)
 from hodgecheck.domains import DomainSpec, boundary_quadrature
+from hodgecheck.exterior import num_components
 from hodgecheck.potentials import Potential
+from oracles import restricted_min_eig_oracle
 
 RNG = np.random.default_rng(7)
 PTS = RNG.uniform(-1, 1, size=(40, 2))
@@ -112,11 +113,31 @@ def test_restricted_min_eig_subspaces():
     assert np.all(np.isinf(restricted_min_eig(K2, bq.normals, 2, "tangential")))
 
 
-def test_field_sample_json_and_symmetry_guard():
-    V = Potential.quadratic(1.0, 2)
-    f = hessian_p(V, 1)
-    rows = json.loads(f.to_sample_json(PTS[:3]))
-    assert len(rows) == 3 and set(rows[0]) == {"matrix", "point"}
+@pytest.mark.parametrize("domain", [DomainSpec.disk(1.0), DomainSpec.annulus(0.5, 1.0),
+                                    DomainSpec.rectangle(0, 1, 0, 2)],
+                         ids=["disk", "annulus", "rectangle"])
+def test_restricted_min_eig_matches_per_point_oracle(domain):
+    """One batched eigendecomposition equals the per-point loop, bitwise, on
+    the boundary operators, on their hypothesis-check shift by dV/dn and on
+    a random symmetric field."""
+    bq = boundary_quadrature(domain, 6)
+    dnv = Potential.quartic_double_well(0.8, 2).normal_derivative(bq.points, bq.normals)
+    rng = np.random.default_rng(3)
+    for p in (1, 2):
+        C = num_components(2, p)
+        R = rng.standard_normal((len(bq.weights), C, C))
+        fields = [R + R.transpose(0, 2, 1)]
+        for b in ("normal", "tangential"):
+            K = boundary_operator(b, p, bq).evaluate(bq.points)
+            fields += [K, K - dnv[:, None, None] * np.eye(C)]
+        for mats in fields:
+            for trace in ("tangential", "normal"):
+                got = restricted_min_eig(mats, bq.normals, p, trace)
+                assert np.array_equal(
+                    got, restricted_min_eig_oracle(mats, bq.normals, p, trace))
+
+
+def test_field_symmetry_guard():
     skew = EndomorphismField(1, 2, lambda x: np.broadcast_to(
         np.array([[0.0, 1.0], [-1.0, 0.0]]), (x.shape[0], 2, 2)).copy())
     with pytest.raises(ValueError):

@@ -102,3 +102,25 @@ def test_tangential_projector():
     assert np.allclose(exterior.tangential_projector(nu, 2), [[0.0]])
     P1 = exterior.tangential_projector(nu, 1)
     assert np.allclose(P1 @ nu, 0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_builders_batch_equals_stacked_calls(n):
+    """Every builder applied to a (4, 3, ...) batch returns the stack of its
+    single calls, bitwise."""
+    rng = np.random.default_rng(17)
+    vecs = rng.standard_normal((4, 3, n))
+    normals = vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
+    mats = rng.standard_normal((4, 3, n, n))
+    builders = [(exterior.wedge_covector_matrix, vecs),
+                (exterior.interior_product_matrix, vecs),
+                (exterior.exterior_power_matrix, mats),
+                (exterior.tangential_projector, normals),
+                (exterior.normal_projector, normals)]
+    for build, args in builders:
+        for p in range(n + 1):
+            batch = build(args, p)
+            single = build(args[0, 0], p)
+            assert batch.shape == (4, 3) + single.shape
+            for idx in np.ndindex(4, 3):
+                assert np.array_equal(batch[idx], build(args[idx], p)), (build.__name__, p)

@@ -9,7 +9,7 @@ from hodgecheck.analytic_forms import AnalyticForm
 from hodgecheck.domains import DomainSpec
 from hodgecheck.meshing import generate_mesh
 from hodgecheck.operators import (Cochain, OperatorChain, UnsupportedRealizationError,
-                                  assemble_weighted_laplacian, dual_problem)
+                                  dual_problem)
 from hodgecheck.potentials import Potential, _COORDS
 from hodgecheck.whitney import AssemblyWarning, assemble_mass
 
@@ -124,23 +124,23 @@ def test_stiffness_semidefinite():
         op = chain.operator(p)
         for _ in range(10):
             x = rng.standard_normal(op.dim)
-            assert op.quadratic_form(x) >= -1e-10 * float(x @ (op.M @ x))
+            assert x @ op.stiff_matvec(x) >= -1e-10 * float(x @ (op.M @ x))
 
 
 def test_realization_rules():
     m = generate_mesh(DomainSpec.disk(1.0), 0.4)
     V = Potential.quadratic(1.0, 2)
-    op = assemble_weighted_laplacian(m, 0, V, "normal")
+    op = OperatorChain(m, V, "normal").operator(0)
     assert op.dim == m.vertex_coords.shape[0]  # normal: no essential constraint
-    opt = assemble_weighted_laplacian(m, 0, V, "tangential")
+    opt = OperatorChain(m, V, "tangential").operator(0)
     assert opt.dim == int((~m.boundary_marker[0]).sum())
     # normal keeps every DOF at every degree: n w = 0 is a natural condition
-    assert assemble_weighted_laplacian(m, 1, V, "normal").dim == m.num(1)
+    assert OperatorChain(m, V, "normal").operator(1).dim == m.num(1)
     with pytest.raises(UnsupportedRealizationError):
-        assemble_weighted_laplacian(m, 1, V, "neumann")
+        OperatorChain(m, V, "neumann")
     # boundaryless domains: the none realization is unconstrained at every degree
     t = generate_mesh(DomainSpec.flat_torus(1.0, 1.0), 0.4)
-    op = assemble_weighted_laplacian(t, 1, Potential.zero(2), "none")
+    op = OperatorChain(t, Potential.zero(2), "none").operator(1)
     assert op.dim == t.num(1)
 
 
@@ -168,19 +168,6 @@ def test_conjugation_similarity_spectrum():
     a = np.sort(np.linalg.eigvals(L).real)
     b = np.sort(np.linalg.eigvals(W).real)
     assert np.abs(a - b).max() <= 1e-8 * (1 + np.abs(a).max())
-
-
-def test_cochain_csv_export(tmp_path):
-    m = generate_mesh(DomainSpec.interval(0, 1), 0.25)
-    chain = OperatorChain(m, Potential.zero(1), "tangential")
-    c = Cochain(0, "tangential", np.arange(chain.dim(0), dtype=float))
-    path = tmp_path / "c.csv"
-    c.export_csv(chain, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "simplex_id,value"
-    assert len(lines) == 1 + m.vertex_coords.shape[0]
-    # constrained boundary vertices export zeros
-    assert lines[1].endswith("0.0")
 
 
 def test_intertwining_negative_control():

@@ -232,14 +232,13 @@ def test_sparse_lu_fill_and_solves():
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_spectral_result_cochains():
+def test_spectral_result_m_orthonormal():
     m = generate_mesh(DomainSpec.interval(0, 1), 1 / 32)
     chain = OperatorChain(m, Potential.zero(1), "tangential")
     res = lowest_eigenpairs(chain.operator(0), 2)
-    cochains = res.cochains()
-    assert len(cochains) == 2
-    assert cochains[0].degree == 0 and cochains[0].realization == "tangential"
-    assert abs(chain.norm(cochains[0]) - 1.0) <= 1e-9
+    V = res.eigenvectors
+    assert V.shape == (chain.dim(0), 2)
+    assert np.abs(V.T @ (chain.mass(0) @ V) - np.eye(2)).max() <= 1e-9
 
 
 @pytest.mark.parametrize("domain, V, p, h, levels, kernel, lowest", [
