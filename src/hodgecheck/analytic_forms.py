@@ -3,11 +3,11 @@
 Components are sympy expressions in Cartesian coordinates (x1[, x2]); the
 constructor lambdifies values, and first derivatives are lambdified on the
 first ``component_grads`` call.  The calculus helpers (exterior derivative,
-flat/weighted codifferential, interior and wedge products, Hodge star,
-weighted scalar Laplacian) produce new forms symbolically, so every identity
-check can integrate both of its sides from independent closed-form
-integrands.  The wedge, interior and star helpers contract the components
-with the matrices of ``exterior``, which owns the sign conventions.
+flat/weighted codifferential, interior and wedge products, weighted scalar
+Laplacian) produce new forms symbolically, so every identity check can
+integrate both of its sides from independent closed-form integrands.  The
+wedge and interior helpers contract the components with the matrices of
+``exterior``, which owns the sign conventions.
 """
 
 from __future__ import annotations
@@ -123,10 +123,6 @@ class AnalyticForm:
         """d*_V = d* + i_{grad V} (the adjoint of d in L^2(e^{-V} dmu))."""
         gradV = [sp.diff(potential.expr, s) for s in _COORDS[:self.n]]
         return self.codifferential().add(self.interior_with(gradV))
-
-    def star(self) -> "AnalyticForm":
-        return self._contract([exterior.hodge_star_matrix(self.n, self.degree)], [1], False,
-                              self.n - self.degree, f"*({self.name})")
 
     def weighted_laplacian_scalar(self, potential: Potential):
         """L^(0) w = -Delta w + grad V . grad w as a sympy expression (p = 0)."""

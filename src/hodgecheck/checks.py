@@ -72,10 +72,13 @@ def _half(potential: Potential) -> Potential:
     return Potential(potential.expr / 2, potential.n, name=f"{potential.name}/2")
 
 
-def _label(spec: DomainSpec) -> str:
-    if spec.kind == "polygon":
-        return f"polygon[{len(spec.vertices)} vertices]"
-    return f"{spec.kind}{list(spec.parameters)}"
+def _labels(domain: DomainSpec, potential: Potential) -> dict:
+    """The domain, potential and h_param labels of every record."""
+    if domain.kind == "polygon":
+        label = f"polygon[{len(domain.vertices)} vertices]"
+    else:
+        label = f"{domain.kind}{list(domain.parameters)}"
+    return {"domain": label, "potential": potential.name, "h_param": potential.h_param}
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +93,9 @@ def _flat_witten_quadratic_form(form, fpot, domain, quad_order):
     dfc = [sp.diff(fpot.expr, s) for s in _COORDS[:n]]
     quad = domain_quadrature(domain, quad_order)
     total = 0.0
-    if p < n:
+    if p < n:   # d w and df ^ w vanish at top degree
         dpart = form.d().add(form.wedge_with(dfc))
         total += quad.integrate(dpart.norm_sq(quad.points))
-    elif p == n and p > 0:
-        pass  # df ^ w vanishes at top degree
     if p >= 1:
         cpart = form.codifferential().add(form.interior_with(dfc))
         total += quad.integrate(cpart.norm_sq(quad.points))
@@ -159,13 +160,11 @@ def eval_decomposition_identity(form: AnalyticForm, potential: Potential,
     if perturb_term is not None:
         terms[perturb_term] *= (1.0 + perturb_rel)
     rhs = sum(terms)
-    rec = identity_record("decomposition_identity", lhs, rhs, tolerance,
-                          domain=_label(domain), potential=potential.name,
-                          p=form.degree, b=b, quad_order=quad_order,
-                          h_param=potential.h_param,
-                          extra={"terms": dict(zip(DECOMPOSITION_TERMS, terms)),
-                                 "perturbed": perturb_term})
-    return rec
+    return identity_record("decomposition_identity", lhs, rhs, tolerance,
+                           **_labels(domain, potential),
+                           p=form.degree, b=b, quad_order=quad_order,
+                           extra={"terms": dict(zip(DECOMPOSITION_TERMS, terms)),
+                                  "perturbed": perturb_term})
 
 
 def _lie_term_quadratic(form, fpot, quad):
@@ -230,9 +229,8 @@ def eval_green_identity(form: AnalyticForm, potential: Potential, domain: Domain
         t_bdy = sign * bq.integrate(form.norm_sq(bq.points) * dnf)
     rhs = t_d + t_f2 + t_lie + t_bdy
     return identity_record("green_identity", lhs, rhs, tolerance,
-                           domain=_label(domain), potential=potential.name,
+                           **_labels(domain, potential),
                            p=form.degree, b=b, quad_order=quad_order,
-                           h_param=potential.h_param,
                            extra={"terms": {"unweighted_form": t_d, "gradf_sq": t_f2,
                                             "lie": t_lie, "boundary": t_bdy}})
 
@@ -252,8 +250,7 @@ def eval_h1_identity(form: AnalyticForm, domain: DomainSpec, b: str,
         t_bdy = bq.integrate(K.quadratic(bq.points, bvals))
     rhs = t_d - t_bdy
     return identity_record("h1_identity", lhs, rhs, tolerance,
-                           domain=_label(domain), potential="zero",
-                           p=form.degree, b=b, quad_order=quad_order,
+                           **_labels(domain, zero), p=form.degree, b=b, quad_order=quad_order,
                            extra={"terms": {"unweighted_form": t_d, "boundary_K": t_bdy}})
 
 
@@ -299,17 +296,12 @@ def check_gamma2(form: AnalyticForm, potential: Potential, domain: DomainSpec,
     chain1 = max(abs(t1 - t2), abs(t2 - t3)) / scale1
     scale2 = max(abs(t4), abs(t5), 1e-13)
     chain2 = abs(t4 - t5) / scale2
-    rel = max(chain1, chain2)
-    rec = CheckRecord("gamma2", kind="identity", domain=_label(domain),
-                      potential=potential.name, p=0, b="interior",
-                      lhs=t4, rhs=t5, abs_err=abs(t4 - t5), rel_err=rel,
-                      tolerance=tolerance, passed=rel <= tolerance,
-                      hypothesis_status="satisfied", quad_order=quad_order,
-                      h_param=potential.h_param,
-                      extra={"gamma": t1, "dirichlet": t2, "generator": t3,
-                             "gamma2_lhs": t4, "gamma2_rhs": t5,
-                             "chain1_rel": chain1, "chain2_rel": chain2})
-    return rec
+    return identity_record("gamma2", t4, t5, tolerance, rel_err=max(chain1, chain2),
+                           **_labels(domain, potential), p=0, b="interior",
+                           quad_order=quad_order,
+                           extra={"gamma": t1, "dirichlet": t2, "generator": t3,
+                                  "gamma2_lhs": t4, "gamma2_rhs": t5,
+                                  "chain1_rel": chain1, "chain2_rel": chain2})
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +436,8 @@ def check_bl_scalar(form: AnalyticForm, potential: Potential, domain: DomainSpec
                 np.einsum("mi,mi->m", np.einsum("mij,mj->mi",
                                                 inv.evaluate(quad.points), grads), grads))
     return inequality_record("bl_scalar", lhs, rhs, hyp.status, tol_rel, tol_abs,
-                             witness=hyp.witness, domain=_label(domain),
-                             potential=potential.name, p=1, b=b, N=N,
-                             quad_order=quad_order, h_param=potential.h_param,
+                             witness=hyp.witness, **_labels(domain, potential),
+                             p=1, b=b, N=N, quad_order=quad_order,
                              extra={"hypothesis": hyp.to_dict(),
                                     "factor": _n_factor(N)})
 
@@ -494,10 +485,8 @@ def check_bl_forms(form: AnalyticForm, potential: Potential, domain: DomainSpec,
                                note="bound degree p = 0: curvature term vanishes")
         extra["hypothesis"] = hyp.to_dict()
         return inequality_record("bl_forms", math.nan, math.nan, hyp.status,
-                                 tol_rel, tol_abs, domain=_label(domain),
-                                 potential=potential.name, p=p, b=b,
-                                 quad_order=quad_order, extra=extra,
-                                 h_param=potential.h_param)
+                                 tol_rel, tol_abs, **_labels(domain, potential),
+                                 p=p, b=b, quad_order=quad_order, extra=extra)
     hyp = hypothesis_check(potential, domain, b, p=p, quad_order=quad_order)
     extra["hypothesis"] = hyp.to_dict()
 
@@ -515,10 +504,8 @@ def check_bl_forms(form: AnalyticForm, potential: Potential, domain: DomainSpec,
         rhs = measure.expect(np.einsum(
             "mi,mi->m", np.einsum("mij,mj->mi", inv.evaluate(quad.points), dvals), dvals))
     return inequality_record("bl_forms", lhs, rhs, hyp.status, tol_rel, tol_abs,
-                             witness=hyp.witness, domain=_label(domain),
-                             potential=potential.name, p=p, b=b,
-                             quad_order=quad_order, mesh_h=mesh_h, extra=extra,
-                             h_param=potential.h_param)
+                             witness=hyp.witness, **_labels(domain, potential),
+                             p=p, b=b, quad_order=quad_order, mesh_h=mesh_h, extra=extra)
 
 
 def _projected_deficit(form, potential, domain, b, sigma, Z, mesh_h, seed):
@@ -549,7 +536,7 @@ def _constant_kernel_projection(chain: OperatorChain, values: np.ndarray) -> np.
 
 
 def check_variance_identity(eta: Cochain, chain: OperatorChain,
-                            solver_tol: float = 1e-11, kernel1=None) -> tuple[float, float]:
+                            kernel1=None) -> tuple[float, float]:
     """Two routes of the exact discrete variance identity.
 
     lhs = ||eta - pi eta||^2_M,  rhs = <(L^(1)|_{Ran d})^{-1} d eta, d eta>_M.
@@ -563,7 +550,7 @@ def check_variance_identity(eta: Cochain, chain: OperatorChain,
         centered = eta.values - _constant_kernel_projection(chain, eta.values)
     lhs = float(centered @ (chain.mass(0) @ centered))
     deta = chain.apply_d(eta)
-    w = solve_on_range(chain.operator(1), deta.values, tol=solver_tol, kernel=kernel1)
+    w = solve_on_range(chain.operator(1), deta.values, kernel=kernel1)
     rhs = float(w @ (chain.mass(1) @ deta.values))
     return lhs, rhs
 
@@ -585,15 +572,11 @@ def variance_identity_record(domain: DomainSpec, potential: Potential, b: str,
         rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
         if rel > worst:
             worst, pair = rel, (lhs, rhs)
-    rec = CheckRecord("variance_identity", kind="identity", domain=_label(domain),
-                      potential=potential.name, p=0, b=b, lhs=pair[0], rhs=pair[1],
-                      abs_err=abs(pair[0] - pair[1]), rel_err=worst, tolerance=tol,
-                      passed=worst <= tol, hypothesis_status="satisfied",
-                      mesh_h=cplx.mesh_size_h, quad_order=quad_order,
-                      h_param=potential.h_param,
-                      extra={"samples": n_samples, "worst_rel": worst,
-                             "range_solver": range_solver(chain.dim(1))})
-    return rec
+    return identity_record("variance_identity", *pair, tol, rel_err=worst,
+                           **_labels(domain, potential), p=0, b=b,
+                           mesh_h=cplx.mesh_size_h, quad_order=quad_order,
+                           extra={"samples": n_samples, "worst_rel": worst,
+                                  "range_solver": range_solver(chain.dim(1))})
 
 
 def _mesh(domain: DomainSpec, mesh_h: float, level: int = 0, coarser=None):
@@ -639,10 +622,27 @@ def _first_nonkernel_eigenvalue(res) -> float:
     return float(above[0])
 
 
+def _gap_record(check_id: str, bound: float, gaps, hs, hyp: HypothesisReport,
+                extra: dict, **kw) -> CheckRecord:
+    """The one gap verdict: the hypotheses hold and gaps[i] >= bound - C*hs[i]
+    at every level, with C <= C_cap = max(10, 10|bound|).  lhs is the bound,
+    rhs the finest level's gap; extra gains the fitted C_fit and C_cap."""
+    cap = max(10.0, 10.0 * abs(bound))
+    c_fit = max(max(0.0, (bound - g) / h) for g, h in zip(gaps, hs))
+    gap = gaps[-1]
+    return CheckRecord(check_id, kind="inequality", lhs=bound, rhs=gap,
+                       abs_err=bound - gap,
+                       rel_err=max(0.0, bound - gap) / max(abs(bound), 1e-300),
+                       tolerance=INEQ_REL, passed=hyp.status == "satisfied" and c_fit <= cap,
+                       hypothesis_status=hyp.status, witness=hyp.witness, mesh_h=hs[-1],
+                       extra={**extra, "C_fit": c_fit, "C_cap": cap,
+                              "hypothesis": hyp.to_dict()}, **kw)
+
+
 def check_gap_lower_bound(potential: Potential, domain: DomainSpec, b: str, p: int,
                           use_N: float | None = None, mesh_h: float = 0.3,
-                          levels: int = 3, quad_order: int = 4, seed: int = 1234,
-                          tol_rel: float = INEQ_REL) -> CheckRecord:
+                          levels: int = 3, quad_order: int = 4,
+                          seed: int = 1234) -> CheckRecord:
     """First nonkernel eigenvalue vs the pointwise curvature lower bound.
 
     lambda_1(h) >= bound - C*h across a refinement ladder with C required
@@ -666,21 +666,10 @@ def check_gap_lower_bound(potential: Potential, domain: DomainSpec, b: str, p: i
                       quad_order)
     lam = [_first_nonkernel_eigenvalue(res) for res in rungs]
     hs = [res.mesh_h for res in rungs]
-    cap = max(10.0, 10.0 * abs(bound))
-    cs = [max(0.0, (bound - l) / h) for l, h in zip(lam, hs)]
-    c_fit = max(cs)
-    passed = hyp.status == "satisfied" and c_fit <= cap
-    return CheckRecord("gap_lower_bound", kind="inequality", domain=_label(domain),
-                       potential=potential.name, p=p, b=b, N=use_N,
-                       lhs=bound, rhs=lam[-1], abs_err=bound - lam[-1],
-                       rel_err=max(0.0, bound - lam[-1]) / max(abs(bound), 1e-300),
-                       tolerance=tol_rel, passed=passed,
-                       hypothesis_status=hyp.status, witness=hyp.witness,
-                       mesh_h=hs[-1], quad_order=quad_order,
-                       h_param=potential.h_param,
-                       extra={"bound": bound, "eigenvalues": lam, "mesh_sizes": hs,
-                              "C_fit": c_fit, "C_cap": cap,
-                              "hypothesis": hyp.to_dict()})
+    return _gap_record("gap_lower_bound", bound, lam, hs, hyp,
+                       {"bound": bound, "eigenvalues": lam, "mesh_sizes": hs},
+                       **_labels(domain, potential), p=p, b=b, N=use_N,
+                       quad_order=quad_order)
 
 
 def semiclassical_sweep(potential: Potential, domain: DomainSpec, b: str, p: int,
@@ -692,7 +681,9 @@ def semiclassical_sweep(potential: Potential, domain: DomainSpec, b: str, p: int
     h-independent; the tangential side needs h*K_t^(p') - dV/dn >= 0.
     On flat domains h * lambda_1(V/h) is bounded below by the Hess V
     minimum (the interior minimum of hypothesis_check) up to the
-    mesh-resolution term.  Every h is solved on the one mesh of mesh_h.
+    mesh-resolution term.  Every h is solved on the one mesh of mesh_h, and
+    its record, graded by _gap_record at that one level, carries h as its
+    h_param.
     """
     bound_degree = max(p, 1)
     spectra = _ladder(domain, mesh_h, 1, [(potential.rescaled(h), b, p) for h in h_list],
@@ -701,21 +692,12 @@ def semiclassical_sweep(potential: Potential, domain: DomainSpec, b: str, p: int
     for h, [res] in zip(h_list, spectra):
         hyp = hypothesis_check(potential, domain, b, bound_degree,
                                quad_order=max(quad_order, 6), kt_scale=h)
-        hessmin = hyp.interior_min
         lam1 = _first_nonkernel_eigenvalue(res)
-        gap_scaled = h * lam1
-        cap = max(10.0, 10.0 * abs(hessmin))
-        passed = hyp.status == "satisfied" and gap_scaled >= hessmin - cap * res.mesh_h
-        records.append(CheckRecord(
-            "semiclassical_sweep", kind="inequality", domain=_label(domain),
-            potential=potential.name, p=p, b=b, h_param=h,
-            lhs=hessmin, rhs=gap_scaled, abs_err=hessmin - gap_scaled,
-            rel_err=max(0.0, hessmin - gap_scaled) / max(abs(hessmin), 1e-300),
-            tolerance=INEQ_REL, passed=passed,
-            hypothesis_status=hyp.status, witness=hyp.witness,
-            mesh_h=res.mesh_h, quad_order=quad_order,
-            extra={"h": h, "lambda1": lam1, "h_lambda1": gap_scaled,
-                   "hypothesis": hyp.to_dict()}))
+        records.append(_gap_record(
+            "semiclassical_sweep", hyp.interior_min, [h * lam1], [res.mesh_h], hyp,
+            {"h": h, "lambda1": lam1, "h_lambda1": h * lam1},
+            **{**_labels(domain, potential), "h_param": h}, p=p, b=b,
+            quad_order=quad_order))
     return records
 
 
@@ -754,15 +736,12 @@ def duality_spectrum_check(domain: DomainSpec, potential: Potential, k: int = 3,
     a_ex = [_richardson([lev[i] for lev in a_levels]) for i in range(k)]
     b_ex = [_richardson([lev[i] for lev in b_levels]) for i in range(k)]
     rel = max(abs(a - b) / max(abs(a), abs(b), 1e-300) for a, b in zip(a_ex, b_ex))
-    return CheckRecord("duality_spectrum", kind="identity", domain=_label(domain),
-                       potential=potential.name, p=0, b="normal",
-                       lhs=a_ex[0], rhs=b_ex[0], abs_err=abs(a_ex[0] - b_ex[0]),
-                       rel_err=rel, tolerance=tol, passed=rel <= tol,
-                       hypothesis_status="satisfied", mesh_h=mesh_h,
-                       quad_order=quad_order, h_param=potential.h_param,
-                       extra={"direct_extrapolated": a_ex, "dual_extrapolated": b_ex,
-                              "direct_levels": [list(map(float, v)) for v in a_levels],
-                              "dual_levels": [list(map(float, v)) for v in b_levels]})
+    return identity_record("duality_spectrum", a_ex[0], b_ex[0], tol, rel_err=rel,
+                           **_labels(domain, potential), p=0, b="normal",
+                           mesh_h=mesh_h, quad_order=quad_order,
+                           extra={"direct_extrapolated": a_ex, "dual_extrapolated": b_ex,
+                                  "direct_levels": [list(map(float, v)) for v in a_levels],
+                                  "dual_levels": [list(map(float, v)) for v in b_levels]})
 
 
 def hodge_decomposition_record(domain: DomainSpec, potential: Potential, b: str,
@@ -782,12 +761,9 @@ def hodge_decomposition_record(domain: DomainSpec, potential: Potential, b: str,
         split = hodge_decompose(x, op, kernel=kp)
         worst_rec = max(worst_rec, split.recomposition_residual)
         worst_orth = max(worst_orth, max(split.orthogonality_residuals, default=0.0))
-    rel = max(worst_rec, worst_orth)
-    return CheckRecord("hodge_decomposition", kind="identity", domain=_label(domain),
-                       potential=potential.name, p=p, b=b, lhs=worst_rec,
-                       rhs=0.0, abs_err=worst_rec, rel_err=rel, tolerance=tol,
-                       passed=rel <= tol, hypothesis_status="satisfied",
-                       mesh_h=cplx.mesh_size_h, quad_order=quad_order,
-                       extra={"kernel_dim": kp.dim, "recomposition": worst_rec,
-                              "orthogonality": worst_orth, "samples": n_samples,
-                              "range_solver": range_solver(op.dim)})
+    return identity_record("hodge_decomposition", worst_rec, 0.0, tol,
+                           rel_err=max(worst_rec, worst_orth), **_labels(domain, potential),
+                           p=p, b=b, mesh_h=cplx.mesh_size_h, quad_order=quad_order,
+                           extra={"kernel_dim": kp.dim, "recomposition": worst_rec,
+                                  "orthogonality": worst_orth, "samples": n_samples,
+                                  "range_solver": range_solver(op.dim)})

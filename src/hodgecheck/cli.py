@@ -5,36 +5,21 @@ Subcommands:
   list-presets
   converge <config.json> [--out report.json] [--csv records.csv]
 
-Exit status: 0 = all pass/not_applicable, 1 = any fail, 2 = config error.
+Exit status: 0 = all pass/not_applicable, 1 = any fail, 2 = config error
+(a mesh ladder above the size budget included).
+
+hodgecheck consults no environment variable.  BLAS threads are pinned in
+the environment (OMP_NUM_THREADS and the like) before the interpreter starts.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .config import ConfigError, load_config
 from .presets import CHECK_IDS, DOMAIN_PRESETS, PRESET_POTENTIALS
 from .report import convergence_study, run_config
-
-
-def _apply_thread_limit():
-    """HODGECHECK_THREADS is the only environment variable consulted."""
-    raw = os.environ.get("HODGECHECK_THREADS")
-    if not raw:
-        return
-    try:
-        limit = max(1, int(raw))
-    except ValueError:
-        print(f"warning: ignoring HODGECHECK_THREADS={raw!r}", file=sys.stderr)
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=limit)
-    except ImportError:
-        os.environ.setdefault("OMP_NUM_THREADS", str(limit))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,7 +59,6 @@ def _print_presets():
 
 
 def main(argv=None) -> int:
-    _apply_thread_limit()
     args = _build_parser().parse_args(argv)
     if args.command == "list-presets":
         _print_presets()

@@ -11,11 +11,21 @@ from .potentials import Potential, parse_potential
 from .presets import CHECK_IDS
 from .records import decode_extended
 
-__all__ = ["ConfigError", "RunConfig", "load_config"]
+__all__ = ["ConfigError", "RunConfig", "load_config", "check_mesh_budget"]
 
-MAX_REFINEMENTS = 6  # desk-scale guard
+# desk-scale guards
+MAX_REFINEMENTS = 6
+MAX_QUAD_ORDER = 32
+MAX_EIGEN_COUNT = 100
+MAX_SAMPLES = 1000
 MAX_POTENTIAL_DEGREE = 12  # total degree of a polynomial-table term; sympy
                            # derives each term symbolically at load time
+MAX_TOP_SIMPLICES = 8_000_000  # estimated, summed over the deepest mesh ladder
+# top simplices per measure / h^d on a level-0 mesh, at or above every
+# mesher's measured ratio: 1.0 in 1D (up to rounding to whole elements); in
+# 2D 4.0-6.0 for the disk, annulus, rectangle and torus and 13.7 for an
+# L-shaped polygon
+SIMPLEX_DENSITY = {1: 1.0, 2: 14.0}
 
 
 class ConfigError(ValueError):
@@ -77,9 +87,10 @@ def _integer(val, path: str, lo: int, hi: int | None = None) -> int:
     return val
 
 
-def _count(raw: dict, key: str, default: int) -> int:
-    """A positive integer count: zero samples would make a check vacuous."""
-    return _integer(raw.get(key, default), key, 1)
+def _count(raw: dict, key: str, default: int, cap: int) -> int:
+    """A positive integer count up to cap: zero samples would make a check
+    vacuous."""
+    return _integer(raw.get(key, default), key, 1, cap)
 
 
 def _finite(val, path: str, what: str = "a finite number") -> float:
@@ -226,7 +237,7 @@ def load_config(source) -> RunConfig:
     target_h = _positive(mesh.get("target_h", 0.25), "mesh.target_h")
     refinements = _integer(mesh.get("refinements", 0), "mesh.refinements", 0,
                            MAX_REFINEMENTS)
-    quad_order = _integer(raw.get("quad_order", 8), "quad_order", 2)
+    quad_order = _integer(raw.get("quad_order", 8), "quad_order", 2, MAX_QUAD_ORDER)
     tolerances = dict(DEFAULT_TOLERANCES)
     for k, v in _typed(raw.get("tolerances", {}), "tolerances", dict, "an object").items():
         if k not in DEFAULT_TOLERANCES:
@@ -244,6 +255,29 @@ def load_config(source) -> RunConfig:
                      realizations=realizations, N_values=N_values, checks=checks,
                      target_h=target_h, refinements=refinements, quad_order=quad_order,
                      tolerances=tolerances, seed=seed, output=output,
-                     h_list=h_list, eigen_count=_count(raw, "eigen_count", 3),
-                     n_samples=_count(raw, "n_samples", 20),
+                     h_list=h_list, eigen_count=_count(raw, "eigen_count", 3, MAX_EIGEN_COUNT),
+                     n_samples=_count(raw, "n_samples", 20, MAX_SAMPLES),
                      inadmissible_N=inadmissible, raw=raw)
+
+
+def check_mesh_budget(cfg: RunConfig):
+    """Raise ConfigError at mesh.target_h when the deepest mesh ladder of a
+    run would exceed MAX_TOP_SIMPLICES; run_config and convergence_study call
+    it before any mesh is built.
+
+    The deepest ladder is the duality ladder, max(4, refinements + 1) levels
+    from target_h, and each refinement multiplies the top simplices by 2^d.
+    A level-0 mesh is estimated at SIMPLEX_DENSITY[d] * measure / h^d.
+    """
+    d = cfg.domain.ambient_dim
+    try:
+        size = SIMPLEX_DENSITY[d] * abs(cfg.domain.measure())
+    except OverflowError:           # a domain extent beyond the float range
+        size = math.inf
+    for _ in range(d):
+        size /= cfg.target_h        # overflows to inf, never raises
+    size *= sum(2 ** (d * level) for level in range(max(4, cfg.refinements + 1)))
+    if size > MAX_TOP_SIMPLICES:
+        raise ConfigError("mesh.target_h",
+                          f"the mesh ladder would hold about {size:.3g} top simplices, "
+                          f"above the budget of {MAX_TOP_SIMPLICES}")

@@ -79,10 +79,6 @@ class EndomorphismField:
             raise ValueError(f"field {self.name} not symmetric: deviation {sym_dev:.2e}")
         return out
 
-    def apply(self, points: np.ndarray, comps: np.ndarray) -> np.ndarray:
-        """Matrix-vector action at each point: (m, C) -> (m, C)."""
-        return np.einsum("mij,mj->mi", self.evaluate(points), comps)
-
     def quadratic(self, points: np.ndarray, comps: np.ndarray) -> np.ndarray:
         return np.einsum("mi,mij,mj->m", comps, self.evaluate(points), comps)
 

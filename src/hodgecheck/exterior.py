@@ -3,7 +3,7 @@
 Degree-p forms are represented by their coefficient vectors over the ordered
 basis ``e_I = dx_{i1} ^ ... ^ dx_{ip}`` with ``I`` running over increasing
 index tuples.  All operators on forms (wedge with a covector, interior
-product, derivation lifts, exterior powers, Hodge star) become small dense
+product, derivation lifts, exterior powers) become small dense
 matrices on those coefficient vectors, which is what the quadrature-point
 evaluators in the rest of the package consume.  Every builder that takes a
 covector, vector, normal or matrix also takes a batch of them (leading axes
@@ -34,7 +34,6 @@ __all__ = [
     "interior_product_matrix",
     "lift_matrix",
     "exterior_power_matrix",
-    "hodge_star_matrix",
     "tangential_projector",
     "normal_projector",
 ]
@@ -140,29 +139,6 @@ def exterior_power_matrix(m: np.ndarray, p: int) -> np.ndarray:
     rows = np.array(src, dtype=int).reshape(len(src), p)
     # minors[..., i, j, :, :] = m[np.ix_(src[i], src[j])]
     return np.linalg.det(m[..., rows[:, None, :, None], rows[None, :, None, :]])
-
-
-def hodge_star_matrix(n: int, p: int) -> np.ndarray:
-    """Matrix of the Euclidean Hodge star Lambda^p -> Lambda^(n-p)."""
-    src = basis_indices(n, p)
-    pos = basis_position(n, n - p)
-    out = np.zeros((num_components(n, n - p), num_components(n, p)))
-    for j, I in enumerate(src):
-        Ic = tuple(k for k in range(n) if k not in I)
-        perm = I + Ic
-        sign = _permutation_sign(perm)
-        out[pos[Ic], j] = sign
-    return out
-
-
-def _permutation_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    perm = list(perm)
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 def tangential_projector(nu: np.ndarray, p: int) -> np.ndarray:

@@ -85,9 +85,6 @@ class Cochain:
     realization: str
     values: np.ndarray
 
-    def copy(self):
-        return Cochain(self.degree, self.realization, self.values.copy())
-
 
 class OperatorChain:
     """All degrees of the weighted complex under one boundary realization.
@@ -103,21 +100,16 @@ class OperatorChain:
     garbage collector runs.  The full mass of each degree, before a
     realization restricts it to its free DOFs, is read from the run cache
     (see runcache), so the chains of one run on one mesh assemble it once.
-    ``quad_orders`` may assign a different quadrature order per degree (used
-    as a negative control: mismatched orders break the shared-mass
-    assumption).
     """
 
     def __init__(self, cplx: SimplicialComplex, potential: Potential,
-                 realization: str = "normal", quad_order: int = 4,
-                 quad_orders: dict | None = None):
+                 realization: str = "normal", quad_order: int = 4):
         if realization not in REALIZATIONS:
             raise UnsupportedRealizationError(f"unknown realization {realization!r}")
         self.cplx = cplx
         self.potential = potential
         self.realization = realization
         self.quad_order = quad_order
-        self.quad_orders = dict(quad_orders or {})
         self._mass = {}
         self._up = {}
         self._factor = {}
@@ -142,16 +134,14 @@ class OperatorChain:
     # -- assembled pieces ---------------------------------------------------
     def mass(self, p: int) -> sparse.csr_matrix:
         if p not in self._mass:
-            order = self.quad_orders.get(p, self.quad_order)
-
             def assemble():
-                M = assemble_mass(self.cplx, p, self.potential, order)
+                M = assemble_mass(self.cplx, p, self.potential, self.quad_order)
                 for array in (M.data, M.indices, M.indptr):
                     array.flags.writeable = False   # shared by the chains of a run
                 return self.cplx, M   # holding the complex keeps its id from reuse
 
             _, M = runcache.cached(("mass", id(self.cplx), p, self.potential.expr,
-                                    self.potential.n, order), assemble)
+                                    self.potential.n, self.quad_order), assemble)
             free = self.free_dofs(p)
             self._mass[p] = M[np.ix_(free, free)].tocsc()
         return self._mass[p]

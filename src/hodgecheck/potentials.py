@@ -51,10 +51,11 @@ def _derive(expr, n):
         grad = tuple(_lambdify(sp.diff(expr, s), n) for s in syms)
         hess = tuple(tuple(_lambdify(sp.diff(expr, si, sj), n) for sj in syms) for si in syms)
         lap = _lambdify(sum(sp.diff(expr, s, 2) for s in syms), n)
-        is_constant = all(sp.simplify(sp.diff(expr, s)) == 0 for s in syms)
         poly = expr.as_poly(*syms) if expr.free_symbols else None
-        poly_degree = poly.total_degree() if poly is not None else (0 if is_constant else None)
-        return grad, hess, lap, is_constant, poly_degree
+        poly_degree = poly.total_degree() if poly is not None else (
+            None if expr.free_symbols else 0)
+        # a non-polynomial counts as non-constant: the conservative side
+        return grad, hess, lap, poly_degree == 0, poly_degree
 
     return runcache.cached(("potential", expr, n), build)
 

@@ -132,11 +132,21 @@ def _rel_err(lhs: float, rhs: float) -> float:
 
 
 def identity_record(check_id: str, lhs: float, rhs: float, tolerance: float,
+                    rel_err: float | None = None, abs_err: float | None = None,
                     **kw) -> CheckRecord:
-    rel = _rel_err(lhs, rhs)
+    """The one identity verdict: pass when rel_err <= tolerance.
+
+    rel_err and abs_err default to the gap between lhs and rhs; a check that
+    measures its own error (a worst sample, a chain of equalities, an oracle
+    scale) passes it in.
+    """
+    if rel_err is None:
+        rel_err = _rel_err(lhs, rhs)
+    if abs_err is None:
+        abs_err = abs(lhs - rhs)
     return CheckRecord(check_id, kind="identity", lhs=lhs, rhs=rhs,
-                       abs_err=abs(lhs - rhs), rel_err=rel, tolerance=tolerance,
-                       passed=rel <= tolerance, hypothesis_status="satisfied", **kw)
+                       abs_err=abs_err, rel_err=rel_err, tolerance=tolerance,
+                       passed=rel_err <= tolerance, hypothesis_status="satisfied", **kw)
 
 
 def inequality_record(check_id: str, lhs: float, rhs_bound: float,

@@ -27,10 +27,10 @@ import numpy as np
 import scipy
 
 from . import __version__, checks, runcache
-from .config import RunConfig
+from .config import RunConfig, check_mesh_budget
 from .operators import OperatorChain
 from .presets import bl_form_cases, gamma2_bump, test_form
-from .records import CSV_COLUMNS, CheckRecord
+from .records import CSV_COLUMNS, CheckRecord, identity_record
 from .spectral import check_intertwining
 
 __all__ = ["Report", "run_config", "convergence_study"]
@@ -84,7 +84,7 @@ def _environment() -> dict:
 
 
 def _labels(cfg: RunConfig) -> dict:
-    return {"domain": checks._label(cfg.domain), "potential": cfg.potential.name}
+    return checks._labels(cfg.domain, cfg.potential)
 
 
 def _interval_oracle(cfg: RunConfig, p: int, b: str, k: int):
@@ -172,22 +172,19 @@ def _eigen_spectrum(cfg: RunConfig, p: int, b: str):
         raise ValueError(f"need 1 <= k <= {len(res.eigenvalues)}, got {cfg.eigen_count}")
     oracle = _interval_oracle(cfg, p, b, cfg.eigen_count)
     extra = {"spectral": res.to_json_dict()}
-    common = dict(**_labels(cfg), p=p, b=b, hypothesis_status="satisfied",
-                  mesh_h=res.mesh_h, quad_order=4, extra=extra)
+    common = dict(**_labels(cfg), p=p, b=b, mesh_h=res.mesh_h, quad_order=4, extra=extra)
     if oracle is not None:
         scale = max(max(abs(v) for v in oracle), 1.0)
         rel = max(abs(x - y) for x, y in zip(res.eigenvalues, oracle)) / scale
-        tol = 10.0 * res.mesh_h ** 2
         extra["oracle"] = oracle
-        return CheckRecord("eigen_spectrum", kind="identity",
-                           lhs=float(res.eigenvalues[-1]), rhs=oracle[-1],
-                           abs_err=rel * scale, rel_err=rel, tolerance=tol,
-                           passed=rel <= tol, **common)
+        return identity_record("eigen_spectrum", float(res.eigenvalues[-1]), oracle[-1],
+                               10.0 * res.mesh_h ** 2, rel_err=rel, abs_err=rel * scale,
+                               **common)
     ok = bool(np.all(res.residual_norms <= 1e-6 * (1.0 + np.abs(res.eigenvalues))))
     return CheckRecord("eigen_spectrum", kind="report",
                        lhs=float(res.eigenvalues[0]), rhs=float(res.eigenvalues[-1]),
                        rel_err=float(np.max(res.residual_norms)), tolerance=1e-6,
-                       passed=ok, **common)
+                       passed=ok, hypothesis_status="satisfied", **common)
 
 
 def _decomposition(cfg: RunConfig, p: int, b: str):
@@ -265,12 +262,9 @@ def _intertwining(cfg: RunConfig, b: str):
         if chain.dim(p) == 0:
             continue
         rep = check_intertwining(chain, p, n_samples=5, seed=cfg.seed)
-        recs.append(CheckRecord(
-            "intertwining", kind="identity", **_labels(cfg), p=p, b=b,
-            lhs=rep["residual"], rhs=0.0, abs_err=rep["residual"],
-            rel_err=rep["residual"], tolerance=tol, passed=rep["residual"] <= tol,
-            hypothesis_status="satisfied", mesh_h=cplx.mesh_size_h, quad_order=4,
-            extra=rep))
+        recs.append(identity_record(
+            "intertwining", rep["residual"], 0.0, tol, rel_err=rep["residual"],
+            **_labels(cfg), p=p, b=b, mesh_h=cplx.mesh_size_h, quad_order=4, extra=rep))
     return recs
 
 
@@ -310,7 +304,9 @@ RUNNERS = {cid: _runner(cid, axes, fn) for cid, (axes, fn) in _CASES.items()}
 
 
 def run_config(cfg: RunConfig, timings: bool = False) -> Report:
-    """Every configured check in one run-cache scope (see runcache)."""
+    """Every configured check in one run-cache scope (see runcache), once the
+    mesh budget admits the config."""
+    check_mesh_budget(cfg)
     records = []
     with runcache.scope():
         for check_id in cfg.checks:
@@ -355,6 +351,7 @@ def convergence_study(cfg: RunConfig, timings: bool = False) -> Report:
     run-cache scope (see runcache)."""
     if cfg.refinements < 2:
         raise ValueError("convergence study needs refinements >= 2 (>= 3 levels)")
+    check_mesh_budget(cfg)
     records = []
     tables = []
     with runcache.scope():

@@ -100,10 +100,10 @@ def _basis(n, p):
 
 
 def exterior_calculus_oracle(form, op, exprs=None):
-    """Components of d, d*, i_X, a ^ or star of an AnalyticForm, one
-    insertion at a time with the sign rule written out here.
+    """Components of d, d*, i_X or a ^ of an AnalyticForm, one insertion at
+    a time with the sign rule written out here.
 
-    op is "d", "codifferential", "interior", "wedge" or "star"; exprs holds
+    op is "d", "codifferential", "interior" or "wedge"; exprs holds
     the vector field (interior) or 1-form (wedge) components.  Each term is
     accumulated coefficient first, so the result is structurally equal to
     the symbolic calculus it checks.
@@ -139,18 +139,5 @@ def exterior_calculus_oracle(form, op, exprs=None):
                     out[kpos] += -sign * sp.diff(comps[pos_src[J]], xs[i])
                 else:
                     out[kpos] += sign * exprs[i] * comps[pos_src[J]]
-        return out
-    if op == "star":
-        pos = {J: k for k, J in enumerate(_basis(n, n - p))}
-        out = [sp.Integer(0)] * len(pos)
-        for j, I in enumerate(_basis(n, p)):
-            Ic = tuple(k for k in range(n) if k not in I)
-            perm = list(I + Ic)
-            sign = 1
-            for a in range(n):
-                for b in range(a + 1, n):
-                    if perm[a] > perm[b]:
-                        sign = -sign
-            out[pos[Ic]] += sp.Rational(sign) * comps[j]
         return out
     raise ValueError(op)

@@ -54,15 +54,6 @@ def test_weighted_codifferential_adjointness_by_quadrature():
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
 
-def test_star_is_isometry():
-    w = AnalyticForm(2, 1, [x1, x2**2])
-    s = w.star()
-    pts = np.random.default_rng(0).uniform(-1, 1, (20, 2))
-    assert np.allclose(w.norm_sq(pts), s.norm_sq(pts))
-    ss = s.star()
-    assert np.allclose(ss.components(pts), -w.components(pts))  # star^2 = -1 on 1-forms
-
-
 def test_weighted_laplacians():
     V = Potential.quadratic(2.0, 2)
     u = AnalyticForm(2, 0, [x1**2])
@@ -119,13 +110,13 @@ _CALCULUS_POTENTIALS = {1: 0.5 * x1**2 + 0.3 * x1,
 
 @pytest.mark.parametrize("n, p", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)])
 def test_calculus_matches_insertion_oracle(n, p):
-    """d, d*, i_X, a ^ and star are structurally equal to the one-insertion-
+    """d, d*, i_X and a ^ are structurally equal to the one-insertion-
     at-a-time loops of the oracle, so the lambdified integrands do not move;
     the vector field and 1-form are the gradient of a float-coefficient
     potential, whose components are sums."""
     form = AnalyticForm(n, p, _CALCULUS_FORMS[n][p])
     grad = [sp.diff(_CALCULUS_POTENTIALS[n], s) for s in _COORDS[:n]]
-    ops = {"wedge": form.wedge_with(grad), "star": form.star()}
+    ops = {"wedge": form.wedge_with(grad)}
     if p < n:
         ops["d"] = form.d()
     if p >= 1:

@@ -224,6 +224,44 @@ def test_semiclassical_sweep_behaviour():
     assert all(r.status == "not_applicable" for r in recs)  # dV/dn > 0 on the boundary
 
 
+@pytest.mark.parametrize("check_id", ["gap_lower_bound", "semiclassical_sweep"])
+def test_gap_record_grades_every_level(check_id):
+    """gaps[i] >= bound - C*hs[i] with C <= max(10, 10|bound|) at every level:
+    one level below that line fails the record, whatever the finest level says."""
+    hyp = checks_mod.HypothesisReport("satisfied")
+    hs = [0.4, 0.2, 0.1]
+    ok = checks_mod._gap_record(check_id, 1.0, [0.5, 0.9, 0.99], hs, hyp, {})
+    assert ok.status == "pass" and ok.rhs == 0.99 and ok.mesh_h == 0.1
+    assert ok.extra["C_fit"] == pytest.approx(1.25) and ok.extra["C_cap"] == 10.0
+    low = checks_mod._gap_record(check_id, 1.0, [0.5, 1.0 - 10.5 * 0.2, 0.99], hs, hyp, {})
+    assert low.status == "fail" and low.extra["C_fit"] == pytest.approx(10.5)
+    big = checks_mod._gap_record(check_id, -3.0, [-13.0, -4.0], [1.0, 0.5], hyp, {})
+    assert big.extra["C_cap"] == 30.0 and big.status == "pass"   # C = 10 <= 10|bound|
+    violated = checks_mod.HypothesisReport("violated")
+    assert checks_mod._gap_record(check_id, 1.0, [0.99], [0.1], violated,
+                                  {}).status == "not_applicable"
+
+
+def test_both_gap_checks_fail_one_low_level(monkeypatch):
+    """The second eigenvalue either gap check reads drops far below its bound:
+    the middle rung of the gap ladder, the second h of the sweep."""
+    first = checks_mod._first_nonkernel_eigenvalue
+    seen = []
+
+    def lowered(res):
+        seen.append(res)
+        return -1e3 if len(seen) == 2 else first(res)
+
+    monkeypatch.setattr(checks_mod, "_first_nonkernel_eigenvalue", lowered)
+    rec = check_gap_lower_bound(VX2, DISK, "normal", 0, mesh_h=0.45, levels=3)
+    assert len(seen) == 3 and rec.status == "fail"
+    assert rec.extra["C_fit"] > rec.extra["C_cap"] and rec.rhs > rec.lhs
+    seen.clear()
+    recs = semiclassical_sweep(VX2, DISK, "normal", 0, [1.0, 0.5, 0.25], mesh_h=0.45)
+    assert [r.status for r in recs] == ["pass", "fail", "pass"]
+    assert all("C_fit" in r.extra and "C_cap" in r.extra for r in recs)
+
+
 def test_ladder_walks_one_mesh_ladder(monkeypatch):
     """A ladder of L levels generates one mesh and refines it L - 1 times;
     the duality check solves both sides on one ladder and the semiclassical

@@ -8,9 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from hodgecheck import checks as checks_mod
 from hodgecheck import report as report_mod
 from hodgecheck.cli import main
-from hodgecheck.config import ConfigError, load_config
+from hodgecheck.config import (MAX_EIGEN_COUNT, MAX_QUAD_ORDER, MAX_SAMPLES, SIMPLEX_DENSITY,
+                               ConfigError, load_config)
+from hodgecheck.domains import DomainSpec
+from hodgecheck.meshing import generate_mesh
 from hodgecheck.presets import CHECK_IDS
 from hodgecheck.records import CheckRecord, decode_extended, encode_extended
 from hodgecheck.report import RUNNERS, convergence_study, run_config
@@ -128,12 +132,54 @@ def test_config_validation_paths(tmp_path, capsys):
                       ("N[0]", {"N": [10**400]}),
                       ("h_param", {"h_param": 10**400}),
                       ("output", {"output": 5}),
-                      ("output", {"output": ["r.json"]})):
+                      ("output", {"output": ["r.json"]}),
+                      ("quad_order", {"quad_order": MAX_QUAD_ORDER + 1}),
+                      ("eigen_count", {"eigen_count": MAX_EIGEN_COUNT + 1}),
+                      ("n_samples", {"n_samples": MAX_SAMPLES + 1})):
         with pytest.raises(ConfigError, match=re.escape(f"at {path}:")):
             load_config({**BASE, **cfg})
         assert main(["run", _write(tmp_path, {**BASE, **cfg})]) == 2
         assert f"at {path}:" in capsys.readouterr().err
     assert load_config({**BASE, "output": None}).output is None
+
+
+# a config that loaded before the caps, then sized a mesh of 1e18 elements
+UNBOUNDED = {"domain": {"kind": "interval", "parameters": [0, 1e12]},
+             "mesh": {"target_h": 1e-6}, "quad_order": 10**9, "n_samples": 10**12}
+
+
+def test_work_is_bounded_before_it_starts(tmp_path, capsys, monkeypatch):
+    """The caps refuse the unbounded config at load time; with its counts in
+    range, the mesh budget refuses it at mesh.target_h before any mesh is
+    built, in run and in converge alike."""
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(checks_mod, "generate_mesh", no_mesh)
+    start = time.perf_counter()
+    assert main(["run", _write(tmp_path, UNBOUNDED)]) == 2
+    assert "at quad_order:" in capsys.readouterr().err
+    in_range = {**UNBOUNDED, "quad_order": 8, "n_samples": 20, "checks": list(CHECK_IDS),
+                "mesh": {"target_h": 1e-6, "refinements": 2}}
+    for command in ("run", "converge"):
+        assert main([command, _write(tmp_path, in_range)]) == 2
+        assert "at mesh.target_h:" in capsys.readouterr().err
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("domain, h", [
+    (DomainSpec.interval(0.0, 1.0), 0.1), (DomainSpec.circle(1.0), 0.1),
+    (DomainSpec.disk(1.0), 0.3), (DomainSpec.disk(1.0), 0.05),
+    (DomainSpec.annulus(0.5, 1.0), 0.1), (DomainSpec.rectangle(0.0, 1.0, 0.0, 2.0), 0.1),
+    (DomainSpec.flat_torus(1.0, 1.0), 0.1),
+    (DomainSpec.polygon([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]), 0.1)],
+    ids=lambda v: getattr(v, "kind", str(v)))
+def test_simplex_density_bounds_level_zero_meshes(domain, h):
+    """The mesh budget's estimate is no smaller than the level-0 mesh, up to
+    the one element a 1D mesh gains by rounding up."""
+    d = domain.ambient_dim
+    estimate = SIMPLEX_DENSITY[d] * domain.measure() / h ** d
+    assert generate_mesh(domain, h).num(d) <= estimate + 1
 
 
 def test_checks_list_validated(tmp_path, capsys):
@@ -517,3 +563,65 @@ def test_fit_order_ignores_roundoff_levels():
     assert abs(order - 2.0) < 1e-12 and note == ""
     assert fit(hs, [4e-3, math.nan, 2.5e-4, math.nan]) == \
         (None, "order omitted: fewer than 3 levels with finite error")
+
+
+# one small run of every check id under h_param 0.5: a closed-form oracle
+# on the interval, inequalities with their hypotheses on the disk
+EVERY_CHECK = {
+    "interval": {"domain": {"kind": "interval", "parameters": [0.0, 1.0]},
+                 "potential": "zero", "N": ["inf", 0.5], "mesh": {"target_h": 0.125}},
+    "disk": {"domain": {"kind": "disk", "parameters": [1.0, 0.0, 0.0]},
+             "potential": "quadratic(1.0)", "N": ["inf", 1.5], "mesh": {"target_h": 0.5}},
+}
+IDENTITY_CHECKS = {"decomposition_identity", "green_identity", "h1_identity", "gamma2",
+                   "variance_identity", "intertwining", "hodge_decomposition",
+                   "duality_spectrum"}
+
+
+@pytest.fixture(scope="module", params=sorted(EVERY_CHECK))
+def every_check_report(request):
+    """(config, JSON report) of the run; the p = 1 green_identity cases
+    raise, so the run has error records beside its not_applicable ones."""
+    cfg = load_config({**EVERY_CHECK[request.param], "h_param": 0.5, "degrees": [0, 1],
+                       "realizations": ["normal", "tangential"], "checks": list(CHECK_IDS),
+                       "n_samples": 3, "eigen_count": 2, "h_list": [1.0, 0.5], "seed": 3})
+    green = checks_mod.eval_green_identity
+
+    def raising(form, *args, **kwargs):
+        if form.degree == 1:
+            raise RuntimeError("boom")
+        return green(form, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checks_mod, "eval_green_identity", raising)
+        report = run_config(cfg)
+    return request.param, cfg, json.loads(report.to_json())["records"]
+
+
+def test_every_record_carries_h_param(every_check_report):
+    """Error and not_applicable records included, every record reads the
+    run's h_param; a semiclassical record reads the h of its sweep, and the
+    f = 0 identity h1_identity names the zero potential, whose h_param is 1."""
+    _, cfg, records = every_check_report
+    statuses = {r["status"] for r in records}
+    assert statuses == {"pass", "fail", "not_applicable"}
+    assert {r["check_id"] for r in records if r["error"]} == {"green_identity"}
+    for r in records:
+        labels = r["potential"], r["h_param"]
+        if r["error"] is None and r["check_id"] == "semiclassical_sweep":
+            assert labels in {(cfg.potential.name, h) for h in cfg.h_list}
+        elif r["error"] is None and r["check_id"] == "h1_identity":
+            assert labels == ("zero", 1.0)
+        else:
+            assert labels == (cfg.potential.name, 0.5), r["check_id"]
+
+
+def test_identity_verdicts_regrade(every_check_report):
+    """Every identity record's verdict is rel_err <= tolerance."""
+    domain, _, records = every_check_report
+    identities = [r for r in records if r["kind"] == "identity"]
+    expected = IDENTITY_CHECKS | ({"eigen_spectrum"} if domain == "interval" else set())
+    assert {r["check_id"] for r in identities} == expected
+    for r in identities:
+        assert r["pass"] == (decode_extended(r["rel_err"]) <= r["tolerance"]), r["check_id"]
+        assert r["hypothesis_status"] == "satisfied"

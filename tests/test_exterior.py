@@ -82,15 +82,6 @@ def test_wedge_interior_norm_identity():
         assert np.isclose(wedge @ wedge + inter @ inter, (a @ a) * (w @ w))
 
 
-def test_hodge_star_conventions():
-    assert np.allclose(exterior.hodge_star_matrix(2, 0), [[1.0]])
-    assert np.allclose(exterior.hodge_star_matrix(2, 1), [[0.0, -1.0], [1.0, 0.0]])
-    assert np.allclose(exterior.hodge_star_matrix(2, 2), [[1.0]])
-    # star of star = (-1)^{p(n-p)}
-    s1 = exterior.hodge_star_matrix(2, 1)
-    assert np.allclose(exterior.hodge_star_matrix(2, 1) @ s1, -np.eye(2))
-
-
 def test_tangential_projector():
     nu = np.array([0.6, 0.8])
     for p in (0, 1, 2):

@@ -179,15 +179,3 @@ def test_intertwining_negative_control():
     assert check_intertwining(chain, 0)["residual"] <= 1e-10
     mismatched = OperatorChain(m, V, "tangential", 8)
     assert check_intertwining(chain, 0, upper_chain=mismatched)["residual"] > 1e-10
-
-
-def test_per_degree_quadrature_stays_consistent():
-    """A single chain with per-degree quadrature orders still shares each
-    mass matrix between adjacent operators, so supersymmetry stays exact."""
-    from hodgecheck.spectral import check_intertwining
-
-    m = generate_mesh(DomainSpec.disk(1.0), 0.35)
-    chain = OperatorChain(m, Potential.quadratic(2.0, 2), "tangential",
-                          quad_orders={0: 4, 1: 6, 2: 4})
-    assert check_intertwining(chain, 0)["residual"] <= 1e-10
-    assert check_intertwining(chain, 1)["residual"] <= 1e-10

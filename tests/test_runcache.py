@@ -234,11 +234,8 @@ def test_mismatched_quadrature_control_gets_its_own_mass(monkeypatch):
         assert check_intertwining(chain, 0)["residual"] <= 1e-10
         mismatched = OperatorChain(mesh, V, "tangential", 8)
         assert check_intertwining(chain, 0, upper_chain=mismatched)["residual"] > 1e-10
-        per_degree = OperatorChain(mesh, V, "tangential", quad_orders={0: 4, 1: 6, 2: 4})
-        assert check_intertwining(per_degree, 0)["residual"] <= 1e-10
-    # the per-degree chain assembles only its degree-1 mass at order 6
     assert sorted((p, order) for _, p, _, order in assembled) == [
-        (0, 4), (0, 8), (1, 4), (1, 6), (1, 8), (2, 4), (2, 8)]
+        (0, 4), (0, 8), (1, 4), (1, 8), (2, 4), (2, 8)]
 
 
 def test_rescaled_derives_once_per_expression(monkeypatch):
