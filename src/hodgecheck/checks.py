@@ -615,6 +615,11 @@ def _ladder(domain: DomainSpec, mesh_h: float, levels: int, problems, k: int,
     return spectra
 
 
+def _paths(rungs) -> dict:
+    """The eigensolver path and dimension of each rung, coarsest first."""
+    return {"solvers": [res.solver for res in rungs], "dims": [res.dim for res in rungs]}
+
+
 def _first_nonkernel_eigenvalue(res) -> float:
     above = res.eigenvalues[res.kernel_dim:]
     if len(above) == 0:
@@ -667,7 +672,7 @@ def check_gap_lower_bound(potential: Potential, domain: DomainSpec, b: str, p: i
     lam = [_first_nonkernel_eigenvalue(res) for res in rungs]
     hs = [res.mesh_h for res in rungs]
     return _gap_record("gap_lower_bound", bound, lam, hs, hyp,
-                       {"bound": bound, "eigenvalues": lam, "mesh_sizes": hs},
+                       {"bound": bound, "eigenvalues": lam, "mesh_sizes": hs, **_paths(rungs)},
                        **_labels(domain, potential), p=p, b=b, N=use_N,
                        quad_order=quad_order)
 
@@ -695,7 +700,7 @@ def semiclassical_sweep(potential: Potential, domain: DomainSpec, b: str, p: int
         lam1 = _first_nonkernel_eigenvalue(res)
         records.append(_gap_record(
             "semiclassical_sweep", hyp.interior_min, [h * lam1], [res.mesh_h], hyp,
-            {"h": h, "lambda1": lam1, "h_lambda1": h * lam1},
+            {"h": h, "lambda1": lam1, "h_lambda1": h * lam1, **_paths([res])},
             **{**_labels(domain, potential), "h_param": h}, p=p, b=b,
             quad_order=quad_order))
     return records
@@ -736,12 +741,16 @@ def duality_spectrum_check(domain: DomainSpec, potential: Potential, k: int = 3,
     a_ex = [_richardson([lev[i] for lev in a_levels]) for i in range(k)]
     b_ex = [_richardson([lev[i] for lev in b_levels]) for i in range(k)]
     rel = max(abs(a - b) / max(abs(a), abs(b), 1e-300) for a, b in zip(a_ex, b_ex))
+    direct, dual = (_paths(rungs) for rungs in sides)
     return identity_record("duality_spectrum", a_ex[0], b_ex[0], tol, rel_err=rel,
                            **_labels(domain, potential), p=0, b="normal",
                            mesh_h=mesh_h, quad_order=quad_order,
                            extra={"direct_extrapolated": a_ex, "dual_extrapolated": b_ex,
                                   "direct_levels": [list(map(float, v)) for v in a_levels],
-                                  "dual_levels": [list(map(float, v)) for v in b_levels]})
+                                  "dual_levels": [list(map(float, v)) for v in b_levels],
+                                  "solvers": {"direct": direct["solvers"],
+                                              "dual": dual["solvers"]},
+                                  "dims": {"direct": direct["dims"], "dual": dual["dims"]}})
 
 
 def hodge_decomposition_record(domain: DomainSpec, potential: Potential, b: str,

@@ -4,8 +4,8 @@ Eigenproblems S x = lambda M x are solved on three paths (SpectralResult.solver
 names the one taken):
 
 * "dense-eigh": ``scipy.linalg.eigh`` on the materialized pencil up to
-  DENSE_CUTOFF (the down-block of S is dense anyway once materialized);
-* "eigsh-shift-invert": sparse shift-invert ``eigsh`` on (S, M) above it,
+  SPECTRA_CUTOFF (the down-block of S is dense anyway once materialized);
+* "eigsh-shift-invert": sparse shift-invert ``eigsh`` on (S, M) otherwise,
   for an operator without a codifferential block (degree 0);
 * "eigsh-mixed": with a codifferential block, the dense inverse is avoided
   through the mixed saddle form with the auxiliary variable sigma = d*_V u:
@@ -22,10 +22,10 @@ pass its solve to ``eigsh`` as ``OPinv``, so ARPACK never factors on its own.
 Solves on Ran d restrict the operator to the M-orthogonal complement of its
 kernel on one of two paths (range_solver names it):
 
-* "dense-pencil" up to DENSE_CUTOFF, where the dense eigensolver runs: the
-  pseudo-inverse of the generalized eigendecomposition of the dense pencil,
-  computed once per chain and degree and cached on the OperatorChain (a
-  kernel projector built first reads the same decomposition), with
+* "dense-pencil" up to DENSE_CUTOFF: the pseudo-inverse of the generalized
+  eigendecomposition of the dense pencil, computed once per chain and
+  degree and cached on the OperatorChain (up to SPECTRA_CUTOFF a kernel
+  projector built first reads the same decomposition), with
   iterative refinement on the true residual;
 * "projected-cg" above it: conjugate gradients preconditioned by the mass
   matrix with explicit kernel deflation each iteration, stopped on its
@@ -57,7 +57,41 @@ __all__ = [
     "check_intertwining",
 ]
 
-DENSE_CUTOFF = 1700
+DENSE_CUTOFF = 1700   # range solves: "dense-pencil" up to it, "projected-cg" above
+SPECTRA_CUTOFF = 300
+"""Largest dimension whose spectrum takes "dense-eigh"; above it a spectrum
+takes the sparse path of its degree, whatever the chain holds.  A spectrum needs only its k lowest
+eigenpairs (k <= 6 in the shipped configs, at most MAX_EIGEN_COUNT + 1 =
+101), so above this a full O(n^3) eigh costs more than the sparse path,
+and ARPACK's k < dim always holds there.  One lowest_eigenpairs call,
+k = 4, quadratic(1), normal realization, fresh chain with its masses
+factored, best of 5, one BLAS thread, dense path -> sparse path:
+
+    disk      p = 0   dim   91     3.0 ->  6.5 ms
+    disk      p = 0   dim  169     7.0 ->  8.7 ms
+    disk      p = 0   dim  271    16.5 -> 10.8 ms
+    disk      p = 0   dim  397    37.3 -> 12.6 ms
+    disk      p = 1   dim  240    15.4 -> 15.3 ms
+    disk      p = 1   dim  342    30.0 -> 17.9 ms
+    disk      p = 1   dim  462    60.4 -> 20.3 ms
+    disk      p = 1   dim 1122   492   -> 35.4 ms
+    disk      p = 2   dim  150     9.3 -> 16.8 ms
+    disk      p = 2   dim  294    27.0 -> 24.9 ms
+    disk      p = 2   dim  486    77.1 -> 25.6 ms
+    disk      p = 2   dim  864   315   -> 35.1 ms
+    interval  p = 0   dim  129     3.8 ->  3.9 ms
+    interval  p = 0   dim  257    12.4 ->  4.3 ms
+    interval  p = 0   dim  513    64.4 ->  5.0 ms
+    interval  p = 1   dim  128     6.5 ->  7.9 ms
+    interval  p = 1   dim  512    78.4 ->  9.7 ms
+
+In 2D the paths cost the same at about 220 (p = 0) to 290 (p = 2); the
+cutoff sits at the top of that range.  On the interval the crossover is
+near 130, but a 1D pencil below the cutoff costs at most about 20 ms
+either way.  Eigenvalues of the two paths agreed to 1.3e-13 relative on
+the disk and to 9e-12 on the interval, where the fine levels sit at the
+pencil's conditioning floor eps * lambda_max / lambda.
+"""
 REFINE_STEPS = 4   # most refinement steps or CG restarts after a range solve's first pass
 
 
@@ -79,6 +113,10 @@ class SpectralResult:
     solver: str
     tol: float
 
+    @property
+    def dim(self) -> int:
+        return int(self.eigenvectors.shape[0])
+
     def to_json_dict(self) -> dict:
         return {
             "eigenvalues": [float(v) for v in self.eigenvalues],
@@ -87,7 +125,7 @@ class SpectralResult:
             "seed": int(self.seed),
             "mesh_h": float(self.mesh_h),
             "solver": self.solver,
-            "dim": int(self.eigenvectors.shape[0]),
+            "dim": self.dim,
         }
 
 
@@ -126,12 +164,16 @@ def _m_orthonormalize(M, vecs: np.ndarray) -> np.ndarray:
 
 def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-9,
                       seed: int = 1234) -> SpectralResult:
-    """k smallest eigenpairs of S x = lambda M x with certified residuals."""
+    """k smallest eigenpairs of S x = lambda M x with certified residuals.
+
+    "dense-eigh" when op.dim is at most SPECTRA_CUTOFF, else the sparse path
+    of op's degree.
+    """
     if not (1 <= k <= op.dim):
         raise ValueError(f"need 1 <= k <= {op.dim}, got {k}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if op.dim <= DENSE_CUTOFF:
+    if op.dim <= SPECTRA_CUTOFF:
         vals, vecs = op.pencil()
         vals, vecs = vals[:k], vecs[:, :k]
         solver = "dense-eigh"
@@ -258,7 +300,7 @@ def kernel_projector(op: AssembledOperator, kernel_threshold: float | None = Non
 
 def range_solver(dim: int) -> str:
     """The path solve_on_range takes on an operator of dimension dim:
-    "dense-pencil" or "projected-cg"."""
+    "dense-pencil" up to DENSE_CUTOFF, "projected-cg" above it."""
     return "dense-pencil" if dim <= DENSE_CUTOFF else "projected-cg"
 
 
@@ -274,14 +316,15 @@ def solve_on_range(op: AssembledOperator, rhs: np.ndarray, tol: float = 1e-11,
     * "dense-pencil" (dim <= DENSE_CUTOFF): the pseudo-inverse of the cached
       generalized eigendecomposition of (S, M), followed by iterative
       refinement.  It drops the lowest kernel.dim modes (the span of a
-      projector built by kernel_projector from the same decomposition) and
+      projector built by kernel_projector, from the same decomposition up to
+      SPECTRA_CUTOFF) and
       any mode whose eigenvalue is at roundoff, at most dim * eps *
       lambda_max; every other mode is inverted however small its
       eigenvalue, as CG does.  A
       right side that needs a mode at roundoff fails the test on this path.
       The first solve on a chain pays the decomposition unless a spectrum
-      or kernel_projector already did; on a 2D chain a single solve
-      without a projector costs more than CG.
+      or kernel_projector up to SPECTRA_CUTOFF already did; on a 2D chain a
+      single solve without a projector costs more than CG.
     * "projected-cg": conjugate gradients preconditioned by M^{-1}, deflating
       kernel components by explicit projection every iteration.  When the
       recursive residual meets the test, the true one is computed; CG

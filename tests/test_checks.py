@@ -19,6 +19,7 @@ from hodgecheck.domains import DomainSpec
 from hodgecheck.meshing import generate_mesh
 from hodgecheck.operators import Cochain, OperatorChain
 from hodgecheck.potentials import Potential, _COORDS
+import hodgecheck.spectral as spectral
 
 x1, x2 = _COORDS
 DISK = DomainSpec.disk(1.0)
@@ -215,6 +216,19 @@ def test_gap_lower_bound_disk():
     assert rec.status == "not_applicable"
 
 
+def test_ladder_records_name_solver_paths():
+    """Each rung of a gap ladder names its eigensolver path and dimension:
+    the disk ladder runs dense eigh at level 0 and the sparse shift-invert
+    path at its finest level, above SPECTRA_CUTOFF."""
+    rec = check_gap_lower_bound(VX2, DISK, "normal", 0, mesh_h=0.3, levels=3)
+    solvers, dims = rec.extra["solvers"], rec.extra["dims"]
+    assert solvers[0] == "dense-eigh" and solvers[-1] == "eigsh-shift-invert"
+    assert len(solvers) == len(dims) == 3
+    assert dims[0] <= spectral.SPECTRA_CUTOFF < dims[-1] and dims == sorted(dims)
+    [rec] = semiclassical_sweep(VX2, DISK, "normal", 1, [0.5], mesh_h=0.3)
+    assert rec.extra["solvers"] == ["dense-eigh"] and rec.extra["dims"] == [240]
+
+
 def test_semiclassical_sweep_behaviour():
     recs = semiclassical_sweep(VX2, DISK, "normal", 0, [1.0, 0.5], mesh_h=0.3)
     assert all(r.status == "pass" for r in recs)
@@ -312,6 +326,8 @@ def test_duality_interval():
     rec = duality_spectrum_check(DomainSpec.interval(0, 1), Potential.quadratic(1.0, 1),
                                  k=3, mesh_h=1 / 64, levels=3)
     assert rec.passed and rec.rel_err <= 1e-8
+    assert rec.extra["solvers"] == {"direct": ["dense-eigh"] * 3, "dual": ["dense-eigh"] * 3}
+    assert rec.extra["dims"] == {"direct": [65, 129, 257], "dual": [64, 128, 256]}
 
 
 def test_duality_disk_example():

@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 from scipy.special import jnp_zeros
 
 import hodgecheck.operators as operators
+from hodgecheck.config import MAX_EIGEN_COUNT
 from hodgecheck.checks import (check_variance_identity, hodge_decomposition_record,
                                variance_identity_record)
 from hodgecheck.domains import DomainSpec
@@ -180,22 +181,32 @@ def test_spectral_result_json():
 def test_sparse_paths_match_dense(monkeypatch):
     """Shift-invert (p = 0) and mixed-pencil (p > 0) paths agree with dense
     eigh on eigenvalues and kernel dimension: both realizations at every
-    degree on the disk, and the harmonic 1-form of the annulus."""
+    degree on the disk, the harmonic 1-form of the annulus, and on the
+    interval at dimension about 512 both realizations at p = 0 and the
+    tangential p = 1 (there the two paths differ by at most 9.2e-12
+    relative, the pencil's conditioning floor)."""
     V = Potential.quadratic(1.0, 2)
     disk = generate_mesh(DomainSpec.disk(1.0), 0.25)
-    cases = [(disk, b, p) for b in ("tangential", "normal") for p in (0, 1, 2)]
-    cases.append((generate_mesh(DomainSpec.annulus(0.5, 1.0), 0.25), "tangential", 1))
-    kernels = [0, 0, 1, 1, 0, 0, 1]   # normal p = 0: constants; tangential p = 2: their
-                                      # star dual; annulus: the harmonic 1-form
-    ops = [OperatorChain(cplx, V, b).operator(p) for cplx, b, p in cases]
+    cases = [(disk, V, b, p) for b in ("tangential", "normal") for p in (0, 1, 2)]
+    cases.append((generate_mesh(DomainSpec.annulus(0.5, 1.0), 0.25), V, "tangential", 1))
+    interval = generate_mesh(DomainSpec.interval(0, 1), 1 / 512)
+    V1 = Potential.quadratic(1.0, 1)
+    cases += [(interval, V1, "normal", 0), (interval, V1, "tangential", 0),
+              (interval, V1, "tangential", 1)]
+    # normal p = 0: the constants; tangential p = 2: their star dual; annulus:
+    # the harmonic 1-form; interval tangential p = 1: the relative class
+    kernels = [0, 0, 1, 1, 0, 0, 1, 1, 0, 1]
+    tols = [dict(rtol=1e-7, atol=1e-9)] * 7 + [dict(rtol=1e-9, atol=0)] * 3
+    ops = [OperatorChain(cplx, pot, b).operator(p) for cplx, pot, b, p in cases]
+    monkeypatch.setattr(spectral, "SPECTRA_CUTOFF", 10 ** 9)
     dense = [lowest_eigenpairs(op, 4) for op in ops]
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 1)
-    for op, d, kernel in zip(ops, dense, kernels):
+    monkeypatch.setattr(spectral, "SPECTRA_CUTOFF", 1)
+    for op, d, kernel, tol in zip(ops, dense, kernels, tols):
         s = lowest_eigenpairs(op, 4)
         assert d.solver == "dense-eigh"
         assert s.solver == ("eigsh-shift-invert" if op.p == 0 else "eigsh-mixed")
         assert d.kernel_dim == s.kernel_dim == kernel
-        assert np.allclose(d.eigenvalues, s.eigenvalues, rtol=1e-7, atol=1e-9)
+        assert np.allclose(d.eigenvalues, s.eigenvalues, **tol)
 
 
 def test_eigsh_paths_never_factor_inside_arpack(monkeypatch):
@@ -207,11 +218,35 @@ def test_eigsh_paths_never_factor_inside_arpack(monkeypatch):
         raise AssertionError("ARPACK factored a matrix itself")
 
     monkeypatch.setattr(arpack, "splu", refuse)
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 1)
+    monkeypatch.setattr(spectral, "SPECTRA_CUTOFF", 1)
     chain = OperatorChain(generate_mesh(DomainSpec.disk(1.0), 0.3), Potential.quadratic(1.0, 2),
                           "normal")
     assert lowest_eigenpairs(chain.operator(0), 3).solver == "eigsh-shift-invert"
     assert lowest_eigenpairs(chain.operator(1), 3).solver == "eigsh-mixed"
+
+
+def test_spectrum_path_rule(monkeypatch):
+    """A spectrum takes dense-eigh only up to SPECTRA_CUTOFF, whatever the
+    chain holds.  Between the two cutoffs a kernel projector takes the
+    sparse path, and the range solve after it runs the one eigh of the
+    chain.  Above SPECTRA_CUTOFF no config asks ARPACK for k >= dim."""
+    assert MAX_EIGEN_COUNT + 1 < spectral.SPECTRA_CUTOFF < spectral.DENSE_CUTOFF
+    calls = []
+    eigh = operators.dla.eigh
+    monkeypatch.setattr(operators.dla, "eigh", lambda *a: calls.append(1) or eigh(*a))
+    m = generate_mesh(DomainSpec.annulus(0.5, 1.0), 0.25)   # p = 1: dim 377, kernel 1
+    chain = OperatorChain(m, Potential.quadratic(1.0, 2), "normal")
+    op = chain.operator(1)
+    assert spectral.SPECTRA_CUTOFF < op.dim <= spectral.DENSE_CUTOFF
+    assert lowest_eigenpairs(op, 4).solver == "eigsh-mixed"
+    kp = kernel_projector(op)
+    assert kp.dim == 1 and calls == [] and not chain._pencil
+    rhs = chain.d_matrix(0) @ np.random.default_rng(0).standard_normal(chain.dim(0))
+    w = solve_on_range(op, rhs, kernel=kp)
+    assert _certified_residual(op, rhs, w, kp) <= 1e-11
+    assert len(calls) == 1 and list(chain._pencil) == [1]
+    assert lowest_eigenpairs(chain.operator(1), 4).solver == "eigsh-mixed"
+    assert len(calls) == 1
 
 
 def test_sparse_lu_fill_and_solves():
@@ -345,8 +380,9 @@ def test_range_solve_refines_smooth_fine_rhs():
 
 @pytest.mark.parametrize("cutoff", [None, 0], ids=["dense-pencil", "projected-cg"])
 def test_range_solve_zero_and_kernel_rhs(monkeypatch, cutoff):
-    if cutoff is not None:
+    if cutoff is not None:   # a sparse projector then CG, as above DENSE_CUTOFF
         monkeypatch.setattr(spectral, "DENSE_CUTOFF", cutoff)
+        monkeypatch.setattr(spectral, "SPECTRA_CUTOFF", 1)
     op, rhs, kp = _range_case(DomainSpec.disk(1.0), "normal", 0.3, 0, True)
     assert np.array_equal(solve_on_range(op, np.zeros(op.dim)), np.zeros(op.dim))
     # a constant part lies in the kernel: no w solves it, so no certificate
