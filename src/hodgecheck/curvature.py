@@ -86,14 +86,6 @@ class EndomorphismField:
         return np.linalg.eigvalsh(self.evaluate(points))[:, 0]
 
 
-def constant_field(degree: int, n: int, matrix: np.ndarray, name="const",
-                   support="interior") -> EndomorphismField:
-    matrix = np.asarray(matrix, dtype=float)
-    return EndomorphismField(
-        degree, n, lambda x: np.broadcast_to(matrix, (x.shape[0],) + matrix.shape).copy(),
-        support, name)
-
-
 def lift_endomorphism(field: EndomorphismField, p: int) -> EndomorphismField:
     """(A)^(p): sum over wedge slots of the 1-form endomorphism A."""
     if field.degree != 1:
@@ -135,8 +127,7 @@ def bakry_emery_tensor(potential: Potential, N: float) -> EndomorphismField:
                              f"Ric_V,N={N:g}[{potential.name}]")
 
 
-def _boundary_matrices(b: str, p: int, normals: np.ndarray, k1: np.ndarray,
-                       trace_k1: np.ndarray) -> np.ndarray:
+def _boundary_matrices(b: str, p: int, normals: np.ndarray, k1: np.ndarray) -> np.ndarray:
     m, n = normals.shape
     C = exterior.num_components(n, p)
     if p == 0 or n == 1:
@@ -149,27 +140,24 @@ def _boundary_matrices(b: str, p: int, normals: np.ndarray, k1: np.ndarray,
         return Pt @ exterior.lift_matrix(-K1_full, p) @ Pt
     if b == "tangential":
         Cm = exterior.num_components(n, p - 1)
-        mid = exterior.lift_matrix(K1_full, p - 1) - trace_k1[:, None, None] * np.eye(Cm)
+        # Tr K1 = k1: the boundary is a curve
+        mid = exterior.lift_matrix(K1_full, p - 1) - k1[:, None, None] * np.eye(Cm)
         W = exterior.wedge_covector_matrix(normals, p - 1)
         return W @ mid @ W.swapaxes(-1, -2)
     raise ValueError(f"boundary operator needs tangential/normal, got {b!r}")
 
 
 def boundary_operator(b: str, p: int, boundary) -> EndomorphismField:
-    """K_b^(p) on the boundary geometry's quadrature points.
+    """K_b^(p) on the quadrature points of a boundary rule.
 
-    ``boundary`` is any object with points/normals/k1/trace_k1 arrays
-    (meshing.BoundaryGeometry or domains.BoundaryQuadrature).  The returned
-    field evaluates at exactly those points.
+    ``boundary`` is a ``domains.BoundaryQuadrature``, analytic
+    (``boundary_quadrature``) or mesh-attached (``meshing.boundary_geometry``).
+    The returned field evaluates at exactly its points; on an empty rule it
+    has the domain's dimension and evaluates to shape (0, C, C).
     """
-    pts = np.atleast_2d(boundary.points)
-    if pts.shape[0] == 0:
-        n = pts.shape[1] if pts.size else 1
-        return constant_field(p, n, np.zeros((exterior.num_components(n, p),) * 2),
-                              name=f"K_{b}^{p}(empty)", support="boundary")
+    pts = boundary.points
     n = pts.shape[1]
-    mats = _boundary_matrices(b, p, np.atleast_2d(boundary.normals),
-                              np.asarray(boundary.k1), np.asarray(boundary.trace_k1))
+    mats = _boundary_matrices(b, p, boundary.normals, boundary.k1)
 
     def evaluator(x):
         x = np.atleast_2d(x)

@@ -6,13 +6,15 @@ intrinsic flat coordinates.  Boundary normals and curvature always come from
 the analytic description, never from a polygonal mesh approximation: the
 shape operator sign convention is K1(U) = -grad_U(nu) with outward unit
 normal nu, so locally convex boundaries have K1 <= 0 (unit disk: K1 = -1,
-annulus inner circle: K1 = +1/r).
+annulus inner circle: K1 = +1/r).  This module is the one home of the
+disk/annulus layout (``DomainSpec.circles``) and of that sign rule on each
+circle (``circle_frame``).
 
-Two families of quadrature live here:
+One boundary-rule type, ``BoundaryQuadrature``, serves two families:
 
 * domain_quadrature / boundary_quadrature: rules over the exact analytic
-  domain, used by the identity/inequality checkers (mesh independent).
-* mesh-attached boundary rules live in `meshing.boundary_geometry`.
+  domain, used by the identity/inequality checkers (mesh independent);
+* ``meshing.boundary_geometry``: rules on the boundary facets of a mesh.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ __all__ = [
     "BoundaryQuadrature",
     "domain_quadrature",
     "boundary_quadrature",
+    "circle_frame",
+    "triangle_gauss",
 ]
 
 _KINDS = ("interval", "rectangle", "disk", "annulus", "polygon", "circle", "flat_torus")
@@ -148,6 +152,18 @@ class DomainSpec:
     def has_boundary(self) -> bool:
         return self.kind not in ("circle", "flat_torus")
 
+    @property
+    def circles(self) -> tuple:
+        """(center, radius, inner) of each boundary circle, inner first;
+        empty unless the domain is a disk or an annulus."""
+        p = self.parameters
+        if self.kind == "disk":
+            return ((np.array(p[1:3]), p[0], False),)
+        if self.kind == "annulus":
+            center = np.array(p[2:4])
+            return ((center, p[0], True), (center, p[1], False))
+        return ()
+
     def measure(self) -> float:
         """Analytic length/area of the domain."""
         p = self.parameters
@@ -195,15 +211,14 @@ class BoundaryQuadrature:
     """Boundary rule with analytic geometry at every node.
 
     normals: outward unit normals; k1: scalar shape-operator value on the
-    boundary tangent line (zero in 1D where the boundary is points);
-    trace_k1: its trace (equal to k1 in 2D, zero in 1D).
+    boundary tangent line, which is also its trace since a 2D boundary is a
+    curve (zero in 1D, where the boundary is points).
     """
 
     points: np.ndarray
     weights: np.ndarray
     normals: np.ndarray
     k1: np.ndarray
-    trace_k1: np.ndarray
 
     def integrate(self, values: np.ndarray) -> float:
         return float(np.dot(self.weights, values))
@@ -259,11 +274,9 @@ def domain_quadrature(spec: DomainSpec, order: int) -> Quadrature:
         X1, X2 = np.meshgrid(x1, x2, indexing="ij")
         W = np.outer(w1, w2)
         return Quadrature(np.column_stack([X1.ravel(), X2.ravel()]), W.ravel())
-    if spec.kind in ("disk", "annulus"):
-        if spec.kind == "disk":
-            r0, r1, center = 0.0, p[0], np.array(p[1:3])
-        else:
-            r0, r1, center = p[0], p[1], np.array(p[2:4])
+    if spec.circles:
+        r0 = next((R for _, R, inner in spec.circles if inner), 0.0)
+        center, r1, _ = spec.circles[-1]
         r, wr = gauss_legendre_panels(r0, r1, order)
         nth = max(16, 6 * order)
         th, wth = _periodic_rule(nth, 2 * np.pi)
@@ -279,19 +292,21 @@ def domain_quadrature(spec: DomainSpec, order: int) -> Quadrature:
     raise DomainValidationError("kind", spec.kind)
 
 
+def triangle_gauss(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Collapsed tensor m x m Gauss rule on the reference triangle (area 1/2)."""
+    xg, wg = np.polynomial.legendre.leggauss(m)
+    u = 0.5 * (xg + 1.0)
+    wu = 0.5 * wg
+    U, V = np.meshgrid(u, u, indexing="ij")
+    pts = np.column_stack([(U * (1 - V)).ravel(), (U * V).ravel()])
+    return pts, (np.outer(wu, wu) * U).ravel()
+
+
 def _polygon_quadrature(verts: np.ndarray, order: int) -> Quadrature:
     from .meshing import ear_clip_triangulation
 
     tris = ear_clip_triangulation(verts)
-    xg, wg = np.polynomial.legendre.leggauss(max(3, (order + 3) // 2))
-    # collapsed tensor rule on the reference triangle
-    u = 0.5 * (xg + 1.0)
-    wu = 0.5 * wg
-    U, V = np.meshgrid(u, u, indexing="ij")
-    ref_x = U * (1 - V)
-    ref_y = U * V
-    ref_w = (np.outer(wu, wu) * U).ravel()
-    ref = np.column_stack([ref_x.ravel(), ref_y.ravel()])
+    ref, ref_w = triangle_gauss(max(3, (order + 3) // 2))
     pts, wts = [], []
     for (i, j, k) in tris:
         a, b, c = verts[i], verts[j], verts[k]
@@ -312,11 +327,10 @@ def boundary_quadrature(spec: DomainSpec, order: int) -> BoundaryQuadrature:
     n = spec.ambient_dim
     if not spec.has_boundary:
         z = np.zeros((0,))
-        return BoundaryQuadrature(np.zeros((0, n)), z, np.zeros((0, n)), z, z)
+        return BoundaryQuadrature(np.zeros((0, n)), z, np.zeros((0, n)), z)
     if spec.kind == "interval":
         pts = np.array([[p[0]], [p[1]]])
-        return BoundaryQuadrature(
-            pts, np.ones(2), np.array([[-1.0], [1.0]]), np.zeros(2), np.zeros(2))
+        return BoundaryQuadrature(pts, np.ones(2), np.array([[-1.0], [1.0]]), np.zeros(2))
     if spec.kind == "rectangle":
         ax, bx, ay, by = p
         sides = [
@@ -334,18 +348,9 @@ def boundary_quadrature(spec: DomainSpec, order: int) -> BoundaryQuadrature:
             t = (b - a) / np.linalg.norm(b - a)
             sides.append((tuple(a), tuple(b), (t[1], -t[0])))  # outward for CCW
         return _straight_sides_rule(sides, order)
-    if spec.kind == "disk":
-        return _circle_rule(p[0], np.array(p[1:3]), order, outward=True)
-    # annulus: outer circle (outward) + inner circle (normal toward center)
-    inner = _circle_rule(p[0], np.array(p[2:4]), order, outward=False)
-    outer = _circle_rule(p[1], np.array(p[2:4]), order, outward=True)
-    return BoundaryQuadrature(
-        np.vstack([inner.points, outer.points]),
-        np.concatenate([inner.weights, outer.weights]),
-        np.vstack([inner.normals, outer.normals]),
-        np.concatenate([inner.k1, outer.k1]),
-        np.concatenate([inner.trace_k1, outer.trace_k1]),
-    )
+    # disk or annulus: one periodic rule per circle, inner first
+    rules = (_circle_rule(center, R, inner, order) for center, R, inner in spec.circles)
+    return BoundaryQuadrature(*map(np.concatenate, zip(*rules)))
 
 
 def _straight_sides_rule(sides, order) -> BoundaryQuadrature:
@@ -359,17 +364,20 @@ def _straight_sides_rule(sides, order) -> BoundaryQuadrature:
         nrm.append(np.tile(np.asarray(nu), (len(t), 1)))
     pts = np.vstack(pts)
     wts = np.concatenate(wts)
-    z = np.zeros(len(wts))
-    return BoundaryQuadrature(pts, wts, np.vstack(nrm), z, z)
+    return BoundaryQuadrature(pts, wts, np.vstack(nrm), np.zeros(len(wts)))
 
 
-def _circle_rule(radius: float, center: np.ndarray, order: int, outward: bool) -> BoundaryQuadrature:
-    nth = max(16, 8 * order)
-    th, wth = _periodic_rule(nth, 2 * np.pi)
-    pts = center[None, :] + radius * np.column_stack([np.cos(th), np.sin(th)])
+def circle_frame(radial: np.ndarray, radius: float, inner: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Outward normals and K1 at points of a boundary circle with unit
+    radial directions ``radial``: nu = radial and K1 = -1/R on an outer
+    circle, nu = -radial and K1 = +1/R on the inner circle of an annulus."""
+    if inner:
+        return -radial, np.full(len(radial), +1.0 / radius)
+    return radial, np.full(len(radial), -1.0 / radius)
+
+
+def _circle_rule(center: np.ndarray, radius: float, inner: bool, order: int) -> tuple:
+    """(points, weights, normals, k1) of the periodic rule on one circle."""
+    th, wth = _periodic_rule(max(16, 8 * order), 2 * np.pi)
     radial = np.column_stack([np.cos(th), np.sin(th)])
-    if outward:
-        normals, k1 = radial, np.full(nth, -1.0 / radius)
-    else:
-        normals, k1 = -radial, np.full(nth, +1.0 / radius)
-    return BoundaryQuadrature(pts, wth * radius, normals, k1, k1.copy())
+    return (center[None, :] + radius * radial, wth * radius) + circle_frame(radial, radius, inner)

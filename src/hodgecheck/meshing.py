@@ -31,11 +31,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sparse
 
-from .domains import DomainSpec, DomainValidationError
+from .domains import BoundaryQuadrature, DomainSpec, DomainValidationError, circle_frame
 
 __all__ = [
     "SimplicialComplex",
-    "BoundaryGeometry",
     "generate_mesh",
     "refine",
     "incidence_matrix",
@@ -223,8 +222,8 @@ def generate_mesh(spec: DomainSpec, target_h: float) -> SimplicialComplex:
     builders = {
         "rectangle": lambda s: _rectangle_mesh(p, target_h / s, spec),
         "flat_torus": lambda s: _torus_mesh(p, target_h / s, spec),
-        "disk": lambda s: _disk_mesh(p[0], np.array(p[1:3]), target_h / s, spec),
-        "annulus": lambda s: _annulus_mesh(p[0], p[1], np.array(p[2:4]), target_h / s, spec),
+        "disk": lambda s: _disk_mesh(spec, target_h / s),
+        "annulus": lambda s: _annulus_mesh(spec, target_h / s),
     }
     if spec.kind not in builders:
         raise DomainValidationError("kind", spec.kind)
@@ -288,7 +287,8 @@ def _torus_mesh(p, h, spec):
     return _from_triangles(verts, tris, spec, periodic=(L1, L2))
 
 
-def _disk_mesh(R, center, h, spec):
+def _disk_mesh(spec, h):
+    (center, R, _), = spec.circles
     K = max(2, int(np.round(R / h)))
     verts = [center.copy()]
     rings = [[0]]
@@ -325,7 +325,8 @@ def _bridge_rings(inner, outer):
     return tris
 
 
-def _annulus_mesh(r0, r1, center, h, spec):
+def _annulus_mesh(spec, h):
+    (center, r0, _), (_, r1, _) = spec.circles
     nr = max(1, int(np.ceil((r1 - r0) / h)))
     nth = max(8, int(np.ceil(np.pi * (r0 + r1) / h)))
     radii = np.linspace(r0, r1, nr + 1)
@@ -433,20 +434,23 @@ def _refine_1d(cplx):
                              spec=cplx.spec, periodic_lengths=cplx.periodic_lengths)
 
 
+def _nearest_circle(circles, pts: np.ndarray):
+    """(which, rel, d): the index into ``circles`` of the circle nearest each
+    point, and each point's offset from and distance to their common center."""
+    radii = np.array([R for _, R, _ in circles])
+    rel = pts - circles[0][0]
+    d = np.linalg.norm(rel, axis=1)
+    return np.argmin(np.abs(d[:, None] - radii[None, :]), axis=1), rel, d
+
+
 def _snap_to_boundary(spec: DomainSpec, pts: np.ndarray) -> np.ndarray:
     """Project points onto the analytic curved boundary (disk/annulus only)."""
-    if spec is None or spec.kind not in ("disk", "annulus"):
+    circles = spec.circles
+    if not circles:
         return pts
-    p = spec.parameters
-    if spec.kind == "disk":
-        center, radii = np.array(p[1:3]), [p[0]]
-    else:
-        center, radii = np.array(p[2:4]), [p[0], p[1]]
-    out = pts.copy()
-    d = np.linalg.norm(out - center, axis=1)
-    target = np.array(radii)[np.argmin(np.abs(d[:, None] - np.array(radii)[None, :]), axis=1)]
-    out = center + (out - center) * (target / d)[:, None]
-    return out
+    which, rel, d = _nearest_circle(circles, pts)
+    target = np.array([R for _, R, _ in circles])[which]
+    return circles[0][0] + rel * (target / d)[:, None]
 
 
 def _refine_2d(cplx):
@@ -468,52 +472,22 @@ def _refine_2d(cplx):
 # Mesh-attached boundary geometry
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BoundaryGeometry:
-    """Per boundary-facet quadrature with analytic normals and curvature."""
-
-    points: np.ndarray
-    weights: np.ndarray
-    normals: np.ndarray
-    k1: np.ndarray
-    trace_k1: np.ndarray
-    facet_ids: np.ndarray
-
-    @property
-    def empty(self) -> bool:
-        return self.points.shape[0] == 0
-
-    def integrate(self, values) -> float:
-        return float(np.dot(self.weights, values))
-
-
 def boundary_geometry(cplx: SimplicialComplex, spec: DomainSpec | None,
-                      quad_order: int = 4) -> BoundaryGeometry:
+                      quad_order: int = 4) -> BoundaryQuadrature:
     """Quadrature on boundary facets; normals/K1 from the analytic spec.
 
     Weights integrate polynomials of degree quad_order exactly on each
-    (straight) boundary facet.  Empty boundary gives an empty geometry.
+    (straight) boundary facet.  A mesh without boundary gives an empty rule.
     """
     if quad_order < 1:
         raise ValueError("quad_order >= 1 required")
-    n = cplx.n
     if cplx.dim == 1:
         bverts = np.nonzero(cplx.boundary_marker[0])[0]
-        if len(bverts) == 0:
-            z = np.zeros(0)
-            return BoundaryGeometry(np.zeros((0, 1)), z, np.zeros((0, 1)), z, z,
-                                    np.zeros(0, dtype=int))
         pts = cplx.vertex_coords[bverts]
-        interior_mean = cplx.vertex_coords.mean()
-        normals = np.sign(pts - interior_mean)
-        z = np.zeros(len(bverts))
-        return BoundaryGeometry(pts, np.ones(len(bverts)), normals, z, z, bverts)
+        normals = np.sign(pts - cplx.vertex_coords.mean())
+        return BoundaryQuadrature(pts, np.ones(len(bverts)), normals, np.zeros(len(bverts)))
 
     bedges = np.nonzero(cplx.boundary_marker[1])[0]
-    if len(bedges) == 0:
-        z = np.zeros(0)
-        return BoundaryGeometry(np.zeros((0, 2)), z, np.zeros((0, 2)), z, z,
-                                np.zeros(0, dtype=int))
     m = max(1, (quad_order + 2) // 2)
     xg, wg = np.polynomial.legendre.leggauss(m)
     t = 0.5 * (xg + 1.0)
@@ -534,24 +508,15 @@ def boundary_geometry(cplx: SimplicialComplex, spec: DomainSpec | None,
     pts = (pa[:, None, :] + t[None, :, None] * d[:, None, :]).reshape(-1, 2)
     wts = (0.5 * wg[None, :] * L[:, None]).ravel()
     nrm = np.repeat(nu, m, axis=0)
-    fid = np.repeat(bedges, m)
     k1 = np.zeros(len(wts))
-    if spec is not None and spec.kind in ("disk", "annulus"):
-        p = spec.parameters
-        if spec.kind == "disk":
-            center, radii = np.array(p[1:3]), np.array([p[0]])
-        else:
-            center, radii = np.array(p[2:4]), np.array([p[0], p[1]])
-        rel = pts - center
-        d = np.linalg.norm(rel, axis=1)
-        which = np.argmin(np.abs(d[:, None] - radii[None, :]), axis=1)
+    circles = spec.circles if spec is not None else ()
+    if circles:
+        which, rel, d = _nearest_circle(circles, pts)
         radial = rel / d[:, None]
-        for kk, R in enumerate(radii):
+        for kk, (_, R, inner) in enumerate(circles):
             sel = which == kk
-            inner = spec.kind == "annulus" and kk == 0
-            nrm[sel] = -radial[sel] if inner else radial[sel]
-            k1[sel] = (+1.0 / R) if inner else (-1.0 / R)
-    return BoundaryGeometry(pts, wts, nrm, k1, k1.copy(), fid)
+            nrm[sel], k1[sel] = circle_frame(radial[sel], R, inner)
+    return BoundaryQuadrature(pts, wts, nrm, k1)
 
 
 # ---------------------------------------------------------------------------

@@ -68,9 +68,12 @@ def _bubble(spec: DomainSpec):
         r2 = (x1 - cx) ** 2 + (x2 - cy) ** 2
         return (r2 - r0**2) * (r1**2 - r2)
     if spec.kind == "polygon":
-        # product of the edge-line functions vanishes on the whole boundary
+        # product of the edge-line functions vanishes on the whole boundary;
+        # built from exact rationals (each float's own value), since the
+        # second derivatives of a float-coefficient product have an
+        # expression tree, and so last bits, that follow the hash seed
         expr = sp.Integer(1)
-        verts = spec.vertices
+        verts = [tuple(map(sp.Rational, v)) for v in spec.vertices]
         for i in range(len(verts)):
             (ax, ay), (bx, by) = verts[i], verts[(i + 1) % len(verts)]
             expr *= (bx - ax) * (x2 - ay) - (by - ay) * (x1 - ax)

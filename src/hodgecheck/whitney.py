@@ -19,6 +19,7 @@ import warnings
 import numpy as np
 import scipy.sparse as sparse
 
+from .domains import triangle_gauss
 from .meshing import LOCAL_EDGES, SimplicialComplex
 from .potentials import Potential
 
@@ -38,14 +39,7 @@ def segment_rule(order: int):
 
 def triangle_rule(order: int):
     """Collapsed tensor Gauss rule on the reference triangle (area 1/2)."""
-    m = max(2, (int(order) + 4) // 2)
-    xg, wg = np.polynomial.legendre.leggauss(m)
-    u = 0.5 * (xg + 1.0)
-    wu = 0.5 * wg
-    U, V = np.meshgrid(u, u, indexing="ij")
-    pts = np.column_stack([(U * (1 - V)).ravel(), (U * V).ravel()])
-    w = (np.outer(wu, wu) * U).ravel()
-    return pts, w
+    return triangle_gauss(max(2, (int(order) + 4) // 2))
 
 
 def _check_quadrature_adequacy(potential: Potential, p: int, order: int):

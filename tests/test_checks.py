@@ -1,6 +1,9 @@
 """Verification checkers: hand-derived oracles, controls, hypothesis logic."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -384,6 +387,27 @@ def test_bl_scalar_on_polygon_bubble():
     rec = check_bl_scalar(AnalyticForm(2, 0, [x1], name="x1"),
                           Potential.quadratic(1.0, 2), square, "normal", math.inf, 8)
     assert rec.status == "pass"
+
+
+def test_polygon_gamma2_independent_of_hash_seed():
+    """The L-shape gamma2 record reads the same under two hash seeds: the
+    polygon bubble is built from exact rationals, so its symbolic
+    derivatives do not depend on set iteration order."""
+    script = (
+        "from hodgecheck.checks import check_gamma2\n"
+        "from hodgecheck.domains import DomainSpec\n"
+        "from hodgecheck.potentials import Potential\n"
+        "from hodgecheck.presets import gamma2_bump\n"
+        "L = DomainSpec.polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])\n"
+        "rec = check_gamma2(gamma2_bump(L, 0), Potential.quadratic(1.0, 2), L, 6)\n"
+        "print(repr(rec.lhs), repr(rec.rhs))\n")
+    src = os.path.dirname(os.path.dirname(checks_mod.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           check=True, timeout=120,
+                           env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}).stdout
+            for seed in ("1", "2")]
+    assert outs[0] == outs[1] and outs[0].strip()
 
 
 def test_decomposition_convergence_flag():

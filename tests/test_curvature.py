@@ -84,6 +84,16 @@ def test_boundary_operators_straight_and_1d():
     assert K.support == "boundary"
 
 
+def test_boundary_operator_on_empty_rule():
+    """A boundaryless 2D domain's empty rule gives a field on 1-forms of the
+    plane: 2 components, evaluating to shape (0, 2, 2)."""
+    bq = boundary_quadrature(DomainSpec.flat_torus(1, 1), 4)
+    for b in ("normal", "tangential"):
+        K = boundary_operator(b, 1, bq)
+        assert K.n == 2
+        assert K.evaluate(bq.points).shape == (0, 2, 2)
+
+
 def test_invert_and_positivity_violation():
     V = Potential.quadratic(2.0, 2)
     inv = invert_endo_field(hessian_p(V, 1))

@@ -1,10 +1,12 @@
 """Domain validation and analytic quadrature against closed-form integrals."""
 
+import math
+
 import numpy as np
 import pytest
 
 from hodgecheck.domains import (DomainSpec, DomainValidationError, boundary_quadrature,
-                                domain_quadrature)
+                                domain_quadrature, triangle_gauss)
 
 
 def test_validation_errors():
@@ -56,7 +58,6 @@ def test_boundary_geometry_analytic():
     bq = boundary_quadrature(DomainSpec.disk(2.0), 6)
     assert np.allclose(np.linalg.norm(bq.normals, axis=1), 1.0, atol=1e-12)
     assert np.allclose(bq.k1, -0.5)
-    assert np.allclose(bq.trace_k1, -0.5)
     assert abs(bq.integrate(np.ones(len(bq.weights))) - 4 * np.pi) < 1e-12
     # annulus: inner circle has outward normal toward the center, K1 = +1/r
     bq = boundary_quadrature(DomainSpec.annulus(0.5, 1.0), 6)
@@ -81,3 +82,15 @@ def test_boundary_quadrature_polynomial_exactness():
     got = bq.integrate(bq.points[:, 0] ** 4)
     # int x^4 over bottom+top = 2/5, sides x in {0,1}: 0 + 1
     assert abs(got - (2.0 / 5.0 + 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_triangle_gauss_exact_monomials(m):
+    """The m x m collapsed rule integrates x^a y^b exactly over the reference
+    triangle for a + b <= 2m - 2: a! b! / (a + b + 2)!."""
+    pts, w = triangle_gauss(m)
+    assert pts.shape == (m * m, 2)
+    for a in range(2 * m - 1):
+        for b in range(2 * m - 1 - a):
+            exact = math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
+            assert abs(w @ (pts[:, 0] ** a * pts[:, 1] ** b) - exact) < 1e-15

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hodgecheck.domains import DomainSpec, DomainValidationError
+from hodgecheck.domains import DomainSpec, DomainValidationError, boundary_quadrature
 from hodgecheck.meshing import (SimplicialComplex, boundary_geometry, generate_mesh,
                                 incidence_matrix, read_off, refine, write_off)
 from oracles import edge_table_oracle
@@ -103,14 +103,48 @@ def test_boundary_geometry_mesh_attached():
     bg = boundary_geometry(m, spec, 4)
     assert np.allclose(np.linalg.norm(bg.normals, axis=1), 1.0, atol=1e-12)
     assert np.allclose(bg.k1, -1.0)
-    assert np.allclose(bg.trace_k1, -1.0)
     spec = DomainSpec.rectangle(0, 1, 0, 1)
     m = generate_mesh(spec, 0.3)
     bg = boundary_geometry(m, spec, 4)
     assert np.allclose(bg.k1, 0.0)
     # empty boundary is not an error
     m = generate_mesh(DomainSpec.flat_torus(1.0, 1.0), 0.4)
-    assert boundary_geometry(m, m.spec, 4).empty
+    bg = boundary_geometry(m, m.spec, 4)
+    assert bg.points.shape == bg.normals.shape == (0, 2) and bg.k1.shape == (0,)
+    m = generate_mesh(DomainSpec.circle(1.0), 0.4)
+    bg = boundary_geometry(m, m.spec, 4)
+    assert bg.points.shape == bg.normals.shape == (0, 1) and bg.weights.shape == (0,)
+
+
+OFF_CENTRE = DomainSpec.annulus(0.5, 1.0, (0.1, -0.2))
+
+
+@pytest.mark.parametrize("rule", ["analytic", "mesh"])
+def test_off_centre_annulus_boundary_frame(rule):
+    """Both boundary rules take the circles about the annulus' own centre:
+    inner nu = -radial with K1 = +2, outer nu = +radial with K1 = -1."""
+    if rule == "analytic":
+        bq = boundary_quadrature(OFF_CENTRE, 6)
+    else:
+        bq = boundary_geometry(refine(generate_mesh(OFF_CENTRE, 0.3)), OFF_CENTRE, 4)
+    rel = bq.points - np.array([0.1, -0.2])
+    dist = np.linalg.norm(rel, axis=1)
+    radial = rel / dist[:, None]
+    inner = dist < 0.75
+    assert inner.any() and (~inner).any()
+    assert np.allclose(bq.normals[inner], -radial[inner], atol=1e-14)
+    assert np.allclose(bq.normals[~inner], radial[~inner], atol=1e-14)
+    assert np.all(bq.k1[inner] == 2.0) and np.all(bq.k1[~inner] == -1.0)
+
+
+def test_off_centre_annulus_vertices_on_circles():
+    """Generated and re-snapped boundary vertices lie on their circles."""
+    m = refine(generate_mesh(OFF_CENTRE, 0.4))
+    bv = m.vertex_coords[m.boundary_marker[0]]
+    dist = np.linalg.norm(bv - np.array([0.1, -0.2]), axis=1)
+    on_inner = dist < 0.75
+    assert on_inner.any() and (~on_inner).any()
+    assert np.abs(dist - np.where(on_inner, 0.5, 1.0)).max() < 1e-12
 
 
 def test_invalid_inputs():
