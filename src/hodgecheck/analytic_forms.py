@@ -25,6 +25,14 @@ class BoundaryConditionError(ValueError):
     pass
 
 
+def _weighted_laplacian(expr, potential: Potential, n: int):
+    """L^(0) u = -Delta u + grad V . grad u of a sympy scalar u in n variables."""
+    syms = _COORDS[:n]
+    lap = sum(sp.diff(expr, s, 2) for s in syms)
+    drift = sum(sp.diff(potential.expr, s) * sp.diff(expr, s) for s in syms)
+    return -lap + drift
+
+
 class AnalyticForm:
     """Degree-p form with C(n, p) sympy component expressions."""
 
@@ -128,24 +136,17 @@ class AnalyticForm:
         """L^(0) w = -Delta w + grad V . grad w as a sympy expression (p = 0)."""
         if self.degree != 0:
             raise ValueError("scalar weighted Laplacian needs a 0-form")
-        w = self.comps[0]
-        syms = _COORDS[:self.n]
-        lap = sum(sp.diff(w, s, 2) for s in syms)
-        drift = sum(sp.diff(potential.expr, s) * sp.diff(w, s) for s in syms)
-        return -lap + drift
+        return _weighted_laplacian(self.comps[0], potential, self.n)
 
     def weighted_laplacian_one_form(self, potential: Potential) -> "AnalyticForm":
         """L^(1) on flat domains: componentwise L^(0) plus the Hessian action."""
         if self.degree != 1:
             raise ValueError("needs a 1-form")
         syms = _COORDS[:self.n]
-        out = []
-        for c, comp in enumerate(self.comps):
-            lap = sum(sp.diff(comp, s, 2) for s in syms)
-            drift = sum(sp.diff(potential.expr, s) * sp.diff(comp, s) for s in syms)
-            hess_action = sum(sp.diff(potential.expr, syms[c], syms[k]) * self.comps[k]
-                              for k in range(self.n))
-            out.append(-lap + drift + hess_action)
+        out = [_weighted_laplacian(comp, potential, self.n)
+               + sum(sp.diff(potential.expr, syms[c], syms[k]) * self.comps[k]
+                     for k in range(self.n))
+               for c, comp in enumerate(self.comps)]
         return AnalyticForm(self.n, 1, out, name=f"L1({self.name})")
 
     # -- boundary traces --------------------------------------------------------

@@ -31,7 +31,7 @@ import numpy as np
 import sympy as sp
 
 from . import exterior, runcache
-from .analytic_forms import AnalyticForm, BoundaryConditionError
+from .analytic_forms import AnalyticForm, BoundaryConditionError, _weighted_laplacian
 from .curvature import (bakry_emery_tensor, boundary_operator, hessian_p,
                         invert_endo_field, restricted_min_eig)
 from .domains import DomainSpec, boundary_quadrature, domain_quadrature
@@ -278,11 +278,11 @@ def check_gamma2(form: AnalyticForm, potential: Potential, domain: DomainSpec,
                 f"(|w|={wmax:.1e}, |dw|={dmax:.1e})")
     quad = domain_quadrature(domain, quad_order)
     wgt = potential.weight(quad.points)
+    w = form.comps[0]
     L0w = AnalyticForm(form.n, 0, [form.weighted_laplacian_scalar(potential)])
-    wsq = AnalyticForm(form.n, 0, [form.comps[0] ** 2])
     gamma = AnalyticForm(form.n, 0,
-                         [form.comps[0] * L0w.comps[0]
-                          - sp.Rational(1, 2) * wsq.weighted_laplacian_scalar(potential)])
+                         [w * L0w.comps[0] - sp.Rational(1, 2)
+                          * _weighted_laplacian(w ** 2, potential, form.n)])
     dw = form.d()
     t1 = quad.integrate(wgt * gamma.components(quad.points)[:, 0])
     t2 = quad.integrate(wgt * dw.norm_sq(quad.points))
@@ -368,6 +368,15 @@ def hypothesis_check(potential: Potential, domain: DomainSpec, b: str, p: int,
     return HypothesisReport(status, witness, i_min, b_min, note)
 
 
+def _curvature_field(potential: Potential, p: int, N: float | None):
+    """The interior curvature field of the bounds at degree p: the
+    Bakry-Emery tensor Ric_{V,N} at degree 1 when N is given (it refuses an
+    inadmissible N), the lift of Hess V otherwise."""
+    if p == 1 and N is not None:
+        return bakry_emery_tensor(potential, N)
+    return hessian_p(potential, p)
+
+
 def _interior_min(potential: Potential, domain: DomainSpec, p: int, N: float | None,
                   quad_order: int) -> tuple:
     """Smallest eigenvalue of the interior curvature field of hypothesis_check
@@ -376,11 +385,7 @@ def _interior_min(potential: Potential, domain: DomainSpec, p: int, N: float | N
     N at degree 1 only."""
     def compute():
         quad = domain_quadrature(domain, quad_order)
-        if p == 1 and N is not None:
-            field = bakry_emery_tensor(potential, N)
-        else:
-            field = hessian_p(potential, p)
-        vals = field.min_eigenvalues(quad.points)
+        vals = _curvature_field(potential, p, N).min_eigenvalues(quad.points)
         i = int(np.argmin(vals))
         return float(vals[i]), tuple(float(c) for c in quad.points[i])
 
@@ -393,48 +398,75 @@ def _interior_min(potential: Potential, domain: DomainSpec, p: int, N: float | N
 # ---------------------------------------------------------------------------
 
 def _n_factor(N: float) -> float:
-    if N == math.inf:
+    """(N - 1)/N, with its limit 1 at N = +-inf and +inf at N = 0."""
+    if math.isinf(N):
         return 1.0
     if N == 0:
         return math.inf
     return (N - 1.0) / N
 
 
+def _bl_bound(form: AnalyticForm, potential: Potential, domain: DomainSpec, b: str,
+              variant: str, N: float | None, quad_order: int,
+              mesh_h: float = 0.15, seed: int = 1234) -> tuple:
+    """||w - pi_b w||^2 <= c int <(Ric_V^(p))^-1 Dw, Dw> dnu for a q-form w:
+    D = d, p = q + 1 (coclosed) or D = d*_V, p = q - 1 (closed); the field
+    is _curvature_field(potential, p, N), c = (N - 1)/N for a given N
+    (scalars only), else 1.  At q = 0 pi_b w is the mean by quadrature (zero
+    for tangential scalars on a domain with boundary), above it the kernel
+    projector of the degree-q operator on the chain of b.
+
+    Returns (hypothesis report, deficit, kernel dim, ||pi_b w||^2, ||w||^2,
+    rhs) in L^2(dnu); rhs is NaN unless the hypotheses hold.
+    """
+    q = form.degree
+    p = q + 1 if variant == "coclosed" else q - 1
+    field = _curvature_field(potential, p, N)
+    hyp = hypothesis_check(potential, domain, b, p=p, N=N, quad_order=quad_order)
+    measure = WeightedMeasure(potential, domain, quad_order)
+    pts = measure.quadrature.points
+    sigma = measure.expect(form.norm_sq(pts))
+    if q == 0 and b == "tangential" and domain.has_boundary:
+        lhs, kdim, proj_sq = sigma, 0, 0.0
+    elif q == 0:   # the kernel is the constants
+        vals = form.components(pts)[:, 0]
+        mean = measure.expect(vals)
+        lhs, kdim, proj_sq = measure.expect((vals - mean) ** 2), 1, mean ** 2
+    else:
+        chain = OperatorChain(_mesh(domain, mesh_h), potential, b)
+        kp = kernel_projector(chain.operator(q), seed=seed)
+        proj = kp.apply(chain.interpolate(form).values)
+        proj_sq = float(proj @ (chain.mass(q) @ proj)) / measure.Z
+        lhs, kdim = sigma - proj_sq, kp.dim
+    rhs = math.nan
+    if hyp.status == "satisfied":
+        factor = 1.0 if N is None else _n_factor(N)
+        if factor == math.inf:
+            rhs = math.inf
+        else:
+            D = form.d() if variant == "coclosed" else form.codifferential_weighted(potential)
+            dvals = D.components(pts)
+            inv = invert_endo_field(field, POSITIVITY_TOL).evaluate(pts)
+            rhs = factor * measure.expect(
+                np.einsum("mi,mi->m", np.einsum("mij,mj->mi", inv, dvals), dvals))
+    return hyp, lhs, kdim, proj_sq, sigma, rhs
+
+
 def check_bl_scalar(form: AnalyticForm, potential: Potential, domain: DomainSpec,
                     b: str, N: float = math.inf, quad_order: int = 8,
                     tol_rel: float = INEQ_REL, tol_abs: float = INEQ_ABS) -> CheckRecord:
     """Variance / Dirichlet-norm bound for scalars against the inverse
-    curvature tensor, with the (N-1)/N refinement for admissible N."""
+    curvature tensor, with the (N-1)/N refinement for admissible N: the
+    q = 0 coclosed case of _bl_bound."""
     if form.degree != 0:
         raise ValueError("scalar check needs a 0-form")
-    bakry_emery_tensor(potential, N)  # admissibility check (raises)
     bq = boundary_quadrature(domain, quad_order)
     if b == "tangential" and bq.points.shape[0]:
         wmax = float(np.abs(form.components(bq.points)).max())
         if wmax > 1e-8 * (1.0 + abs(float(form.components(
                 domain_quadrature(domain, 4).points).max()))):
             raise BoundaryConditionError("tangential scalar case needs w = 0 on the boundary")
-    hyp = hypothesis_check(potential, domain, b, p=1, N=N, quad_order=quad_order)
-    measure = WeightedMeasure(potential, domain, quad_order)
-    quad = measure.quadrature
-    vals = form.components(quad.points)[:, 0]
-    if b == "tangential" and domain.has_boundary:
-        lhs = measure.expect(vals ** 2)
-    else:
-        mean = measure.expect(vals)
-        lhs = measure.expect((vals - mean) ** 2)
-    rhs = math.nan
-    if hyp.status == "satisfied":
-        factor = _n_factor(N)
-        if factor == math.inf:
-            rhs = math.inf
-        else:
-            field = bakry_emery_tensor(potential, N)
-            inv = invert_endo_field(field, POSITIVITY_TOL)
-            grads = form.component_grads(quad.points)[:, 0, :]
-            rhs = factor * measure.expect(
-                np.einsum("mi,mi->m", np.einsum("mij,mj->mi",
-                                                inv.evaluate(quad.points), grads), grads))
+    hyp, lhs, *_, rhs = _bl_bound(form, potential, domain, b, "coclosed", N, quad_order)
     return inequality_record("bl_scalar", lhs, rhs, hyp.status, tol_rel, tol_abs,
                              witness=hyp.witness, **_labels(domain, potential),
                              p=1, b=b, N=N, quad_order=quad_order,
@@ -451,8 +483,8 @@ def check_bl_forms(form: AnalyticForm, potential: Potential, domain: DomainSpec,
     variant "coclosed" (d*_V w = 0, D = d, p = q+1) or "closed"
     (d w = 0, D = d*_V, p = q-1).  The projector pi_b comes from the
     discrete kernel projector of the degree-q operator of realization b,
-    applied to the Whitney interpolant; the interpolant's projection norm
-    and kernel dimension are reported in extra.
+    applied to the Whitney interpolant (the mean at q = 0); the projection
+    norm and kernel dimension are reported in extra.
     """
     q = form.degree
     n = form.n
@@ -475,10 +507,8 @@ def check_bl_forms(form: AnalyticForm, potential: Potential, domain: DomainSpec,
         worst = float(np.sqrt(form.d().norm_sq(quad.points).max()))
         if worst > 1e-8 * scale:
             raise ValueError(f"constraint d w = 0 fails: {worst:.2e}")
-    bq = boundary_quadrature(domain, quad_order)
-    form.verify_bc(bq)
+    form.verify_bc(boundary_quadrature(domain, quad_order))
 
-    measure = WeightedMeasure(potential, domain, quad_order)
     extra = {"variant": variant, "q": q, "bound_degree": p}
     if p == 0:
         hyp = HypothesisReport("violated", None, 0.0, math.inf,
@@ -487,42 +517,13 @@ def check_bl_forms(form: AnalyticForm, potential: Potential, domain: DomainSpec,
         return inequality_record("bl_forms", math.nan, math.nan, hyp.status,
                                  tol_rel, tol_abs, **_labels(domain, potential),
                                  p=p, b=b, quad_order=quad_order, extra=extra)
-    hyp = hypothesis_check(potential, domain, b, p=p, quad_order=quad_order)
-    extra["hypothesis"] = hyp.to_dict()
-
-    sigma = measure.expect(form.norm_sq(quad.points))
-    lhs, kdim, proj_sq = _projected_deficit(form, potential, domain, b, sigma,
-                                            measure.Z, mesh_h, seed)
-    extra.update({"kernel_dim": kdim, "projection_norm_sq": proj_sq,
-                  "l2_norm_sq": sigma})
-    rhs = math.nan
-    if hyp.status == "satisfied":
-        field = hessian_p(potential, p)
-        inv = invert_endo_field(field, POSITIVITY_TOL)
-        D = form.d() if variant == "coclosed" else form.codifferential_weighted(potential)
-        dvals = D.components(quad.points)
-        rhs = measure.expect(np.einsum(
-            "mi,mi->m", np.einsum("mij,mj->mi", inv.evaluate(quad.points), dvals), dvals))
+    hyp, lhs, kdim, proj_sq, sigma, rhs = _bl_bound(form, potential, domain, b, variant,
+                                                    None, quad_order, mesh_h, seed)
+    extra.update({"hypothesis": hyp.to_dict(), "kernel_dim": kdim,
+                  "projection_norm_sq": proj_sq, "l2_norm_sq": sigma})
     return inequality_record("bl_forms", lhs, rhs, hyp.status, tol_rel, tol_abs,
                              witness=hyp.witness, **_labels(domain, potential),
                              p=p, b=b, quad_order=quad_order, mesh_h=mesh_h, extra=extra)
-
-
-def _projected_deficit(form, potential, domain, b, sigma, Z, mesh_h, seed):
-    """||w - pi_b w||^2_{L^2(dnu)} = sigma - ||pi_b w||^2 with the kernel
-    projector of the degree-q operator on the chain of b (for normal 0-forms
-    the kernel is the constants, projected by quadrature)."""
-    q = form.degree
-    if b == "normal" and q == 0:
-        measure = WeightedMeasure(potential, domain, 8)
-        mean = measure.expect(form.components(measure.quadrature.points)[:, 0])
-        return sigma - mean ** 2, 1, mean ** 2
-    chain = OperatorChain(_mesh(domain, mesh_h), potential, b)
-    c = chain.interpolate(form)
-    kp = kernel_projector(chain.operator(q), seed=seed)
-    proj = kp.apply(c.values)
-    proj_sq = float(proj @ (chain.mass(q) @ proj)) / Z
-    return sigma - proj_sq, kp.dim, proj_sq
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from .curvature import _admissible_N
 from .domains import DomainSpec, DomainValidationError
 from .potentials import Potential, parse_potential
 from .presets import CHECK_IDS
@@ -225,7 +226,7 @@ def load_config(source) -> RunConfig:
     realizations = _axis(raw, "realizations", [allowed[-1]], realization)  # normal/none
     N_values = _axis(raw, "N", ["inf"], _extended)
     # flagged at parse time, reported as not_applicable
-    inadmissible = [N for N in N_values if not (N == math.inf or N <= 0 or N >= n)]
+    inadmissible = [N for N in N_values if not _admissible_N(N, n)]
 
     def check_id(path, cid):
         if not isinstance(cid, str) or cid not in CHECK_IDS:

@@ -104,14 +104,19 @@ def hessian_p(potential: Potential, p: int) -> EndomorphismField:
     return lift_endomorphism(base, p)
 
 
+def _admissible_N(N: float, n: int) -> bool:
+    """The N band rule in dimension n: N = +inf, N <= 0 or N >= n."""
+    return N == np.inf or N <= 0 or N >= n
+
+
 def bakry_emery_tensor(potential: Potential, N: float) -> EndomorphismField:
     """Ric + Hess V - (1/(N-n)) grad V (x) grad V on 1-forms, with Ric = 0.
 
-    Admissible N: (-inf, 0] union [n, +inf]; N = n only for constant V
-    (the correction term is dropped entirely at N = +inf).
+    Admissible N: _admissible_N, and N = n only for constant V (the
+    correction term is dropped entirely at N = +inf).
     """
     n = potential.n
-    if not (N == np.inf or N <= 0 or N >= n):
+    if not _admissible_N(N, n):
         raise ValueError(f"N={N} in the forbidden band (0, {n})")
     if N == n and not potential.is_constant:
         raise ValueError(f"N = n = {n} requires a constant potential")

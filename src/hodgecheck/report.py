@@ -9,7 +9,9 @@ statuses: not_applicable records do not fail a run.  Every (p, b) case is
 assembled directly, on the chain of its own realization b.
 
 Determinism contract: identical configs produce byte-identical JSON
-reports.  Wall-clock timings are therefore zeroed by default; pass
+reports at a fixed BLAS thread count (a threaded BLAS sums in another
+order, so records move at roundoff between thread counts).  Wall-clock
+timings are therefore zeroed by default; pass
 ``timings=True`` (CLI ``--timings``) to record each case's milliseconds,
 shared by the records it yields, and forfeit byte-identity.
 """

@@ -93,6 +93,7 @@ the disk and to 9e-12 on the interval, where the fine levels sit at the
 pencil's conditioning floor eps * lambda_max / lambda.
 """
 REFINE_STEPS = 4   # most refinement steps or CG restarts after a range solve's first pass
+KERNEL_PROBES = 6  # eigenpairs kernel_projector computes to find the kernel and its gap
 
 
 class SolverError(RuntimeError):
@@ -111,7 +112,6 @@ class SpectralResult:
     seed: int
     mesh_h: float
     solver: str
-    tol: float
 
     @property
     def dim(self) -> int:
@@ -178,9 +178,8 @@ def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-9,
         vals, vecs = vals[:k], vecs[:, :k]
         solver = "dense-eigh"
     elif not op.has_down:
-        vals, vecs = _sparse_eigs(op.up_stiff if op.has_up else
-                                  sparse.csr_matrix((op.dim, op.dim)),
-                                  op.M, k, seed)
+        S = op.up_stiff if op.has_up else sparse.csr_matrix((op.dim, op.dim))
+        vals, vecs = _shift_invert_eigsh(S, op.M, k, -1e-2, seed)
         solver = "eigsh-shift-invert"
     else:
         vals, vecs = _mixed_eigs(op, k, seed)
@@ -197,27 +196,21 @@ def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-9,
     kernel_dim = int(np.sum(vals < threshold))
     vals = np.where(np.abs(vals) < 1e-14 * max(lam_max, 1.0), 0.0, vals)
     h = op.chain.cplx.mesh_size_h
-    return SpectralResult(vals, vecs, kernel_dim, res, threshold, seed, h, solver, tol)
+    return SpectralResult(vals, vecs, kernel_dim, res, threshold, seed, h, solver)
 
 
-def _shift_invert(A, M, sigma):
-    """(A - sigma M)^{-1} as the operator eigsh iterates with: one sparse_lu."""
+def _shift_invert_eigsh(A, M, k, sigma, seed):
+    """The k eigenpairs of A x = lambda M x nearest sigma: shift-invert eigsh
+    from a seeded start vector, iterating with the solve of one sparse_lu of
+    A - sigma M."""
     lu = sparse_lu(A - sigma * M)
-    return spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
-
-
-def _sparse_eigs(S, M, k, seed):
-    n = S.shape[0]
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n)
-    sigma = -1e-2
+    v0 = np.random.default_rng(seed).standard_normal(A.shape[0])
     try:
-        vals, vecs = spla.eigsh(S, k=k, M=M, sigma=sigma, which="LM", v0=v0,
-                                maxiter=500, OPinv=_shift_invert(S, M, sigma))
+        return spla.eigsh(A, k=k, M=M, sigma=sigma, which="LM", v0=v0, maxiter=500,
+                          OPinv=spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float))
     except spla.ArpackNoConvergence as e:
         raise SolverError(f"eigensolver hit the iteration cap: {e}",
                           residuals=getattr(e, "eigenvalues", None)) from e
-    return vals, vecs
 
 
 def _mixed_pencil(op: AssembledOperator):
@@ -237,21 +230,11 @@ def _mixed_pencil(op: AssembledOperator):
 def _mixed_eigs(op: AssembledOperator, k, seed):
     A, Mbig = _mixed_pencil(op)
     nlow = A.shape[0] - op.dim
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(A.shape[0])
-    scale = float(np.mean(op.M.diagonal()))
-    sigma = -1e-2 * scale
-    try:
-        vals, vecs = spla.eigsh(A, k=k, M=Mbig, sigma=sigma, which="LM", v0=v0,
-                                maxiter=500, OPinv=_shift_invert(A, Mbig, sigma))
-    except spla.ArpackNoConvergence as e:
-        raise SolverError(f"mixed-pencil eigensolver hit the iteration cap: {e}",
-                          residuals=getattr(e, "eigenvalues", None)) from e
+    sigma = -1e-2 * float(np.mean(op.M.diagonal()))
+    vals, vecs = _shift_invert_eigsh(A, Mbig, k, sigma, seed)
     u = vecs[nlow:, :]
     keep = np.linalg.norm(u, axis=0) > 1e-8
-    if not np.all(keep):
-        u, vals = u[:, keep], vals[keep]
-    return vals, u
+    return vals[keep], u[:, keep]
 
 
 @dataclass
@@ -274,17 +257,17 @@ class KernelProjector:
         return x - self.apply(x)
 
 
-def kernel_projector(op: AssembledOperator, kernel_threshold: float | None = None,
-                     seed: int = 1234, n_probe: int = 6) -> KernelProjector:
-    """Projector onto the span of kernel eigenvectors.
+def kernel_projector(op: AssembledOperator, seed: int = 1234) -> KernelProjector:
+    """Projector onto the span of kernel eigenvectors among the lowest
+    KERNEL_PROBES eigenpairs, below lowest_eigenpairs' kernel threshold.
 
     Requires a clean spectral gap: the first retained eigenvalue above the
     threshold must exceed 10x the threshold, otherwise the kernel is
     ambiguous and an error reports the eigenvalue window.
     """
-    k = min(op.dim, n_probe)
+    k = min(op.dim, KERNEL_PROBES)
     res = lowest_eigenpairs(op, k, seed=seed)
-    threshold = kernel_threshold if kernel_threshold is not None else res.kernel_threshold
+    threshold = res.kernel_threshold
     below = res.eigenvalues < threshold
     kdim = int(np.sum(below))
     if kdim < k and kdim < op.dim:
@@ -294,7 +277,7 @@ def kernel_projector(op: AssembledOperator, kernel_threshold: float | None = Non
                 f"ambiguous kernel: eigenvalue window [{threshold:.3e}, {lam_next:.3e}] "
                 "has no clean gap")
     elif kdim == k and k < op.dim:
-        raise SolverError("kernel candidate count reached probe size; raise n_probe")
+        raise SolverError("kernel candidate count reached probe size; raise KERNEL_PROBES")
     return KernelProjector(op.M, res.eigenvectors[:, :kdim])
 
 

@@ -170,13 +170,35 @@ def test_bl_scalar_violations_report_not_applicable():
 
 
 def test_bl_cross_route_consistency():
-    """check_bl_forms at q = 0 agrees with check_bl_scalar to 1e-6."""
-    w = AnalyticForm(2, 0, [x1], name="x1")
+    """check_bl_scalar at N = inf is the q = 0 coclosed case of
+    check_bl_forms: equal hypotheses, lhs and rhs, bit for bit, at quad
+    orders 4 and 8 in both realizations."""
+    from hodgecheck.presets import test_form
+
     V1 = Potential.quadratic(1.0, 2)
-    a = check_bl_scalar(w, V1, DISK, "normal", math.inf)
-    b = check_bl_forms(w, V1, DISK, "normal", "coclosed", mesh_h=0.3)
-    assert abs(a.lhs - b.lhs) <= 1e-6 * max(a.lhs, 1e-30)
-    assert abs(a.rhs - b.rhs) <= 1e-6 * max(a.rhs, 1e-30)
+    for b in ("normal", "tangential"):
+        w = test_form(DISK, 0, b)
+        for quad_order in (4, 8):
+            a = check_bl_scalar(w, V1, DISK, b, math.inf, quad_order)
+            f = check_bl_forms(w, V1, DISK, b, "coclosed", quad_order, mesh_h=0.3)
+            assert a.status == f.status == "pass"
+            assert a.extra["hypothesis"] == f.extra["hypothesis"]
+            assert (a.lhs, a.rhs) == (f.lhs, f.rhs), (b, quad_order)
+            assert f.extra["kernel_dim"] == (1 if b == "normal" else 0)
+
+
+def test_bl_scalar_negative_infinite_N_is_the_unrefined_bound():
+    """N = -inf is the limit of N -> -inf: factor (N - 1)/N = 1 and the
+    Bakry-Emery tensor is Hess V, so the record equals the N = +inf one;
+    the gap bound is the N = +inf bound too."""
+    w = AnalyticForm(2, 0, [x1 + x2], name="x1+x2")
+    V1 = Potential.quadratic(1.0, 2)
+    pos, neg = (check_bl_scalar(w, V1, DISK, "normal", N, 4) for N in (math.inf, -math.inf))
+    assert neg.passed and neg.extra["factor"] == 1.0
+    assert (neg.lhs, neg.rhs) == (pos.lhs, pos.rhs)
+    gaps = [check_gap_lower_bound(V1, DISK, "normal", 0, use_N=N, mesh_h=0.5, levels=2)
+            for N in (math.inf, -math.inf)]
+    assert gaps[1].lhs == gaps[0].lhs == 1.0
 
 
 def test_bl_forms_degenerate_p0():

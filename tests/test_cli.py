@@ -13,8 +13,10 @@ from hodgecheck import report as report_mod
 from hodgecheck.cli import main
 from hodgecheck.config import (MAX_EIGEN_COUNT, MAX_QUAD_ORDER, MAX_SAMPLES, SIMPLEX_DENSITY,
                                ConfigError, load_config)
+from hodgecheck.curvature import bakry_emery_tensor
 from hodgecheck.domains import DomainSpec
 from hodgecheck.meshing import generate_mesh
+from hodgecheck.potentials import Potential
 from hodgecheck.presets import CHECK_IDS
 from hodgecheck.records import CheckRecord, decode_extended, encode_extended
 from hodgecheck.report import RUNNERS, convergence_study, run_config
@@ -464,6 +466,28 @@ def test_inadmissible_N_is_not_applicable_in_every_N_check():
     assert flagged == {"bl_scalar": [1], "gap_lower_bound": [0],
                        "hypothesis_check": [1]}
     assert report.summary["fail"] == 0
+
+
+@pytest.mark.parametrize("domain", [{"kind": "interval", "parameters": [0, 1]},
+                                    {"kind": "disk", "parameters": [1.0, 0.0, 0.0]}])
+def test_N_band_rule_shared_by_config_and_tensor(domain):
+    """load_config flags, and the run reports not_applicable, exactly the N
+    that bakry_emery_tensor refuses: the open band (0, n)."""
+    cfg = load_config({**BASE, "domain": domain, "potential": "quadratic(1.0)",
+                       "N": ["-inf", -1, 0, 0.5, 1, 1.5, 2, 3, "inf"],
+                       "checks": ["bl_scalar"], "quad_order": 4})
+    n = cfg.domain.ambient_dim
+    for N in cfg.N_values:
+        try:
+            bakry_emery_tensor(Potential.zero(n), N)
+            refused = False
+        except ValueError:
+            refused = True
+        assert refused == (N in cfg.inadmissible_N) == (0 < N < n)
+    for r in run_config(cfg).records:
+        flagged = r.extra == {"note": "N flagged inadmissible at parse time"}
+        assert flagged == (r.N in cfg.inadmissible_N)
+        assert r.status == "not_applicable" or not flagged
 
 
 def test_timings_are_per_case(monkeypatch):
