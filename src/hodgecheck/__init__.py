@@ -21,7 +21,7 @@ from .curvature import (EndomorphismField, PositivityViolationError,
                         invert_endo_field, lift_endomorphism)
 from .domains import DomainSpec, boundary_quadrature, domain_quadrature
 from .meshing import (SimplicialComplex, boundary_geometry, generate_mesh,
-                      incidence_matrix, read_off, refine, write_off)
+                      incidence_matrix, refine)
 from .operators import (AssembledOperator, Cochain, OperatorChain,
                         UnsupportedRealizationError, dual_problem)
 from .potentials import Potential, WeightedMeasure, parse_potential
@@ -46,6 +46,6 @@ __all__ = [
     "eval_green_identity", "eval_h1_identity", "generate_mesh", "hessian_p",
     "hodge_decompose", "hypothesis_check", "incidence_matrix", "interpolate",
     "invert_endo_field", "kernel_projector", "lift_endomorphism", "load_config",
-    "lowest_eigenpairs", "parse_potential", "read_off",
-    "refine", "run_config", "semiclassical_sweep", "solve_on_range", "write_off",
+    "lowest_eigenpairs", "parse_potential", "refine", "run_config",
+    "semiclassical_sweep", "solve_on_range",
 ]

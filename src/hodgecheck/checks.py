@@ -39,7 +39,7 @@ from .meshing import generate_mesh, refine
 from .operators import Cochain, OperatorChain, dual_problem
 from .potentials import Potential, WeightedMeasure
 from .records import CheckRecord, identity_record, inequality_record
-from .spectral import kernel_projector, lowest_eigenpairs, range_solver, solve_on_range
+from .spectral import kernel_projector, lowest_eigenpairs, solve_on_range
 
 __all__ = [
     "eval_decomposition_identity",
@@ -536,11 +536,11 @@ def _constant_kernel_projection(chain: OperatorChain, values: np.ndarray) -> np.
     return (float(ones @ (M @ values)) / float(ones @ (M @ ones))) * ones
 
 
-def check_variance_identity(eta: Cochain, chain: OperatorChain,
-                            kernel1=None) -> tuple[float, float]:
+def check_variance_identity(eta: Cochain, chain: OperatorChain) -> tuple[float, float]:
     """Two routes of the exact discrete variance identity.
 
-    lhs = ||eta - pi eta||^2_M,  rhs = <(L^(1)|_{Ran d})^{-1} d eta, d eta>_M.
+    lhs = ||eta - pi eta||^2_M,  rhs = <(L^(1)|_{Ran d})^{-1} d eta, d eta>_M,
+    where the range solve finds the kernel of L^(1) itself.
     """
     if eta.degree != 0:
         raise ValueError("variance identity needs a 0-cochain")
@@ -551,7 +551,7 @@ def check_variance_identity(eta: Cochain, chain: OperatorChain,
         centered = eta.values - _constant_kernel_projection(chain, eta.values)
     lhs = float(centered @ (chain.mass(0) @ centered))
     deta = chain.apply_d(eta)
-    w = solve_on_range(chain.operator(1), deta.values, kernel=kernel1)
+    w = solve_on_range(chain.operator(1), deta.values)
     rhs = float(w @ (chain.mass(1) @ deta.values))
     return lhs, rhs
 
@@ -561,23 +561,19 @@ def variance_identity_record(domain: DomainSpec, potential: Potential, b: str,
                              tol: float = 1e-7, quad_order: int = 4) -> CheckRecord:
     cplx = _mesh(domain, mesh_h)
     chain = OperatorChain(cplx, potential, b, quad_order)
-    kernel1 = None
-    if domain.kind in ("annulus", "flat_torus", "circle"):
-        kernel1 = kernel_projector(chain.operator(1), seed=seed)
     rng = np.random.default_rng(seed)
     worst = 0.0
     pair = (0.0, 0.0)
     for _ in range(n_samples):
         eta = Cochain(0, b, rng.standard_normal(chain.dim(0)))
-        lhs, rhs = check_variance_identity(eta, chain, kernel1=kernel1)
+        lhs, rhs = check_variance_identity(eta, chain)
         rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
         if rel > worst:
             worst, pair = rel, (lhs, rhs)
     return identity_record("variance_identity", *pair, tol, rel_err=worst,
                            **_labels(domain, potential), p=0, b=b,
                            mesh_h=cplx.mesh_size_h, quad_order=quad_order,
-                           extra={"samples": n_samples, "worst_rel": worst,
-                                  "range_solver": range_solver(chain.dim(1))})
+                           extra={"samples": n_samples, "worst_rel": worst})
 
 
 def _mesh(domain: DomainSpec, mesh_h: float, level: int = 0, coarser=None):
@@ -775,5 +771,4 @@ def hodge_decomposition_record(domain: DomainSpec, potential: Potential, b: str,
                            rel_err=max(worst_rec, worst_orth), **_labels(domain, potential),
                            p=p, b=b, mesh_h=cplx.mesh_size_h, quad_order=quad_order,
                            extra={"kernel_dim": kp.dim, "recomposition": worst_rec,
-                                  "orthogonality": worst_orth, "samples": n_samples,
-                                  "range_solver": range_solver(op.dim)})
+                                  "orthogonality": worst_orth, "samples": n_samples})

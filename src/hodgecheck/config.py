@@ -226,7 +226,7 @@ def load_config(source) -> RunConfig:
     realizations = _axis(raw, "realizations", [allowed[-1]], realization)  # normal/none
     N_values = _axis(raw, "N", ["inf"], _extended)
     # flagged at parse time, reported as not_applicable
-    inadmissible = [N for N in N_values if not _admissible_N(N, n)]
+    inadmissible = [N for N in N_values if not _admissible_N(N, n, potential.is_constant)]
 
     def check_id(path, cid):
         if not isinstance(cid, str) or cid not in CHECK_IDS:

@@ -104,22 +104,22 @@ def hessian_p(potential: Potential, p: int) -> EndomorphismField:
     return lift_endomorphism(base, p)
 
 
-def _admissible_N(N: float, n: int) -> bool:
-    """The N band rule in dimension n: N = +inf, N <= 0 or N >= n."""
-    return N == np.inf or N <= 0 or N >= n
+def _admissible_N(N: float, n: int, constant: bool) -> bool:
+    """The N band rule in dimension n: N = +inf, N <= 0 or N > n, and
+    N = n only under a constant potential."""
+    return N == np.inf or N <= 0 or N > n or (N == n and constant)
 
 
 def bakry_emery_tensor(potential: Potential, N: float) -> EndomorphismField:
     """Ric + Hess V - (1/(N-n)) grad V (x) grad V on 1-forms, with Ric = 0.
 
-    Admissible N: _admissible_N, and N = n only for constant V (the
-    correction term is dropped entirely at N = +inf).
+    Admissible N: _admissible_N (the correction term is dropped entirely at
+    N = +inf, and at N = n, where grad V = 0).
     """
     n = potential.n
-    if not _admissible_N(N, n):
-        raise ValueError(f"N={N} in the forbidden band (0, {n})")
-    if N == n and not potential.is_constant:
-        raise ValueError(f"N = n = {n} requires a constant potential")
+    if not _admissible_N(N, n, potential.is_constant):
+        raise ValueError(f"N={N} is inadmissible in dimension {n}: it lies in (0, {n}), "
+                         "or equals n under a nonconstant potential")
 
     def evaluator(x):
         H = potential.hess(x)

@@ -40,8 +40,6 @@ __all__ = [
     "incidence_matrix",
     "boundary_geometry",
     "ear_clip_triangulation",
-    "read_off",
-    "write_off",
 ]
 
 # local edges of a triangle (v0, v1, v2), in edge-table column order
@@ -517,48 +515,3 @@ def boundary_geometry(cplx: SimplicialComplex, spec: DomainSpec | None,
             sel = which == kk
             nrm[sel], k1[sel] = circle_frame(radial[sel], R, inner)
     return BoundaryQuadrature(pts, wts, nrm, k1)
-
-
-# ---------------------------------------------------------------------------
-# OFF import/export
-# ---------------------------------------------------------------------------
-
-def write_off(cplx: SimplicialComplex, path):
-    with open(path, "w") as f:
-        f.write("OFF\n")
-        nv, nf = cplx.vertex_coords.shape[0], cplx.num(cplx.dim) if cplx.dim == 2 else 0
-        f.write(f"{nv} {nf} 0\n")
-        for v in cplx.vertex_coords:
-            coords = list(v) + [0.0] * (3 - len(v))
-            f.write(" ".join(repr(float(c)) for c in coords) + "\n")
-        if cplx.dim == 2:
-            for t in cplx.simplices[2]:
-                f.write(f"3 {t[0]} {t[1]} {t[2]}\n")
-
-
-def read_off(path) -> SimplicialComplex:
-    """Import an ASCII OFF triangle mesh; boundary inferred from adjacency."""
-    with open(path) as f:
-        tokens = []
-        for line in f:
-            line = line.split("#")[0].strip()
-            if line:
-                tokens.extend(line.split())
-    if not tokens or tokens[0] != "OFF":
-        raise ValueError("not an OFF file")
-    if len(tokens) < 4:
-        raise ValueError("truncated OFF header")
-    nv, nf = int(tokens[1]), int(tokens[2])
-    vtok, ftok = tokens[4:4 + 3 * nv], tokens[4 + 3 * nv:4 + 3 * nv + 4 * nf]
-    if len(vtok) < 3 * nv:
-        raise ValueError(f"truncated vertex list: {nv} vertices declared")
-    if len(ftok) < 4 * nf:
-        raise ValueError(f"truncated face list: {nf} faces declared")
-    verts = np.array(vtok, dtype=float).reshape(nv, 3)[:, :2]
-    faces = np.array(ftok, dtype=int).reshape(nf, 4)
-    if np.any(faces[:, 0] != 3):
-        raise ValueError("only triangle faces supported")
-    tris = faces[:, 1:]
-    if tris.size and (tris.min() < 0 or tris.max() >= nv):
-        raise ValueError(f"face vertex index outside [0, {nv})")
-    return _from_triangles(verts, tris, spec=None)

@@ -23,9 +23,10 @@ duality checks compare the direct assembly against.
 
 Every sparse LU factorization of the package goes through sparse_lu: the
 mass factors here (the codifferential, the dense down-block of the
-stiffness, the mass-preconditioned solves) and the shifted pencils that the
-sparse eigensolvers of spectral invert.  All of these matrices are
-symmetric, so sparse_lu orders them with a symmetric fill-reducing order.
+stiffness, the M^{-1}-norms of residuals), the shifted pencils that the
+sparse eigensolvers of spectral invert and the kernel-bordered saddles of
+its range solves.  All of these matrices are symmetric, so sparse_lu
+orders them with a symmetric fill-reducing order.
 """
 
 from __future__ import annotations
@@ -63,11 +64,12 @@ def sparse_lu(A):
 
     * ``permc_spec="MMD_AT_PLUS_A"``: minimum degree on the pattern of
       A^T + A.  Every matrix factored here is symmetric (a weighted mass,
-      the shifted pencil S - sigma M, the mixed saddle), and SuperLU's
-      default COLAMD is an order for unsymmetric matrices.  On the disk at
-      h = 0.05 this order cuts L + U of the p = 1 mass (7656 DOFs) from
-      436 676 to 241 216 nonzeros and that of the p = 1 saddle (10 267 DOFs)
-      from 1 363 925 to 856 604; factorizations and solves get faster.
+      the shifted pencil S - sigma M, the mixed saddle, bordered or not),
+      and SuperLU's default COLAMD is an order for unsymmetric matrices.
+      On the disk at h = 0.05 this order cuts L + U of the p = 1 mass
+      (7656 DOFs) from 436 676 to 241 216 nonzeros and that of the p = 1
+      saddle (10 267 DOFs) from 1 363 925 to 856 604; factorizations and
+      solves get faster.
     * ``relax=1``: no relaxed supernodes.  Under SuperLU's default
       relaxation this order meets a slow case at the same fill: the
       23 880-DOF saddle of the disk suite's duality ladder took 1.8 s to
@@ -93,11 +95,11 @@ class OperatorChain:
     matrices are assembled lazily and shared between the per-degree
     operators, which is what makes the supersymmetry identity exact at the
     matrix level.  The sparse up-blocks of the stiffness, mass
-    factorizations and the dense pencils (of spectra, kernel projectors and
-    range solves alike) are cached beside them.  The chain keeps no
-    AssembledOperator: an operator refers back to its chain, and that cycle
-    would keep each chain and its factorizations alive until the cyclic
-    garbage collector runs.  The full mass of each degree, before a
+    factorizations, the dense pencils of spectra and kernel projectors, and
+    the factored kernel-bordered saddles of range solves are cached beside
+    them.  The chain keeps no AssembledOperator: an operator refers back to
+    its chain, and that cycle would keep each chain and its factorizations
+    alive until the cyclic garbage collector runs.  The full mass of each degree, before a
     realization restricts it to its free DOFs, is read from the run cache
     (see runcache), so the chains of one run on one mesh assemble it once.
     """
@@ -114,6 +116,7 @@ class OperatorChain:
         self._up = {}
         self._factor = {}
         self._pencil = {}
+        self._range = {}
         self._D = {}
         self._free = {}
 
@@ -250,7 +253,8 @@ class AssembledOperator:
     def pencil(self):
         """Eigenvalues (ascending) and M-orthonormal eigenvectors of the dense
         pencil (S_p, M_p), computed once per chain and degree and kept on the
-        chain (a spectrum, a kernel projector and the range solves share it).
+        chain (a spectrum and a kernel projector share it; range solves factor
+        the sparse saddle instead).
         """
         cache = self.chain._pencil
         if self.p not in cache:

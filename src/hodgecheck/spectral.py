@@ -19,19 +19,18 @@ Both sparse paths factor their shifted pencil once with operators.sparse_lu
 (the package's one sparse LU, under a symmetric fill-reducing order) and
 pass its solve to ``eigsh`` as ``OPinv``, so ARPACK never factors on its own.
 
-Solves on Ran d restrict the operator to the M-orthogonal complement of its
-kernel on one of two paths (range_solver names it):
+Solves on Ran d take one path (solve_on_range): the same saddle,
+unshifted, bordered by a kernel basis K with C = M_p K as a Lagrange
+multiplier (Arnold-Falk-Winther, Acta Numerica 2006),
 
-* "dense-pencil" up to DENSE_CUTOFF: the pseudo-inverse of the generalized
-  eigendecomposition of the dense pencil, computed once per chain and
-  degree and cached on the OperatorChain (up to SPECTRA_CUTOFF a kernel
-  projector built first reads the same decomposition), with
-  iterative refinement on the true residual;
-* "projected-cg" above it: conjugate gradients preconditioned by the mass
-  matrix with explicit kernel deflation each iteration, stopped on its
-  recursive residual and restarted from the true one until that certifies.
+    [-M_{p-1}   D^T M_p   0 ] [sigma ]   [0]
+    [ M_p D     S_up      C ] [  w   ] = [b]
+    [ 0         C^T       0 ] [lambda]   [0],
 
-Both paths certify on the true residual through one helper, _certificate.
+so that w is M-orthogonal to K and S w = b up to the part of b along K.
+At degree 0 there is no codifferential block and the border goes on S_up
+alone.  One sparse_lu per chain, degree and border serves every right side;
+each solve is refined on the true residual and certified by _certificate.
 """
 
 from __future__ import annotations
@@ -53,11 +52,9 @@ __all__ = [
     "KernelProjector",
     "hodge_decompose",
     "solve_on_range",
-    "range_solver",
     "check_intertwining",
 ]
 
-DENSE_CUTOFF = 1700   # range solves: "dense-pencil" up to it, "projected-cg" above
 SPECTRA_CUTOFF = 300
 """Largest dimension whose spectrum takes "dense-eigh"; above it a spectrum
 takes the sparse path of its degree, whatever the chain holds.  A spectrum needs only its k lowest
@@ -92,8 +89,7 @@ either way.  Eigenvalues of the two paths agreed to 1.3e-13 relative on
 the disk and to 9e-12 on the interval, where the fine levels sit at the
 pencil's conditioning floor eps * lambda_max / lambda.
 """
-REFINE_STEPS = 4   # most refinement steps or CG restarts after a range solve's first pass
-KERNEL_PROBES = 6  # eigenpairs kernel_projector computes to find the kernel and its gap
+KERNEL_PROBES = 6  # eigenpairs probed for a kernel: kernel_projector's, a range solve's border
 
 
 class SolverError(RuntimeError):
@@ -112,6 +108,7 @@ class SpectralResult:
     seed: int
     mesh_h: float
     solver: str
+    lambda_max: float                  # power-iteration estimate
 
     @property
     def dim(self) -> int:
@@ -196,7 +193,7 @@ def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-9,
     kernel_dim = int(np.sum(vals < threshold))
     vals = np.where(np.abs(vals) < 1e-14 * max(lam_max, 1.0), 0.0, vals)
     h = op.chain.cplx.mesh_size_h
-    return SpectralResult(vals, vecs, kernel_dim, res, threshold, seed, h, solver)
+    return SpectralResult(vals, vecs, kernel_dim, res, threshold, seed, h, solver, lam_max)
 
 
 def _shift_invert_eigsh(A, M, k, sigma, seed):
@@ -281,110 +278,84 @@ def kernel_projector(op: AssembledOperator, seed: int = 1234) -> KernelProjector
     return KernelProjector(op.M, res.eigenvectors[:, :kdim])
 
 
-def range_solver(dim: int) -> str:
-    """The path solve_on_range takes on an operator of dimension dim:
-    "dense-pencil" up to DENSE_CUTOFF, "projected-cg" above it."""
-    return "dense-pencil" if dim <= DENSE_CUTOFF else "projected-cg"
-
-
 def solve_on_range(op: AssembledOperator, rhs: np.ndarray, tol: float = 1e-11,
-                   kernel: KernelProjector | None = None,
-                   maxiter: int | None = None) -> np.ndarray:
+                   kernel: KernelProjector | None = None) -> np.ndarray:
     """Solve L^(p) w = rhs for rhs in Ran d, with w orthogonal to the kernel.
 
-    Both paths solve S w = M rhs; the M^{-1}-norm of the true residual
-    b - S w, kernel components deflated (_certificate), must come to at
-    most tol times that of b = M rhs, else SolverError.
-
-    * "dense-pencil" (dim <= DENSE_CUTOFF): the pseudo-inverse of the cached
-      generalized eigendecomposition of (S, M), followed by iterative
-      refinement.  It drops the lowest kernel.dim modes (the span of a
-      projector built by kernel_projector, from the same decomposition up to
-      SPECTRA_CUTOFF) and
-      any mode whose eigenvalue is at roundoff, at most dim * eps *
-      lambda_max; every other mode is inverted however small its
-      eigenvalue, as CG does.  A
-      right side that needs a mode at roundoff fails the test on this path.
-      The first solve on a chain pays the decomposition unless a spectrum
-      or kernel_projector up to SPECTRA_CUTOFF already did; on a 2D chain a
-      single solve without a projector costs more than CG.
-    * "projected-cg": conjugate gradients preconditioned by M^{-1}, deflating
-      kernel components by explicit projection every iteration.  When the
-      recursive residual meets the test, the true one is computed; CG
-      restarts from it at most REFINE_STEPS times (the recursive residual
-      drifts from the true one, most where the right side has a kernel
-      part).  maxiter bounds the iterations of all passes together.
+    Solves S w = M rhs through the kernel-bordered saddle of the module
+    docstring, factored once per chain, degree and border (_range_lu).  The
+    border K is the basis of ``kernel`` when one is given, else the
+    eigenvectors among the lowest KERNEL_PROBES whose eigenvalue is at
+    roundoff, at most dim * eps * lambda_max; every other mode is inverted
+    however small its eigenvalue.  The first solve is refined on the true
+    residual at least once and then while that residual halves; its
+    M^{-1}-norm, kernel components deflated (_certificate), must come to at
+    most tol times that of b = M rhs, else SolverError.  A right side with a
+    part along K (a kernel part without a projector, or a mode at roundoff)
+    fails the test.
     """
-    chain, p = op.chain, op.p
     b = op.M @ np.asarray(rhs, dtype=float)
 
     def project(x):
         return kernel.complement(x) if kernel is not None and kernel.dim else x
 
-    bnorm = np.sqrt(max(float(b @ chain.mass_solve(p, b)), 1e-300))
-    if range_solver(op.dim) == "dense-pencil":
-        kernel_dim = kernel.dim if kernel is not None else 0
-        return _pencil_solve(op, b, tol * bnorm, kernel_dim, project)
-    if maxiter is None:
-        maxiter = max(2000, 30 * op.dim)
-    target = tol * bnorm
-    x = np.zeros_like(b)
-    r = b.copy()
-    iters = 0
-    for _ in range(1 + REFINE_STEPS):
-        z = project(chain.mass_solve(p, r))
-        q = z.copy()
-        rz = float(r @ z)
-        while np.sqrt(max(rz, 0.0)) > target:
-            if iters == maxiter:
-                raise SolverError(f"projected CG stagnated: residual "
-                                  f"{np.sqrt(max(rz, 0.0)) / bnorm:.2e}")
-            iters += 1
-            Sq = op.stiff_matvec(q)
-            alpha = rz / float(q @ Sq)
-            x += alpha * q
-            r -= alpha * Sq
-            z = project(chain.mass_solve(p, r))
-            rz_new = float(r @ z)
-            q = z + (rz_new / rz) * q
-            rz = rz_new
-        _, z, res = _certificate(op, b, x, project)
-        if res <= target:
+    target = tol * np.sqrt(max(float(b @ op.chain.mass_solve(op.p, b)), 1e-300))
+    solve = _range_lu(op, kernel)
+    x = solve(b)
+    r, res = _certificate(op, b, x, project)
+    while True:
+        # the residual barely sees the error of a mode with a small
+        # eigenvalue; one refinement step removes most of it
+        x = x + solve(r)
+        r, new = _certificate(op, b, x, project)
+        if new <= target:
             return x
-        r = op.M @ z   # restart from the true residual, kernel part deflated
-    raise SolverError(f"projected CG did not certify: true residual {res:.2e} above "
-                      f"{target:.2e} after {REFINE_STEPS} restarts",
-                      residuals=np.array([res]))
+        if new > res / 2:
+            raise SolverError(f"range solve did not certify: residual {new:.2e} "
+                              f"above {target:.2e}", residuals=np.array([new]))
+        res = new
+
+
+def _range_lu(op: AssembledOperator, kernel: KernelProjector | None):
+    """b -> the w-block of the kernel-bordered saddle's solution for the
+    right side (0, b, 0), from one sparse_lu kept on the chain per degree
+    and border (the projector is held with it, so its id is not reused)."""
+    key = (op.p, id(kernel))
+    cache = op.chain._range
+    if key not in cache:
+        if kernel is not None:
+            K = kernel.basis
+        else:
+            res = lowest_eigenpairs(op, min(op.dim, KERNEL_PROBES))
+            roundoff = op.dim * np.finfo(float).eps * res.lambda_max
+            K = res.eigenvectors[:, res.eigenvalues <= roundoff]
+        if op.has_down:
+            A = _mixed_pencil(op)[0]
+        else:
+            A = op.up_stiff if op.has_up else sparse.csr_matrix((op.dim, op.dim))
+        nlow = A.shape[0] - op.dim
+        if K.shape[1]:
+            C = sparse.vstack([sparse.csr_matrix((nlow, K.shape[1])),
+                               sparse.csr_matrix(op.M @ K)])
+            A = sparse.bmat([[A, C], [C.T, None]])
+        cache[key] = (kernel, sparse_lu(A), nlow)
+    _, lu, nlow = cache[key]
+
+    def solve(b):
+        full = np.zeros(lu.shape[0])
+        full[nlow:nlow + op.dim] = b
+        return lu.solve(full)[nlow:nlow + op.dim]
+
+    return solve
 
 
 def _certificate(op: AssembledOperator, b, x, project):
-    """True residual r = b - S x, z = M^{-1} r with kernel components
-    deflated, and the certified norm sqrt(z.Mz) (not r.z, which cancels
+    """True residual r = b - S x and its certified norm sqrt(z.Mz), where
+    z = M^{-1} r with kernel components deflated (not r.z, which cancels
     when r lies almost wholly in the kernel)."""
     r = b - op.stiff_matvec(x)
     z = project(op.chain.mass_solve(op.p, r))
-    return r, z, np.sqrt(float(z @ (op.M @ z)))
-
-
-def _pencil_solve(op: AssembledOperator, b, target, kernel_dim, project) -> np.ndarray:
-    """Pseudo-inverse solve of S x = b on the dense pencil, refined until the
-    true residual's M^{-1}-norm, kernel deflated, meets target."""
-    vals, vecs = op.pencil()
-    roundoff = op.dim * np.finfo(float).eps * abs(vals[-1])
-    start = max(kernel_dim, int(np.searchsorted(vals, roundoff, side="right")))
-    V, inv = vecs[:, start:], 1.0 / vals[start:]   # a view: vals ascend
-    x = np.zeros_like(b)
-    r = b
-    for step in range(1 + REFINE_STEPS):
-        x += project(V @ (inv * (V.T @ r)))
-        r, _, res = _certificate(op, b, x, project)
-        # at least one refinement step: the residual barely sees the error
-        # of a mode with a small eigenvalue, one step removes most of it
-        if step and res <= target:
-            return x
-    raise SolverError(f"dense pencil solve did not certify: residual {res:.2e} "
-                      f"above {target:.2e} after {REFINE_STEPS} refinement steps",
-                      residuals=np.array([res]))
+    return r, np.sqrt(float(z @ (op.M @ z)))
 
 
 @dataclass

@@ -141,3 +141,25 @@ def exterior_calculus_oracle(form, op, exprs=None):
                     out[kpos] += sign * exprs[i] * comps[pos_src[J]]
         return out
     raise ValueError(op)
+
+
+def range_solve_oracle(op, rhs, kernel=None, steps=4):
+    """Dense pseudo-inverse solve of S w = M rhs on Ran d: the generalized
+    eigendecomposition of (S, M) restricted to the M-orthogonal complement
+    of the projector's span (an SVD null space), with every mode at
+    roundoff (at most dim * eps * lambda_max) dropped and the rest inverted,
+    refined `steps` times on the true residual."""
+    S, M = op.stiffness_dense(), op.M.toarray()
+    Q = np.eye(op.dim)
+    if kernel is not None and kernel.dim:
+        Q = dla.null_space((M @ kernel.basis).T)
+    vals, vecs = dla.eigh(Q.T @ S @ Q, Q.T @ M @ Q)
+    roundoff = op.dim * np.finfo(float).eps * abs(vals[-1])
+    start = int(np.searchsorted(vals, roundoff, side="right"))
+    V, inv = Q @ vecs[:, start:], 1.0 / vals[start:]
+    b = op.M @ np.asarray(rhs, dtype=float)
+    w, r = np.zeros_like(b), b
+    for _ in range(1 + steps):
+        w = w + V @ (inv * (V.T @ r))
+        r = b - op.stiff_matvec(w)
+    return w

@@ -472,22 +472,28 @@ def test_inadmissible_N_is_not_applicable_in_every_N_check():
                                     {"kind": "disk", "parameters": [1.0, 0.0, 0.0]}])
 def test_N_band_rule_shared_by_config_and_tensor(domain):
     """load_config flags, and the run reports not_applicable, exactly the N
-    that bakry_emery_tensor refuses: the open band (0, n)."""
+    that bakry_emery_tensor refuses under the run's potential: the open band
+    (0, n), and N = n under a nonconstant V, but not under V = 0.  No case
+    becomes an error record."""
     cfg = load_config({**BASE, "domain": domain, "potential": "quadratic(1.0)",
                        "N": ["-inf", -1, 0, 0.5, 1, 1.5, 2, 3, "inf"],
                        "checks": ["bl_scalar"], "quad_order": 4})
     n = cfg.domain.ambient_dim
     for N in cfg.N_values:
-        try:
-            bakry_emery_tensor(Potential.zero(n), N)
-            refused = False
-        except ValueError:
-            refused = True
-        assert refused == (N in cfg.inadmissible_N) == (0 < N < n)
+        for V in (cfg.potential, Potential.zero(n)):
+            try:
+                bakry_emery_tensor(V, N)
+                refused = False
+            except ValueError:
+                refused = True
+            assert refused == (0 < N < n or (N == n and not V.is_constant))
+            assert refused == (N in load_config({**cfg.raw, "potential": V.name}).inadmissible_N)
+    assert n in cfg.inadmissible_N
     for r in run_config(cfg).records:
         flagged = r.extra == {"note": "N flagged inadmissible at parse time"}
         assert flagged == (r.N in cfg.inadmissible_N)
         assert r.status == "not_applicable" or not flagged
+        assert r.error is None
 
 
 def test_timings_are_per_case(monkeypatch):

@@ -1,11 +1,11 @@
-"""Mesh generation, incidence exactness, refinement, OFF round-trip."""
+"""Mesh generation, incidence exactness, refinement."""
 
 import numpy as np
 import pytest
 
 from hodgecheck.domains import DomainSpec, DomainValidationError, boundary_quadrature
-from hodgecheck.meshing import (SimplicialComplex, boundary_geometry, generate_mesh,
-                                incidence_matrix, read_off, refine, write_off)
+from hodgecheck.meshing import (SimplicialComplex, _from_triangles, boundary_geometry,
+                                generate_mesh, incidence_matrix, refine)
 from oracles import edge_table_oracle
 
 ALL_SPECS = [
@@ -155,18 +155,6 @@ def test_invalid_inputs():
         incidence_matrix(m, 1)
 
 
-def test_off_roundtrip(tmp_path):
-    spec = DomainSpec.disk(1.0)
-    m = generate_mesh(spec, 0.35)
-    path = tmp_path / "disk.off"
-    write_off(m, path)
-    m2 = read_off(path)
-    m2.validate()
-    assert m2.num(2) == m.num(2)
-    assert np.allclose(np.sort(m2.top_volumes()), np.sort(m.top_volumes()))
-    assert m2.boundary_marker[0].sum() == m.boundary_marker[0].sum()
-
-
 def test_lshape_polygon_mesh():
     """Nonconvex polygon (reflex vertex): ear clipping plus refinement."""
     lshape = DomainSpec.polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
@@ -184,14 +172,14 @@ def test_refined_mesh_invariants():
         refine(generate_mesh(spec, 0.4)).validate()
 
 
-def _edge_table_cases(tmp_path):
+def _edge_table_cases():
     for spec in ALL_SPECS:
         yield spec.kind, generate_mesh(spec, 0.3)
     for spec in (DomainSpec.annulus(0.5, 1.0), DomainSpec.flat_torus(1.0, 1.0)):
         yield f"refined {spec.kind}", refine(refine(generate_mesh(spec, 0.4)))
-    path = tmp_path / "disk.off"
-    write_off(generate_mesh(DomainSpec.disk(1.0), 0.35), path)
-    yield "off", read_off(path)
+    # rebuilt from its triangles alone, in reverse order, with no domain
+    m = generate_mesh(DomainSpec.disk(1.0), 0.35)
+    yield "triangles only", _from_triangles(m.vertex_coords, m.simplices[2][::-1], None)
     # edges stored in shuffled order, some against increasing index order
     m = generate_mesh(DomainSpec.rectangle(0, 1, 0, 2), 0.3)
     rng = np.random.default_rng(0)
@@ -201,9 +189,9 @@ def _edge_table_cases(tmp_path):
     yield "shuffled", SimplicialComplex(2, m.vertex_coords, {1: edges, 2: m.simplices[2]})
 
 
-def test_edge_table_matches_dict_oracle(tmp_path):
+def test_edge_table_matches_dict_oracle():
     seen_2d = 0
-    for label, m in _edge_table_cases(tmp_path):
+    for label, m in _edge_table_cases():
         if m.dim == 1:
             assert m.tri_edges is None and m.tri_edge_sign is None
             continue
@@ -221,16 +209,3 @@ def test_missing_face_edge_raises():
     verts = [(0, 0), (1, 0), (0, 1)]
     with pytest.raises(ValueError, match="missing face edge"):
         SimplicialComplex(2, verts, {1: [(0, 1), (0, 2)], 2: [(0, 1, 2)]})
-
-
-@pytest.mark.parametrize("body,message", [
-    ("3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 -1\n", "outside"),
-    ("3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 3\n", "outside"),
-    ("3 1 0\n0 0 0\n1 0 0\n", "truncated vertex list"),
-    ("3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 2\n", "truncated face list"),
-])
-def test_read_off_rejects_malformed(tmp_path, body, message):
-    path = tmp_path / "bad.off"
-    path.write_text("OFF\n" + body)
-    with pytest.raises(ValueError, match=message):
-        read_off(path)

@@ -19,7 +19,7 @@ import hodgecheck.spectral as spectral
 from hodgecheck.spectral import (KernelProjector, SolverError, hodge_decompose,
                                  kernel_projector, lowest_eigenpairs, solve_on_range)
 
-from oracles import fd_oracle_1d
+from oracles import fd_oracle_1d, range_solve_oracle
 
 
 def test_interval_closed_form_spectra():
@@ -227,26 +227,23 @@ def test_eigsh_paths_never_factor_inside_arpack(monkeypatch):
 
 def test_spectrum_path_rule(monkeypatch):
     """A spectrum takes dense-eigh only up to SPECTRA_CUTOFF, whatever the
-    chain holds.  Between the two cutoffs a kernel projector takes the
-    sparse path, and the range solve after it runs the one eigh of the
-    chain.  Above SPECTRA_CUTOFF no config asks ARPACK for k >= dim."""
-    assert MAX_EIGEN_COUNT + 1 < spectral.SPECTRA_CUTOFF < spectral.DENSE_CUTOFF
+    chain holds.  Above it a kernel projector takes the sparse path, and the
+    range solve after it runs no eigh.  Above SPECTRA_CUTOFF no config asks
+    ARPACK for k >= dim."""
+    assert MAX_EIGEN_COUNT + 1 < spectral.SPECTRA_CUTOFF
     calls = []
     eigh = operators.dla.eigh
     monkeypatch.setattr(operators.dla, "eigh", lambda *a: calls.append(1) or eigh(*a))
     m = generate_mesh(DomainSpec.annulus(0.5, 1.0), 0.25)   # p = 1: dim 377, kernel 1
     chain = OperatorChain(m, Potential.quadratic(1.0, 2), "normal")
     op = chain.operator(1)
-    assert spectral.SPECTRA_CUTOFF < op.dim <= spectral.DENSE_CUTOFF
+    assert spectral.SPECTRA_CUTOFF < op.dim
     assert lowest_eigenpairs(op, 4).solver == "eigsh-mixed"
     kp = kernel_projector(op)
-    assert kp.dim == 1 and calls == [] and not chain._pencil
     rhs = chain.d_matrix(0) @ np.random.default_rng(0).standard_normal(chain.dim(0))
     w = solve_on_range(op, rhs, kernel=kp)
+    assert kp.dim == 1 and calls == [] and not chain._pencil
     assert _certified_residual(op, rhs, w, kp) <= 1e-11
-    assert len(calls) == 1 and list(chain._pencil) == [1]
-    assert lowest_eigenpairs(chain.operator(1), 4).solver == "eigsh-mixed"
-    assert len(calls) == 1
 
 
 def test_sparse_lu_fill_and_solves():
@@ -347,70 +344,70 @@ def _certified_residual(op, rhs, w, kp=None) -> float:
     (DomainSpec.annulus(0.5, 1.0), "normal", 0.3, 1, True),
     (DomainSpec.disk(1.0), "normal", 0.3, 0, True),              # constants kernel
 ], ids=["interval-normal-p1", "interval-tangential-p1", "annulus-p1", "disk-normal-p0"])
-def test_range_solve_paths_agree(monkeypatch, domain, realization, h, p, with_projector):
-    """The dense pencil and projected CG (forced by a zero cutoff) give the
-    same certified solution."""
+def test_range_solve_paths_agree(domain, realization, h, p, with_projector):
+    """The bordered saddle and the dense pseudo-inverse oracle give the same
+    certified solution."""
     op, rhs, kp = _range_case(domain, realization, h, p, with_projector)
     if realization == "tangential":
         assert lowest_eigenpairs(op, 2).kernel_dim == 1
-    assert spectral.range_solver(op.dim) == "dense-pencil"
-    w_dense = solve_on_range(op, rhs, kernel=kp)
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 0)
-    assert spectral.range_solver(op.dim) == "projected-cg"
-    w_cg = solve_on_range(op, rhs, kernel=kp)
-    d = w_dense - w_cg
-    assert np.sqrt(d @ (op.M @ d) / (w_cg @ (op.M @ w_cg))) <= 1e-9
-    assert _certified_residual(op, rhs, w_dense, kp) <= 1e-10
+    w = solve_on_range(op, rhs, kernel=kp)
+    d = w - range_solve_oracle(op, rhs, kp)
+    assert np.sqrt(d @ (op.M @ d) / (w @ (op.M @ w))) <= 1e-9
+    assert _certified_residual(op, rhs, w, kp) <= 1e-10
 
 
 def test_range_solve_refines_smooth_fine_rhs():
-    """h = 1/1024, d of the interpolant of x: a single pencil solve misses
-    the certificate here, the refined one meets it and the 1/12 variance."""
+    """h = 1/1024, d of the interpolant of x: the refined solve meets the
+    certificate and the 1/12 variance."""
     m = generate_mesh(DomainSpec.interval(0, 1), 1 / 1024)
     chain = OperatorChain(m, Potential.zero(1), "normal")
     op = chain.operator(1)
     eta = chain.interpolate(_linear_form())
     deta = chain.apply_d(eta).values
-    assert spectral.range_solver(op.dim) == "dense-pencil"
     w = solve_on_range(op, deta, tol=1e-11)
     assert _certified_residual(op, deta, w) <= 1e-11
     lhs, rhs = check_variance_identity(eta, chain)
     assert abs(lhs - rhs) <= 1e-12 * lhs and abs(lhs - 1 / 12) <= 1e-6
 
 
-@pytest.mark.parametrize("cutoff", [None, 0], ids=["dense-pencil", "projected-cg"])
-def test_range_solve_zero_and_kernel_rhs(monkeypatch, cutoff):
-    if cutoff is not None:   # a sparse projector then CG, as above DENSE_CUTOFF
-        monkeypatch.setattr(spectral, "DENSE_CUTOFF", cutoff)
-        monkeypatch.setattr(spectral, "SPECTRA_CUTOFF", 1)
+@pytest.mark.parametrize("spectra_cutoff", [None, 1], ids=["dense-pencil", "eigsh"])
+def test_range_solve_zero_and_kernel_rhs(monkeypatch, spectra_cutoff):
+    """Without a projector the border is the roundoff kernel of the lowest
+    eigenpairs, found on the dense pencil or (a zero cutoff) by eigsh.  A
+    zero right side gives zero, a kernel part cannot be solved."""
+    if spectra_cutoff is not None:
+        monkeypatch.setattr(spectral, "SPECTRA_CUTOFF", spectra_cutoff)
     op, rhs, kp = _range_case(DomainSpec.disk(1.0), "normal", 0.3, 0, True)
     assert np.array_equal(solve_on_range(op, np.zeros(op.dim)), np.zeros(op.dim))
+    w = solve_on_range(op, rhs)
+    assert np.allclose(w, range_solve_oracle(op, rhs), rtol=0, atol=1e-10 * np.abs(w).max())
     # a constant part lies in the kernel: no w solves it, so no certificate
     with pytest.raises(SolverError):
         solve_on_range(op, rhs + 1.0)
 
 
 def test_pencil_deflates_kernel_rhs_with_projector():
-    """With the projector, the pencil drops a kernel part of the right side
-    and still meets the certificate on the true residual."""
+    """With the projector, the border absorbs a kernel part of the right
+    side and the solve still meets the certificate on the true residual."""
     op, rhs, kp = _range_case(DomainSpec.disk(1.0), "normal", 0.3, 0, True)
     w = solve_on_range(op, rhs + 1.0, kernel=kp)
     assert _certified_residual(op, rhs + 1.0, w, kp) <= 1e-11
     assert np.allclose(w, solve_on_range(op, rhs, kernel=kp), rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("cutoff", [None, 0], ids=["dense-pencil", "projected-cg"])
-def test_range_solve_deflates_given_projector(monkeypatch, cutoff):
+@pytest.mark.parametrize("spectra_cutoff", [None, 1], ids=["dense-pencil", "eigsh"])
+def test_range_solve_deflates_given_projector(monkeypatch, spectra_cutoff):
     """A projector wider than the kernel (here it also holds the first
-    nonzero mode) is deflated from the solution on both paths alike."""
+    nonzero mode, from the dense pencil or from eigsh) is deflated from the
+    solution, as the oracle drops it."""
+    if spectra_cutoff is not None:
+        monkeypatch.setattr(spectral, "SPECTRA_CUTOFF", spectra_cutoff)
     op, rhs, kp = _range_case(DomainSpec.disk(1.0), "normal", 0.3, 0, True)
     wide = KernelProjector(op.M, lowest_eigenpairs(op, 2).eigenvectors)
-    w_dense = solve_on_range(op, rhs, kernel=wide)
-    if cutoff is not None:
-        monkeypatch.setattr(spectral, "DENSE_CUTOFF", cutoff)
     w = solve_on_range(op, rhs, kernel=wide)
     assert np.linalg.norm(wide.apply(w)) <= 1e-12 * np.linalg.norm(w)
-    assert np.allclose(w, w_dense, rtol=0, atol=1e-10 * np.abs(w_dense).max())
+    ref = range_solve_oracle(op, rhs, wide)
+    assert np.allclose(w, ref, rtol=0, atol=1e-10 * np.abs(ref).max())
 
 
 def test_pencil_cached_per_chain_and_degree(monkeypatch):
@@ -433,37 +430,61 @@ def test_pencil_cached_per_chain_and_degree(monkeypatch):
     assert np.array_equal(again.eigenvectors, first.eigenvectors)
 
 
-@pytest.mark.parametrize("record, args", [
-    (hodge_decomposition_record, (1,)),
-    (variance_identity_record, ()),
+@pytest.mark.parametrize("record, args, extra", [
+    (hodge_decomposition_record, (1,), {"kernel_dim", "recomposition", "orthogonality",
+                                         "samples"}),
+    (variance_identity_record, (), {"samples", "worst_rel"}),
 ], ids=["hodge_decomposition", "variance_identity"])
-def test_projector_and_range_solves_share_one_decomposition(monkeypatch, record, args):
-    """On the annulus both records build a kernel projector and then solve
-    on the range of the same operator: one dense eigendecomposition serves both."""
+def test_projector_and_range_solves_share_one_decomposition(monkeypatch, record, args, extra):
+    """On the annulus each record finds the kernel of L^(1) with one dense
+    eigendecomposition (a projector, or the range solve's own border) and
+    factors one bordered saddle for all of its samples."""
+    calls, lus = [], []
+    eigh, lu = operators.dla.eigh, spectral.sparse_lu
+    monkeypatch.setattr(operators.dla, "eigh", lambda *a: calls.append(1) or eigh(*a))
+    monkeypatch.setattr(spectral, "sparse_lu", lambda A: lus.append(A.shape) or lu(A))
+    rec = record(DomainSpec.annulus(0.5, 1.0), Potential.quadratic(1.0, 2), "normal",
+                 *args, mesh_h=0.3, n_samples=3)
+    assert rec.passed and set(rec.extra) == extra
+    assert len(calls) == 1 and len(lus) == 1
+
+
+@pytest.mark.parametrize("domain", [DomainSpec.disk(1.0), DomainSpec.annulus(0.5, 1.0)],
+                         ids=["disk-3660", "annulus-3404-kernel"])
+def test_range_solve_large_chain_without_eigh(monkeypatch, domain):
+    """p = 1, normal, two refinements of h = 0.3: 3660 DOFs on the disk and
+    3404 on the annulus, whose harmonic field the border finds through
+    eigsh.  No dense eigh runs, and the variance identity holds to 1e-13."""
     calls = []
     eigh = operators.dla.eigh
     monkeypatch.setattr(operators.dla, "eigh", lambda *a: calls.append(1) or eigh(*a))
-    rec = record(DomainSpec.annulus(0.5, 1.0), Potential.quadratic(1.0, 2), "normal",
-                 *args, mesh_h=0.3, n_samples=3)
-    assert rec.passed and rec.extra["range_solver"] == "dense-pencil"
-    assert len(calls) == 1
+    chain = OperatorChain(refine(refine(generate_mesh(domain, 0.3))),
+                          Potential.quadratic(1.0, 2), "normal")
+    assert chain.dim(1) > 3000
+    rng = np.random.default_rng(2)
+    for _ in range(3):
+        lhs, rhs = check_variance_identity(Cochain(0, "normal", rng.standard_normal(chain.dim(0))),
+                                           chain)
+        assert abs(lhs - rhs) <= 1e-13 * lhs
+    assert calls == []
 
 
 def _double_well_case(h_param):
     """Tangential p = 1 on [-2, 2] under the double well rescaled by h_param:
     the lowest mode above the kernel has a small eigenvalue (tunnelling),
-    1.9e-7, 8.4e-9 and 3.1e-10 of lambda_max at h_param 0.3, 0.2, 0.15, and
-    one at roundoff at 0.07.  No projector: the variance identity inverts it."""
+    1.9e-7, 8.4e-9, 3.1e-10 and 3.4e-13 of lambda_max at h_param 0.3, 0.2,
+    0.15 and 0.1, and one at roundoff at 0.07.  No projector: the variance
+    identity inverts it."""
     V = Potential.quartic_double_well(1.0, 1).rescaled(h_param)
     chain = OperatorChain(generate_mesh(DomainSpec.interval(-2, 2), 1 / 64), V, "tangential")
     eta = Cochain(0, "tangential", np.random.default_rng(3).standard_normal(chain.dim(0)))
     return chain, eta
 
 
-@pytest.mark.parametrize("h_param", [0.3, 0.2, 0.15])
-def test_range_solve_inverts_small_nonkernel_modes(monkeypatch, h_param):
-    """The dense path drops only the kernel, so it certifies wherever CG
-    does, and the variance identity holds on both paths."""
+@pytest.mark.parametrize("h_param", [0.3, 0.2, 0.15, 0.1])
+def test_range_solve_inverts_small_nonkernel_modes(h_param):
+    """The border holds only the kernel, so the tunnelling mode is inverted
+    and the variance identity holds, on the saddle and on the oracle."""
     chain, eta = _double_well_case(h_param)
     op = chain.operator(1)
     deta = chain.apply_d(eta).values
@@ -471,15 +492,14 @@ def test_range_solve_inverts_small_nonkernel_modes(monkeypatch, h_param):
     assert _certified_residual(op, deta, w) <= 1e-11
     lhs, rhs = check_variance_identity(eta, chain)
     assert abs(lhs - rhs) <= 1e-13 * lhs
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 0)
-    lhs, rhs = check_variance_identity(eta, chain)
-    assert abs(lhs - rhs) <= 1e-11 * lhs
+    rhs_oracle = float(range_solve_oracle(op, deta) @ (chain.mass(1) @ deta))
+    assert abs(lhs - rhs_oracle) <= 1e-11 * lhs
 
 
 @pytest.mark.parametrize("h_param", [0.2, 0.15])
-def test_pencil_drops_projector_span(monkeypatch, h_param):
+def test_pencil_drops_projector_span(h_param):
     """kernel_projector counts the tunnelling mode into the kernel here (it
-    lies below 1e-8 lambda_max): the dense path leaves it out rather than
+    lies below 1e-8 lambda_max): the border leaves it out rather than
     invert it and project it away, which would cost precision."""
     chain, eta = _double_well_case(h_param)
     op = chain.operator(1)
@@ -490,35 +510,38 @@ def test_pencil_drops_projector_span(monkeypatch, h_param):
     assert _certified_residual(op, deta, w, kp) <= 1e-13
     assert chain.norm(Cochain(1, "tangential", kp.apply(w))) <= 1e-14 * \
         chain.norm(Cochain(1, "tangential", w))
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 0)
-    d = w - solve_on_range(op, deta, kernel=kp)
+    d = w - range_solve_oracle(op, deta, kp)
     assert np.sqrt(d @ (op.M @ d) / (w @ (op.M @ w))) <= 1e-11
 
 
-@pytest.mark.parametrize("h_param", [None, 0.1, 0.07],
+@pytest.mark.parametrize("h_param, certifies", [(None, True), (0.1, True), (0.07, False)],
                          ids=["disk-kernel-rhs", "double-well-0.1", "double-well-0.07"])
-def test_cg_certifies_on_true_residual(monkeypatch, h_param):
-    """Cases where CG's recursive residual met tol while the true one did
-    not (4.2e-9 on the disk, 2.5e-11 and 9.2e-10 on the double well): a
-    solution CG returns meets tol on the recomputed residual, else CG
-    refuses with SolverError."""
+def test_cg_certifies_on_true_residual(h_param, certifies):
+    """Cases where an iterative solver's recursive residual once met tol
+    while the true one did not (4.2e-9 on the disk, 2.5e-11 and 9.2e-10 on
+    the double well): a solution the range solve returns meets tol on the
+    recomputed residual, and at h_param 0.07, whose tunnelling mode is at
+    roundoff, it refuses with SolverError."""
     if h_param is None:  # the constant part of the right side is deflated
         op, rhs, kp = _range_case(DomainSpec.disk(1.0), "normal", 0.3, 0, True)
         rhs = rhs + 1.0
     else:
         chain, eta = _double_well_case(h_param)
         op, rhs, kp = chain.operator(1), chain.apply_d(eta).values, None
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 0)
-    try:
-        w = solve_on_range(op, rhs, kernel=kp)
-    except SolverError:
+    if not certifies:
+        with pytest.raises(SolverError, match="did not certify"):
+            solve_on_range(op, rhs, kernel=kp)
         return
+    w = solve_on_range(op, rhs, kernel=kp)
     assert _certified_residual(op, rhs, w, kp) <= 1e-11
+    d = w - range_solve_oracle(op, rhs, kp)
+    assert np.sqrt(d @ (op.M @ d) / (w @ (op.M @ w))) <= 1e-9
 
 
 def test_range_solve_refuses_modes_at_roundoff():
-    """A mode whose eigenvalue is at roundoff cannot be inverted: the dense
-    path refuses rather than return an uncertified solution."""
+    """A mode whose eigenvalue is at roundoff cannot be inverted: it joins
+    the border, and the solve refuses rather than return an uncertified
+    solution."""
     chain, eta = _double_well_case(0.07)
     vals, _ = chain.operator(1).pencil()
     assert abs(vals[1]) <= 1e-15 * vals[-1]
