@@ -373,7 +373,7 @@ def test_range_solve_refines_smooth_fine_rhs():
 @pytest.mark.parametrize("spectra_cutoff", [None, 1], ids=["dense-pencil", "eigsh"])
 def test_range_solve_zero_and_kernel_rhs(monkeypatch, spectra_cutoff):
     """Without a projector the border is the roundoff kernel of the lowest
-    eigenpairs, found on the dense pencil or (a zero cutoff) by eigsh.  A
+    eigenpairs, found on the dense pencil or (a cutoff of 1) by eigsh.  A
     zero right side gives zero, a kernel part cannot be solved."""
     if spectra_cutoff is not None:
         monkeypatch.setattr(spectral, "SPECTRA_CUTOFF", spectra_cutoff)
