@@ -38,7 +38,7 @@ from .domains import DomainSpec, boundary_quadrature, domain_quadrature
 from .meshing import generate_mesh, refine
 from .operators import Cochain, OperatorChain, dual_problem
 from .potentials import Potential, WeightedMeasure
-from .records import CheckRecord, identity_record, inequality_record
+from .records import DEFAULT_TOLERANCES, CheckRecord, identity_record, inequality_record
 from .spectral import kernel_projector, lowest_eigenpairs, solve_on_range
 
 __all__ = [
@@ -59,9 +59,9 @@ __all__ = [
     "DECOMPOSITION_TERMS",
 ]
 
-IDENTITY_TOL = 1e-8
-INEQ_REL = 1e-6
-INEQ_ABS = 1e-9
+IDENTITY_TOL = DEFAULT_TOLERANCES["identity_rel"]
+INEQ_REL = DEFAULT_TOLERANCES["inequality_rel"]
+INEQ_ABS = DEFAULT_TOLERANCES["inequality_abs"]
 POSITIVITY_TOL = 1e-10
 BOUNDARY_SLACK = 1e-9
 
@@ -558,7 +558,8 @@ def check_variance_identity(eta: Cochain, chain: OperatorChain) -> tuple[float, 
 
 def variance_identity_record(domain: DomainSpec, potential: Potential, b: str,
                              mesh_h: float, n_samples: int = 50, seed: int = 1234,
-                             tol: float = 1e-7, quad_order: int = 4) -> CheckRecord:
+                             tol: float = DEFAULT_TOLERANCES["variance_rel"],
+                             quad_order: int = 4) -> CheckRecord:
     cplx = _mesh(domain, mesh_h)
     chain = OperatorChain(cplx, potential, b, quad_order)
     rng = np.random.default_rng(seed)
@@ -716,7 +717,8 @@ def _richardson(values: np.ndarray) -> float:
 
 def duality_spectrum_check(domain: DomainSpec, potential: Potential, k: int = 3,
                            mesh_h: float = 0.4, levels: int = 3, quad_order: int = 4,
-                           seed: int = 1234, tol: float = 1e-6) -> CheckRecord:
+                           seed: int = 1234,
+                           tol: float = DEFAULT_TOLERANCES["duality_rel"]) -> CheckRecord:
     """Star-duality validation of the normal realization at p = 0.
 
     Direct: the degree-0 operator with V on the normal chain.  Dual: the
@@ -752,7 +754,7 @@ def duality_spectrum_check(domain: DomainSpec, potential: Potential, k: int = 3,
 
 def hodge_decomposition_record(domain: DomainSpec, potential: Potential, b: str,
                                p: int, mesh_h: float, n_samples: int = 5,
-                               seed: int = 1234, tol: float = 1e-8,
+                               seed: int = 1234, tol: float = DEFAULT_TOLERANCES["hodge_rel"],
                                quad_order: int = 4) -> CheckRecord:
     from .spectral import hodge_decompose
 

@@ -10,7 +10,7 @@ from .curvature import _admissible_N
 from .domains import DomainSpec, DomainValidationError
 from .potentials import Potential, parse_potential
 from .presets import CHECK_IDS
-from .records import decode_extended
+from .records import DEFAULT_TOLERANCES, decode_extended
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "check_mesh_budget"]
 
@@ -59,17 +59,6 @@ class RunConfig:
 
     def echo(self) -> dict:
         return self.raw
-
-
-DEFAULT_TOLERANCES = {
-    "identity_rel": 1e-8,
-    "inequality_rel": 1e-6,
-    "inequality_abs": 1e-9,
-    "variance_rel": 1e-7,
-    "intertwining_rel": 1e-10,
-    "hodge_rel": 1e-8,
-    "duality_rel": 1e-6,
-}
 
 
 def _typed(val, path: str, kind: type, what: str):
@@ -198,7 +187,8 @@ def load_config(source) -> RunConfig:
     """Parse and validate a config dict or a JSON file path.
 
     The realizations are settled against the domain here: a domain with
-    boundary takes tangential and normal, a closed domain only none.
+    boundary takes tangential and normal, a closed domain only none.  A
+    closed domain also takes only a constant potential.
     """
     if isinstance(source, dict):
         raw = source
@@ -213,6 +203,10 @@ def load_config(source) -> RunConfig:
     n = domain.ambient_dim
     h_param = _positive(raw.get("h_param", 1.0), "h_param")
     potential = _potential(raw.get("potential", "zero"), n, h_param)
+    if not domain.has_boundary and not potential.is_constant:
+        # no nonconstant preset or polynomial is periodic: V would jump at the seam
+        raise ConfigError("potential", f"the {domain.kind} domain has no boundary and "
+                                       f"takes only a constant potential, got {potential.name}")
 
     degrees = _axis(raw, "degrees", [0], lambda path, p: _integer(p, path, 0, n))
     allowed = ("tangential", "normal") if domain.has_boundary else ("none",)

@@ -61,7 +61,6 @@ class EndomorphismField:
     degree: int
     n: int
     evaluator: callable                  # (m, n) points -> (m, C, C)
-    support: str = "interior"            # or "boundary"
     name: str = "field"
 
     @property
@@ -94,13 +93,13 @@ def lift_endomorphism(field: EndomorphismField, p: int) -> EndomorphismField:
         raise ValueError(f"lift degree p={p} out of range")
     return EndomorphismField(p, field.n,
                              lambda x, f=field: exterior.lift_matrix(f.evaluate(x), p),
-                             field.support, f"lift{p}({field.name})")
+                             f"lift{p}({field.name})")
 
 
 def hessian_p(potential: Potential, p: int) -> EndomorphismField:
     """Lift of the pointwise Hessian of V to Lambda^p (zero at p = 0)."""
     base = EndomorphismField(1, potential.n, lambda x: potential.hess(x),
-                             "interior", f"Hess[{potential.name}]")
+                             f"Hess[{potential.name}]")
     return lift_endomorphism(base, p)
 
 
@@ -128,8 +127,7 @@ def bakry_emery_tensor(potential: Potential, N: float) -> EndomorphismField:
         g = potential.grad(x)
         return H - np.einsum("mi,mj->mij", g, g) / (N - n)
 
-    return EndomorphismField(1, n, evaluator, "interior",
-                             f"Ric_V,N={N:g}[{potential.name}]")
+    return EndomorphismField(1, n, evaluator, f"Ric_V,N={N:g}[{potential.name}]")
 
 
 def _boundary_matrices(b: str, p: int, normals: np.ndarray, k1: np.ndarray) -> np.ndarray:
@@ -170,7 +168,7 @@ def boundary_operator(b: str, p: int, boundary) -> EndomorphismField:
             raise ValueError("boundary field evaluated away from its quadrature points")
         return mats
 
-    return EndomorphismField(p, n, evaluator, "boundary", f"K_{b}^{p}")
+    return EndomorphismField(p, n, evaluator, f"K_{b}^{p}")
 
 
 def invert_endo_field(field: EndomorphismField, positivity_tol: float = 1e-10) -> EndomorphismField:
@@ -184,8 +182,7 @@ def invert_endo_field(field: EndomorphismField, positivity_tol: float = 1e-10) -
             raise PositivityViolationError(np.atleast_2d(x)[idx], vals[idx, 0], positivity_tol)
         return np.linalg.inv(mats)
 
-    return EndomorphismField(field.degree, field.n, evaluator, field.support,
-                             f"inv({field.name})")
+    return EndomorphismField(field.degree, field.n, evaluator, f"inv({field.name})")
 
 
 def restricted_min_eig(mats: np.ndarray, normals: np.ndarray, p: int,

@@ -95,13 +95,13 @@ class OperatorChain:
     matrices are assembled lazily and shared between the per-degree
     operators, which is what makes the supersymmetry identity exact at the
     matrix level.  The sparse up-blocks of the stiffness, mass
-    factorizations, the dense pencils of spectra and kernel projectors, and
-    the factored kernel-bordered saddles of range solves are cached beside
-    them.  The chain keeps no AssembledOperator: an operator refers back to
-    its chain, and that cycle would keep each chain and its factorizations
-    alive until the cyclic garbage collector runs.  The full mass of each degree, before a
-    realization restricts it to its free DOFs, is read from the run cache
-    (see runcache), so the chains of one run on one mesh assemble it once.
+    factorizations and the factored kernel-bordered saddles of range solves
+    are cached beside them.  The chain keeps no AssembledOperator: an
+    operator refers back to its chain, and that cycle would keep each chain
+    and its factorizations alive until the cyclic garbage collector runs.
+    The full mass of each degree, before a realization restricts it to its
+    free DOFs, is read from the run cache (see runcache), so the chains of
+    one run on one mesh assemble it once.
     """
 
     def __init__(self, cplx: SimplicialComplex, potential: Potential,
@@ -115,7 +115,6 @@ class OperatorChain:
         self._mass = {}
         self._up = {}
         self._factor = {}
-        self._pencil = {}
         self._range = {}
         self._D = {}
         self._free = {}
@@ -150,10 +149,14 @@ class OperatorChain:
         return self._mass[p]
 
     def up_stiffness(self, p: int) -> sparse.csr_matrix:
-        """D_p^T M_{p+1} D_p, the sparse up-block of the degree-p stiffness."""
+        """D_p^T M_{p+1} D_p, the sparse up-block of the degree-p stiffness;
+        the zero matrix at the top degree, which has no d."""
         if p not in self._up:
-            D = self.d_matrix(p)
-            self._up[p] = (D.T @ self.mass(p + 1) @ D).tocsr()
+            if p == self.cplx.dim:
+                self._up[p] = sparse.csr_matrix((self.dim(p), self.dim(p)))
+            else:
+                D = self.d_matrix(p)
+                self._up[p] = (D.T @ self.mass(p + 1) @ D).tocsr()
         return self._up[p]
 
     def mass_factor(self, p: int):
@@ -216,11 +219,7 @@ class AssembledOperator:
         self.has_up = p < cplx.dim
         self.has_down = p > 0 and chain.dim(p - 1) > 0
         self.M = chain.mass(p)
-        self.up_stiff = chain.up_stiffness(p) if self.has_up else None
-
-    @property
-    def realization(self) -> str:
-        return self.chain.realization
+        self.up_stiff = chain.up_stiffness(p)
 
     @property
     def dim(self) -> int:
@@ -229,8 +228,7 @@ class AssembledOperator:
     def stiff_matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
-        if self.has_up:
-            out += self.up_stiff @ x
+        out += self.up_stiff @ x
         if self.has_down:
             D = self.chain.d_matrix(self.p - 1)
             out += self.M @ (D @ self.chain.mass_solve(self.p - 1, D.T @ (self.M @ x)))
@@ -242,8 +240,7 @@ class AssembledOperator:
 
     def stiffness_dense(self) -> np.ndarray:
         S = np.zeros((self.dim, self.dim))
-        if self.has_up:
-            S += self.up_stiff.toarray()
+        S += self.up_stiff.toarray()
         if self.has_down:
             D = self.chain.d_matrix(self.p - 1)
             B = (D.T @ self.M).toarray()           # (dim_{p-1}, dim_p)
@@ -252,14 +249,8 @@ class AssembledOperator:
 
     def pencil(self):
         """Eigenvalues (ascending) and M-orthonormal eigenvectors of the dense
-        pencil (S_p, M_p), computed once per chain and degree and kept on the
-        chain (a spectrum and a kernel projector share it; range solves factor
-        the sparse saddle instead).
-        """
-        cache = self.chain._pencil
-        if self.p not in cache:
-            cache[self.p] = dla.eigh(self.stiffness_dense(), self.M.toarray())
-        return cache[self.p]
+        pencil (S_p, M_p)."""
+        return dla.eigh(self.stiffness_dense(), self.M.toarray())
 
 
 def dual_problem(p: int, b: str, potential: Potential, n: int):

@@ -7,8 +7,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["CheckRecord", "encode_extended", "decode_extended",
+__all__ = ["CheckRecord", "DEFAULT_TOLERANCES", "encode_extended", "decode_extended",
            "identity_record", "inequality_record"]
+
+DEFAULT_TOLERANCES = {
+    "identity_rel": 1e-8,
+    "inequality_rel": 1e-6,
+    "inequality_abs": 1e-9,
+    "variance_rel": 1e-7,
+    "intertwining_rel": 1e-10,
+    "hodge_rel": 1e-8,
+    "duality_rel": 1e-6,
+}
+"""The one table of default tolerances: a config's ``tolerances`` overrides
+it key by key (config), and the checks' keyword defaults read it."""
 
 CSV_COLUMNS = ["check_id", "p", "b", "N", "h", "quad_order", "lhs", "rhs",
                "rel_err", "hypothesis_status", "pass", "runtime_ms"]
@@ -150,8 +162,10 @@ def identity_record(check_id: str, lhs: float, rhs: float, tolerance: float,
 
 
 def inequality_record(check_id: str, lhs: float, rhs_bound: float,
-                      hypothesis_status: str, tol_rel: float = 1e-6,
-                      tol_abs: float = 1e-9, witness=None, **kw) -> CheckRecord:
+                      hypothesis_status: str,
+                      tol_rel: float = DEFAULT_TOLERANCES["inequality_rel"],
+                      tol_abs: float = DEFAULT_TOLERANCES["inequality_abs"],
+                      witness=None, **kw) -> CheckRecord:
     margin = lhs - rhs_bound if math.isfinite(rhs_bound) else -math.inf
     if hypothesis_status == "satisfied":
         passed = lhs <= rhs_bound + tol_abs + tol_rel * abs(rhs_bound)

@@ -1,23 +1,25 @@
 """Generalized symmetric eigensolves, kernel projectors, and range solves.
 
-Eigenproblems S x = lambda M x are solved on three paths (SpectralResult.solver
-names the one taken):
+Eigenproblems S x = lambda M x take a dense path up to SPECTRA_CUTOFF and a
+sparse one above it (SpectralResult.solver names the one taken):
 
-* "dense-eigh": ``scipy.linalg.eigh`` on the materialized pencil up to
-  SPECTRA_CUTOFF (the down-block of S is dense anyway once materialized);
-* "eigsh-shift-invert": sparse shift-invert ``eigsh`` on (S, M) otherwise,
-  for an operator without a codifferential block (degree 0);
-* "eigsh-mixed": with a codifferential block, the dense inverse is avoided
-  through the mixed saddle form with the auxiliary variable sigma = d*_V u:
+* "dense-eigh": ``scipy.linalg.eigh`` on the materialized pencil (the
+  down-block of S is dense anyway once materialized);
+* "eigsh-mixed" and "eigsh-shift-invert": shift-invert ``eigsh`` on the
+  mixed saddle form (_saddle), whose auxiliary variable sigma = d*_V u
+  keeps the dense inverse out of the down-block,
 
       [-M_{p-1}   D^T M_p ] [sigma]          [0   0 ] [sigma]
       [ M_p D     S_up    ] [  u  ]  = lambda [0  M_p] [  u  ],
 
-  whose finite eigenvalues are exactly those of the primal pencil.
+  and whose finite eigenvalues are exactly those of the primal pencil.
+  The shift is -1e-2 mean diag M_p.  Without a codifferential block
+  (degree 0) the saddle is the pencil (S_up, M) itself, the shift is -1e-2
+  and the label "eigsh-shift-invert".
 
-Both sparse paths factor their shifted pencil once with operators.sparse_lu
+The sparse path factors the shifted saddle once with operators.sparse_lu
 (the package's one sparse LU, under a symmetric fill-reducing order) and
-pass its solve to ``eigsh`` as ``OPinv``, so ARPACK never factors on its own.
+passes its solve to ``eigsh`` as ``OPinv``, so ARPACK never factors on its own.
 
 Solves on Ran d take one path (solve_on_range): the same saddle,
 unshifted, bordered by a kernel basis K with C = M_p K as a Lagrange
@@ -27,10 +29,10 @@ multiplier (Arnold-Falk-Winther, Acta Numerica 2006),
     [ M_p D     S_up      C ] [  w   ] = [b]
     [ 0         C^T       0 ] [lambda]   [0],
 
-so that w is M-orthogonal to K and S w = b up to the part of b along K.
-At degree 0 there is no codifferential block and the border goes on S_up
-alone.  One sparse_lu per chain, degree and border serves every right side;
-each solve is refined on the true residual and certified by _certificate.
+so that w is M-orthogonal to K and S w = b up to the part of b along K;
+at degree 0 the sigma row and column are absent.  One sparse_lu per chain,
+degree and border serves every right side; each solve is refined on the
+true residual and certified by _certificate.
 """
 
 from __future__ import annotations
@@ -163,8 +165,8 @@ def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-9,
                       seed: int = 1234) -> SpectralResult:
     """k smallest eigenpairs of S x = lambda M x with certified residuals.
 
-    "dense-eigh" when op.dim is at most SPECTRA_CUTOFF, else the sparse path
-    of op's degree.
+    "dense-eigh" when op.dim is at most SPECTRA_CUTOFF, else shift-invert
+    eigsh on op's saddle (_saddle_eigs).
     """
     if not (1 <= k <= op.dim):
         raise ValueError(f"need 1 <= k <= {op.dim}, got {k}")
@@ -174,13 +176,8 @@ def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-9,
         vals, vecs = op.pencil()
         vals, vecs = vals[:k], vecs[:, :k]
         solver = "dense-eigh"
-    elif not op.has_down:
-        S = op.up_stiff if op.has_up else sparse.csr_matrix((op.dim, op.dim))
-        vals, vecs = _shift_invert_eigsh(S, op.M, k, -1e-2, seed)
-        solver = "eigsh-shift-invert"
     else:
-        vals, vecs = _mixed_eigs(op, k, seed)
-        solver = "eigsh-mixed"
+        vals, vecs, solver = _saddle_eigs(op, k, seed)
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     vecs = _m_orthonormalize(op.M, vecs)
@@ -210,28 +207,33 @@ def _shift_invert_eigsh(A, M, k, sigma, seed):
                           residuals=getattr(e, "eigenvalues", None)) from e
 
 
-def _mixed_pencil(op: AssembledOperator):
-    """The saddle pencil (A, Mbig) of the module docstring, both CSC."""
+def _saddle(op: AssembledOperator):
+    """The saddle pencil (A, Mbig) of the module docstring, and the length
+    nlow of its sigma block.  Without a codifferential block (degree 0)
+    nlow is 0 and the pencil is (S_up, M)."""
+    if not op.has_down:
+        return op.up_stiff, op.M, 0
     chain, p = op.chain, op.p
     Mlow = chain.mass(p - 1).tocsr()
     D = chain.d_matrix(p - 1)
     B = (D.T @ op.M).T.tocsr()     # M_p D
-    up = op.up_stiff if op.has_up else sparse.csr_matrix((op.dim, op.dim))
-    A = sparse.bmat([[-Mlow, B.T], [B, up]], format="csc")
+    A = sparse.bmat([[-Mlow, B.T], [B, op.up_stiff]], format="csc")
     nlow = Mlow.shape[0]
     Mbig = sparse.bmat([[sparse.csr_matrix((nlow, nlow)), None],
                         [None, op.M]], format="csc")
-    return A, Mbig
+    return A, Mbig, nlow
 
 
-def _mixed_eigs(op: AssembledOperator, k, seed):
-    A, Mbig = _mixed_pencil(op)
-    nlow = A.shape[0] - op.dim
-    sigma = -1e-2 * float(np.mean(op.M.diagonal()))
+def _saddle_eigs(op: AssembledOperator, k, seed):
+    """The k eigenpairs of op's saddle nearest the shift -1e-2 (scaled by
+    mean diag M when there is a sigma block), as u-blocks, and the solver
+    label.  The saddle is freed on return."""
+    A, Mbig, nlow = _saddle(op)
+    sigma = -1e-2 * (float(np.mean(op.M.diagonal())) if nlow else 1.0)
     vals, vecs = _shift_invert_eigsh(A, Mbig, k, sigma, seed)
     u = vecs[nlow:, :]
-    keep = np.linalg.norm(u, axis=0) > 1e-8
-    return vals[keep], u[:, keep]
+    keep = np.linalg.norm(u, axis=0) > 1e-8   # a pure-sigma vector has no eigenvalue
+    return vals[keep], u[:, keep], "eigsh-mixed" if nlow else "eigsh-shift-invert"
 
 
 @dataclass
@@ -329,11 +331,7 @@ def _range_lu(op: AssembledOperator, kernel: KernelProjector | None):
             res = lowest_eigenpairs(op, min(op.dim, KERNEL_PROBES))
             roundoff = op.dim * np.finfo(float).eps * res.lambda_max
             K = res.eigenvectors[:, res.eigenvalues <= roundoff]
-        if op.has_down:
-            A = _mixed_pencil(op)[0]
-        else:
-            A = op.up_stiff if op.has_up else sparse.csr_matrix((op.dim, op.dim))
-        nlow = A.shape[0] - op.dim
+        A, _, nlow = _saddle(op)
         if K.shape[1]:
             C = sparse.vstack([sparse.csr_matrix((nlow, K.shape[1])),
                                sparse.csr_matrix(op.M @ K)])

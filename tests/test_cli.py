@@ -369,11 +369,27 @@ def test_boundaryless_domain_run():
     assert hodge1 and hodge1[0].extra["kernel_dim"] == 2
 
 
+@pytest.mark.parametrize("domain", [{"kind": "flat_torus", "parameters": [1.0, 1.0]},
+                                    {"kind": "circle", "parameters": [1.0]}],
+                         ids=["flat_torus", "circle"])
+def test_closed_domain_refuses_nonconstant_potential(tmp_path, capsys, domain):
+    """No nonconstant potential is periodic, so a closed domain takes only a
+    constant one: run exits 2 at potential before any check runs."""
+    n = 2 if domain["kind"] == "flat_torus" else 1
+    for potential in ("quadratic(1.0)", {"terms": [[1] + [0] * (n - 1) + [2.0]]}):
+        path = _write(tmp_path, {"domain": domain, "potential": potential,
+                                 "checks": ["eigen_spectrum"]})
+        assert main(["run", path]) == 2
+        assert "at potential:" in capsys.readouterr().err
+    constant = {"terms": [[0] * n + [2.0]]}
+    assert load_config({"domain": domain, "potential": constant}).potential.is_constant
+
+
 def test_closed_domain_cases_run_once():
     """A closed domain's one realization reaches every check exactly once."""
     cfg = load_config({
         "domain": {"kind": "flat_torus", "parameters": [1.0, 1.0]},
-        "potential": "quadratic(1.0)", "degrees": [0, 1],
+        "potential": "zero", "degrees": [0, 1],
         "checks": ["decomposition_identity", "hypothesis_check", "semiclassical_sweep"],
         "mesh": {"target_h": 0.35}, "h_list": [1.0, 0.5], "seed": 4})
     report = run_config(cfg)

@@ -79,9 +79,6 @@ def test_boundary_operators_straight_and_1d():
     assert np.abs(boundary_operator("tangential", 1, bq).evaluate(bq.points)).max() < 1e-14
     bq1 = boundary_quadrature(DomainSpec.interval(0, 1), 4)
     assert np.abs(boundary_operator("tangential", 1, bq1).evaluate(bq1.points)).max() == 0.0
-    empty = boundary_quadrature(DomainSpec.flat_torus(1.0, 1.0), 4)
-    K = boundary_operator("normal", 1, empty)
-    assert K.support == "boundary"
 
 
 def test_boundary_operator_on_empty_rule():

@@ -127,6 +127,20 @@ def test_stiffness_semidefinite():
             assert x @ op.stiff_matvec(x) >= -1e-10 * float(x @ (op.M @ x))
 
 
+def test_top_degree_up_block_is_zero():
+    """The top degree has no d: its up-block is the zero matrix, so its
+    stiffness is the down-block alone, as a matrix and as an action."""
+    chain = OperatorChain(generate_mesh(DomainSpec.disk(1.0), 0.35),
+                          Potential.quadratic(1.0, 2), "normal")
+    op = chain.operator(2)
+    assert not op.has_up and op.up_stiff.shape == (op.dim, op.dim) and op.up_stiff.nnz == 0
+    x = np.random.default_rng(3).standard_normal(op.dim)
+    B = chain.d_matrix(1).T @ op.M
+    down = B.T @ chain.mass_solve(1, B @ x)
+    assert np.allclose(op.stiff_matvec(x), down, rtol=1e-12, atol=0)
+    assert np.allclose(op.stiffness_dense() @ x, down, rtol=1e-9, atol=1e-9 * np.abs(down).max())
+
+
 def test_realization_rules():
     m = generate_mesh(DomainSpec.disk(1.0), 0.4)
     V = Potential.quadratic(1.0, 2)

@@ -4,6 +4,7 @@ import importlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 from scipy.special import jnp_zeros
 
@@ -225,6 +226,34 @@ def test_eigsh_paths_never_factor_inside_arpack(monkeypatch):
     assert lowest_eigenpairs(chain.operator(1), 3).solver == "eigsh-mixed"
 
 
+@pytest.mark.parametrize("realization, p", [("tangential", 0), ("normal", 1)],
+                         ids=["shift-invert-p0", "mixed-p1"])
+def test_sparse_path_matches_explicit_pencil(monkeypatch, realization, p):
+    """Above SPECTRA_CUTOFF the eigenvalues are, bit for bit, those of
+    shift-invert eigsh on the pencil written out here: (S_up, M) under the
+    shift -1e-2 at p = 0, and the mixed saddle under -1e-2 mean diag M at
+    p = 1, its u-blocks kept."""
+    monkeypatch.setattr(spectral, "SPECTRA_CUTOFF", 1)
+    k, seed = 4, 1234
+    chain = OperatorChain(generate_mesh(DomainSpec.disk(1.0), 0.3),
+                          Potential.quadratic(1.0, 2), realization)
+    M = chain.mass(p)
+    if p == 0:
+        vals, _ = spectral._shift_invert_eigsh(chain.up_stiffness(0), M, k, -1e-2, seed)
+    else:
+        Mlow = chain.mass(0).tocsr()
+        B = (chain.d_matrix(0).T @ M).T.tocsr()
+        A = sparse.bmat([[-Mlow, B.T], [B, chain.up_stiffness(1)]], format="csc")
+        Mbig = sparse.bmat([[sparse.csr_matrix(Mlow.shape), None], [None, M]], format="csc")
+        sigma = -1e-2 * float(np.mean(M.diagonal()))
+        vals, vecs = spectral._shift_invert_eigsh(A, Mbig, k, sigma, seed)
+        vals = vals[np.linalg.norm(vecs[Mlow.shape[0]:], axis=0) > 1e-8]
+    res = lowest_eigenpairs(chain.operator(p), k, seed=seed)
+    assert res.solver == ("eigsh-shift-invert" if p == 0 else "eigsh-mixed")
+    assert res.kernel_dim == 0
+    assert np.array_equal(res.eigenvalues, np.sort(vals))
+
+
 def test_spectrum_path_rule(monkeypatch):
     """A spectrum takes dense-eigh only up to SPECTRA_CUTOFF, whatever the
     chain holds.  Above it a kernel projector takes the sparse path, and the
@@ -242,7 +271,7 @@ def test_spectrum_path_rule(monkeypatch):
     kp = kernel_projector(op)
     rhs = chain.d_matrix(0) @ np.random.default_rng(0).standard_normal(chain.dim(0))
     w = solve_on_range(op, rhs, kernel=kp)
-    assert kp.dim == 1 and calls == [] and not chain._pencil
+    assert kp.dim == 1 and calls == []
     assert _certified_residual(op, rhs, w, kp) <= 1e-11
 
 
@@ -253,7 +282,7 @@ def test_sparse_lu_fill_and_solves():
     chain = OperatorChain(generate_mesh(DomainSpec.disk(1.0), 0.05),
                           Potential.quadratic(1.0, 2), "normal")
     op = chain.operator(1)
-    A, Mbig = spectral._mixed_pencil(op)
+    A, Mbig, _ = spectral._saddle(op)
     sigma = -1e-2 * float(np.mean(op.M.diagonal()))
     rng = np.random.default_rng(0)
     for X in (chain.mass(1), (A - sigma * Mbig).tocsc()):
@@ -408,26 +437,6 @@ def test_range_solve_deflates_given_projector(monkeypatch, spectra_cutoff):
     assert np.linalg.norm(wide.apply(w)) <= 1e-12 * np.linalg.norm(w)
     ref = range_solve_oracle(op, rhs, wide)
     assert np.allclose(w, ref, rtol=0, atol=1e-10 * np.abs(ref).max())
-
-
-def test_pencil_cached_per_chain_and_degree(monkeypatch):
-    """A spectrum keeps the pencil on the chain, and a later pencil or
-    spectrum of the same degree reads it."""
-    m = generate_mesh(DomainSpec.disk(1.0), 0.3)
-    chain = OperatorChain(m, Potential.quadratic(1.0, 2), "normal")
-    calls = []
-    eigh = operators.dla.eigh
-    monkeypatch.setattr(operators.dla, "eigh", lambda *a: calls.append(1) or eigh(*a))
-    first = lowest_eigenpairs(chain.operator(0), 3)
-    assert list(chain._pencil) == [0] and len(calls) == 1
-    pencil1 = chain.operator(1).pencil()
-    assert chain.operator(1).pencil() is pencil1
-    assert chain.operator(0).pencil() is not pencil1
-    assert len(calls) == 2
-    again = lowest_eigenpairs(chain.operator(0), 3)
-    assert len(calls) == 2
-    assert np.array_equal(again.eigenvalues, first.eigenvalues)
-    assert np.array_equal(again.eigenvectors, first.eigenvectors)
 
 
 @pytest.mark.parametrize("record, args, extra", [
