@@ -626,17 +626,19 @@ def _first_nonkernel_eigenvalue(res) -> float:
 
 
 def _gap_record(check_id: str, bound: float, gaps, hs, hyp: HypothesisReport,
-                extra: dict, **kw) -> CheckRecord:
+                extra: dict, tol_rel: float = INEQ_REL, **kw) -> CheckRecord:
     """The one gap verdict: the hypotheses hold and gaps[i] >= bound - C*hs[i]
     at every level, with C <= C_cap = max(10, 10|bound|).  lhs is the bound,
-    rhs the finest level's gap; extra gains the fitted C_fit and C_cap."""
+    rhs the finest level's gap; extra gains the fitted C_fit and C_cap.  The
+    record's tolerance is tol_rel, the run's inequality tolerance; the
+    verdict itself takes none."""
     cap = max(10.0, 10.0 * abs(bound))
     c_fit = max(max(0.0, (bound - g) / h) for g, h in zip(gaps, hs))
     gap = gaps[-1]
     return CheckRecord(check_id, kind="inequality", lhs=bound, rhs=gap,
                        abs_err=bound - gap,
                        rel_err=max(0.0, bound - gap) / max(abs(bound), 1e-300),
-                       tolerance=INEQ_REL, passed=hyp.status == "satisfied" and c_fit <= cap,
+                       tolerance=tol_rel, passed=hyp.status == "satisfied" and c_fit <= cap,
                        hypothesis_status=hyp.status, witness=hyp.witness, mesh_h=hs[-1],
                        extra={**extra, "C_fit": c_fit, "C_cap": cap,
                               "hypothesis": hyp.to_dict()}, **kw)
@@ -645,7 +647,7 @@ def _gap_record(check_id: str, bound: float, gaps, hs, hyp: HypothesisReport,
 def check_gap_lower_bound(potential: Potential, domain: DomainSpec, b: str, p: int,
                           use_N: float | None = None, mesh_h: float = 0.3,
                           levels: int = 3, quad_order: int = 4,
-                          seed: int = 1234) -> CheckRecord:
+                          seed: int = 1234, tol_rel: float = INEQ_REL) -> CheckRecord:
     """First nonkernel eigenvalue vs the pointwise curvature lower bound.
 
     lambda_1(h) >= bound - C*h across a refinement ladder with C required
@@ -671,13 +673,13 @@ def check_gap_lower_bound(potential: Potential, domain: DomainSpec, b: str, p: i
     hs = [res.mesh_h for res in rungs]
     return _gap_record("gap_lower_bound", bound, lam, hs, hyp,
                        {"bound": bound, "eigenvalues": lam, "mesh_sizes": hs, **_paths(rungs)},
-                       **_labels(domain, potential), p=p, b=b, N=use_N,
+                       tol_rel=tol_rel, **_labels(domain, potential), p=p, b=b, N=use_N,
                        quad_order=quad_order)
 
 
 def semiclassical_sweep(potential: Potential, domain: DomainSpec, b: str, p: int,
                         h_list, mesh_h: float = 0.2, quad_order: int = 4,
-                        seed: int = 1234) -> list[CheckRecord]:
+                        seed: int = 1234, tol_rel: float = INEQ_REL) -> list[CheckRecord]:
     """Gap records for the rescaled potentials V/h (report-style).
 
     Hypotheses per the semiclassical scaling: the normal-side condition is
@@ -699,7 +701,7 @@ def semiclassical_sweep(potential: Potential, domain: DomainSpec, b: str, p: int
         records.append(_gap_record(
             "semiclassical_sweep", hyp.interior_min, [h * lam1], [res.mesh_h], hyp,
             {"h": h, "lambda1": lam1, "h_lambda1": h * lam1, **_paths([res])},
-            **{**_labels(domain, potential), "h_param": h}, p=p, b=b,
+            tol_rel=tol_rel, **{**_labels(domain, potential), "h_param": h}, p=p, b=b,
             quad_order=quad_order))
     return records
 

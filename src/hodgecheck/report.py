@@ -237,12 +237,14 @@ def _gap(cfg: RunConfig, p: int, N: float):
     b = "normal" if cfg.domain.has_boundary else "none"
     return checks.check_gap_lower_bound(
         cfg.potential, cfg.domain, b, p, use_N=N,
-        mesh_h=cfg.target_h, levels=max(3, cfg.refinements + 1), seed=cfg.seed)
+        mesh_h=cfg.target_h, levels=max(3, cfg.refinements + 1), seed=cfg.seed,
+        tol_rel=cfg.tolerances["inequality_rel"])
 
 
 def _semiclassical(cfg: RunConfig, b: str, p: int):
     return checks.semiclassical_sweep(cfg.potential, cfg.domain, b, p, cfg.h_list,
-                                      cfg.target_h, seed=cfg.seed)
+                                      cfg.target_h, seed=cfg.seed,
+                                      tol_rel=cfg.tolerances["inequality_rel"])
 
 
 def _hypothesis(cfg: RunConfig, b: str, p: int, N: float):

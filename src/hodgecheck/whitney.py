@@ -9,7 +9,10 @@ incidence matrix.
 
 Mass matrices carry the weight exp(-V) via per-element quadrature; they are
 consistent (full quadrature), never lumped - lumping breaks the weighted
-adjointness identity at order h.
+adjointness identity at order h.  In 2D the p = 0 and p = 1 element
+matrices are closed forms in the weighted quadrature sums of
+lambda_a lambda_b and the constant barycentric gradients (_mass_2d), so no
+basis is tabulated at the quadrature points.
 """
 
 from __future__ import annotations
@@ -96,6 +99,7 @@ def _mass_1d(cplx, p, potential, order):
 
 
 _REF_GRAD = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+_LA, _LB = np.array(LOCAL_EDGES).T     # the vertices a, b of each local edge W_ab
 
 
 def _element_geometry(cplx):
@@ -107,34 +111,43 @@ def _element_geometry(cplx):
     Jinv[:, 0, 1] = -J[:, 0, 1] / detJ
     Jinv[:, 1, 0] = -J[:, 1, 0] / detJ
     Jinv[:, 1, 1] = J[:, 0, 0] / detJ
-    grads = np.einsum("ak,tkx->tax", _REF_GRAD, Jinv)     # (nt, 3, 2)
+    grads = _REF_GRAD @ Jinv               # (nt, 3, 2), constant per triangle
     return ec, J, detJ, grads
 
 
+def _quad_points(ec, J, ref):
+    """Physical images (nt, nq, 2) of the reference points ref (nq, 2)."""
+    return ec[:, None, 0, :] + ref @ J.transpose(0, 2, 1)
+
+
 def _mass_2d(cplx, p, potential, order):
+    """Closed-form element kernels.  With rw = rho * w at the quadrature
+    points, Q[a, b] = sum_q rw lambda_a lambda_b is the local p = 0 matrix,
+    and since the barycentric gradients are constant per triangle, with
+    G[a, b] = grad lambda_a . grad lambda_b,
+
+        int <W_ab, W_cd> rho = Q[a,c] G[b,d] - Q[a,d] G[b,c]
+                               - Q[b,c] G[a,d] + Q[b,d] G[a,c]
+
+    exactly, so no basis is tabulated at the quadrature points."""
     ref, wref = triangle_rule(order)
     ec, J, detJ, grads = _element_geometry(cplx)
     nt, nq = ec.shape[0], ref.shape[0]
-    pts = ec[:, None, 0, :] + np.einsum("qk,tkx->tqx", ref, J.transpose(0, 2, 1))
+    pts = _quad_points(ec, J, ref)
     rho = _weight_at(potential, pts.reshape(-1, 2)).reshape(nt, nq)
-    wq = wref[None, :] * np.abs(detJ)[:, None]
-    if p == 0:
-        lam = np.column_stack([1 - ref[:, 0] - ref[:, 1], ref[:, 0], ref[:, 1]])
-        loc = np.einsum("tq,qa,qb->tab", rho * wq, lam, lam)
-        dofs = cplx.simplices[2]
-        nv = cplx.vertex_coords.shape[0]
-        return _scatter(loc, dofs, nv)
+    rw = rho * (wref[None, :] * np.abs(detJ)[:, None])
     if p == 2:
         area = 0.5 * np.abs(detJ)
-        diag = (rho * wq).sum(axis=1) / area**2
-        return sparse.diags(diag).tocsr()
-    # p == 1: Whitney edge forms
+        return sparse.diags(rw.sum(axis=1) / area**2).tocsr()
     lam = np.column_stack([1 - ref[:, 0] - ref[:, 1], ref[:, 0], ref[:, 1]])
-    W = np.empty((nt, nq, 3, 2))
-    for li, (la, lb) in enumerate(LOCAL_EDGES):
-        W[:, :, li, :] = (lam[None, :, la, None] * grads[:, None, lb, :]
-                          - lam[None, :, lb, None] * grads[:, None, la, :])
-    loc = np.einsum("tq,tqax,tqbx->tab", rho * wq, W, W)
+    Q = (rw @ (lam[:, :, None] * lam[:, None, :]).reshape(nq, 9)).reshape(nt, 3, 3)
+    if p == 0:
+        return _scatter(Q, cplx.simplices[2], cplx.vertex_coords.shape[0])
+    G = grads @ grads.transpose(0, 2, 1)   # (nt, 3, 3)
+    a, b = _LA[:, None], _LB[:, None]
+    c, d = _LA[None, :], _LB[None, :]
+    loc = (Q[:, a, c] * G[:, b, d] - Q[:, a, d] * G[:, b, c]
+           - Q[:, b, c] * G[:, a, d] + Q[:, b, d] * G[:, a, c])
     sgn = cplx.tri_edge_sign
     loc = loc * sgn[:, :, None] * sgn[:, None, :]
     return _scatter(loc, cplx.tri_edges, cplx.num(1))
@@ -168,6 +181,6 @@ def interpolate(form, cplx: SimplicialComplex, quad_order: int = 6) -> np.ndarra
         return np.einsum("q,eqx,ex->e", wt, vals, d)
     ref, wref = triangle_rule(quad_order)
     ec, J, detJ, _ = _element_geometry(cplx)
-    pts = ec[:, None, 0, :] + np.einsum("qk,tkx->tqx", ref, J.transpose(0, 2, 1))
+    pts = _quad_points(ec, J, ref)
     vals = form.components(pts.reshape(-1, 2)).reshape(ec.shape[0], len(wref))
     return np.einsum("q,tq,t->t", wref, vals, np.abs(detJ))

@@ -4,10 +4,13 @@ from itertools import combinations
 
 import numpy as np
 import scipy.linalg as dla
+import scipy.sparse as sparse
 import sympy as sp
 
 from hodgecheck import exterior
+from hodgecheck.meshing import LOCAL_EDGES
 from hodgecheck.potentials import _COORDS
+from hodgecheck.whitney import triangle_rule
 
 
 def fd_oracle_1d(a, b, ne, potential, bc):
@@ -163,3 +166,39 @@ def range_solve_oracle(op, rhs, kernel=None, steps=4):
         w = w + V @ (inv * (V.T @ r))
         r = b - op.stiff_matvec(w)
     return w
+
+
+def whitney_mass_oracle(cplx, p, potential, quad_order):
+    """Weighted Whitney mass of a 2D complex, the basis tabulated at every
+    quadrature point: hat functions lambda_a (p = 0), edge forms
+    W_ab = lambda_a grad lambda_b - lambda_b grad lambda_a (p = 1) and
+    1/area (p = 2), contracted against rho * w with einsum and summed into
+    a CSR matrix over the element DOF pairs."""
+    ref, wref = triangle_rule(quad_order)
+    ec = cplx.element_coords(2)                       # (nt, 3, 2)
+    J = np.stack([ec[:, 1] - ec[:, 0], ec[:, 2] - ec[:, 0]], axis=2)
+    detJ = np.linalg.det(J)
+    grads = np.einsum("ak,tkx->tax", [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]],
+                      np.linalg.inv(J))
+    pts = ec[:, None, 0, :] + np.einsum("qk,txk->tqx", ref, J)
+    nt, nq = pts.shape[:2]
+    rw = potential.weight(pts.reshape(-1, 2)).reshape(nt, nq) * wref * np.abs(detJ)[:, None]
+    lam = np.column_stack([1 - ref[:, 0] - ref[:, 1], ref[:, 0], ref[:, 1]])
+    if p == 0:
+        loc = np.einsum("tq,qa,qb->tab", rw, lam, lam)
+        dofs, size = cplx.simplices[2], cplx.vertex_coords.shape[0]
+    elif p == 1:
+        W = np.empty((nt, nq, 3, 2))
+        for li, (la, lb) in enumerate(LOCAL_EDGES):
+            W[:, :, li, :] = (lam[None, :, la, None] * grads[:, None, lb, :]
+                              - lam[None, :, lb, None] * grads[:, None, la, :])
+        sgn = cplx.tri_edge_sign
+        loc = np.einsum("tq,tqax,tqbx->tab", rw, W, W) * sgn[:, :, None] * sgn[:, None, :]
+        dofs, size = cplx.tri_edges, cplx.num(1)
+    else:
+        area = 0.5 * np.abs(detJ)
+        loc = (rw.sum(axis=1) / area**2)[:, None, None]
+        dofs, size = np.arange(nt)[:, None], nt
+    k = dofs.shape[1]
+    rows, cols = np.repeat(dofs, k, axis=1).ravel(), np.tile(dofs, (1, k)).ravel()
+    return sparse.csr_matrix((loc.ravel(), (rows, cols)), shape=(size, size))

@@ -18,7 +18,8 @@ from hodgecheck.domains import DomainSpec
 from hodgecheck.meshing import generate_mesh
 from hodgecheck.potentials import Potential
 from hodgecheck.presets import CHECK_IDS
-from hodgecheck.records import CheckRecord, decode_extended, encode_extended
+from hodgecheck.records import (DEFAULT_TOLERANCES, CheckRecord, decode_extended,
+                                encode_extended)
 from hodgecheck.report import RUNNERS, convergence_study, run_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -593,6 +594,21 @@ def test_gap_takes_N_at_degree_zero_only():
     assert [(r.p, r.N) for r in recs] == [(0, math.inf), (0, 4.0), (1, None)]
     assert [r.to_json_dict()["N"] for r in recs] == ["inf", 4.0, None]
     assert all(r.status == "pass" for r in recs)
+
+
+def test_gap_records_carry_the_configured_inequality_tolerance():
+    """Both gap checks write the run's inequality_rel as their tolerance, as
+    bl_scalar does; without the key they write the default."""
+    cfg = {"domain": {"kind": "interval", "parameters": [-2, 2]},
+           "potential": "quadratic(1.0)", "degrees": [0], "realizations": ["normal"],
+           "checks": ["gap_lower_bound", "semiclassical_sweep", "bl_scalar"],
+           "h_list": [1.0, 0.5], "mesh": {"target_h": 1 / 16}}
+    for tolerances, expected in (({"inequality_rel": 1e-3}, 1e-3),
+                                 ({}, DEFAULT_TOLERANCES["inequality_rel"])):
+        recs = run_config(load_config({**cfg, "tolerances": tolerances})).records
+        assert {r.check_id for r in recs} == set(cfg["checks"])
+        assert [r.tolerance for r in recs] == [expected] * len(recs)
+        assert all(r.status == "pass" for r in recs)
 
 
 def test_fit_order_ignores_roundoff_levels():

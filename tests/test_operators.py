@@ -12,6 +12,7 @@ from hodgecheck.operators import (Cochain, OperatorChain, UnsupportedRealization
                                   dual_problem)
 from hodgecheck.potentials import Potential, _COORDS
 from hodgecheck.whitney import AssemblyWarning, assemble_mass
+from oracles import whitney_mass_oracle
 
 x1, x2 = _COORDS
 
@@ -21,6 +22,27 @@ def test_mass_matrix_oracle_interval():
     m = generate_mesh(DomainSpec.interval(0, 1), 1.0)
     M0 = assemble_mass(m, 0, Potential.zero(1), 4).toarray()
     assert np.allclose(M0, [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], atol=1e-15)
+
+
+@pytest.mark.parametrize("domain, h", [
+    (DomainSpec.disk(1.0), 0.3), (DomainSpec.annulus(0.5, 1.0), 0.3),
+    (DomainSpec.rectangle(0.0, 2.0, 0.0, 1.0), 0.3),
+    (DomainSpec.polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]), 0.4)],
+    ids=["disk", "annulus", "rectangle", "L-polygon"])
+def test_mass_matches_tabulated_basis_oracle(domain, h):
+    """The closed-form element kernels give the mass of the basis tabulated
+    at every quadrature point: the same sparsity pattern, and entries within
+    1e-14 of the largest entry."""
+    m = generate_mesh(domain, h)
+    for V in (Potential.zero(2), Potential.quadratic(1.0, 2)):
+        for p in (0, 1, 2):
+            for order in (4, 8):
+                M, ref = assemble_mass(m, p, V, order), whitney_mass_oracle(m, p, V, order)
+                M.sort_indices()
+                ref.sort_indices()
+                assert np.array_equal(M.indptr, ref.indptr)
+                assert np.array_equal(M.indices, ref.indices)
+                assert abs(M.data - ref.data).max() <= 1e-14 * abs(ref.data).max()
 
 
 def test_mass_symmetry_and_constant_weight():

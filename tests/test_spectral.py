@@ -168,6 +168,30 @@ def test_lowest_eigenpairs_validation():
         lowest_eigenpairs(op, 1, tol=-1.0)
 
 
+@pytest.mark.parametrize("realization", ["normal", "tangential"])
+def test_lambda_max_estimate_brackets_true_value(realization):
+    """Lanczos from a seeded start: at every degree the estimate lies in
+    [0.9, 1 + 1e-12] times the largest eigenvalue of the dense pencil, takes
+    at most LAMBDA_MAX_STEPS mass solves of its degree, is reproducible, and
+    is the lambda_max that lowest_eigenpairs reports."""
+    chain = OperatorChain(generate_mesh(DomainSpec.disk(1.0), 0.4),
+                          Potential.quadratic(1.0, 2), realization)
+    mass_solve, solves = chain.mass_solve, []
+    for p in (0, 1, 2):
+        op = chain.operator(p)
+        top = op.pencil()[0][-1]
+        chain.mass_solve = lambda q, b: solves.append(q) or mass_solve(q, b)
+        try:
+            est = spectral._estimate_lambda_max(op, 1234)
+        finally:
+            del chain.mass_solve
+        assert solves.count(p) <= spectral.LAMBDA_MAX_STEPS
+        solves.clear()
+        assert 0.9 * top <= est <= (1 + 1e-12) * top, (p, est / top)
+        assert spectral._estimate_lambda_max(op, 1234) == est
+        assert lowest_eigenpairs(op, 2, seed=1234).lambda_max == est
+
+
 def test_spectral_result_json():
     m = generate_mesh(DomainSpec.interval(0, 1), 1 / 16)
     res = lowest_eigenpairs(OperatorChain(m, Potential.zero(1), "normal").operator(0), 2,

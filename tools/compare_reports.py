@@ -1,0 +1,104 @@
+"""Compare two hodgecheck JSON reports record by record.
+
+    python3 tools/compare_reports.py PARENT CHANGE
+
+Applies the rule a change that keeps results must meet: the same records
+(matched by their labels and their order among records with equal labels),
+each with the same status, and every lhs and rhs within REL_MOVE relative
+of the parent's.  A worst-sample record (WORST_SAMPLE) reports the sample
+with the largest error, so its lhs/rhs jump to another sample when roundoff
+moves; for it the test is instead that rel_err stays at most
+max(parent rel_err, WORST_FLOOR).  Non-numeric values ("inf", "nan",
+null) must be equal.
+
+Prints one line per problem and a summary line; exits 0 when there is no
+problem, 1 when there is one and 2 when a report cannot be read.  Uses the
+standard library only.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+
+REL_MOVE = 1e-12
+WORST_FLOOR = 1e-13
+WORST_SAMPLE = ("variance_identity", "hodge_decomposition", "intertwining")
+LABELS = ("check_id", "kind", "domain", "potential", "p", "b", "N", "h_param",
+          "quad_order", "mesh_h")
+
+
+def _keyed(records) -> dict:
+    """Records by (labels, occurrence among records with those labels)."""
+    out, seen = {}, {}
+    for rec in records:
+        labels = tuple(json.dumps(rec.get(k)) for k in LABELS)
+        seen[labels] = seen.get(labels, -1) + 1
+        out[labels + (seen[labels],)] = rec
+    return out
+
+
+def _number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _moved(old, new, rel) -> bool:
+    if not (_number(old) and _number(new)):
+        return old != new
+    return abs(new - old) > rel * max(abs(old), abs(new))
+
+
+def compare(parent: dict, change: dict) -> list[str]:
+    """Problem lines, empty when the change keeps the parent's results."""
+    old, new = _keyed(parent["records"]), _keyed(change["records"])
+    problems = []
+    for key in old.keys() | new.keys():
+        rec = old.get(key) or new[key]
+        name = (f"{rec['check_id']} p={rec.get('p')} b={rec.get('b')} N={rec.get('N')} "
+                f"h_param={rec.get('h_param')} quad_order={rec.get('quad_order')} #{key[-1]}")
+        if key not in new:
+            problems.append(f"{name}: disappears")
+            continue
+        if key not in old:
+            problems.append(f"{name}: appears")
+            continue
+        a, b = old[key], new[key]
+        if a["status"] != b["status"]:
+            problems.append(f"{name}: status {a['status']} -> {b['status']}")
+        if a["check_id"] in WORST_SAMPLE:
+            ra, rb = a["rel_err"], b["rel_err"]
+            if not (_number(ra) and _number(rb)):
+                if ra != rb:
+                    problems.append(f"{name}: rel_err {ra} -> {rb}")
+            elif rb > max(ra, WORST_FLOOR):
+                problems.append(f"{name}: rel_err rises {ra!r} -> {rb!r}")
+            continue
+        for side in ("lhs", "rhs"):
+            if _moved(a[side], b[side], REL_MOVE):
+                problems.append(f"{name}: {side} {a[side]!r} -> {b[side]!r}")
+    return sorted(problems)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    try:
+        reports = []
+        for path in argv:
+            with open(path) as f:
+                reports.append(json.load(f))
+        problems = compare(*reports)
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        print(f"cannot compare reports: {e!r}", file=sys.stderr)
+        return 2
+    for line in problems:
+        print(line)
+    print(f"{len(reports[0]['records'])} -> {len(reports[1]['records'])} records, "
+          f"{len(problems)} problem(s)")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
