@@ -36,7 +36,7 @@ from .curvature import (bakry_emery_tensor, boundary_operator, hessian_p,
                         invert_endo_field, restricted_min_eig)
 from .domains import DomainSpec, boundary_quadrature, domain_quadrature
 from .meshing import generate_mesh, refine
-from .operators import Cochain, OperatorChain, dual_problem
+from .operators import CHAIN_QUAD_ORDER, Cochain, OperatorChain, dual_problem
 from .potentials import Potential, WeightedMeasure
 from .records import DEFAULT_TOLERANCES, CheckRecord, identity_record, inequality_record
 from .spectral import kernel_projector, lowest_eigenpairs, solve_on_range
@@ -64,6 +64,7 @@ INEQ_REL = DEFAULT_TOLERANCES["inequality_rel"]
 INEQ_ABS = DEFAULT_TOLERANCES["inequality_abs"]
 POSITIVITY_TOL = 1e-10
 BOUNDARY_SLACK = 1e-9
+GAP_HYPOTHESIS_ORDER = 6  # quadrature order of the hypothesis check of both gap checks
 
 DECOMPOSITION_TERMS = ("h1_seminorm", "curvature", "boundary_K", "boundary_weight")
 
@@ -116,14 +117,12 @@ def eval_decomposition_identity(form: AnalyticForm, potential: Potential,
                                 domain: DomainSpec, b: str, quad_order: int = 8,
                                 tolerance: float = IDENTITY_TOL,
                                 perturb_term: int | None = None,
-                                perturb_rel: float = 0.01,
-                                check_convergence: bool = False) -> CheckRecord:
+                                perturb_rel: float = 0.01) -> CheckRecord:
     """Both sides of the weighted integration-by-parts decomposition.
 
     The right-hand side splits into the four terms of DECOMPOSITION_TERMS;
     ``perturb_term`` multiplies one of them by (1 + perturb_rel) as a
-    negative control.  ``check_convergence`` re-evaluates the left side at
-    doubled quadrature order and raises if it moves by > 1e-6 relative.
+    negative control.
     """
     bq = boundary_quadrature(domain, quad_order)
     form.verify_bc(bq)
@@ -132,13 +131,6 @@ def eval_decomposition_identity(form: AnalyticForm, potential: Potential,
             f"form declares bc={form.bc!r} but realization is {b!r}")
     fpot = _half(potential)
     lhs = _flat_witten_quadratic_form(form, fpot, domain, quad_order)
-    if check_convergence:
-        fine = _flat_witten_quadratic_form(form, fpot, domain, 2 * quad_order)
-        if abs(fine - lhs) > 1e-6 * max(abs(fine), 1e-300):
-            raise ValueError(
-                f"quadrature not converged at order {quad_order}: "
-                f"{lhs!r} vs {fine!r} at doubled order")
-
     quad = domain_quadrature(domain, quad_order)
     vals = form.components(quad.points)
     t_curv = 0.0
@@ -152,7 +144,7 @@ def eval_decomposition_identity(form: AnalyticForm, potential: Potential,
         K = boundary_operator(b if b in ("tangential", "normal") else "normal",
                               form.degree, bq)
         bvals = form.components(bq.points)
-        t_bdy = bq.integrate(K.quadratic(bq.points, bvals))
+        t_bdy = bq.integrate(np.einsum("mi,mij,mj->m", bvals, K, bvals))
         if b == "tangential":
             dnf = fpot.normal_derivative(bq.points, bq.normals)
             t_weight = -2.0 * bq.integrate(np.einsum("mc,mc->m", bvals, bvals) * dnf)
@@ -247,7 +239,7 @@ def eval_h1_identity(form: AnalyticForm, domain: DomainSpec, b: str,
     if bq.points.shape[0]:
         K = boundary_operator(b, form.degree, bq)
         bvals = form.components(bq.points)
-        t_bdy = bq.integrate(K.quadratic(bq.points, bvals))
+        t_bdy = bq.integrate(np.einsum("mi,mij,mj->m", bvals, K, bvals))
     rhs = t_d - t_bdy
     return identity_record("h1_identity", lhs, rhs, tolerance,
                            **_labels(domain, zero), p=form.degree, b=b, quad_order=quad_order,
@@ -347,13 +339,11 @@ def hypothesis_check(potential: Potential, domain: DomainSpec, b: str, p: int,
     if domain.has_boundary:
         bq = boundary_quadrature(domain, quad_order)
         if b == "normal":
-            mats = boundary_operator("normal", p, bq).evaluate(bq.points)
-            r = restricted_min_eig(mats, bq.normals, p, "tangential")
+            r = restricted_min_eig(boundary_operator("normal", p, bq), bq.normals, p, "tangential")
         elif b == "tangential":
-            mats = kt_scale * boundary_operator("tangential", p, bq).evaluate(bq.points)
+            K = boundary_operator("tangential", p, bq)
             dnv = potential.normal_derivative(bq.points, bq.normals)
-            C = mats.shape[1]
-            mats = mats - dnv[:, None, None] * np.eye(C)[None, :, :]
+            mats = kt_scale * K - dnv[:, None, None] * np.eye(K.shape[1])[None, :, :]
             r = restricted_min_eig(mats, bq.normals, p, "normal")
         else:
             r = np.array([math.inf])
@@ -408,7 +398,7 @@ def _n_factor(N: float) -> float:
 
 def _bl_bound(form: AnalyticForm, potential: Potential, domain: DomainSpec, b: str,
               variant: str, N: float | None, quad_order: int,
-              mesh_h: float = 0.15, seed: int = 1234) -> tuple:
+              mesh_h: float | None, seed: int | None) -> tuple:
     """||w - pi_b w||^2 <= c int <(Ric_V^(p))^-1 Dw, Dw> dnu for a q-form w:
     D = d, p = q + 1 (coclosed) or D = d*_V, p = q - 1 (closed); the field
     is _curvature_field(potential, p, N), c = (N - 1)/N for a given N
@@ -466,7 +456,8 @@ def check_bl_scalar(form: AnalyticForm, potential: Potential, domain: DomainSpec
         if wmax > 1e-8 * (1.0 + abs(float(form.components(
                 domain_quadrature(domain, 4).points).max()))):
             raise BoundaryConditionError("tangential scalar case needs w = 0 on the boundary")
-    hyp, lhs, *_, rhs = _bl_bound(form, potential, domain, b, "coclosed", N, quad_order)
+    hyp, lhs, *_, rhs = _bl_bound(form, potential, domain, b, "coclosed", N, quad_order,
+                                  None, None)   # q = 0 reads no mesh_h or seed
     return inequality_record("bl_scalar", lhs, rhs, hyp.status, tol_rel, tol_abs,
                              witness=hyp.witness, **_labels(domain, potential),
                              p=1, b=b, N=N, quad_order=quad_order,
@@ -558,10 +549,9 @@ def check_variance_identity(eta: Cochain, chain: OperatorChain) -> tuple[float, 
 
 def variance_identity_record(domain: DomainSpec, potential: Potential, b: str,
                              mesh_h: float, n_samples: int = 50, seed: int = 1234,
-                             tol: float = DEFAULT_TOLERANCES["variance_rel"],
-                             quad_order: int = 4) -> CheckRecord:
+                             tol: float = DEFAULT_TOLERANCES["variance_rel"]) -> CheckRecord:
     cplx = _mesh(domain, mesh_h)
-    chain = OperatorChain(cplx, potential, b, quad_order)
+    chain = OperatorChain(cplx, potential, b)
     rng = np.random.default_rng(seed)
     worst = 0.0
     pair = (0.0, 0.0)
@@ -573,7 +563,7 @@ def variance_identity_record(domain: DomainSpec, potential: Potential, b: str,
             worst, pair = rel, (lhs, rhs)
     return identity_record("variance_identity", *pair, tol, rel_err=worst,
                            **_labels(domain, potential), p=0, b=b,
-                           mesh_h=cplx.mesh_size_h, quad_order=quad_order,
+                           mesh_h=cplx.mesh_size_h, quad_order=CHAIN_QUAD_ORDER,
                            extra={"samples": n_samples, "worst_rel": worst})
 
 
@@ -585,7 +575,7 @@ def _mesh(domain: DomainSpec, mesh_h: float, level: int = 0, coarser=None):
 
 
 def _ladder(domain: DomainSpec, mesh_h: float, levels: int, problems, k: int,
-            seed: int, quad_order: int = 4) -> list:
+            seed: int) -> list:
     """min(k, dim) lowest eigenpairs of each (potential, b, degree) problem
     at every level of one mesh ladder, refined between levels only and
     solved one chain at a time: one list of SpectralResults (each with its
@@ -601,7 +591,7 @@ def _ladder(domain: DomainSpec, mesh_h: float, levels: int, problems, k: int,
         cplx = _mesh(domain, mesh_h, level, cplx)
         for rungs, (potential, b, degree) in zip(spectra, problems):
             def solve():
-                op = OperatorChain(cplx, potential, b, quad_order).operator(degree)
+                op = OperatorChain(cplx, potential, b).operator(degree)
                 res = lowest_eigenpairs(op, min(k, op.dim), seed=seed)
                 for array in (res.eigenvalues, res.eigenvectors, res.residual_norms):
                     array.flags.writeable = False
@@ -609,7 +599,7 @@ def _ladder(domain: DomainSpec, mesh_h: float, levels: int, problems, k: int,
 
             rungs.append(runcache.cached(
                 ("spectrum", domain, mesh_h, level, potential.expr, potential.n, b, degree,
-                 quad_order, k, seed), solve))
+                 k, seed), solve))
     return spectra
 
 
@@ -646,8 +636,8 @@ def _gap_record(check_id: str, bound: float, gaps, hs, hyp: HypothesisReport,
 
 def check_gap_lower_bound(potential: Potential, domain: DomainSpec, b: str, p: int,
                           use_N: float | None = None, mesh_h: float = 0.3,
-                          levels: int = 3, quad_order: int = 4,
-                          seed: int = 1234, tol_rel: float = INEQ_REL) -> CheckRecord:
+                          levels: int = 3, seed: int = 1234,
+                          tol_rel: float = INEQ_REL) -> CheckRecord:
     """First nonkernel eigenvalue vs the pointwise curvature lower bound.
 
     lambda_1(h) >= bound - C*h across a refinement ladder with C required
@@ -661,25 +651,24 @@ def check_gap_lower_bound(potential: Potential, domain: DomainSpec, b: str, p: i
     n_scaled = use_N is not None and bound_degree == 1
     hyp = hypothesis_check(potential, domain, b, bound_degree,
                            N=use_N if n_scaled else None,
-                           quad_order=max(quad_order, 6))
+                           quad_order=GAP_HYPOTHESIS_ORDER)
     bound = hyp.interior_min
     if n_scaled:
         nf = _n_factor(use_N)
         bound *= math.inf if nf == 0 else 1.0 / nf
     eig_degree = 0 if n_scaled else p
-    [rungs] = _ladder(domain, mesh_h, levels, [(potential, b, eig_degree)], 4, seed,
-                      quad_order)
+    [rungs] = _ladder(domain, mesh_h, levels, [(potential, b, eig_degree)], 4, seed)
     lam = [_first_nonkernel_eigenvalue(res) for res in rungs]
     hs = [res.mesh_h for res in rungs]
     return _gap_record("gap_lower_bound", bound, lam, hs, hyp,
                        {"bound": bound, "eigenvalues": lam, "mesh_sizes": hs, **_paths(rungs)},
                        tol_rel=tol_rel, **_labels(domain, potential), p=p, b=b, N=use_N,
-                       quad_order=quad_order)
+                       quad_order=CHAIN_QUAD_ORDER)
 
 
 def semiclassical_sweep(potential: Potential, domain: DomainSpec, b: str, p: int,
-                        h_list, mesh_h: float = 0.2, quad_order: int = 4,
-                        seed: int = 1234, tol_rel: float = INEQ_REL) -> list[CheckRecord]:
+                        h_list, mesh_h: float = 0.2, seed: int = 1234,
+                        tol_rel: float = INEQ_REL) -> list[CheckRecord]:
     """Gap records for the rescaled potentials V/h (report-style).
 
     Hypotheses per the semiclassical scaling: the normal-side condition is
@@ -691,18 +680,17 @@ def semiclassical_sweep(potential: Potential, domain: DomainSpec, b: str, p: int
     h_param.
     """
     bound_degree = max(p, 1)
-    spectra = _ladder(domain, mesh_h, 1, [(potential.rescaled(h), b, p) for h in h_list],
-                      4, seed, quad_order)
+    spectra = _ladder(domain, mesh_h, 1, [(potential.rescaled(h), b, p) for h in h_list], 4, seed)
     records = []
     for h, [res] in zip(h_list, spectra):
         hyp = hypothesis_check(potential, domain, b, bound_degree,
-                               quad_order=max(quad_order, 6), kt_scale=h)
+                               quad_order=GAP_HYPOTHESIS_ORDER, kt_scale=h)
         lam1 = _first_nonkernel_eigenvalue(res)
         records.append(_gap_record(
             "semiclassical_sweep", hyp.interior_min, [h * lam1], [res.mesh_h], hyp,
             {"h": h, "lambda1": lam1, "h_lambda1": h * lam1, **_paths([res])},
             tol_rel=tol_rel, **{**_labels(domain, potential), "h_param": h}, p=p, b=b,
-            quad_order=quad_order))
+            quad_order=CHAIN_QUAD_ORDER))
     return records
 
 
@@ -718,8 +706,7 @@ def _richardson(values: np.ndarray) -> float:
 
 
 def duality_spectrum_check(domain: DomainSpec, potential: Potential, k: int = 3,
-                           mesh_h: float = 0.4, levels: int = 3, quad_order: int = 4,
-                           seed: int = 1234,
+                           mesh_h: float = 0.4, levels: int = 3, seed: int = 1234,
                            tol: float = DEFAULT_TOLERANCES["duality_rel"]) -> CheckRecord:
     """Star-duality validation of the normal realization at p = 0.
 
@@ -732,8 +719,7 @@ def duality_spectrum_check(domain: DomainSpec, potential: Potential, k: int = 3,
     """
     dual_p, dual_b, dual_pot = dual_problem(0, "normal", potential, domain.ambient_dim)
     sides = _ladder(domain, mesh_h, levels,
-                    [(potential, "normal", 0), (dual_pot, dual_b, dual_p)], k + 1, seed,
-                    quad_order)
+                    [(potential, "normal", 0), (dual_pot, dual_b, dual_p)], k + 1, seed)
     for route, rungs in zip(("direct", "dual"), sides):
         for res in rungs:
             if res.kernel_dim != 1:
@@ -745,7 +731,7 @@ def duality_spectrum_check(domain: DomainSpec, potential: Potential, k: int = 3,
     direct, dual = (_paths(rungs) for rungs in sides)
     return identity_record("duality_spectrum", a_ex[0], b_ex[0], tol, rel_err=rel,
                            **_labels(domain, potential), p=0, b="normal",
-                           mesh_h=mesh_h, quad_order=quad_order,
+                           mesh_h=mesh_h, quad_order=CHAIN_QUAD_ORDER,
                            extra={"direct_extrapolated": a_ex, "dual_extrapolated": b_ex,
                                   "direct_levels": [list(map(float, v)) for v in a_levels],
                                   "dual_levels": [list(map(float, v)) for v in b_levels],
@@ -755,13 +741,12 @@ def duality_spectrum_check(domain: DomainSpec, potential: Potential, k: int = 3,
 
 
 def hodge_decomposition_record(domain: DomainSpec, potential: Potential, b: str,
-                               p: int, mesh_h: float, n_samples: int = 5,
-                               seed: int = 1234, tol: float = DEFAULT_TOLERANCES["hodge_rel"],
-                               quad_order: int = 4) -> CheckRecord:
+                               p: int, mesh_h: float, n_samples: int = 5, seed: int = 1234,
+                               tol: float = DEFAULT_TOLERANCES["hodge_rel"]) -> CheckRecord:
     from .spectral import hodge_decompose
 
     cplx = _mesh(domain, mesh_h)
-    chain = OperatorChain(cplx, potential, b, quad_order)
+    chain = OperatorChain(cplx, potential, b)
     op = chain.operator(p)
     kp = kernel_projector(op, seed=seed)
     rng = np.random.default_rng(seed)
@@ -773,6 +758,6 @@ def hodge_decomposition_record(domain: DomainSpec, potential: Potential, b: str,
         worst_orth = max(worst_orth, max(split.orthogonality_residuals, default=0.0))
     return identity_record("hodge_decomposition", worst_rec, 0.0, tol,
                            rel_err=max(worst_rec, worst_orth), **_labels(domain, potential),
-                           p=p, b=b, mesh_h=cplx.mesh_size_h, quad_order=quad_order,
+                           p=p, b=b, mesh_h=cplx.mesh_size_h, quad_order=CHAIN_QUAD_ORDER,
                            extra={"kernel_dim": kp.dim, "recomposition": worst_rec,
                                   "orthogonality": worst_orth, "samples": n_samples})

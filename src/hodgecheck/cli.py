@@ -3,7 +3,7 @@
 Subcommands:
   run <config.json> [--out report.json] [--csv records.csv] [--timings]
   list-presets
-  converge <config.json> [--out report.json] [--csv records.csv]
+  converge <config.json> [--out report.json] [--csv records.csv] [--timings]
 
 Exit status: 0 = all pass/not_applicable, 1 = any fail, 2 = config error
 (a mesh ladder above the size budget included).
@@ -28,20 +28,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Verification suites for weighted Hodge Laplacians on flat domains")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="execute the checks in a config")
-    run_p.add_argument("config", help="path to the JSON config")
-    run_p.add_argument("--out", help="write the JSON report here")
-    run_p.add_argument("--csv", help="write one CSV row per record here")
-    run_p.add_argument("--timings", action="store_true",
-                       help="record wall-clock runtime_ms (breaks byte-identical reports)")
+    # the arguments that run and converge share, declared once
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("config", help="path to the JSON config")
+    common.add_argument("--out", help="write the JSON report here")
+    common.add_argument("--csv", help="write one CSV row per record here")
+    common.add_argument("--timings", action="store_true",
+                        help="record wall-clock runtime_ms (breaks byte-identical reports)")
 
+    sub.add_parser("run", parents=[common], help="execute the checks in a config")
     sub.add_parser("list-presets", help="list domains, potentials and check ids")
-
-    conv_p = sub.add_parser("converge", help="refinement/quadrature ladders with fitted orders")
-    conv_p.add_argument("config")
-    conv_p.add_argument("--out")
-    conv_p.add_argument("--csv")
-    conv_p.add_argument("--timings", action="store_true")
+    sub.add_parser("converge", parents=[common],
+                   help="refinement/quadrature ladders with fitted orders")
     return parser
 
 

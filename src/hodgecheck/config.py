@@ -27,6 +27,9 @@ MAX_TOP_SIMPLICES = 8_000_000  # estimated, summed over the deepest mesh ladder
 # 2D 4.0-6.0 for the disk, annulus, rectangle and torus and 13.7 for an
 # L-shaped polygon
 SIMPLEX_DENSITY = {1: 1.0, 2: 14.0}
+# the top-level keys of a config; load_config refuses any other key with its path
+TOP_KEYS = ("domain", "potential", "h_param", "degrees", "realizations", "N", "checks", "mesh",
+            "quad_order", "tolerances", "seed", "h_list", "output", "eigen_count", "n_samples")
 
 
 class ConfigError(ValueError):
@@ -59,6 +62,13 @@ class RunConfig:
 
     def echo(self) -> dict:
         return self.raw
+
+
+def _known_keys(obj: dict, prefix: str, keys):
+    """Refuse the first key of obj outside keys, at the path prefix + key."""
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"{prefix}{key}", f"unknown key; expected one of {', '.join(keys)}")
 
 
 def _typed(val, path: str, kind: type, what: str):
@@ -145,6 +155,7 @@ def _domain(cfg) -> DomainSpec:
     if not isinstance(cfg, dict):
         raise ConfigError("domain", f"must be an object, got {cfg!r}")
     kind = cfg.get("kind")
+    _known_keys(cfg, "domain.", ("kind", "vertices" if kind == "polygon" else "parameters"))
     try:
         if kind == "polygon":
             verts = _typed(cfg.get("vertices", []), "domain.vertices", list, "a list")
@@ -166,6 +177,7 @@ def _potential(val, n: int, h_param: float) -> Potential:
     non-negative integer exponents of total degree at most
     MAX_POTENTIAL_DEGREE and a finite coefficient per row."""
     if isinstance(val, dict):
+        _known_keys(val, "potential.", ("terms",))
         terms = _typed(val.get("terms"), "potential.terms", list, "a list of rows")
         for i, row in enumerate(terms):
             path = f"potential.terms[{i}]"
@@ -188,7 +200,8 @@ def load_config(source) -> RunConfig:
 
     The realizations are settled against the domain here: a domain with
     boundary takes tangential and normal, a closed domain only none.  A
-    closed domain also takes only a constant potential.
+    closed domain also takes only a constant potential.  Every object
+    refuses a key it does not know, at that key's path.
     """
     if isinstance(source, dict):
         raw = source
@@ -197,6 +210,7 @@ def load_config(source) -> RunConfig:
             raw = json.load(f)
     if not isinstance(raw, dict):
         raise ConfigError("$", "config must be a JSON object")
+    _known_keys(raw, "", TOP_KEYS)
     if "domain" not in raw:
         raise ConfigError("domain", "missing")
     domain = _domain(raw["domain"])
@@ -229,6 +243,7 @@ def load_config(source) -> RunConfig:
 
     checks = _distinct(raw, "checks", [], check_id)   # empty: nothing to run
     mesh = _typed(raw.get("mesh", {}), "mesh", dict, "an object")
+    _known_keys(mesh, "mesh.", ("target_h", "refinements"))
     target_h = _positive(mesh.get("target_h", 0.25), "mesh.target_h")
     refinements = _integer(mesh.get("refinements", 0), "mesh.refinements", 0,
                            MAX_REFINEMENTS)

@@ -1,4 +1,4 @@
-"""Pointwise endomorphism fields on Lambda^p: curvature lifts and boundary operators.
+"""Pointwise endomorphisms of Lambda^p: curvature lift fields, boundary operators.
 
 Everything is expressed in the global Cartesian frame of the flat ambient
 space, where the local orthonormal frames collapse to the standard basis;
@@ -18,7 +18,8 @@ operator K1 (so grad_T nu = -K1 T, convex <=> K1 <= 0):
   reducing to -(Tr K1) w(nu) at p = 1 and vanishing identically at p = n = 2
   (degenerate slots evaluate to zero rather than erroring).
 
-Both vanish on 0-forms and on 1D domains (the boundary is points).
+Both vanish on 0-forms and on 1D domains (the boundary is points).  They
+are (m, C, C) arrays at the m points of one boundary rule, not fields.
 """
 
 from __future__ import annotations
@@ -54,6 +55,15 @@ class PositivityViolationError(ValueError):
             f"at point {np.array2string(self.point, precision=4)}")
 
 
+def _symmetric(mats: np.ndarray, name: str) -> np.ndarray:
+    """mats, a (m, C, C) batch, once it is symmetric to 1e-12 of its largest
+    entry (plus one); raises ValueError naming it otherwise."""
+    sym_dev = np.abs(mats - mats.transpose(0, 2, 1)).max(initial=0.0)
+    if sym_dev > 1e-12 * (1.0 + np.abs(mats).max(initial=0.0)):
+        raise ValueError(f"field {name} not symmetric: deviation {sym_dev:.2e}")
+    return mats
+
+
 @dataclass
 class EndomorphismField:
     """x -> symmetric matrix on Lambda^p components in the Cartesian frame."""
@@ -73,10 +83,7 @@ class EndomorphismField:
         C = self.num_components
         if out.shape != (points.shape[0], C, C):
             raise ValueError(f"evaluator returned {out.shape}, expected ({points.shape[0]},{C},{C})")
-        sym_dev = np.abs(out - out.transpose(0, 2, 1)).max(initial=0.0)
-        if sym_dev > 1e-12 * (1.0 + np.abs(out).max(initial=0.0)):
-            raise ValueError(f"field {self.name} not symmetric: deviation {sym_dev:.2e}")
-        return out
+        return _symmetric(out, self.name)
 
     def quadratic(self, points: np.ndarray, comps: np.ndarray) -> np.ndarray:
         return np.einsum("mi,mij,mj->m", comps, self.evaluate(points), comps)
@@ -150,25 +157,17 @@ def _boundary_matrices(b: str, p: int, normals: np.ndarray, k1: np.ndarray) -> n
     raise ValueError(f"boundary operator needs tangential/normal, got {b!r}")
 
 
-def boundary_operator(b: str, p: int, boundary) -> EndomorphismField:
-    """K_b^(p) on the quadrature points of a boundary rule.
+def boundary_operator(b: str, p: int, boundary) -> np.ndarray:
+    """K_b^(p) at the quadrature points of a boundary rule, as (m, C, C)
+    symmetric matrices in the Cartesian frame.
 
     ``boundary`` is a ``domains.BoundaryQuadrature``, analytic
-    (``boundary_quadrature``) or mesh-attached (``meshing.boundary_geometry``).
-    The returned field evaluates at exactly its points; on an empty rule it
-    has the domain's dimension and evaluates to shape (0, C, C).
+    (``boundary_quadrature``) or mesh-attached (``meshing.boundary_geometry``);
+    on an empty rule the shape is (0, C, C) with C the number of p-form
+    components in the domain's dimension.
     """
-    pts = boundary.points
-    n = pts.shape[1]
     mats = _boundary_matrices(b, p, boundary.normals, boundary.k1)
-
-    def evaluator(x):
-        x = np.atleast_2d(x)
-        if x.shape[0] != pts.shape[0] or not np.allclose(x, pts, atol=1e-9):
-            raise ValueError("boundary field evaluated away from its quadrature points")
-        return mats
-
-    return EndomorphismField(p, n, evaluator, f"K_{b}^{p}")
+    return _symmetric(mats, f"K_{b}^{p}")
 
 
 def invert_endo_field(field: EndomorphismField, positivity_tol: float = 1e-10) -> EndomorphismField:

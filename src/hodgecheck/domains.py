@@ -15,6 +15,9 @@ One boundary-rule type, ``BoundaryQuadrature``, serves two families:
 * domain_quadrature / boundary_quadrature: rules over the exact analytic
   domain, used by the identity/inequality checkers (mesh independent);
 * ``meshing.boundary_geometry``: rules on the boundary facets of a mesh.
+
+``curvature.boundary_operator`` reads either as the (m, C, C) matrices of
+K_b^(p) at its m points.
 """
 
 from __future__ import annotations

@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 REALIZATIONS = ("tangential", "normal", "none")
+CHAIN_QUAD_ORDER = 4  # mass quadrature of every chain a check builds; its records' quad_order
 
 
 class UnsupportedRealizationError(ValueError):
@@ -105,7 +106,7 @@ class OperatorChain:
     """
 
     def __init__(self, cplx: SimplicialComplex, potential: Potential,
-                 realization: str = "normal", quad_order: int = 4):
+                 realization: str = "normal", quad_order: int = CHAIN_QUAD_ORDER):
         if realization not in REALIZATIONS:
             raise UnsupportedRealizationError(f"unknown realization {realization!r}")
         self.cplx = cplx

@@ -30,7 +30,7 @@ import scipy
 
 from . import __version__, checks, runcache
 from .config import RunConfig, check_mesh_budget
-from .operators import OperatorChain
+from .operators import CHAIN_QUAD_ORDER, OperatorChain
 from .presets import bl_form_cases, gamma2_bump, test_form
 from .records import CSV_COLUMNS, CheckRecord, identity_record
 from .spectral import check_intertwining
@@ -174,7 +174,8 @@ def _eigen_spectrum(cfg: RunConfig, p: int, b: str):
         raise ValueError(f"need 1 <= k <= {len(res.eigenvalues)}, got {cfg.eigen_count}")
     oracle = _interval_oracle(cfg, p, b, cfg.eigen_count)
     extra = {"spectral": res.to_json_dict()}
-    common = dict(**_labels(cfg), p=p, b=b, mesh_h=res.mesh_h, quad_order=4, extra=extra)
+    common = dict(**_labels(cfg), p=p, b=b, mesh_h=res.mesh_h, quad_order=CHAIN_QUAD_ORDER,
+                  extra=extra)
     if oracle is not None:
         scale = max(max(abs(v) for v in oracle), 1.0)
         rel = max(abs(x - y) for x, y in zip(res.eigenvalues, oracle)) / scale
@@ -260,15 +261,15 @@ def _intertwining(cfg: RunConfig, b: str):
     """Supersymmetry residuals at every degree below the top on the chain of b."""
     tol = cfg.tolerances["intertwining_rel"]
     cplx = checks._mesh(cfg.domain, cfg.target_h)
-    chain = OperatorChain(cplx, cfg.potential, b, 4)
+    chain = OperatorChain(cplx, cfg.potential, b, CHAIN_QUAD_ORDER)
     recs = []
     for p in range(cfg.domain.ambient_dim):
         if chain.dim(p) == 0:
             continue
         rep = check_intertwining(chain, p, n_samples=5, seed=cfg.seed)
         recs.append(identity_record(
-            "intertwining", rep["residual"], 0.0, tol, rel_err=rep["residual"],
-            **_labels(cfg), p=p, b=b, mesh_h=cplx.mesh_size_h, quad_order=4, extra=rep))
+            "intertwining", rep["residual"], 0.0, tol, rel_err=rep["residual"], extra=rep,
+            **_labels(cfg), p=p, b=b, mesh_h=cplx.mesh_size_h, quad_order=CHAIN_QUAD_ORDER))
     return recs
 
 

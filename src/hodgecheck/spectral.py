@@ -274,8 +274,8 @@ class KernelProjector:
 
 
 def kernel_projector(op: AssembledOperator, seed: int = 1234) -> KernelProjector:
-    """Projector onto the span of kernel eigenvectors among the lowest
-    KERNEL_PROBES eigenpairs, below lowest_eigenpairs' kernel threshold.
+    """Projector onto the first kernel_dim eigenvectors (lowest_eigenpairs'
+    count below its kernel threshold) among the lowest KERNEL_PROBES.
 
     Requires a clean spectral gap: the first retained eigenvalue above the
     threshold must exceed 10x the threshold, otherwise the kernel is
@@ -283,10 +283,8 @@ def kernel_projector(op: AssembledOperator, seed: int = 1234) -> KernelProjector
     """
     k = min(op.dim, KERNEL_PROBES)
     res = lowest_eigenpairs(op, k, seed=seed)
-    threshold = res.kernel_threshold
-    below = res.eigenvalues < threshold
-    kdim = int(np.sum(below))
-    if kdim < k and kdim < op.dim:
+    threshold, kdim = res.kernel_threshold, res.kernel_dim
+    if kdim < k:
         lam_next = res.eigenvalues[kdim]
         if lam_next <= 10 * threshold:
             raise SolverError(
@@ -382,16 +380,14 @@ class HodgeSplit:
     orthogonality_residuals: tuple = field(default_factory=tuple)
 
 
-def hodge_decompose(x: Cochain, op: AssembledOperator,
-                    kernel: KernelProjector | None = None, tol: float = 1e-11) -> HodgeSplit:
+def hodge_decompose(x: Cochain, op: AssembledOperator, kernel: KernelProjector,
+                    tol: float = 1e-11) -> HodgeSplit:
     """Split a cochain into kernel + d(d*_V v) + d*_V(d v) parts.
 
-    v solves the operator equation on the kernel complement, so the exact
-    part is d(d*_V v) and the coexact part d*_V(d v).
+    v solves the operator equation on the complement of ``kernel`` (op's
+    kernel_projector), so the exact part is d(d*_V v), the coexact d*_V(d v).
     """
     chain, p = op.chain, op.p
-    if kernel is None:
-        kernel = kernel_projector(op)
     xk = kernel.apply(x.values)
     v = solve_on_range(op, x.values - xk, tol=tol, kernel=kernel)
     vc = Cochain(p, x.realization, v)

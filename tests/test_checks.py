@@ -20,7 +20,7 @@ from hodgecheck.checks import (check_bl_forms, check_bl_scalar, check_gamma2,
                                variance_identity_record)
 from hodgecheck.domains import DomainSpec
 from hodgecheck.meshing import generate_mesh
-from hodgecheck.operators import Cochain, OperatorChain
+from hodgecheck.operators import CHAIN_QUAD_ORDER, Cochain, OperatorChain
 from hodgecheck.potentials import Potential, _COORDS
 import hodgecheck.spectral as spectral
 
@@ -331,7 +331,7 @@ def test_gap_bound_is_hypothesis_interior_min(p, N):
     degree, times N/(N-1) for a finite N, bit for bit."""
     rec = check_gap_lower_bound(VX2, DISK, "normal", p, use_N=N, mesh_h=0.45, levels=1)
     hyp = hypothesis_check(VX2, DISK, "normal", max(p, 1), N=N if p == 0 else None,
-                           quad_order=6)
+                           quad_order=checks_mod.GAP_HYPOTHESIS_ORDER)
     scale = N / (N - 1.0) if N is not None and math.isfinite(N) else 1.0
     assert rec.lhs == hyp.interior_min * scale
     assert rec.N == N and rec.extra["hypothesis"] == hyp.to_dict()
@@ -432,17 +432,6 @@ def test_polygon_gamma2_independent_of_hash_seed():
     assert outs[0] == outs[1] and outs[0].strip()
 
 
-def test_decomposition_convergence_flag():
-    g = sp.exp(-(x1**2 + x2**2) / 3)
-    form = AnalyticForm(2, 1, [g * x1, g * x2], bc="tangential")
-    rec = eval_decomposition_identity(form, Potential.quadratic(1.0, 2), DISK,
-                                      "tangential", 8, check_convergence=True)
-    assert rec.passed
-    with pytest.raises(ValueError):
-        eval_decomposition_identity(form, Potential.quadratic(1.0, 2), DISK,
-                                    "tangential", 2, check_convergence=True)
-
-
 def test_gap_lower_bound_n_refined():
     """Finite N strengthens the exact-branch bound; N <= 0 weakens it."""
     recs = {}
@@ -491,3 +480,40 @@ def test_variance_identity_annulus_tangential():
                                    Potential.linear(0.4, 2), "tangential", 0.22,
                                    n_samples=8)
     assert rec.passed and rec.rel_err <= 1e-9
+
+
+# the checks whose records come from chains; bl_forms builds one above q = 0
+# but labels the order of its analytic quadrature
+DISCRETE_CHECKS = ("eigen_spectrum", "variance_identity", "gap_lower_bound",
+                   "semiclassical_sweep", "intertwining", "hodge_decomposition",
+                   "duality_spectrum")
+
+
+def test_every_chain_is_built_at_the_chain_quadrature_order(monkeypatch):
+    """One run of every check that builds a chain, on a small disk: every
+    chain is at CHAIN_QUAD_ORDER, and so is the quad_order label of each
+    discrete record."""
+    from hodgecheck.config import load_config
+    from hodgecheck.report import run_config
+
+    orders = []
+    init = OperatorChain.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        orders.append(self.quad_order)
+
+    monkeypatch.setattr(OperatorChain, "__init__", spy)
+    cfg = load_config({"domain": {"kind": "disk", "parameters": [1.0, 0.0, 0.0]},
+                       "potential": "quadratic(1.0)", "degrees": [0, 1],
+                       "realizations": ["normal", "tangential"],
+                       "checks": [*DISCRETE_CHECKS, "bl_forms"],
+                       "mesh": {"target_h": 0.5}, "h_list": [1.0, 0.5],
+                       "n_samples": 2})
+    records = run_config(cfg).records
+    assert [r.error for r in records if r.error] == []
+    assert {r.check_id for r in records} == {*DISCRETE_CHECKS, "bl_forms"}
+    assert any("kernel_dim" in r.extra for r in records if r.check_id == "bl_forms")
+    assert orders and set(orders) == {CHAIN_QUAD_ORDER}
+    assert {r.quad_order for r in records if r.check_id in DISCRETE_CHECKS} \
+        == {CHAIN_QUAD_ORDER}

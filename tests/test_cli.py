@@ -138,7 +138,17 @@ def test_config_validation_paths(tmp_path, capsys):
                       ("output", {"output": ["r.json"]}),
                       ("quad_order", {"quad_order": MAX_QUAD_ORDER + 1}),
                       ("eigen_count", {"eigen_count": MAX_EIGEN_COUNT + 1}),
-                      ("n_samples", {"n_samples": MAX_SAMPLES + 1})):
+                      ("n_samples", {"n_samples": MAX_SAMPLES + 1}),
+                      # unknown keys are refused, never dropped: a misspelt
+                      # quad_order would run at order 8, mesh.refinments at 0
+                      ("quad_oder", {"quad_oder": 12}),
+                      ("mesh.refinments", {"mesh": {"target_h": 0.1, "refinments": 4}}),
+                      ("domain.radius", {"domain": {**disk, "radius": 2.0}}),
+                      ("domain.parameters",
+                       {"domain": {"kind": "polygon", "parameters": [1.0],
+                                   "vertices": [[0, 0], [1, 0], [0, 1]]}}),
+                      ("domain.vertices", {"domain": {**disk, "vertices": [[0, 0]]}}),
+                      ("potential.name", {"potential": {"terms": [[2, 1.0]], "name": "V"}})):
         with pytest.raises(ConfigError, match=re.escape(f"at {path}:")):
             load_config({**BASE, **cfg})
         assert main(["run", _write(tmp_path, {**BASE, **cfg})]) == 2
@@ -281,6 +291,20 @@ def test_list_presets(capsys):
     out = capsys.readouterr().out
     for needle in ("quadratic(alpha)", "decomposition_identity", "annulus"):
         assert needle in out
+
+
+def test_converge_help_matches_run(capsys):
+    """run and converge declare their arguments once: converge --help carries
+    the same argument help as run --help, the --timings warning included."""
+    helps = {}
+    for command in ("run", "converge"):
+        with pytest.raises(SystemExit) as e:
+            main([command, "--help"])
+        assert e.value.code == 0
+        out = capsys.readouterr().out
+        helps[command] = out[out.index("positional arguments:"):]   # past the usage line
+    assert helps["run"] == helps["converge"]
+    assert "breaks byte-identical reports" in helps["converge"]
 
 
 @pytest.mark.parametrize("extra", [{"h_param": 0.5},

@@ -57,8 +57,8 @@ def test_bakry_emery_tensor():
 
 def test_boundary_operators_disk():
     bq = boundary_quadrature(DomainSpec.disk(1.0), 4)
-    Kn = boundary_operator("normal", 1, bq).evaluate(bq.points)
-    Kt = boundary_operator("tangential", 1, bq).evaluate(bq.points)
+    Kn = boundary_operator("normal", 1, bq)
+    Kt = boundary_operator("tangential", 1, bq)
     for i in range(0, len(bq.weights), 7):
         nu = bq.normals[i]
         T = np.array([-nu[1], nu[0]])
@@ -67,28 +67,46 @@ def test_boundary_operators_disk():
         assert np.isclose(nu @ Kt[i] @ nu, 1.0)   # -Tr K1 = +1
         assert abs(T @ Kt[i] @ T) < 1e-14
     # p = 2 operators vanish identically in n = 2 (degenerate slots)
-    assert np.abs(boundary_operator("normal", 2, bq).evaluate(bq.points)).max() < 1e-14
-    assert np.abs(boundary_operator("tangential", 2, bq).evaluate(bq.points)).max() < 1e-14
+    assert np.abs(boundary_operator("normal", 2, bq)).max() < 1e-14
+    assert np.abs(boundary_operator("tangential", 2, bq)).max() < 1e-14
     # p = 0: vanishes on functions
-    assert np.abs(boundary_operator("normal", 0, bq).evaluate(bq.points)).max() == 0.0
+    assert np.abs(boundary_operator("normal", 0, bq)).max() == 0.0
 
 
 def test_boundary_operators_straight_and_1d():
     bq = boundary_quadrature(DomainSpec.rectangle(0, 1, 0, 1), 4)
-    assert np.abs(boundary_operator("normal", 1, bq).evaluate(bq.points)).max() < 1e-14
-    assert np.abs(boundary_operator("tangential", 1, bq).evaluate(bq.points)).max() < 1e-14
+    assert np.abs(boundary_operator("normal", 1, bq)).max() < 1e-14
+    assert np.abs(boundary_operator("tangential", 1, bq)).max() < 1e-14
     bq1 = boundary_quadrature(DomainSpec.interval(0, 1), 4)
-    assert np.abs(boundary_operator("tangential", 1, bq1).evaluate(bq1.points)).max() == 0.0
+    assert np.abs(boundary_operator("tangential", 1, bq1)).max() == 0.0
 
 
 def test_boundary_operator_on_empty_rule():
-    """A boundaryless 2D domain's empty rule gives a field on 1-forms of the
-    plane: 2 components, evaluating to shape (0, 2, 2)."""
+    """A boundaryless 2D domain's empty rule gives the matrices of 1-forms of
+    the plane: 2 components, shape (0, 2, 2)."""
     bq = boundary_quadrature(DomainSpec.flat_torus(1, 1), 4)
     for b in ("normal", "tangential"):
-        K = boundary_operator(b, 1, bq)
-        assert K.n == 2
-        assert K.evaluate(bq.points).shape == (0, 2, 2)
+        assert boundary_operator(b, 1, bq).shape == (0, 2, 2)
+
+
+@pytest.mark.parametrize("domain", [DomainSpec.disk(1.0), DomainSpec.annulus(0.5, 1.0),
+                                    DomainSpec.rectangle(0, 1, 0, 2),
+                                    DomainSpec.interval(0, 1)],
+                         ids=["disk", "annulus", "rectangle", "interval"])
+def test_boundary_operator_is_a_symmetric_matrix_batch(domain):
+    """K_b^(p) is one (m, C, C) array of symmetric matrices at the m points of
+    the rule, for every degree and both realizations."""
+    bq = boundary_quadrature(domain, 6)
+    n = domain.ambient_dim
+    for p in range(3):
+        if p > n:
+            continue
+        C = num_components(n, p)
+        for b in ("normal", "tangential"):
+            K = boundary_operator(b, p, bq)
+            assert isinstance(K, np.ndarray)
+            assert K.shape == (len(bq.weights), C, C)
+            assert np.abs(K - K.transpose(0, 2, 1)).max(initial=0.0) <= 1e-15
 
 
 def test_invert_and_positivity_violation():
@@ -109,14 +127,14 @@ def test_invert_and_positivity_violation():
 
 def test_restricted_min_eig_subspaces():
     bq = boundary_quadrature(DomainSpec.disk(1.0), 4)
-    Kn = boundary_operator("normal", 1, bq).evaluate(bq.points)
+    Kn = boundary_operator("normal", 1, bq)
     r = restricted_min_eig(Kn, bq.normals, 1, "tangential")
     assert np.allclose(r, 1.0)                   # = -K1 on the unit disk
-    Kt = boundary_operator("tangential", 1, bq).evaluate(bq.points)
+    Kt = boundary_operator("tangential", 1, bq)
     r = restricted_min_eig(Kt, bq.normals, 1, "normal")
     assert np.allclose(r, 1.0)                   # = -Tr K1
     # trivial subspace reports +inf (tangential 2-forms in n = 2)
-    K2 = boundary_operator("normal", 2, bq).evaluate(bq.points)
+    K2 = boundary_operator("normal", 2, bq)
     assert np.all(np.isinf(restricted_min_eig(K2, bq.normals, 2, "tangential")))
 
 
@@ -135,7 +153,7 @@ def test_restricted_min_eig_matches_per_point_oracle(domain):
         R = rng.standard_normal((len(bq.weights), C, C))
         fields = [R + R.transpose(0, 2, 1)]
         for b in ("normal", "tangential"):
-            K = boundary_operator(b, p, bq).evaluate(bq.points)
+            K = boundary_operator(b, p, bq)
             fields += [K, K - dnv[:, None, None] * np.eye(C)]
         for mats in fields:
             for trace in ("tangential", "normal"):
@@ -149,3 +167,14 @@ def test_field_symmetry_guard():
         np.array([[0.0, 1.0], [-1.0, 0.0]]), (x.shape[0], 2, 2)).copy())
     with pytest.raises(ValueError):
         skew.evaluate(PTS[:2])
+
+
+def test_boundary_operator_symmetry_guard(monkeypatch):
+    """boundary_operator refuses a non-symmetric batch, as evaluate does."""
+    import hodgecheck.curvature as curvature
+
+    bq = boundary_quadrature(DomainSpec.disk(1.0), 4)
+    skew = np.broadcast_to(np.array([[0.0, 1.0], [-1.0, 0.0]]), (len(bq.weights), 2, 2))
+    monkeypatch.setattr(curvature, "_boundary_matrices", lambda *args: skew)
+    with pytest.raises(ValueError, match="not symmetric"):
+        boundary_operator("normal", 1, bq)

@@ -102,21 +102,20 @@ def test_scope_dropped_on_return_and_on_raise(monkeypatch, entry):
 
 
 def test_problems_differing_in_one_key_field_do_not_share(monkeypatch):
-    """Each of quad_order, realization, k, seed, the potential expression
-    (semiclassical h) and mesh_h makes a new entry; the potential's name
-    does not: rescaled(1.0) renames V but solves the same problem."""
+    """Each of realization, k, seed, the potential expression (semiclassical
+    h) and mesh_h makes a new entry; the potential's name does not:
+    rescaled(1.0) renames V but solves the same problem."""
     solved = _counting(monkeypatch, checks_mod, "lowest_eigenpairs")
 
-    def spectrum(potential=V1, b="normal", k=3, seed=1, quad_order=4, mesh_h=1 / 16):
-        [[res]] = checks_mod._ladder(INTERVAL, mesh_h, 1, [(potential, b, 0)], k, seed,
-                                     quad_order)
+    def spectrum(potential=V1, b="normal", k=3, seed=1, mesh_h=1 / 16):
+        [[res]] = checks_mod._ladder(INTERVAL, mesh_h, 1, [(potential, b, 0)], k, seed)
         return res
 
     with runcache.scope():
         base = spectrum()
         assert spectrum() is base and spectrum(V1.rescaled(1.0)) is base
         assert len(solved) == 1
-        variants = [dict(quad_order=6), dict(b="tangential"), dict(k=2), dict(seed=2),
+        variants = [dict(b="tangential"), dict(k=2), dict(seed=2),
                     dict(potential=V1.rescaled(0.5)), dict(mesh_h=1 / 8)]
         for i, variant in enumerate(variants, start=2):
             assert spectrum(**variant) is not base
