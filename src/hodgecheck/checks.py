@@ -36,7 +36,7 @@ from .curvature import (bakry_emery_tensor, boundary_operator, hessian_p,
                         invert_endo_field, restricted_min_eig)
 from .domains import DomainSpec, boundary_quadrature, domain_quadrature
 from .meshing import generate_mesh, refine
-from .operators import CHAIN_QUAD_ORDER, Cochain, OperatorChain, dual_problem
+from .operators import CHAIN_QUAD_ORDER, Cochain, OperatorChain, column_dots, dual_problem
 from .potentials import Potential, WeightedMeasure
 from .records import DEFAULT_TOLERANCES, CheckRecord, identity_record, inequality_record
 from .spectral import kernel_projector, lowest_eigenpairs, solve_on_range
@@ -524,14 +524,16 @@ def check_bl_forms(form: AnalyticForm, potential: Potential, domain: DomainSpec,
 def _constant_kernel_projection(chain: OperatorChain, values: np.ndarray) -> np.ndarray:
     ones = np.ones_like(values)
     M = chain.mass(0)
-    return (float(ones @ (M @ values)) / float(ones @ (M @ ones))) * ones
+    return ones * (column_dots(ones, M @ values) / column_dots(ones, M @ ones))
 
 
-def check_variance_identity(eta: Cochain, chain: OperatorChain) -> tuple[float, float]:
+def check_variance_identity(eta: Cochain, chain: OperatorChain):
     """Two routes of the exact discrete variance identity.
 
     lhs = ||eta - pi eta||^2_M,  rhs = <(L^(1)|_{Ran d})^{-1} d eta, d eta>_M,
-    where the range solve finds the kernel of L^(1) itself.
+    where the range solve finds the kernel of L^(1) itself.  eta.values of
+    shape (dim, m) give m samples in one range solve and (lhs, rhs) as
+    arrays; a vector gives floats.
     """
     if eta.degree != 0:
         raise ValueError("variance identity needs a 0-cochain")
@@ -540,27 +542,30 @@ def check_variance_identity(eta: Cochain, chain: OperatorChain) -> tuple[float, 
         centered = eta.values
     else:
         centered = eta.values - _constant_kernel_projection(chain, eta.values)
-    lhs = float(centered @ (chain.mass(0) @ centered))
+    lhs = column_dots(centered, chain.mass(0) @ centered)
     deta = chain.apply_d(eta)
     w = solve_on_range(chain.operator(1), deta.values)
-    rhs = float(w @ (chain.mass(1) @ deta.values))
+    rhs = column_dots(w, chain.mass(1) @ deta.values)
     return lhs, rhs
 
 
 def variance_identity_record(domain: DomainSpec, potential: Potential, b: str,
                              mesh_h: float, n_samples: int = 50, seed: int = 1234,
                              tol: float = DEFAULT_TOLERANCES["variance_rel"]) -> CheckRecord:
+    """The variance identity on n_samples standard normal 0-cochains, drawn
+    as one (n_samples, dim) block from the seeded generator and solved in
+    one call; the record reports the sample with the largest relative
+    error."""
     cplx = _mesh(domain, mesh_h)
     chain = OperatorChain(cplx, potential, b)
-    rng = np.random.default_rng(seed)
+    draws = np.random.default_rng(seed).standard_normal((n_samples, chain.dim(0)))
+    lhs, rhs = check_variance_identity(Cochain(0, b, draws.T), chain)
     worst = 0.0
     pair = (0.0, 0.0)
-    for _ in range(n_samples):
-        eta = Cochain(0, b, rng.standard_normal(chain.dim(0)))
-        lhs, rhs = check_variance_identity(eta, chain)
-        rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+    for x, y in zip(lhs.tolist(), rhs.tolist()):
+        rel = abs(x - y) / max(abs(x), abs(y), 1e-300)
         if rel > worst:
-            worst, pair = rel, (lhs, rhs)
+            worst, pair = rel, (x, y)
     return identity_record("variance_identity", *pair, tol, rel_err=worst,
                            **_labels(domain, potential), p=0, b=b,
                            mesh_h=cplx.mesh_size_h, quad_order=CHAIN_QUAD_ORDER,

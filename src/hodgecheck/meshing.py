@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.sparse.csgraph import connected_components
 
 from .domains import BoundaryQuadrature, DomainSpec, DomainValidationError, circle_frame
 
@@ -38,6 +39,7 @@ __all__ = [
     "generate_mesh",
     "refine",
     "incidence_matrix",
+    "betti_numbers",
     "boundary_geometry",
     "ear_clip_triangulation",
 ]
@@ -199,6 +201,25 @@ def incidence_matrix(cplx: SimplicialComplex, p: int) -> IncidenceMatrix:
     D = sparse.csr_matrix((vals, (rows, cplx.tri_edges.ravel())), shape=(nt, ne),
                           dtype=np.int64)
     return IncidenceMatrix(1, D)
+
+
+def betti_numbers(cplx: SimplicialComplex) -> tuple:
+    """Absolute Betti numbers (b_0, ..., b_dim) of the complex.
+
+    b_0 counts the connected components of the vertex-edge graph and b_dim
+    those that have no boundary vertex (every mesh here is an orientable
+    manifold); the Euler characteristic chi gives b_1 = b_0 - chi in 1D
+    and b_1 = b_0 + b_2 - chi in 2D.
+    """
+    edges = cplx.simplices[1]
+    nv = cplx.num(0)
+    graph = sparse.csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(nv, nv))
+    b0, labels = connected_components(graph, directed=False)
+    closed = b0 - len(np.unique(labels[cplx.boundary_marker[0]]))
+    chi = sum((-1) ** p * cplx.num(p) for p in range(cplx.dim + 1))
+    if cplx.dim == 1:
+        return (b0, b0 - chi)
+    return (b0, b0 + closed - chi, closed)
 
 
 # ---------------------------------------------------------------------------

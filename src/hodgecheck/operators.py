@@ -39,7 +39,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from . import runcache
-from .meshing import SimplicialComplex, incidence_matrix
+from .meshing import SimplicialComplex, betti_numbers, incidence_matrix
 from .potentials import Potential
 from .whitney import assemble_mass
 
@@ -50,6 +50,7 @@ __all__ = [
     "AssembledOperator",
     "dual_problem",
     "sparse_lu",
+    "column_dots",
 ]
 
 REALIZATIONS = ("tangential", "normal", "none")
@@ -80,9 +81,21 @@ def sparse_lu(A):
     return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1)
 
 
+def column_dots(a: np.ndarray, b: np.ndarray):
+    """a @ b for vectors; for (dim, m) blocks the m column products as an
+    array, each one a 1-D dot of contiguous columns, so that a column reads
+    bit for bit as the product of that column alone."""
+    if a.ndim == 1:
+        return float(a @ b)
+    a, b = np.asfortranarray(a), np.asfortranarray(b)
+    return np.array([a[:, j] @ b[:, j] for j in range(a.shape[1])])
+
+
 @dataclass
 class Cochain:
-    """Coefficients of a discrete p-form on the retained degrees of freedom."""
+    """Coefficients of a discrete p-form on the retained degrees of freedom.
+    apply_d and the variance identity also take values of shape (dim, m):
+    a block of m cochains, one per column."""
 
     degree: int
     realization: str
@@ -119,6 +132,7 @@ class OperatorChain:
         self._range = {}
         self._D = {}
         self._free = {}
+        self._betti = None
 
     # -- degrees of freedom ----------------------------------------------
     def free_dofs(self, p: int) -> np.ndarray:
@@ -133,6 +147,16 @@ class OperatorChain:
 
     def dim(self, p: int) -> int:
         return len(self.free_dofs(p))
+
+    def betti(self, p: int) -> int:
+        """Dimension of the kernel of L^(p) on this chain, whatever the
+        potential and masses (Arnold-Falk-Winther, Acta Numerica 2006): the
+        absolute Betti number b_p of the mesh for normal and none, the
+        relative one b_p(mesh, boundary) = b_{n-p}(mesh) (Lefschetz duality)
+        for tangential, whose free DOFs form the relative cochain complex."""
+        if self._betti is None:
+            self._betti = betti_numbers(self.cplx)
+        return self._betti[self.cplx.dim - p if self.realization == "tangential" else p]
 
     # -- assembled pieces ---------------------------------------------------
     def mass(self, p: int) -> sparse.csr_matrix:

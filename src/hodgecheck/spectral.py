@@ -22,10 +22,13 @@ The sparse path factors the shifted saddle once with operators.sparse_lu
 passes its solve to ``eigsh`` as ``OPinv``, so ARPACK never factors on its own.
 
 Every spectrum is certified on the primal pencil: each eigenpair's residual
-in the M^{-1}-norm, and a kernel threshold 1e-8 max(lambda_max, 1), where
-lambda_max is the largest Ritz value of LAMBDA_MAX_STEPS Lanczos steps on
-M^{-1} S in the M inner product (_estimate_lambda_max), a lower estimate of
-the true value that needs one mass solve per step.
+in the M^{-1}-norm, and its kernel count.  The kernel of L^(p) on a Whitney
+chain is the space of discrete harmonic forms, whose dimension is the Betti
+number b_p of the chain's cochain complex whatever V is (OperatorChain.betti:
+absolute for normal and none, relative for tangential).  So the first b_p
+eigenvalues are the kernel: they must sit at roundoff, |lambda_{b-1}| <=
+1e-8 max(lambda_b, 1), else SolverError("kernel unresolved"), and they are
+reported as 0.  An exponentially small eigenvalue above them stays.
 
 Solves on Ran d take one path (solve_on_range): the same saddle,
 unshifted, bordered by a kernel basis K with C = M_p K as a Lagrange
@@ -36,9 +39,11 @@ multiplier (Arnold-Falk-Winther, Acta Numerica 2006),
     [ 0         C^T       0 ] [lambda]   [0],
 
 so that w is M-orthogonal to K and S w = b up to the part of b along K;
-at degree 0 the sigma row and column are absent.  One sparse_lu per chain,
-degree and border serves every right side; each solve is refined on the
-true residual and certified by _certificate.
+at degree 0 the sigma row and column are absent, and where b_p = 0 there
+is no border.  One sparse_lu per chain, degree and border serves every
+right side; a block of right sides is solved column by column in one
+call, each column refined on its true residual and certified by
+_certificate.
 """
 
 from __future__ import annotations
@@ -48,9 +53,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigvalsh_tridiagonal
 
-from .operators import AssembledOperator, Cochain, OperatorChain, sparse_lu
+from .operators import AssembledOperator, Cochain, OperatorChain, column_dots, sparse_lu
 
 __all__ = [
     "SpectralResult",
@@ -96,10 +100,10 @@ cutoff sits at the top of that range.  On the interval the crossover is
 near 130, but a 1D pencil below the cutoff costs at most about 20 ms
 either way.  Eigenvalues of the two paths agreed to 1.3e-13 relative on
 the disk and to 9e-12 on the interval, where the fine levels sit at the
-pencil's conditioning floor eps * lambda_max / lambda.
+pencil's conditioning floor eps * lambda_top / lambda (lambda_top its
+largest eigenvalue).
 """
-KERNEL_PROBES = 6  # eigenpairs probed for a kernel: kernel_projector's, a range solve's border
-LAMBDA_MAX_STEPS = 8  # Lanczos steps of the lambda_max estimate (_estimate_lambda_max)
+KERNEL_PROBES = 6  # least eigenpairs probed for a kernel basis where b_p > 0 (_kernel_basis)
 
 
 class SolverError(RuntimeError):
@@ -112,13 +116,11 @@ class SolverError(RuntimeError):
 class SpectralResult:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray           # columns, M-orthonormal
-    kernel_dim: int
+    kernel_dim: int                    # b_p of the chain; the first kernel_dim eigenvalues are 0
     residual_norms: np.ndarray
-    kernel_threshold: float
     seed: int
     mesh_h: float
     solver: str
-    lambda_max: float                  # Lanczos estimate, at most the true value
 
     @property
     def dim(self) -> int:
@@ -134,30 +136,6 @@ class SpectralResult:
             "solver": self.solver,
             "dim": self.dim,
         }
-
-
-def _estimate_lambda_max(op: AssembledOperator, seed: int) -> float:
-    """Largest Ritz value of LAMBDA_MAX_STEPS Lanczos steps on M^{-1} S, which
-    is self-adjoint in the M inner product, from a seeded start vector.  Each
-    step costs one stiff_matvec and one mass solve; the basis is
-    M-reorthogonalized in full, so the estimate never exceeds lambda_max
-    beyond roundoff."""
-    q = np.random.default_rng(seed).standard_normal(op.dim)
-    basis = [q / np.sqrt(q @ (op.M @ q))]
-    alpha, beta = [], []
-    for _ in range(min(LAMBDA_MAX_STEPS, op.dim)):
-        q = basis[-1]
-        s = op.stiff_matvec(q)
-        alpha.append(float(q @ s))
-        w = op.chain.mass_solve(op.p, s)
-        Q = np.column_stack(basis)
-        w -= Q @ (Q.T @ (op.M @ w))
-        nrm = np.sqrt(max(float(w @ (op.M @ w)), 0.0))
-        if nrm <= 1e-12 * max(abs(alpha[-1]), 1e-300):
-            break                          # the Krylov space is invariant
-        beta.append(nrm)
-        basis.append(w / nrm)
-    return float(eigvalsh_tridiagonal(np.array(alpha), np.array(beta[:len(alpha) - 1]))[-1])
 
 
 def _residual_norms(op: AssembledOperator, vals, vecs) -> np.ndarray:
@@ -180,7 +158,8 @@ def _m_orthonormalize(M, vecs: np.ndarray) -> np.ndarray:
 
 def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-9,
                       seed: int = 1234) -> SpectralResult:
-    """k smallest eigenpairs of S x = lambda M x with certified residuals.
+    """k smallest eigenpairs of S x = lambda M x with certified residuals
+    and kernel count (the module docstring).
 
     "dense-eigh" when op.dim is at most SPECTRA_CUTOFF, else shift-invert
     eigsh on op's saddle (_saddle_eigs).
@@ -202,12 +181,16 @@ def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-9,
     bad = res > max(tol, 1e-12) * 100 * (1.0 + np.abs(vals))
     if bad.any():
         raise SolverError("eigenpair residuals did not certify", residuals=res)
-    lam_max = _estimate_lambda_max(op, seed)
-    threshold = 1e-8 * max(lam_max, 1.0)
-    kernel_dim = int(np.sum(vals < threshold))
-    vals = np.where(np.abs(vals) < 1e-14 * max(lam_max, 1.0), 0.0, vals)
+    b = op.chain.betti(op.p)
+    if b:
+        scale = max(float(vals[b]), 1.0) if b < len(vals) else 1.0
+        if np.abs(vals[:b]).max() > 1e-8 * scale:
+            raise SolverError(f"kernel unresolved: b_{op.p} = {b}, but the eigenvalues "
+                              f"{vals[:b + 1]} do not sit at roundoff below 1e-8 * {scale:.3e}",
+                              residuals=vals[:b + 1])
+        vals[:b] = 0.0
     h = op.chain.cplx.mesh_size_h
-    return SpectralResult(vals, vecs, kernel_dim, res, threshold, seed, h, solver, lam_max)
+    return SpectralResult(vals, vecs, b, res, seed, h, solver)
 
 
 def _shift_invert_eigsh(A, M, k, sigma, seed):
@@ -273,79 +256,74 @@ class KernelProjector:
         return x - self.apply(x)
 
 
-def kernel_projector(op: AssembledOperator, seed: int = 1234) -> KernelProjector:
-    """Projector onto the first kernel_dim eigenvectors (lowest_eigenpairs'
-    count below its kernel threshold) among the lowest KERNEL_PROBES.
+def _kernel_basis(op: AssembledOperator, seed: int = 1234) -> np.ndarray:
+    """The first b_p eigenvectors of op (M-orthonormal columns), from the
+    lowest max(KERNEL_PROBES, b_p + 1); no eigensolve when b_p = 0."""
+    b = op.chain.betti(op.p)
+    if b == 0:
+        return np.zeros((op.dim, 0))
+    res = lowest_eigenpairs(op, min(op.dim, max(KERNEL_PROBES, b + 1)), seed=seed)
+    return res.eigenvectors[:, :b]
 
-    Requires a clean spectral gap: the first retained eigenvalue above the
-    threshold must exceed 10x the threshold, otherwise the kernel is
-    ambiguous and an error reports the eigenvalue window.
-    """
-    k = min(op.dim, KERNEL_PROBES)
-    res = lowest_eigenpairs(op, k, seed=seed)
-    threshold, kdim = res.kernel_threshold, res.kernel_dim
-    if kdim < k:
-        lam_next = res.eigenvalues[kdim]
-        if lam_next <= 10 * threshold:
-            raise SolverError(
-                f"ambiguous kernel: eigenvalue window [{threshold:.3e}, {lam_next:.3e}] "
-                "has no clean gap")
-    elif kdim == k and k < op.dim:
-        raise SolverError("kernel candidate count reached probe size; raise KERNEL_PROBES")
-    return KernelProjector(op.M, res.eigenvectors[:, :kdim])
+
+def kernel_projector(op: AssembledOperator, seed: int = 1234) -> KernelProjector:
+    """Projector onto the kernel of op: its b_p certified kernel
+    eigenvectors (_kernel_basis), empty when b_p = 0."""
+    return KernelProjector(op.M, _kernel_basis(op, seed))
 
 
 def solve_on_range(op: AssembledOperator, rhs: np.ndarray, tol: float = 1e-11,
                    kernel: KernelProjector | None = None) -> np.ndarray:
     """Solve L^(p) w = rhs for rhs in Ran d, with w orthogonal to the kernel.
 
-    Solves S w = M rhs through the kernel-bordered saddle of the module
-    docstring, factored once per chain, degree and border (_range_lu).  The
-    border K is the basis of ``kernel`` when one is given, else the
-    eigenvectors among the lowest KERNEL_PROBES whose eigenvalue is at
-    roundoff, at most dim * eps * lambda_max; every other mode is inverted
-    however small its eigenvalue.  The first solve is refined on the true
-    residual at least once and then while that residual halves; its
-    M^{-1}-norm, kernel components deflated (_certificate), must come to at
-    most tol times that of b = M rhs, else SolverError.  A right side with a
-    part along K (a kernel part without a projector, or a mode at roundoff)
-    fails the test.
+    rhs is one vector or a (dim, m) block of m right sides, and w has its
+    shape.  Solves S w = M rhs through the kernel-bordered saddle of the
+    module docstring, factored once per chain, degree and border
+    (_range_lu).  The border K is the basis of ``kernel`` when one is
+    given, else the first b_p eigenvectors (none when b_p = 0); every other
+    mode is inverted however small its eigenvalue.  Each column is refined
+    on its true residual at least once and then while that residual halves;
+    its M^{-1}-norm, kernel components deflated (_certificate), must come to
+    at most tol times that of b = M rhs, else SolverError names the column.
+    All columns still refining share each LU solve.  A right side with a
+    part along K (a kernel part without a projector) fails the test.
     """
-    b = op.M @ np.asarray(rhs, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    B = op.M @ rhs.reshape(op.dim, -1)
 
     def project(x):
         return kernel.complement(x) if kernel is not None and kernel.dim else x
 
-    target = tol * np.sqrt(max(float(b @ op.chain.mass_solve(op.p, b)), 1e-300))
+    target = tol * np.sqrt(np.maximum(column_dots(B, op.chain.mass_solve(op.p, B)), 1e-300))
     solve = _range_lu(op, kernel)
-    x = solve(b)
-    r, res = _certificate(op, b, x, project)
-    while True:
+    X = solve(B)
+    R, res = _certificate(op, B, X, project)
+    active = np.arange(B.shape[1])
+    while active.size:
         # the residual barely sees the error of a mode with a small
         # eigenvalue; one refinement step removes most of it
-        x = x + solve(r)
-        r, new = _certificate(op, b, x, project)
-        if new <= target:
-            return x
-        if new > res / 2:
-            raise SolverError(f"range solve did not certify: residual {new:.2e} "
-                              f"above {target:.2e}", residuals=np.array([new]))
-        res = new
+        X[:, active] = X[:, active] + solve(R)
+        R, new = _certificate(op, B[:, active], X[:, active], project)
+        done = new <= target[active]
+        stalled = ~done & (new > res / 2)
+        if stalled.any():
+            j = int(np.argmax(stalled))
+            where = f" (column {active[j]})" if rhs.ndim == 2 else ""
+            raise SolverError(f"range solve did not certify{where}: residual {new[j]:.2e} "
+                              f"above {target[active[j]]:.2e}", residuals=new[stalled])
+        active, R, res = active[~done], R[:, ~done], new[~done]
+    return X if rhs.ndim == 2 else X[:, 0]
 
 
 def _range_lu(op: AssembledOperator, kernel: KernelProjector | None):
-    """b -> the w-block of the kernel-bordered saddle's solution for the
-    right side (0, b, 0), from one sparse_lu kept on the chain per degree
-    and border (the projector is held with it, so its id is not reused)."""
+    """B -> the w-block of the kernel-bordered saddle's solution for the
+    right sides (0, B, 0), B of shape (dim, m), from one sparse_lu kept on
+    the chain per degree and border (the projector is held with it, so its
+    id is not reused)."""
     key = (op.p, id(kernel))
     cache = op.chain._range
     if key not in cache:
-        if kernel is not None:
-            K = kernel.basis
-        else:
-            res = lowest_eigenpairs(op, min(op.dim, KERNEL_PROBES))
-            roundoff = op.dim * np.finfo(float).eps * res.lambda_max
-            K = res.eigenvectors[:, res.eigenvalues <= roundoff]
+        K = kernel.basis if kernel is not None else _kernel_basis(op)
         A, _, nlow = _saddle(op)
         if K.shape[1]:
             C = sparse.vstack([sparse.csr_matrix((nlow, K.shape[1])),
@@ -354,21 +332,21 @@ def _range_lu(op: AssembledOperator, kernel: KernelProjector | None):
         cache[key] = (kernel, sparse_lu(A), nlow)
     _, lu, nlow = cache[key]
 
-    def solve(b):
-        full = np.zeros(lu.shape[0])
-        full[nlow:nlow + op.dim] = b
+    def solve(B):
+        full = np.zeros((lu.shape[0], B.shape[1]))
+        full[nlow:nlow + op.dim] = B
         return lu.solve(full)[nlow:nlow + op.dim]
 
     return solve
 
 
-def _certificate(op: AssembledOperator, b, x, project):
-    """True residual r = b - S x and its certified norm sqrt(z.Mz), where
-    z = M^{-1} r with kernel components deflated (not r.z, which cancels
-    when r lies almost wholly in the kernel)."""
-    r = b - op.stiff_matvec(x)
-    z = project(op.chain.mass_solve(op.p, r))
-    return r, np.sqrt(float(z @ (op.M @ z)))
+def _certificate(op: AssembledOperator, B, X, project):
+    """True residuals R = B - S X and their certified norms sqrt(z.Mz), one
+    per column, where z = M^{-1} r with kernel components deflated (not
+    r.z, which cancels when r lies almost wholly in the kernel)."""
+    R = B - op.stiff_matvec(X)
+    Z = project(op.chain.mass_solve(op.p, R))
+    return R, np.sqrt(column_dots(Z, op.M @ Z))
 
 
 @dataclass

@@ -70,3 +70,19 @@ def test_compare_reports_unreadable(tmp_path):
     out = subprocess.run([sys.executable, str(TOOL), str(tmp_path / "parent.json"),
                           str(tmp_path / "missing.json")], capture_output=True, text=True)
     assert out.returncode == 2 and "cannot compare reports" in out.stderr
+
+
+def test_compare_reports_lists_moved_records(tmp_path):
+    """Records that moved within the rule get informational lines on stderr;
+    the exit code and stdout stay those of the rule."""
+    out = _compare(tmp_path, PARENT)
+    assert out.returncode == 0 and out.stderr == ""
+    change = _edit(0, lhs=2.5 * (1 + 5e-13))
+    change["records"][2].update(lhs=0.9, rhs=0.9, rel_err=2e-16)
+    out = _compare(tmp_path, change)
+    assert out.returncode == 0
+    assert out.stdout.splitlines() == ["3 -> 3 records, 0 problem(s)"]
+    moved = out.stderr.splitlines()
+    assert len(moved) == 2 and all(line.startswith("moved: ") for line in moved)
+    assert "green_identity" in moved[0] and "lhs 2.5 -> " in moved[0] and "rhs" not in moved[0]
+    assert "variance_identity" in moved[1] and "rel_err 3e-16 -> 2e-16" in moved[1]

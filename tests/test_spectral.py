@@ -1,6 +1,7 @@
 """Eigensolves against closed forms and an independent finite-difference oracle."""
 
 import importlib
+import json
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from scipy.special import jnp_zeros
 
 import hodgecheck.operators as operators
 from hodgecheck.config import MAX_EIGEN_COUNT
+import hodgecheck.checks as checks
 from hodgecheck.checks import (check_variance_identity, hodge_decomposition_record,
-                               variance_identity_record)
+                               semiclassical_sweep, variance_identity_record)
 from hodgecheck.domains import DomainSpec
-from hodgecheck.meshing import generate_mesh, refine
+from hodgecheck.meshing import betti_numbers, generate_mesh, refine
 from hodgecheck.operators import Cochain, OperatorChain, dual_problem
 from hodgecheck.potentials import Potential
 import hodgecheck.spectral as spectral
@@ -90,9 +92,13 @@ def test_annulus_harmonic_one_form():
     """First Betti number of the annulus: one tangential harmonic 1-form."""
     m = generate_mesh(DomainSpec.annulus(0.5, 1.0), 0.22)
     chain = OperatorChain(m, Potential.zero(2), "tangential")
-    res = lowest_eigenpairs(chain.operator(1), 4)
-    assert res.kernel_dim == 1
-    assert res.eigenvalues[1] > 100 * res.kernel_threshold
+    op = chain.operator(1)
+    res = lowest_eigenpairs(op, 4)
+    assert res.kernel_dim == chain.betti(1) == 1
+    assert res.eigenvalues[0] == 0.0
+    raw = op.pencil()[0]
+    assert abs(raw[0]) <= 1e-8 * raw[1]
+    assert res.eigenvalues[1] == pytest.approx(raw[1], rel=1e-10)
 
 
 def test_kernel_projector_properties():
@@ -166,30 +172,6 @@ def test_lowest_eigenpairs_validation():
         lowest_eigenpairs(op, op.dim + 1)
     with pytest.raises(ValueError):
         lowest_eigenpairs(op, 1, tol=-1.0)
-
-
-@pytest.mark.parametrize("realization", ["normal", "tangential"])
-def test_lambda_max_estimate_brackets_true_value(realization):
-    """Lanczos from a seeded start: at every degree the estimate lies in
-    [0.9, 1 + 1e-12] times the largest eigenvalue of the dense pencil, takes
-    at most LAMBDA_MAX_STEPS mass solves of its degree, is reproducible, and
-    is the lambda_max that lowest_eigenpairs reports."""
-    chain = OperatorChain(generate_mesh(DomainSpec.disk(1.0), 0.4),
-                          Potential.quadratic(1.0, 2), realization)
-    mass_solve, solves = chain.mass_solve, []
-    for p in (0, 1, 2):
-        op = chain.operator(p)
-        top = op.pencil()[0][-1]
-        chain.mass_solve = lambda q, b: solves.append(q) or mass_solve(q, b)
-        try:
-            est = spectral._estimate_lambda_max(op, 1234)
-        finally:
-            del chain.mass_solve
-        assert solves.count(p) <= spectral.LAMBDA_MAX_STEPS
-        solves.clear()
-        assert 0.9 * top <= est <= (1 + 1e-12) * top, (p, est / top)
-        assert spectral._estimate_lambda_max(op, 1234) == est
-        assert lowest_eigenpairs(op, 2, seed=1234).lambda_max == est
 
 
 def test_spectral_result_json():
@@ -425,9 +407,9 @@ def test_range_solve_refines_smooth_fine_rhs():
 
 @pytest.mark.parametrize("spectra_cutoff", [None, 1], ids=["dense-pencil", "eigsh"])
 def test_range_solve_zero_and_kernel_rhs(monkeypatch, spectra_cutoff):
-    """Without a projector the border is the roundoff kernel of the lowest
-    eigenpairs, found on the dense pencil or (a cutoff of 1) by eigsh.  A
-    zero right side gives zero, a kernel part cannot be solved."""
+    """Without a projector the border is the first b_0 = 1 eigenvectors,
+    found on the dense pencil or (a cutoff of 1) by eigsh.  A zero right
+    side gives zero, a kernel part cannot be solved."""
     if spectra_cutoff is not None:
         monkeypatch.setattr(spectral, "SPECTRA_CUTOFF", spectra_cutoff)
     op, rhs, kp = _range_case(DomainSpec.disk(1.0), "normal", 0.3, 0, True)
@@ -505,7 +487,7 @@ def test_range_solve_large_chain_without_eigh(monkeypatch, domain):
 def _double_well_case(h_param):
     """Tangential p = 1 on [-2, 2] under the double well rescaled by h_param:
     the lowest mode above the kernel has a small eigenvalue (tunnelling),
-    1.9e-7, 8.4e-9, 3.1e-10 and 3.4e-13 of lambda_max at h_param 0.3, 0.2,
+    1.9e-7, 8.4e-9, 3.1e-10 and 3.4e-13 of the largest at h_param 0.3, 0.2,
     0.15 and 0.1, and one at roundoff at 0.07.  No projector: the variance
     identity inverts it."""
     V = Potential.quartic_double_well(1.0, 1).rescaled(h_param)
@@ -531,20 +513,20 @@ def test_range_solve_inverts_small_nonkernel_modes(h_param):
 
 @pytest.mark.parametrize("h_param", [0.2, 0.15])
 def test_pencil_drops_projector_span(h_param):
-    """kernel_projector counts the tunnelling mode into the kernel here (it
-    lies below 1e-8 lambda_max): the border leaves it out rather than
-    invert it and project it away, which would cost precision."""
+    """kernel_projector holds the relative class alone (b_1 = 1), not the
+    tunnelling mode above it (a threshold of 1e-8 times the largest
+    eigenvalue would count both).  So a solve with the projector borders the span a solve without
+    one does: the same certified w, with no part along the kernel."""
     chain, eta = _double_well_case(h_param)
     op = chain.operator(1)
     kp = kernel_projector(op)
-    assert kp.dim == 2
+    assert kp.dim == 1
     deta = chain.apply_d(eta).values
     w = solve_on_range(op, deta, kernel=kp)
-    assert _certified_residual(op, deta, w, kp) <= 1e-13
+    assert _certified_residual(op, deta, w, kp) <= 1e-11
     assert chain.norm(Cochain(1, "tangential", kp.apply(w))) <= 1e-14 * \
         chain.norm(Cochain(1, "tangential", w))
-    d = w - range_solve_oracle(op, deta, kp)
-    assert np.sqrt(d @ (op.M @ d) / (w @ (op.M @ w))) <= 1e-11
+    assert np.abs(w - solve_on_range(op, deta)).max() <= 1e-12 * np.abs(w).max()
 
 
 @pytest.mark.parametrize("h_param, certifies", [(None, True), (0.1, True), (0.07, False)],
@@ -572,11 +554,156 @@ def test_cg_certifies_on_true_residual(h_param, certifies):
 
 
 def test_range_solve_refuses_modes_at_roundoff():
-    """A mode whose eigenvalue is at roundoff cannot be inverted: it joins
-    the border, and the solve refuses rather than return an uncertified
-    solution."""
+    """A mode whose eigenvalue is at roundoff, above the b_1 = 1 kernel,
+    cannot be inverted to the certificate: the solve refuses rather than
+    return an uncertified solution."""
     chain, eta = _double_well_case(0.07)
     vals, _ = chain.operator(1).pencil()
     assert abs(vals[1]) <= 1e-15 * vals[-1]
     with pytest.raises(SolverError, match="did not certify"):
         solve_on_range(chain.operator(1), chain.apply_d(eta).values)
+
+
+LSHAPE = DomainSpec.polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
+
+
+@pytest.mark.parametrize("domain, h, betti", [
+    (DomainSpec.interval(0, 1), 0.2, (1, 0)),
+    (DomainSpec.circle(1.0), 0.8, (1, 1)),
+    (DomainSpec.flat_torus(2.0), 0.5, (1, 1)),
+    (DomainSpec.disk(1.0), 0.5, (1, 0, 0)),
+    (DomainSpec.annulus(0.5, 1.0), 0.4, (1, 1, 0)),
+    (DomainSpec.rectangle(0, 1, 0, 2), 0.5, (1, 0, 0)),
+    (LSHAPE, 0.6, (1, 0, 0)),
+    (DomainSpec.flat_torus(1.0, 1.0), 0.35, (1, 2, 1)),
+], ids=["interval", "circle", "torus-1d", "disk", "annulus", "rectangle", "l-shape",
+        "torus-2d"])
+def test_betti_numbers_match_dense_ranks(domain, h, betti):
+    """Every allowed realization and degree: the chain's Betti number is
+    dim - rank D_p - rank D_{p-1} on its free DOFs (dense ranks), the
+    absolute numbers for normal and none, and Lefschetz duality
+    b_p(mesh, boundary) = b_{n-p}(mesh) for tangential."""
+    cplx = generate_mesh(domain, h)
+    n = cplx.dim
+    assert betti_numbers(cplx) == betti
+    for b in (("tangential", "normal") if domain.has_boundary else ("none",)):
+        chain = OperatorChain(cplx, Potential.zero(domain.ambient_dim), b)
+        ranks = [np.linalg.matrix_rank(chain.d_matrix(p).toarray()) for p in range(n)] + [0]
+        for p in range(n + 1):
+            expected = chain.dim(p) - ranks[p] - (ranks[p - 1] if p else 0)
+            assert chain.betti(p) == expected, (b, p)
+            assert chain.betti(p) == betti[n - p if b == "tangential" else p]
+
+
+DOUBLE_WELL = Potential.quartic_double_well(1.0, 1)
+
+
+def _double_well_spectrum(h, b, p):
+    chain = OperatorChain(generate_mesh(DomainSpec.interval(-2, 2), 0.02),
+                          DOUBLE_WELL.rescaled(h), b)
+    return lowest_eigenpairs(chain.operator(p), 4)
+
+
+def test_exponentially_small_eigenvalue_is_not_kernel():
+    """[-2, 2] under the double well over h, mesh_h 0.02: the tunnelling
+    eigenvalue 8.13e-5 at h = 0.02 (normal p = 0) stays above the one
+    kernel vector, and semiclassical_sweep reads it as lambda1 (the record
+    stays not_applicable, since a double well violates the hypothesis).
+    Tangential at h = 0.05 counts the relative b_0 = 0 and b_1 = 1."""
+    res = _double_well_spectrum(0.02, "normal", 0)
+    assert res.kernel_dim == 1 and res.eigenvalues[0] == 0.0
+    assert res.eigenvalues[1] == pytest.approx(8.13e-5, rel=1e-3)
+    recs = semiclassical_sweep(DOUBLE_WELL, DomainSpec.interval(-2, 2), "normal", 0,
+                               [0.1, 0.05, 0.03, 0.02], mesh_h=0.02)
+    assert recs[-1].h_param == 0.02
+    assert recs[-1].extra["lambda1"] == pytest.approx(8.13e-5, rel=1e-3)
+    assert [rec.status for rec in recs] == ["not_applicable"] * 4
+    assert _double_well_spectrum(0.05, "tangential", 0).kernel_dim == 0
+    assert _double_well_spectrum(0.05, "tangential", 1).kernel_dim == 1
+
+
+def test_kernel_count_is_certified(monkeypatch):
+    """A Betti number the spectrum does not bear out raises "kernel
+    unresolved" rather than being recounted: one too many on the disk's
+    normal p = 0 chain, whose second eigenvalue is far from roundoff."""
+    chain = OperatorChain(generate_mesh(DomainSpec.disk(1.0), 0.4), Potential.quadratic(1.0, 2),
+                          "normal")
+    op = chain.operator(0)
+    assert lowest_eigenpairs(op, 3).kernel_dim == 1
+    monkeypatch.setattr(chain, "betti", lambda p: 2)
+    with pytest.raises(SolverError, match="kernel unresolved"):
+        lowest_eigenpairs(op, 3)
+
+
+def test_no_kernel_probe_where_betti_is_zero(monkeypatch):
+    """Where b_p = 0 neither a projector nor a range solve runs an
+    eigensolve, and the range solve factors an unbordered saddle."""
+    monkeypatch.setattr(spectral, "lowest_eigenpairs", None)
+    chain = OperatorChain(generate_mesh(DomainSpec.disk(1.0), 0.3), Potential.quadratic(1.0, 2),
+                          "normal")
+    op = chain.operator(1)
+    assert chain.betti(1) == 0 and kernel_projector(op).dim == 0
+    rhs = chain.d_matrix(0) @ np.random.default_rng(0).standard_normal(chain.dim(0))
+    w = solve_on_range(op, rhs)
+    assert _certified_residual(op, rhs, w) <= 1e-11
+    assert spectral._saddle(op)[0].shape == chain._range[(1, id(None))][1].shape
+
+
+@pytest.mark.parametrize("domain, h, realization", [
+    (DomainSpec.disk(1.0), 0.3, "normal"),
+    (DomainSpec.interval(0, 1), 1 / 64, "tangential"),     # bordered by the relative class
+], ids=["disk", "interval"])
+def test_block_range_solve_matches_column_solves(domain, h, realization):
+    """Each column of a (dim, m) solve is, bit for bit, its single-column
+    solve."""
+    chain = OperatorChain(generate_mesh(domain, h), Potential.quadratic(1.0, domain.ambient_dim),
+                          realization)
+    op = chain.operator(1)
+    R = chain.d_matrix(0) @ np.random.default_rng(1).standard_normal((chain.dim(0), 5))
+    W = solve_on_range(op, R)
+    assert W.shape == R.shape
+    for j in range(R.shape[1]):
+        assert np.array_equal(W[:, j], solve_on_range(op, R[:, j]))
+
+
+def test_block_range_solve_certifies_each_column():
+    """A block with one column that has a kernel part (no projector) fails,
+    and the error names that column; without it the block certifies."""
+    op, rhs, kp = _range_case(DomainSpec.disk(1.0), "normal", 0.3, 0, True)
+    R = np.column_stack([rhs, 2 * rhs, rhs + 1.0, -rhs])
+    with pytest.raises(SolverError, match=r"did not certify \(column 2\)"):
+        solve_on_range(op, R)
+    W = solve_on_range(op, np.delete(R, 2, axis=1))
+    for j, col in enumerate((rhs, 2 * rhs, -rhs)):
+        assert _certified_residual(op, col, W[:, j]) <= 1e-11
+
+
+@pytest.mark.parametrize("domain, V, b", [
+    (DomainSpec.disk(1.0), Potential.quadratic(1.0, 2), "normal"),
+    (DomainSpec.disk(1.0), Potential.quadratic(1.0, 2), "tangential"),
+    (DomainSpec.interval(0, 1), Potential.linear(1.0, 1), "tangential"),
+], ids=["disk-normal", "disk-tangential", "interval-tangential"])
+def test_variance_record_equals_per_sample_computation(monkeypatch, domain, V, b):
+    """variance_identity_record makes one range solve for all samples, and
+    its record is JSON-equal to the one built from sequential draws solved
+    one sample at a time."""
+    n_samples, seed, mesh_h = 6, 7, 0.3 if domain.ambient_dim == 2 else 1 / 32
+    calls = []
+    solve = checks.solve_on_range
+    monkeypatch.setattr(checks, "solve_on_range", lambda op, r: calls.append(r.shape) or solve(op, r))
+    rec = variance_identity_record(domain, V, b, mesh_h, n_samples=n_samples, seed=seed)
+    chain = OperatorChain(generate_mesh(domain, mesh_h), V, b)
+    assert calls == [(chain.dim(1), n_samples)]
+    rng = np.random.default_rng(seed)
+    worst, pair = 0.0, (0.0, 0.0)
+    for _ in range(n_samples):
+        lhs, rhs = check_variance_identity(Cochain(0, b, rng.standard_normal(chain.dim(0))), chain)
+        rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+        if rel > worst:
+            worst, pair = rel, (lhs, rhs)
+    ref = checks.identity_record("variance_identity", *pair, rec.tolerance, rel_err=worst,
+                                 **checks._labels(domain, V), p=0, b=b, mesh_h=rec.mesh_h,
+                                 quad_order=rec.quad_order,
+                                 extra={"samples": n_samples, "worst_rel": worst})
+    assert rec.passed
+    assert json.dumps(rec.to_json_dict()) == json.dumps(ref.to_json_dict())

@@ -11,9 +11,11 @@ moves; for it the test is instead that rel_err stays at most
 max(parent rel_err, WORST_FLOOR).  Non-numeric values ("inf", "nan",
 null) must be equal.
 
-Prints one line per problem and a summary line; exits 0 when there is no
-problem, 1 when there is one and 2 when a report cannot be read.  Uses the
-standard library only.
+Prints one line per problem and a summary line on stdout; exits 0 when
+there is no problem, 1 when there is one and 2 when a report cannot be
+read.  Every record whose lhs, rhs or rel_err moved at all, within the rule
+or not, also gets one informational "moved:" line on stderr, which leaves
+the exit code alone.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -48,10 +50,12 @@ def _moved(old, new, rel) -> bool:
     return abs(new - old) > rel * max(abs(old), abs(new))
 
 
-def compare(parent: dict, change: dict) -> list[str]:
-    """Problem lines, empty when the change keeps the parent's results."""
+def compare(parent: dict, change: dict) -> tuple[list[str], list[str]]:
+    """Problem lines, empty when the change keeps the parent's results, and
+    one "moved:" line per record in both reports whose lhs, rhs or rel_err
+    is not exactly the parent's."""
     old, new = _keyed(parent["records"]), _keyed(change["records"])
-    problems = []
+    problems, moves = [], []
     for key in old.keys() | new.keys():
         rec = old.get(key) or new[key]
         name = (f"{rec['check_id']} p={rec.get('p')} b={rec.get('b')} N={rec.get('N')} "
@@ -63,6 +67,10 @@ def compare(parent: dict, change: dict) -> list[str]:
             problems.append(f"{name}: appears")
             continue
         a, b = old[key], new[key]
+        shifts = [f"{side} {a[side]!r} -> {b[side]!r}" for side in ("lhs", "rhs", "rel_err")
+                  if _moved(a[side], b[side], 0.0)]
+        if shifts:
+            moves.append(f"moved: {name}: " + ", ".join(shifts))
         if a["status"] != b["status"]:
             problems.append(f"{name}: status {a['status']} -> {b['status']}")
         if a["check_id"] in WORST_SAMPLE:
@@ -76,7 +84,7 @@ def compare(parent: dict, change: dict) -> list[str]:
         for side in ("lhs", "rhs"):
             if _moved(a[side], b[side], REL_MOVE):
                 problems.append(f"{name}: {side} {a[side]!r} -> {b[side]!r}")
-    return sorted(problems)
+    return sorted(problems), sorted(moves)
 
 
 def main(argv=None) -> int:
@@ -89,10 +97,12 @@ def main(argv=None) -> int:
         for path in argv:
             with open(path) as f:
                 reports.append(json.load(f))
-        problems = compare(*reports)
+        problems, moves = compare(*reports)
     except (OSError, ValueError, KeyError, TypeError) as e:
         print(f"cannot compare reports: {e!r}", file=sys.stderr)
         return 2
+    for line in moves:
+        print(line, file=sys.stderr)
     for line in problems:
         print(line)
     print(f"{len(reports[0]['records'])} -> {len(reports[1]['records'])} records, "
