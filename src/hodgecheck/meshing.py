@@ -81,6 +81,8 @@ class SimplicialComplex:
     # 2D edge table (see module docstring); None in 1D
     tri_edges: np.ndarray | None = field(default=None, init=False, repr=False)
     tri_edge_sign: np.ndarray | None = field(default=None, init=False, repr=False)
+    # component label of every vertex (component_labels); None until first read
+    _labels: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.vertex_coords = np.asarray(self.vertex_coords, dtype=float)
@@ -121,6 +123,18 @@ class SimplicialComplex:
         b = ec[:, 2, :] - ec[:, 0, :]
         v = 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
         return v if signed else np.abs(v)
+
+    def component_labels(self) -> np.ndarray:
+        """Connected component of every vertex of the vertex-edge graph,
+        labelled 0, 1, ...; computed once per complex.  The one topology
+        of a mesh: betti_numbers counts these components, and the closed
+        form harmonic bases of spectral read them."""
+        if self._labels is None:
+            edges, nv = self.simplices[1], self.num(0)
+            graph = sparse.csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+                                      shape=(nv, nv))
+            self._labels = connected_components(graph, directed=False)[1]
+        return self._labels
 
     def _build_edge_table(self):
         """Fill tri_edges / tri_edge_sign; raise if a triangle edge is absent."""
@@ -206,15 +220,13 @@ def incidence_matrix(cplx: SimplicialComplex, p: int) -> IncidenceMatrix:
 def betti_numbers(cplx: SimplicialComplex) -> tuple:
     """Absolute Betti numbers (b_0, ..., b_dim) of the complex.
 
-    b_0 counts the connected components of the vertex-edge graph and b_dim
+    b_0 counts the connected components (cplx.component_labels) and b_dim
     those that have no boundary vertex (every mesh here is an orientable
     manifold); the Euler characteristic chi gives b_1 = b_0 - chi in 1D
     and b_1 = b_0 + b_2 - chi in 2D.
     """
-    edges = cplx.simplices[1]
-    nv = cplx.num(0)
-    graph = sparse.csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(nv, nv))
-    b0, labels = connected_components(graph, directed=False)
+    labels = cplx.component_labels()
+    b0 = int(labels.max()) + 1
     closed = b0 - len(np.unique(labels[cplx.boundary_marker[0]]))
     chi = sum((-1) ** p * cplx.num(p) for p in range(cplx.dim + 1))
     if cplx.dim == 1:

@@ -40,7 +40,15 @@ multiplier (Arnold-Falk-Winther, Acta Numerica 2006),
 
 so that w is M-orthogonal to K and S w = b up to the part of b along K;
 at degree 0 the sigma row and column are absent, and where b_p = 0 there
-is no border.  One sparse_lu per chain, degree and border serves every
+is no border.
+
+A kernel basis (kernel_projector, and the border of a range solve without
+one) is exact at degrees 0 and n, from the component labels of the mesh
+(_harmonic_basis): the locally constant functions at degree 0 and M_n^{-1}
+times the indicators of the components at degree n, each kept only where
+it lies in the free DOFs' kernel.  Only 0 < p < n with b_p > 0 (p = 1 on
+the annulus and the flat torus) takes the first b_p eigenvectors of a
+lowest_eigenpairs probe.  One sparse_lu per chain, degree and border serves every
 right side; a block of right sides is solved column by column in one
 call, each column refined on its true residual and certified by
 _certificate.
@@ -103,7 +111,7 @@ the disk and to 9e-12 on the interval, where the fine levels sit at the
 pencil's conditioning floor eps * lambda_top / lambda (lambda_top its
 largest eigenvalue).
 """
-KERNEL_PROBES = 6  # least eigenpairs probed for a kernel basis where b_p > 0 (_kernel_basis)
+KERNEL_PROBES = 6  # least eigenpairs probed for a kernel basis where 0 < p < n and b_p > 0 (_kernel_basis)
 
 
 class SolverError(RuntimeError):
@@ -248,27 +256,64 @@ class KernelProjector:
         return self.basis.shape[1]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        """The projection of x, one vector or a (dim, m) block, column by
+        column: a column of a block reads bit for bit as that column
+        projected alone."""
         if self.dim == 0:
             return np.zeros_like(x)
-        return self.basis @ (self.basis.T @ (self.M @ x))
+        X = x.reshape(len(x), -1)
+        MX = self.M @ X
+        out = np.zeros(X.shape)
+        for j in range(X.shape[1]):
+            mx = np.ascontiguousarray(MX[:, j])
+            for k in self.basis.T:
+                out[:, j] += k * (k @ mx)
+        return out.reshape(x.shape)
 
     def complement(self, x: np.ndarray) -> np.ndarray:
         return x - self.apply(x)
 
 
 def _kernel_basis(op: AssembledOperator, seed: int = 1234) -> np.ndarray:
-    """The first b_p eigenvectors of op (M-orthonormal columns), from the
-    lowest max(KERNEL_PROBES, b_p + 1); no eigensolve when b_p = 0."""
+    """An M-orthonormal basis of the kernel of op, b_p columns: in closed
+    form at degrees 0 and n (_harmonic_basis), else the first b_p
+    eigenvectors of the lowest max(KERNEL_PROBES, b_p + 1); empty, with no
+    eigensolve, when b_p = 0."""
     b = op.chain.betti(op.p)
     if b == 0:
         return np.zeros((op.dim, 0))
+    if op.p in (0, op.chain.cplx.dim):
+        return _harmonic_basis(op, b)
     res = lowest_eigenpairs(op, min(op.dim, max(KERNEL_PROBES, b + 1)), seed=seed)
     return res.eigenvectors[:, :b]
 
 
+def _harmonic_basis(op: AssembledOperator, b: int) -> np.ndarray:
+    """The b harmonic forms of op at degree 0 or n, from the component
+    labels of its complex.  Y holds the indicator of each component on the
+    free DOFs (a top simplex takes the label of its first vertex).  At
+    degree 0 the kernel is spanned by the columns with D_0 Y = 0; at degree
+    n by M_n^{-1} Y for the columns with D_{n-1}^T Y = 0, since then
+    d*_V (M_n^{-1} Y) = M_{n-1}^{-1} D_{n-1}^T Y = 0 (top simplices are
+    stored positively oriented, so the facets inside a component cancel).
+    Both tests are exact in integers.  A count other than b raises
+    SolverError."""
+    chain, p = op.chain, op.p
+    labels = chain.cplx.component_labels()
+    own = labels[chain.cplx.simplices[p][:, 0]][chain.free_dofs(p)]
+    Y = (own[:, None] == np.arange(labels.max() + 1)).astype(np.int64)
+    image = chain.d_matrix(0) @ Y if p == 0 else chain.d_matrix(p - 1).T @ Y
+    keep = Y.any(axis=0) & ~(image != 0).any(axis=0)
+    K = Y[:, keep].astype(float)
+    if K.shape[1] != b:
+        raise SolverError(f"harmonic basis: {K.shape[1]} closed {p}-forms from the "
+                          f"components, but b_{p} = {b}")
+    return _m_orthonormalize(op.M, chain.mass_solve(p, K) if p else K)
+
+
 def kernel_projector(op: AssembledOperator, seed: int = 1234) -> KernelProjector:
-    """Projector onto the kernel of op: its b_p certified kernel
-    eigenvectors (_kernel_basis), empty when b_p = 0."""
+    """Projector onto the kernel of op: its b_p harmonic forms
+    (_kernel_basis), empty when b_p = 0."""
     return KernelProjector(op.M, _kernel_basis(op, seed))
 
 
@@ -354,8 +399,11 @@ class HodgeSplit:
     kernel_part: Cochain
     exact_part: Cochain
     coexact_part: Cochain
-    recomposition_residual: float
-    orthogonality_residuals: tuple = field(default_factory=tuple)
+    recomposition_residual: float | np.ndarray
+    orthogonality_residuals: tuple | np.ndarray = field(default_factory=tuple)
+
+
+_PAIRS = ((0, 1), (0, 2), (1, 2))   # (kernel, exact), (kernel, coexact), (exact, coexact)
 
 
 def hodge_decompose(x: Cochain, op: AssembledOperator, kernel: KernelProjector,
@@ -364,31 +412,40 @@ def hodge_decompose(x: Cochain, op: AssembledOperator, kernel: KernelProjector,
 
     v solves the operator equation on the complement of ``kernel`` (op's
     kernel_projector), so the exact part is d(d*_V v), the coexact d*_V(d v).
+    x.values of shape (dim, m) split m cochains in one range solve; then
+    the parts are blocks, recomposition_residual holds one value per column
+    and orthogonality_residuals is a (3, m) array over the pairs (kernel,
+    exact), (kernel, coexact) and (exact, coexact), 0 where a part vanishes.
+    A vector keeps the pairs whose parts are both nonzero, as a tuple.
     """
     chain, p = op.chain, op.p
-    xk = kernel.apply(x.values)
-    v = solve_on_range(op, x.values - xk, tol=tol, kernel=kernel)
+    X = x.values
+    xk = kernel.apply(X)
+    v = solve_on_range(op, X - xk, tol=tol, kernel=kernel)
     vc = Cochain(p, x.realization, v)
     if op.has_down:
         exact = chain.apply_d(chain.apply_codifferential(vc)).values
     else:
-        exact = np.zeros_like(x.values)
+        exact = np.zeros_like(X)
     if op.has_up:
         coexact = chain.apply_codifferential(chain.apply_d(vc)).values
     else:
-        coexact = np.zeros_like(x.values)
-    recomposed = xk + exact + coexact
-    scale = max(chain.norm(x), 1e-300)
-    rec = float(np.sqrt(max(0.0, (x.values - recomposed) @ (op.M @ (x.values - recomposed))))) / scale
-    parts = [Cochain(p, x.realization, xk), Cochain(p, x.realization, exact),
-             Cochain(p, x.realization, coexact)]
-    orth = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            ni, nj = chain.norm(parts[i]), chain.norm(parts[j])
-            if ni > 0 and nj > 0:
-                orth.append(abs(chain.inner(parts[i], parts[j])) / (ni * nj))
-    return HodgeSplit(parts[0], parts[1], parts[2], rec, tuple(orth))
+        coexact = np.zeros_like(X)
+
+    def norm(a):
+        return np.sqrt(np.maximum(0.0, column_dots(a, op.M @ a)))
+
+    r = X - (xk + exact + coexact)
+    rec = norm(r) / np.maximum(norm(X), 1e-300)
+    parts = (xk, exact, coexact)
+    norms = [norm(part) for part in parts]
+    nonzero = [(norms[i] > 0) & (norms[j] > 0) for i, j in _PAIRS]
+    orth = np.array([np.where(ok, np.abs(column_dots(parts[i], op.M @ parts[j]))
+                              / np.maximum(norms[i] * norms[j], 1e-300), 0.0)
+                     for ok, (i, j) in zip(nonzero, _PAIRS)])
+    if X.ndim == 1:
+        rec, orth = float(rec), tuple(float(o) for o, ok in zip(orth, nonzero) if ok)
+    return HodgeSplit(*(Cochain(p, x.realization, part) for part in parts), rec, orth)
 
 
 def check_intertwining(chain: OperatorChain, p: int, n_samples: int = 10,
