@@ -261,14 +261,12 @@ class KernelProjector:
         projected alone."""
         if self.dim == 0:
             return np.zeros_like(x)
-        X = x.reshape(len(x), -1)
-        MX = self.M @ X
-        out = np.zeros(X.shape)
-        for j in range(X.shape[1]):
-            mx = np.ascontiguousarray(MX[:, j])
-            for k in self.basis.T:
-                out[:, j] += k * (k @ mx)
-        return out.reshape(x.shape)
+        if x.ndim == 1:
+            return self.basis @ (self.basis.T @ (self.M @ x))
+        out = np.empty(x.shape)
+        for j in range(x.shape[1]):
+            out[:, j] = self.apply(np.ascontiguousarray(x[:, j]))
+        return out
 
     def complement(self, x: np.ndarray) -> np.ndarray:
         return x - self.apply(x)
