@@ -31,7 +31,8 @@ import numpy as np
 import sympy as sp
 
 from . import exterior, runcache
-from .analytic_forms import AnalyticForm, BoundaryConditionError, _weighted_laplacian
+from .analytic_forms import (AnalyticForm, BoundaryConditionError, evaluate_polys,
+                             exact_polynomial, weighted_laplacian_poly)
 from .curvature import (bakry_emery_tensor, boundary_operator, hessian_p,
                         invert_endo_field, restricted_min_eig)
 from .domains import DomainSpec, boundary_quadrature, domain_quadrature
@@ -248,42 +249,57 @@ def eval_h1_identity(form: AnalyticForm, domain: DomainSpec, b: str,
 
 def check_gamma2(form: AnalyticForm, potential: Potential, domain: DomainSpec,
                  quad_order: int = 8, tolerance: float = IDENTITY_TOL) -> CheckRecord:
-    """Carre-du-champ chains for an interior-supported scalar.
+    """Carre-du-champ chains for an interior-supported polynomial scalar.
 
     chain 1:  int Gamma(w) dnu' = int |dw|^2 dnu' = int (L0 w) w dnu'
     chain 2:  int (L0 w)^2 dnu' = int <L1 dw, dw> dnu'      (dnu' = e^{-V} dmu)
 
     Gamma is evaluated through the generator, Gamma = w L0 w - L0(w^2)/2,
-    so the first equality is not definitional.
+    so the first equality is not definitional.  w and V must be polynomials
+    in the coordinates with rational or float coefficients, as
+    ``gamma2_bump`` and every preset or table potential are; anything else
+    raises ValueError naming the expression.  Every integrand, and the
+    boundary guard's w and dw, is built by exact rational polynomial
+    calculus in coordinates centred at ``domain.center`` and evaluated by
+    ``analytic_forms.evaluate_polys``; no sympy diff or lambdify runs.
     """
     if form.degree != 0:
         raise ValueError("gamma2 check needs a 0-form")
-    bq = boundary_quadrature(domain, quad_order)
-    if bq.points.shape[0]:
-        wmax = float(np.abs(form.components(bq.points)).max())
-        dmax = float(np.abs(form.d().components(bq.points)).max())
-        scale = 1.0 + float(np.abs(form.components(
-            domain_quadrature(domain, 4).points)).max())
+    n, center = form.n, domain.center
+    w = exact_polynomial(form.comps[0], n, center, "gamma2 bump w")
+    V = exact_polynomial(potential.expr, n, center, "gamma2 potential V")
+    grad_v = [V.diff(s) for s in w.gens]
+    dw = [w.diff(s) for s in w.gens]
+    L0w = weighted_laplacian_poly(w, grad_v)
+    gamma = w * L0w - weighted_laplacian_poly(w ** 2, grad_v) * sp.Rational(1, 2)
+    # L^(1) on flat domains: componentwise L^(0) plus the Hessian action
+    L1dw = [weighted_laplacian_poly(dw[c], grad_v)
+            + sum((grad_v[c].diff(s) * dw[k] for k, s in enumerate(w.gens)), w.zero)
+            for c in range(n)]
+    # one evaluation at the boundary rule, the guard's scale rule and the rule
+    bpts = boundary_quadrature(domain, quad_order).points
+    spts = domain_quadrature(domain, 4).points
+    quad = domain_quadrature(domain, quad_order)
+    vals = evaluate_polys([w, *dw, gamma, L0w, *L1dw],
+                          np.vstack([bpts, spts, quad.points]), center)
+    nb, ni = len(bpts), len(bpts) + len(spts)
+    if nb:
+        wmax = float(np.abs(vals[0][:nb]).max())
+        dmax = float(max(np.abs(v[:nb]).max() for v in vals[1:n + 1]))
+        scale = 1.0 + float(np.abs(vals[0][nb:ni]).max())
         if wmax > 1e-10 * scale or dmax > 1e-10 * scale:
             raise BoundaryConditionError(
                 f"gamma2 needs w and dw to vanish on the boundary "
                 f"(|w|={wmax:.1e}, |dw|={dmax:.1e})")
-    quad = domain_quadrature(domain, quad_order)
+    wv, *dwv, gv, lv = [v[ni:] for v in vals[:n + 3]]
+    dwv = np.column_stack(dwv)
+    l1v = np.column_stack([v[ni:] for v in vals[n + 3:]])
     wgt = potential.weight(quad.points)
-    w = form.comps[0]
-    L0w = AnalyticForm(form.n, 0, [form.weighted_laplacian_scalar(potential)])
-    gamma = AnalyticForm(form.n, 0,
-                         [w * L0w.comps[0] - sp.Rational(1, 2)
-                          * _weighted_laplacian(w ** 2, potential, form.n)])
-    dw = form.d()
-    t1 = quad.integrate(wgt * gamma.components(quad.points)[:, 0])
-    t2 = quad.integrate(wgt * dw.norm_sq(quad.points))
-    t3 = quad.integrate(wgt * (L0w.components(quad.points)[:, 0]
-                               * form.components(quad.points)[:, 0]))
-    t4 = quad.integrate(wgt * L0w.components(quad.points)[:, 0] ** 2)
-    L1dw = dw.weighted_laplacian_one_form(potential)
-    t5 = quad.integrate(wgt * np.einsum("mc,mc->m", L1dw.components(quad.points),
-                                        dw.components(quad.points)))
+    t1 = quad.integrate(wgt * gv)
+    t2 = quad.integrate(wgt * np.einsum("mc,mc->m", dwv, dwv))
+    t3 = quad.integrate(wgt * (lv * wv))
+    t4 = quad.integrate(wgt * lv ** 2)
+    t5 = quad.integrate(wgt * np.einsum("mc,mc->m", l1v, dwv))
     scale1 = max(abs(t1), abs(t2), abs(t3), 1e-13)
     chain1 = max(abs(t1 - t2), abs(t2 - t3)) / scale1
     scale2 = max(abs(t4), abs(t5), 1e-13)

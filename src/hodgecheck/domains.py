@@ -167,6 +167,20 @@ class DomainSpec:
             return ((center, p[0], True), (center, p[1], False))
         return ()
 
+    @property
+    def center(self) -> np.ndarray:
+        """Midpoint of the domain's bounding box: the centre of a disk or an
+        annulus, the midpoint of an interval, rectangle or periodic cell."""
+        p = np.asarray(self.parameters)
+        if self.circles:
+            return self.circles[0][0]
+        if self.kind == "polygon":
+            v = np.asarray(self.vertices)
+            return (v.min(axis=0) + v.max(axis=0)) / 2
+        if self.kind in ("interval", "rectangle"):
+            return (p[0::2] + p[1::2]) / 2
+        return (2 * np.pi * p if self.kind == "circle" else p) / 2
+
     def measure(self) -> float:
         """Analytic length/area of the domain."""
         p = self.parameters

@@ -190,6 +190,12 @@ class OperatorChain:
         return self._factor[p]
 
     def mass_solve(self, p: int, b: np.ndarray) -> np.ndarray:
+        """M_p^{-1} b for a vector or a (dim, m) block.  The top-degree
+        Whitney mass is diagonal (one constant basis form per n-simplex), so
+        it divides by the diagonal, bit for bit what its LU solve returns."""
+        if p == self.cplx.dim:
+            diag = self.mass(p).diagonal()
+            return b / (diag if np.ndim(b) == 1 else diag[:, None])
         return self.mass_factor(p).solve(b)
 
     def d_matrix(self, p: int) -> sparse.csr_matrix:

@@ -8,6 +8,8 @@ import scipy.sparse as sparse
 import sympy as sp
 
 from hodgecheck import exterior
+from hodgecheck.analytic_forms import AnalyticForm
+from hodgecheck.domains import domain_quadrature
 from hodgecheck.meshing import LOCAL_EDGES
 from hodgecheck.potentials import _COORDS
 from hodgecheck.whitney import triangle_rule
@@ -205,3 +207,48 @@ def whitney_mass_oracle(cplx, p, potential, quad_order):
     k = dofs.shape[1]
     rows, cols = np.repeat(dofs, k, axis=1).ravel(), np.tile(dofs, (1, k)).ravel()
     return sparse.csr_matrix((loc.ravel(), (rows, cols)), shape=(size, size))
+
+
+def weighted_laplacian(expr, potential, n):
+    """L^(0) u = -Delta u + grad V . grad u of a sympy scalar u in n variables,
+    as a sympy expression tree."""
+    syms = _COORDS[:n]
+    lap = sum(sp.diff(expr, s, 2) for s in syms)
+    drift = sum(sp.diff(potential.expr, s) * sp.diff(expr, s) for s in syms)
+    return -lap + drift
+
+
+def weighted_laplacian_one_form(form, potential):
+    """L^(1) of a 1-form on a flat domain: componentwise L^(0) plus the
+    Hessian action, as an AnalyticForm of sympy expression trees."""
+    syms = _COORDS[:form.n]
+    out = [weighted_laplacian(comp, potential, form.n)
+           + sum(sp.diff(potential.expr, syms[c], syms[k]) * form.comps[k]
+                 for k in range(form.n))
+           for c, comp in enumerate(form.comps)]
+    return AnalyticForm(form.n, 1, out, name=f"L1({form.name})")
+
+
+def gamma2_oracle(form, potential, domain, quad_order):
+    """The five integrals of the gamma2 record from sympy expression trees:
+    sp.diff for every derivative and a lambdified evaluator per integrand,
+    in the domain's own coordinates.  Returns {lhs, rhs, gamma, dirichlet,
+    generator}, the record's lhs, rhs and extras of those names."""
+    quad = domain_quadrature(domain, quad_order)
+    pts = quad.points
+    wgt = potential.weight(pts)
+    w = form.comps[0]
+    L0w = AnalyticForm(form.n, 0, [weighted_laplacian(w, potential, form.n)])
+    gamma = AnalyticForm(form.n, 0, [w * L0w.comps[0] - sp.Rational(1, 2)
+                                     * weighted_laplacian(w ** 2, potential, form.n)])
+    dw = form.d()
+    L1dw = weighted_laplacian_one_form(dw, potential)
+    l0 = L0w.components(pts)[:, 0]
+    return {
+        "gamma": quad.integrate(wgt * gamma.components(pts)[:, 0]),
+        "dirichlet": quad.integrate(wgt * dw.norm_sq(pts)),
+        "generator": quad.integrate(wgt * l0 * form.components(pts)[:, 0]),
+        "lhs": quad.integrate(wgt * l0 ** 2),
+        "rhs": quad.integrate(wgt * np.einsum("mc,mc->m", L1dw.components(pts),
+                                              dw.components(pts))),
+    }

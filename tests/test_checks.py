@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from hodgecheck import analytic_forms
 from hodgecheck import checks as checks_mod
 from hodgecheck.analytic_forms import AnalyticForm, BoundaryConditionError
 from hodgecheck.checks import (check_bl_forms, check_bl_scalar, check_gamma2,
@@ -22,7 +23,9 @@ from hodgecheck.domains import DomainSpec
 from hodgecheck.meshing import generate_mesh
 from hodgecheck.operators import CHAIN_QUAD_ORDER, Cochain, OperatorChain
 from hodgecheck.potentials import Potential, _COORDS
+from hodgecheck.presets import gamma2_bump
 import hodgecheck.spectral as spectral
+from oracles import gamma2_oracle
 
 x1, x2 = _COORDS
 DISK = DomainSpec.disk(1.0)
@@ -128,6 +131,69 @@ def test_gamma2_cases_and_support_guard():
     bad = AnalyticForm(1, 0, [x1])
     with pytest.raises(BoundaryConditionError):
         check_gamma2(bad, Potential.zero(1), interval, 6)
+
+
+L_SHAPE = DomainSpec.polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
+GAMMA2_CASES = {   # (domain, potential, bump flavour)
+    "disk-0": (DISK, Potential.quadratic(1.0, 2), 0),
+    "disk-1": (DISK, Potential.quadratic(1.0, 2), 1),
+    "annulus": (DomainSpec.annulus(0.5, 1.0), Potential.quartic_double_well(0.8, 2), 1),
+    "interval": (DomainSpec.interval(0.0, 1.0), Potential.quadratic(1.5, 1), 1),
+    "L-shape": (L_SHAPE, Potential.quadratic(1.0, 2), 0),
+}
+
+
+@pytest.mark.parametrize("quad_order", [6, 24])
+@pytest.mark.parametrize("case", sorted(GAMMA2_CASES))
+def test_gamma2_matches_sympy_tree_oracle(case, quad_order):
+    """The polynomial gamma2 integrals against the sympy expression trees of
+    tests/oracles.gamma2_oracle on the same rule, within 1e-12 relative.
+    On the L-shape this pins the centring: expanded about the corner (0, 0)
+    instead of the centre (1, 1), its rhs misses by 6.6e-11 (order 6) and
+    1.2e-10 (order 24)."""
+    domain, pot, flavor = GAMMA2_CASES[case]
+    form = gamma2_bump(domain, flavor)
+    rec = check_gamma2(form, pot, domain, quad_order)
+    got = {"lhs": rec.lhs, "rhs": rec.rhs,
+           **{k: rec.extra[k] for k in ("gamma", "dirichlet", "generator")}}
+    for key, want in gamma2_oracle(form, pot, domain, quad_order).items():
+        assert abs(got[key] - want) <= 1e-12 * abs(want), (key, got[key], want)
+
+
+def test_gamma2_drift_mutation_fails(monkeypatch):
+    """Negative control: L0 with its drift term scaled by 1 + 1e-6 breaks
+    int |dw|^2 = int w L0 w, and the disk record fails."""
+    form, pot = gamma2_bump(DISK, 0), Potential.quadratic(1.0, 2)
+    assert check_gamma2(form, pot, DISK, 8).status == "pass"
+    drift = analytic_forms._poly_drift
+    monkeypatch.setattr(analytic_forms, "_poly_drift",
+                        lambda u, grad_v: drift(u, grad_v) * sp.Rational(1 + 1e-6))
+    assert check_gamma2(form, pot, DISK, 8).status == "fail"
+
+
+def test_gamma2_calls_no_sympy_diff_or_lambdify(monkeypatch):
+    form, pot = gamma2_bump(DISK, 1), Potential.quadratic(1.0, 2)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("gamma2 called sympy diff or lambdify")
+
+    monkeypatch.setattr(sp, "diff", forbidden)
+    monkeypatch.setattr(sp, "lambdify", forbidden)
+    assert check_gamma2(form, pot, DISK, 8).status == "pass"
+
+
+def test_gamma2_refuses_non_polynomials():
+    """The bump and V must be polynomials in the coordinates; the error
+    names the expression."""
+    interval = DomainSpec.interval(0, 1)
+    bump = AnalyticForm(1, 0, [(x1 * (1 - x1)) ** 4])
+    with pytest.raises(ValueError, match=r"bump w .*exp\(x1\)"):
+        check_gamma2(AnalyticForm(1, 0, [(x1 * (1 - x1)) ** 4 * sp.exp(x1)]),
+                     Potential.zero(1), interval, 6)
+    with pytest.raises(ValueError, match=r"potential V .*cos\(x1\)"):
+        check_gamma2(bump, Potential(sp.cos(x1), 1), interval, 6)
+    with pytest.raises(ValueError, match=r"potential V .*pi\*x1"):
+        check_gamma2(bump, Potential(sp.pi * x1, 1), interval, 6)
 
 
 def test_hypothesis_check_examples():

@@ -9,7 +9,7 @@ from hodgecheck.analytic_forms import AnalyticForm
 from hodgecheck.domains import DomainSpec
 from hodgecheck.meshing import generate_mesh
 from hodgecheck.operators import (Cochain, OperatorChain, UnsupportedRealizationError,
-                                  dual_problem)
+                                  dual_problem, sparse_lu)
 from hodgecheck.potentials import Potential, _COORDS
 from hodgecheck.whitney import AssemblyWarning, assemble_mass
 from oracles import whitney_mass_oracle
@@ -161,6 +161,24 @@ def test_top_degree_up_block_is_zero():
     down = B.T @ chain.mass_solve(1, B @ x)
     assert np.allclose(op.stiff_matvec(x), down, rtol=1e-12, atol=0)
     assert np.allclose(op.stiffness_dense() @ x, down, rtol=1e-9, atol=1e-9 * np.abs(down).max())
+
+
+@pytest.mark.parametrize("b", ["normal", "tangential"])
+@pytest.mark.parametrize("domain, h, pot", [
+    (DomainSpec.disk(1.0), 0.3, Potential.quadratic(1.0, 2)),
+    (DomainSpec.interval(0.0, 1.0), 1 / 16, Potential.quadratic(1.5, 1)),
+])
+def test_top_degree_mass_solve_is_lu_solve(domain, h, pot, b):
+    """At the top degree mass_solve divides by the diagonal mass; that is
+    bit for bit the sparse LU solve, for a vector and for a block."""
+    chain = OperatorChain(generate_mesh(domain, h), pot, b)
+    p = domain.ambient_dim
+    lu = sparse_lu(chain.mass(p))
+    rng = np.random.default_rng(5)
+    x, X = rng.standard_normal(chain.dim(p)), rng.standard_normal((chain.dim(p), 3))
+    assert np.array_equal(chain.mass_solve(p, x), lu.solve(x))
+    assert np.array_equal(chain.mass_solve(p, X), lu.solve(X))
+    assert p not in chain._factor    # no factorization was made
 
 
 def test_realization_rules():
