@@ -1,21 +1,23 @@
 """Analytic differential forms with exact derivative evaluators, and exact
 polynomial calculus.
 
-Components are sympy expressions in Cartesian coordinates (x1[, x2]); the
-constructor lambdifies values, and first derivatives are lambdified on the
-first ``component_grads`` call.  The calculus helpers (exterior derivative,
-flat/weighted codifferential, interior and wedge products) produce new forms
-symbolically, so every identity check can integrate both of its sides from
-independent closed-form integrands.  The wedge and interior helpers contract
-the components with the matrices of ``exterior``, which owns the sign
-conventions.
+Components are sympy expressions in Cartesian coordinates (x1[, x2]);
+values are lambdified on the first ``components`` call and first
+derivatives on the first ``component_grads`` call, so a form that is only
+an intermediate term is never compiled.  The calculus is Witten's: ``d(f)``
+and ``codifferential(f)`` build d_f = d + df ^ and d*_f = d* + i_{grad f}
+symbolically for a Potential f (the flat d and d* when f is None, d*_V at
+f = V), each as one contraction of the components and of f.grad_exprs with
+the matrices of ``exterior``, which owns the sign conventions.  Every
+identity check thus integrates both of its sides from independent
+closed-form integrands.
 
 The carre-du-champ check works on polynomials instead: ``exact_polynomial``
 expands a polynomial expression once as an ``sp.Poly`` with rational
 coefficients in coordinates centred at a given point,
 ``weighted_laplacian_poly`` applies L^(0) = -Delta + grad V . grad to it by
-``Poly.diff``, and ``evaluate_polys`` evaluates several such polynomials at
-one point set.
+``Poly.diff``, and ``evaluate_square_free`` evaluates several such
+polynomials, given by their square-free decompositions, at one point set.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from . import exterior
 from .potentials import Potential, _COORDS, _lambdify
 
 __all__ = ["AnalyticForm", "BoundaryConditionError", "exact_polynomial",
-           "weighted_laplacian_poly", "evaluate_polys"]
+           "weighted_laplacian_poly", "evaluate_square_free"]
 
 
 class BoundaryConditionError(ValueError):
@@ -79,22 +81,21 @@ def _rational(c) -> float:
     return int(c.p) / int(c.q)
 
 
-def evaluate_polys(polys, points, center) -> list[np.ndarray]:
-    """Values of polynomials in y = x - center at the (m, n) points.
+def evaluate_square_free(decomps, points, center) -> list[np.ndarray]:
+    """Values at the (m, n) points of polynomials in y = x - center, each
+    given by its square-free decomposition c * prod_i f_i^k_i
+    (``Poly.sqf_list``, exact).
 
-    Each polynomial is evaluated from its square-free decomposition
-    c * prod_i f_i^k_i (``Poly.sqf_list``, exact): the factors from one
-    table of the powers y_j^k, tabulated once up to the largest factor
-    degree, as dense coefficient arrays (each rational coefficient rounded
-    once) contracted against it, over the last coordinate and then the
-    first; then the product of their powers.  A bump that vanishes to high
-    order on the boundary is a high power of a low-degree factor, and its
-    expanded monomial sum cancels: evaluated expanded, the Gamma integral of
-    the annulus bump reads 3.9e-9 relative off, and 1.5e-7 on the L-shaped
-    polygon.
+    The factors are evaluated from one table of the powers y_j^k, tabulated
+    once up to the largest factor degree, as dense coefficient arrays (each
+    rational coefficient rounded once) contracted against it, over the last
+    coordinate and then the first; then the product of their powers.  A
+    bump that vanishes to high order on the boundary is a high power of a
+    low-degree factor, and its expanded monomial sum cancels: evaluated
+    expanded, the Gamma integral of the annulus bump reads 3.9e-9 relative
+    off, and 1.5e-7 on the L-shaped polygon.
     """
     y = np.atleast_2d(np.asarray(points, dtype=float)) - np.asarray(center, dtype=float)
-    decomps = [p.sqf_list() for p in polys]
     top = max((max(f.degree_list()) for _, fs in decomps for f, _ in fs), default=0)
     powers = y.T[:, None, :] ** np.arange(top + 1)[:, None]      # (n, top + 1, m)
     out = []
@@ -125,11 +126,14 @@ class AnalyticForm:
         self.comps = comps
         self.bc = bc
         self.name = name
-        self._vals = [_lambdify(c, self.n) for c in comps]
+        self._vals = None    # value evaluators, built by components
         self._grads = None   # derivative evaluators, built by component_grads
 
     # -- pointwise evaluation ------------------------------------------------
     def components(self, x) -> np.ndarray:
+        """(m, C) array of component values."""
+        if self._vals is None:
+            self._vals = [_lambdify(c, self.n) for c in self.comps]
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return np.column_stack([v(x) for v in self._vals])
 
@@ -149,67 +153,39 @@ class AnalyticForm:
         v = self.components(x)
         return np.einsum("mc,mc->m", v, v)
 
-    # -- symbolic calculus -----------------------------------------------------
-    def _contract(self, mats, coeffs, differentiate: bool, degree: int,
-                  name: str) -> "AnalyticForm":
-        """The form with components sum_{i, c} M_i[r, c] coeffs[i] v_c^i, where
-        v_c^i is component c, or its x_i derivative when differentiate.
-
-        Each term is built coefficient first, int(M_i[r, c]) * coeffs[i] *
-        v_c^i, summed over source components c, then i, and v_c^i is formed
-        only where M_i[r, c] is nonzero.
-        """
-        out = [sp.Integer(0)] * mats[0].shape[0]
-        for c in range(mats[0].shape[1]):
+    # -- Witten calculus ------------------------------------------------------
+    def _twisted(self, mats, sign: int, f: Potential | None, degree: int,
+                 name: str) -> "AnalyticForm":
+        """sum_i M_i (sign partial_i + (partial_i f)) w, with M_i the matrices
+        of dx_i ^ or i_{e_i} on this degree.  Each term is built coefficient
+        first, int(M_i[r, c]) * coefficient * v_c, and summed over source
+        components c, then i: the partial_i terms in one sum and the
+        (partial_i f) terms, from f.grad_exprs, in another, added last."""
+        dpart = [sp.Integer(0)] * mats[0].shape[0]
+        fpart = list(dpart)
+        for c, v in enumerate(self.comps):
             for i, M in enumerate(mats):
                 for r in np.flatnonzero(M[:, c]):
-                    v = sp.diff(self.comps[c], _COORDS[i]) if differentiate else self.comps[c]
-                    out[r] += int(M[r, c]) * coeffs[i] * v
-        return AnalyticForm(self.n, degree, out, name=name)
+                    dpart[r] += int(M[r, c]) * sign * sp.diff(v, _COORDS[i])
+                    if f is not None:
+                        fpart[r] += int(M[r, c]) * f.grad_exprs[i] * v
+        return AnalyticForm(self.n, degree, [a + b for a, b in zip(dpart, fpart)], name=name)
 
-    def _wedges(self):
-        """Matrices of dx_i ^ . on this degree, stacked over i = 1..n."""
-        return exterior.wedge_covector_matrix(np.eye(self.n), self.degree)
-
-    def _interiors(self):
-        """Matrices of i_{e_i} on this degree, stacked over i = 1..n."""
-        return exterior.interior_product_matrix(np.eye(self.n), self.degree)
-
-    def d(self) -> "AnalyticForm":
-        """Exterior derivative d = sum_i dx_i ^ partial_i."""
+    def d(self, f: Potential | None = None) -> "AnalyticForm":
+        """d_f = d + df ^ = sum_i dx_i ^ (partial_i + partial_i f); d at f = None."""
         if self.degree >= self.n:
             raise ValueError("exterior derivative at top degree")
-        return self._contract(self._wedges(), [1] * self.n, True, self.degree + 1,
-                              f"d({self.name})")
+        wedges = exterior.wedge_covector_matrix(np.eye(self.n), self.degree)
+        return self._twisted(wedges, 1, f, self.degree + 1, f"d({self.name})")
 
-    def codifferential(self) -> "AnalyticForm":
-        """Flat codifferential d* = -sum_i i_{e_i} partial_i."""
+    def codifferential(self, f: Potential | None = None) -> "AnalyticForm":
+        """d*_f = d* + i_{grad f} = sum_i i_{e_i} (-partial_i + partial_i f);
+        the flat d* at f = None.  At f = V it is d*_V, the adjoint of d in
+        L^2(e^{-V} dmu)."""
         if self.degree < 1:
             raise ValueError("codifferential at degree 0")
-        return self._contract(self._interiors(), [-1] * self.n, True, self.degree - 1,
-                              f"d*({self.name})")
-
-    def interior_with(self, vec_exprs) -> "AnalyticForm":
-        """Interior product with a vector field given by sympy components."""
-        if self.degree < 1:
-            raise ValueError("interior product at degree 0")
-        return self._contract(self._interiors(), vec_exprs, False, self.degree - 1,
-                              f"i_X({self.name})")
-
-    def wedge_with(self, cov_exprs) -> "AnalyticForm":
-        """Left wedge with a 1-form given by sympy components."""
-        return self._contract(self._wedges(), cov_exprs, False, self.degree + 1,
-                              f"a^({self.name})")
-
-    def add(self, other: "AnalyticForm") -> "AnalyticForm":
-        return AnalyticForm(self.n, self.degree,
-                            [a + b for a, b in zip(self.comps, other.comps)],
-                            name=f"{self.name}+{other.name}")
-
-    def codifferential_weighted(self, potential: Potential) -> "AnalyticForm":
-        """d*_V = d* + i_{grad V} (the adjoint of d in L^2(e^{-V} dmu))."""
-        gradV = [sp.diff(potential.expr, s) for s in _COORDS[:self.n]]
-        return self.codifferential().add(self.interior_with(gradV))
+        interiors = exterior.interior_product_matrix(np.eye(self.n), self.degree)
+        return self._twisted(interiors, -1, f, self.degree - 1, f"d*({self.name})")
 
     # -- boundary traces --------------------------------------------------------
     def boundary_trace_norms(self, boundary) -> tuple[float, float]:

@@ -16,7 +16,8 @@ Identity inventory (f = V/2 throughout, flat ambient so Ric = 0):
                             + s(b) oint |w|^2 df/dn,  s(t) = -1, s(n) = +1
   (the Lie terms are evaluated from their raw local expressions, which is
   what makes the check sensitive to the wedge/interior algebra);
-* f = 0 limit:    ||w||^2_{H1-dot} = D(w) - oint <K_b w, w>;
+* H1 identity:    the decomposition at f = 0 (V = 0), where D_f = D:
+                  ||w||^2_{H1-dot} = D(w) - oint <K_b w, w>;
 * carre-du-champ chains and the variance identity;
 * Brascamp-Lieb-type bounds with explicit hypothesis verification at all
   quadrature points (violations report not_applicable, never pass/fail).
@@ -31,7 +32,7 @@ import numpy as np
 import sympy as sp
 
 from . import exterior, runcache
-from .analytic_forms import (AnalyticForm, BoundaryConditionError, evaluate_polys,
+from .analytic_forms import (AnalyticForm, BoundaryConditionError, evaluate_square_free,
                              exact_polynomial, weighted_laplacian_poly)
 from .curvature import (bakry_emery_tensor, boundary_operator, hessian_p,
                         invert_endo_field, restricted_min_eig)
@@ -88,19 +89,13 @@ def _labels(domain: DomainSpec, potential: Potential) -> dict:
 # ---------------------------------------------------------------------------
 
 def _flat_witten_quadratic_form(form, fpot, domain, quad_order):
-    """D_f(w) = ||(d + df^)w||^2 + ||(d* + i_{grad f})w||^2 in L^2(dmu)."""
-    from .potentials import _COORDS
-
-    n, p = form.n, form.degree
-    dfc = [sp.diff(fpot.expr, s) for s in _COORDS[:n]]
+    """D_f(w) = ||d_f w||^2 + ||d*_f w||^2 in L^2(dmu); D(w) at fpot = None."""
     quad = domain_quadrature(domain, quad_order)
     total = 0.0
-    if p < n:   # d w and df ^ w vanish at top degree
-        dpart = form.d().add(form.wedge_with(dfc))
-        total += quad.integrate(dpart.norm_sq(quad.points))
-    if p >= 1:
-        cpart = form.codifferential().add(form.interior_with(dfc))
-        total += quad.integrate(cpart.norm_sq(quad.points))
+    if form.degree < form.n:   # d_f vanishes at top degree
+        total += quad.integrate(form.d(fpot).norm_sq(quad.points))
+    if form.degree >= 1:
+        total += quad.integrate(form.codifferential(fpot).norm_sq(quad.points))
     return total
 
 
@@ -114,22 +109,13 @@ def _weighted_h1_seminorm(form, fpot, domain, quad_order):
     return quad.integrate(np.einsum("mcx,mcx->m", total, total))
 
 
-def eval_decomposition_identity(form: AnalyticForm, potential: Potential,
-                                domain: DomainSpec, b: str, quad_order: int = 8,
-                                tolerance: float = IDENTITY_TOL,
-                                perturb_term: int | None = None,
-                                perturb_rel: float = 0.01) -> CheckRecord:
-    """Both sides of the weighted integration-by-parts decomposition.
+def _decomposition_terms(form: AnalyticForm, potential: Potential, domain: DomainSpec,
+                         b: str, quad_order: int) -> tuple:
+    """(D_f(w), [the four terms of DECOMPOSITION_TERMS]) with f = V/2.
 
-    The right-hand side splits into the four terms of DECOMPOSITION_TERMS;
-    ``perturb_term`` multiplies one of them by (1 + perturb_rel) as a
-    negative control.
+    At the zero potential D_f is D, the curvature and weight terms vanish
+    and the identity reads ||w||^2_{H1-dot} = D(w) - oint <K_b w, w>.
     """
-    bq = boundary_quadrature(domain, quad_order)
-    form.verify_bc(bq)
-    if form.bc != b and domain.has_boundary:
-        raise BoundaryConditionError(
-            f"form declares bc={form.bc!r} but realization is {b!r}")
     fpot = _half(potential)
     lhs = _flat_witten_quadratic_form(form, fpot, domain, quad_order)
     quad = domain_quadrature(domain, quad_order)
@@ -141,7 +127,8 @@ def eval_decomposition_identity(form: AnalyticForm, potential: Potential,
     t_h1 = _weighted_h1_seminorm(form, fpot, domain, quad_order)
     t_bdy = 0.0
     t_weight = 0.0
-    if not bq.points.shape[0] == 0:
+    bq = boundary_quadrature(domain, quad_order)
+    if bq.points.shape[0]:
         K = boundary_operator(b if b in ("tangential", "normal") else "normal",
                               form.degree, bq)
         bvals = form.components(bq.points)
@@ -149,7 +136,25 @@ def eval_decomposition_identity(form: AnalyticForm, potential: Potential,
         if b == "tangential":
             dnf = fpot.normal_derivative(bq.points, bq.normals)
             t_weight = -2.0 * bq.integrate(np.einsum("mc,mc->m", bvals, bvals) * dnf)
-    terms = [t_h1, t_curv, t_bdy, t_weight]
+    return lhs, [t_h1, t_curv, t_bdy, t_weight]
+
+
+def eval_decomposition_identity(form: AnalyticForm, potential: Potential,
+                                domain: DomainSpec, b: str, quad_order: int = 8,
+                                tolerance: float = IDENTITY_TOL,
+                                perturb_term: int | None = None,
+                                perturb_rel: float = 0.01) -> CheckRecord:
+    """Both sides of the weighted integration-by-parts decomposition.
+
+    The right-hand side splits into the four terms of DECOMPOSITION_TERMS;
+    ``perturb_term`` multiplies one of them by (1 + perturb_rel) as a
+    negative control.
+    """
+    form.verify_bc(boundary_quadrature(domain, quad_order))
+    if form.bc != b and domain.has_boundary:
+        raise BoundaryConditionError(
+            f"form declares bc={form.bc!r} but realization is {b!r}")
+    lhs, terms = _decomposition_terms(form, potential, domain, b, quad_order)
     if perturb_term is not None:
         terms[perturb_term] *= (1.0 + perturb_rel)
     rhs = sum(terms)
@@ -209,8 +214,7 @@ def eval_green_identity(form: AnalyticForm, potential: Potential, domain: Domain
     form.verify_bc(bq)
     fpot = _half(potential)
     lhs = _flat_witten_quadratic_form(form, fpot, domain, quad_order)
-    zero = Potential.zero(potential.n)
-    t_d = _flat_witten_quadratic_form(form, zero, domain, quad_order)
+    t_d = _flat_witten_quadratic_form(form, None, domain, quad_order)
     quad = domain_quadrature(domain, quad_order)
     gf = fpot.grad(quad.points)
     t_f2 = quad.integrate(np.einsum("mx,mx->m", gf, gf) * form.norm_sq(quad.points))
@@ -230,21 +234,36 @@ def eval_green_identity(form: AnalyticForm, potential: Potential, domain: Domain
 
 def eval_h1_identity(form: AnalyticForm, domain: DomainSpec, b: str,
                      quad_order: int = 8, tolerance: float = IDENTITY_TOL) -> CheckRecord:
-    """f = 0 case: H1-dot seminorm = D(w) - boundary K_b term (flat Ric = 0)."""
-    bq = boundary_quadrature(domain, quad_order)
-    form.verify_bc(bq)
+    """The decomposition at f = 0: H1-dot seminorm = D(w) - boundary K_b
+    term (flat Ric = 0)."""
+    form.verify_bc(boundary_quadrature(domain, quad_order))
     zero = Potential.zero(form.n)
-    lhs = _weighted_h1_seminorm(form, zero, domain, quad_order)
-    t_d = _flat_witten_quadratic_form(form, zero, domain, quad_order)
-    t_bdy = 0.0
-    if bq.points.shape[0]:
-        K = boundary_operator(b, form.degree, bq)
-        bvals = form.components(bq.points)
-        t_bdy = bq.integrate(np.einsum("mi,mij,mj->m", bvals, K, bvals))
-    rhs = t_d - t_bdy
-    return identity_record("h1_identity", lhs, rhs, tolerance,
+    t_d, (t_h1, _, t_bdy, _) = _decomposition_terms(form, zero, domain, b, quad_order)
+    return identity_record("h1_identity", t_h1, t_d - t_bdy, tolerance,
                            **_labels(domain, zero), p=form.degree, b=b, quad_order=quad_order,
                            extra={"terms": {"unweighted_form": t_d, "boundary_K": t_bdy}})
+
+
+def _gamma2_polys(bump, V, n: int, center) -> list:
+    """Square-free decompositions of w, dw, Gamma = w L0 w - L0(w^2)/2, L0 w
+    and L1 dw, in that order, for the bump w and the potential V, both
+    exact polynomials in coordinates centred at center; once per (bump, V,
+    n, centre) in a run, as convergence_study checks one bump at several
+    quadrature orders."""
+    def build():
+        w = exact_polynomial(bump, n, center, "gamma2 bump w")
+        v = exact_polynomial(V, n, center, "gamma2 potential V")
+        grad_v = [v.diff(s) for s in w.gens]
+        dw = [w.diff(s) for s in w.gens]
+        L0w = weighted_laplacian_poly(w, grad_v)
+        gamma = w * L0w - weighted_laplacian_poly(w ** 2, grad_v) * sp.Rational(1, 2)
+        # L^(1) on flat domains: componentwise L^(0) plus the Hessian action
+        L1dw = [weighted_laplacian_poly(dw[c], grad_v)
+                + sum((grad_v[c].diff(s) * dw[k] for k, s in enumerate(w.gens)), w.zero)
+                for c in range(n)]
+        return [p.sqf_list() for p in (w, *dw, gamma, L0w, *L1dw)]
+
+    return runcache.cached(("gamma2_polys", bump, V, n, tuple(map(float, center))), build)
 
 
 def check_gamma2(form: AnalyticForm, potential: Potential, domain: DomainSpec,
@@ -260,28 +279,19 @@ def check_gamma2(form: AnalyticForm, potential: Potential, domain: DomainSpec,
     ``gamma2_bump`` and every preset or table potential are; anything else
     raises ValueError naming the expression.  Every integrand, and the
     boundary guard's w and dw, is built by exact rational polynomial
-    calculus in coordinates centred at ``domain.center`` and evaluated by
-    ``analytic_forms.evaluate_polys``; no sympy diff or lambdify runs.
+    calculus in coordinates centred at ``domain.center`` (once per run, see
+    _gamma2_polys) and evaluated by ``analytic_forms.evaluate_square_free``;
+    no sympy diff or lambdify runs.
     """
     if form.degree != 0:
         raise ValueError("gamma2 check needs a 0-form")
     n, center = form.n, domain.center
-    w = exact_polynomial(form.comps[0], n, center, "gamma2 bump w")
-    V = exact_polynomial(potential.expr, n, center, "gamma2 potential V")
-    grad_v = [V.diff(s) for s in w.gens]
-    dw = [w.diff(s) for s in w.gens]
-    L0w = weighted_laplacian_poly(w, grad_v)
-    gamma = w * L0w - weighted_laplacian_poly(w ** 2, grad_v) * sp.Rational(1, 2)
-    # L^(1) on flat domains: componentwise L^(0) plus the Hessian action
-    L1dw = [weighted_laplacian_poly(dw[c], grad_v)
-            + sum((grad_v[c].diff(s) * dw[k] for k, s in enumerate(w.gens)), w.zero)
-            for c in range(n)]
+    decomps = _gamma2_polys(form.comps[0], potential.expr, n, center)
     # one evaluation at the boundary rule, the guard's scale rule and the rule
     bpts = boundary_quadrature(domain, quad_order).points
     spts = domain_quadrature(domain, 4).points
     quad = domain_quadrature(domain, quad_order)
-    vals = evaluate_polys([w, *dw, gamma, L0w, *L1dw],
-                          np.vstack([bpts, spts, quad.points]), center)
+    vals = evaluate_square_free(decomps, np.vstack([bpts, spts, quad.points]), center)
     nb, ni = len(bpts), len(bpts) + len(spts)
     if nb:
         wmax = float(np.abs(vals[0][:nb]).max())
@@ -450,7 +460,7 @@ def _bl_bound(form: AnalyticForm, potential: Potential, domain: DomainSpec, b: s
         if factor == math.inf:
             rhs = math.inf
         else:
-            D = form.d() if variant == "coclosed" else form.codifferential_weighted(potential)
+            D = form.d() if variant == "coclosed" else form.codifferential(potential)
             dvals = D.components(pts)
             inv = invert_endo_field(field, POSITIVITY_TOL).evaluate(pts)
             rhs = factor * measure.expect(
@@ -506,7 +516,7 @@ def check_bl_forms(form: AnalyticForm, potential: Potential, domain: DomainSpec,
     scale = 1.0 + float(np.sqrt(form.norm_sq(quad.points).max()))
     # constraint verification by quadrature
     if variant == "coclosed" and q >= 1:
-        resid = form.codifferential_weighted(potential)
+        resid = form.codifferential(potential)
         worst = float(np.sqrt(resid.norm_sq(quad.points).max()))
         if worst > 1e-8 * scale:
             raise ValueError(f"constraint d*_V w = 0 fails: {worst:.2e}")

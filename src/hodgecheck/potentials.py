@@ -1,9 +1,10 @@
 """Analytic potentials V and the weighted probability measure exp(-V) dmu / Z.
 
 A Potential bundles mutually consistent evaluators for V, grad V, Hess V and
-Delta V (= trace Hess V, the Euclidean sign convention).  Evaluators are
-lambdified from one sympy expression so consistency is structural; the
-tests check them against central differences of V as an independent guard.
+Delta V (= trace Hess V, the Euclidean sign convention), and the symbolic
+gradient ``grad_exprs``.  All are derived from one sympy expression so
+consistency is structural; the tests check the evaluators against central
+differences of V as an independent guard.
 
 Presets: "zero", "quadratic(alpha)" = alpha|x|^2/2,
 "quartic_double_well(a)" = (|x|^2 - a^2)^2/4, "linear(c)" = c*x1,
@@ -44,18 +45,20 @@ def _lambdify(expr, n):
 
 
 def _derive(expr, n):
-    """(gradient, Hessian, Laplacian evaluators, is_constant, poly_degree)
-    of V = expr on R^n; once per (expr, n) in a run."""
+    """(symbolic gradient, gradient, Hessian and Laplacian evaluators,
+    is_constant, poly_degree) of V = expr on R^n; once per (expr, n) in a
+    run."""
     def build():
         syms = _COORDS[:n]
-        grad = tuple(_lambdify(sp.diff(expr, s), n) for s in syms)
+        grad_exprs = tuple(sp.diff(expr, s) for s in syms)
+        grad = tuple(_lambdify(g, n) for g in grad_exprs)
         hess = tuple(tuple(_lambdify(sp.diff(expr, si, sj), n) for sj in syms) for si in syms)
         lap = _lambdify(sum(sp.diff(expr, s, 2) for s in syms), n)
         poly = expr.as_poly(*syms) if expr.free_symbols else None
         poly_degree = poly.total_degree() if poly is not None else (
             None if expr.free_symbols else 0)
         # a non-polynomial counts as non-constant: the conservative side
-        return grad, hess, lap, poly_degree == 0, poly_degree
+        return grad_exprs, grad, hess, lap, poly_degree == 0, poly_degree
 
     return runcache.cached(("potential", expr, n), build)
 
@@ -72,7 +75,7 @@ class Potential:
         # effective potential V/h is what every evaluator sees
         self.expr = sp.sympify(expr) / h_param
         self._v = _lambdify(self.expr, self.n)
-        (self._grad, self._hess, self._lap, self.is_constant,
+        (self.grad_exprs, self._grad, self._hess, self._lap, self.is_constant,
          self.poly_degree) = _derive(self.expr, self.n)
 
     # -- evaluators ----------------------------------------------------------

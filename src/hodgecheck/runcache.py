@@ -1,5 +1,5 @@
-"""Run-scoped cache: each mesh, spectrum, mass, potential derivation and
-lambdified expression once per run.
+"""Run-scoped cache: each mesh, spectrum, mass, potential derivation,
+lambdified expression and gamma2 polynomial set once per run.
 
 ``run_config`` and ``convergence_study`` open a scope; inside it ``cached``
 keeps the value computed for a key until the scope closes, when the store
@@ -12,10 +12,12 @@ and seed (every chain is at operators.CHAIN_QUAD_ORDER), a full weighted
 mass by the identity of its complex (held in the value, so the id is not
 reused while the scope is open), degree, potential expression, n and
 quadrature order, a potential's derivatives by (expr, n), a lambdified
-function by (expr, n).  Only meshes, spectra (k eigenpairs), interior
-curvature minima, functions, full masses (read-only, before a realization
-restricts them) and potential derivations are cached: no chain, operator,
-factorization or dense pencil is held beyond the check that built it.
+function by (expr, n), the gamma2 polynomials by (bump expr, V expr, n,
+centre).  Only meshes, spectra (k eigenpairs), interior curvature minima,
+functions, full masses (read-only, before a realization restricts them),
+potential derivations and gamma2 square-free decompositions are cached: no
+chain, operator, factorization or dense pencil is held beyond the check
+that built it.
 """
 
 from __future__ import annotations

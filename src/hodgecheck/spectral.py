@@ -404,8 +404,7 @@ class HodgeSplit:
 _PAIRS = ((0, 1), (0, 2), (1, 2))   # (kernel, exact), (kernel, coexact), (exact, coexact)
 
 
-def hodge_decompose(x: Cochain, op: AssembledOperator, kernel: KernelProjector,
-                    tol: float = 1e-11) -> HodgeSplit:
+def hodge_decompose(x: Cochain, op: AssembledOperator, kernel: KernelProjector) -> HodgeSplit:
     """Split a cochain into kernel + d(d*_V v) + d*_V(d v) parts.
 
     v solves the operator equation on the complement of ``kernel`` (op's
@@ -419,7 +418,7 @@ def hodge_decompose(x: Cochain, op: AssembledOperator, kernel: KernelProjector,
     chain, p = op.chain, op.p
     X = x.values
     xk = kernel.apply(X)
-    v = solve_on_range(op, X - xk, tol=tol, kernel=kernel)
+    v = solve_on_range(op, X - xk, kernel=kernel)
     vc = Cochain(p, x.realization, v)
     if op.has_down:
         exact = chain.apply_d(chain.apply_codifferential(vc)).values

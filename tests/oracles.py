@@ -151,16 +151,20 @@ def exterior_calculus_oracle(form, op, exprs=None):
 def range_solve_oracle(op, rhs, kernel=None, steps=4):
     """Dense pseudo-inverse solve of S w = M rhs on Ran d: the generalized
     eigendecomposition of (S, M) restricted to the M-orthogonal complement
-    of the projector's span (an SVD null space), with every mode at
+    of the projector's span (an SVD null space, Jacobi-scaled: Q =
+    diag(M)^{-1/2} Y with Y orthonormal, so Q^T M Q stays well conditioned
+    under strong weights), with every mode at
     roundoff (at most dim * eps times the largest eigenvalue) dropped and
     the rest inverted, refined `steps` times on the true residual.  The
     cutoff is the oracle's own, independent of the Betti count that
     borders solve_on_range; on the cases compared here the modes it drops
     are exactly the kernel the border holds."""
     S, M = op.stiffness_dense(), op.M.toarray()
+    scale = 1.0 / np.sqrt(np.diag(M))
     Q = np.eye(op.dim)
     if kernel is not None and kernel.dim:
-        Q = dla.null_space((M @ kernel.basis).T)
+        Q = dla.null_space((M @ kernel.basis).T * scale)
+    Q = scale[:, None] * Q
     vals, vecs = dla.eigh(Q.T @ S @ Q, Q.T @ M @ Q)
     roundoff = op.dim * np.finfo(float).eps * abs(vals[-1])
     start = int(np.searchsorted(vals, roundoff, side="right"))

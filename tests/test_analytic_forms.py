@@ -48,7 +48,7 @@ def test_weighted_codifferential_adjointness_by_quadrature():
     da = a.d()
     lhs = quad.integrate(w * np.einsum("mc,mc->m", da.components(quad.points),
                                        b.components(quad.points)))
-    dstar = b.codifferential_weighted(V)
+    dstar = b.codifferential(V)
     rhs = quad.integrate(w * (a.components(quad.points)[:, 0]
                               * dstar.components(quad.points)[:, 0]))
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
@@ -110,21 +110,46 @@ _CALCULUS_POTENTIALS = {1: 0.5 * x1**2 + 0.3 * x1,
 
 @pytest.mark.parametrize("n, p", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)])
 def test_calculus_matches_insertion_oracle(n, p):
-    """d, d*, i_X and a ^ are structurally equal to the one-insertion-
-    at-a-time loops of the oracle, so the lambdified integrands do not move;
-    the vector field and 1-form are the gradient of a float-coefficient
-    potential, whose components are sums."""
+    """d, d*, d_f and d*_f are structurally equal to the one-insertion-at-a-
+    time loops of the oracle (d_f = d + df ^ and d*_f = d* + i_{grad f},
+    summed componentwise), so the lambdified integrands do not move; f is a
+    float-coefficient potential, whose gradient components are sums."""
     form = AnalyticForm(n, p, _CALCULUS_FORMS[n][p])
+    f = Potential(_CALCULUS_POTENTIALS[n], n)
     grad = [sp.diff(_CALCULUS_POTENTIALS[n], s) for s in _COORDS[:n]]
-    ops = {"wedge": form.wedge_with(grad)}
+    ops = {}
     if p < n:
-        ops["d"] = form.d()
+        ops["d"] = (form.d(), exterior_calculus_oracle(form, "d"))
+        ops["d_f"] = (form.d(f), [a + b for a, b in zip(
+            exterior_calculus_oracle(form, "d"), exterior_calculus_oracle(form, "wedge", grad))])
     if p >= 1:
-        ops["codifferential"] = form.codifferential()
-        ops["interior"] = form.interior_with(grad)
-    for op, got in ops.items():
-        want = exterior_calculus_oracle(form, op, grad)
+        ops["codifferential"] = (form.codifferential(),
+                                 exterior_calculus_oracle(form, "codifferential"))
+        ops["codifferential_f"] = (form.codifferential(f), [a + b for a, b in zip(
+            exterior_calculus_oracle(form, "codifferential"),
+            exterior_calculus_oracle(form, "interior", grad))])
+    for op, (got, want) in ops.items():
         assert [sp.srepr(c) for c in got.comps] == [sp.srepr(c) for c in want], op
+
+
+def test_lambdify_on_first_use(monkeypatch):
+    """Building a form, or a form from the calculus, lambdifies nothing;
+    components lambdifies each component once, on its first call."""
+    f = Potential(_CALCULUS_POTENTIALS[2], 2)
+    calls = []
+    lambdify = sp.lambdify
+    monkeypatch.setattr(sp, "lambdify", lambda *a, **k: calls.append(1) or lambdify(*a, **k))
+    form = AnalyticForm(2, 1, _CALCULUS_FORMS[2][1])
+    dstar = form.codifferential(f)
+    form.d(f)
+    assert calls == []
+    pts = np.random.default_rng(5).uniform(-1, 1, (6, 2))
+    vals = form.components(pts)
+    assert len(calls) == 2
+    assert np.allclose(vals[:, 1], 1.5 * pts[:, 0] ** 2 - pts[:, 1], rtol=1e-14, atol=1e-14)
+    form.components(pts)
+    dstar.components(pts)
+    assert len(calls) == 3
 
 
 def test_derivatives_built_on_first_use(monkeypatch):

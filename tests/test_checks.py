@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from hodgecheck import analytic_forms
+from hodgecheck import analytic_forms, runcache
 from hodgecheck import checks as checks_mod
 from hodgecheck.analytic_forms import AnalyticForm, BoundaryConditionError
 from hodgecheck.checks import (check_bl_forms, check_bl_scalar, check_gamma2,
@@ -180,6 +180,24 @@ def test_gamma2_calls_no_sympy_diff_or_lambdify(monkeypatch):
     monkeypatch.setattr(sp, "diff", forbidden)
     monkeypatch.setattr(sp, "lambdify", forbidden)
     assert check_gamma2(form, pot, DISK, 8).status == "pass"
+
+
+def test_gamma2_polynomials_once_per_run(monkeypatch):
+    """In one run scope a second gamma2 check of the same bump and V, at
+    another quadrature order, decomposes no polynomial again, and its
+    record equals the one computed outside a scope."""
+    form, pot = gamma2_bump(DISK, 0), Potential.quadratic(1.0, 2)
+    fresh = check_gamma2(form, pot, DISK, 12)
+    calls = []
+    sqf = sp.Poly.sqf_list
+    monkeypatch.setattr(sp.Poly, "sqf_list", lambda self, *a, **k: calls.append(1)
+                        or sqf(self, *a, **k))
+    with runcache.scope():
+        check_gamma2(form, pot, DISK, 8)
+        assert len(calls) == 7        # w, dw (2), Gamma, L0 w, L1 dw (2)
+        rec = check_gamma2(form, pot, DISK, 12)
+    assert len(calls) == 7
+    assert (rec.lhs, rec.rhs, rec.extra) == (fresh.lhs, fresh.rhs, fresh.extra)
 
 
 def test_gamma2_refuses_non_polynomials():

@@ -65,6 +65,34 @@ def test_compare_reports_rule(tmp_path, change, problem):
         assert lines[1].endswith("1 problem(s)")
 
 
+def test_compare_reports_checks_identity_terms(tmp_path):
+    """A term of extra.terms that moves beyond REL_MOVE is a problem even
+    when lhs and rhs hold; within it, it gets a "moved:" line only."""
+    parent = copy.deepcopy(PARENT)
+    parent["records"][0]["extra"] = {"terms": {"unweighted_form": 2.0, "lie": 0.5}}
+    parent["records"][2]["extra"] = {"terms": {"unweighted_form": 0.3}}   # not a term record
+    paths = [tmp_path / "parent.json", tmp_path / "change.json"]
+    paths[0].write_text(json.dumps(parent))
+
+    def compare(lie, other=0.3):
+        change = copy.deepcopy(parent)
+        change["records"][0]["extra"]["terms"]["lie"] = lie
+        change["records"][2]["extra"]["terms"]["unweighted_form"] = other
+        paths[1].write_text(json.dumps(change))
+        return subprocess.run([sys.executable, str(TOOL), *map(str, paths)],
+                              capture_output=True, text=True)
+
+    out = compare(0.5 * (1 + 5e-13), other=0.4)
+    assert out.returncode == 0 and out.stdout.splitlines() == ["3 -> 3 records, 0 problem(s)"]
+    assert out.stderr.splitlines() == [f"moved: green_identity p=0 b=normal N=None h_param=1.0 "
+                                       f"quad_order=8 #0: terms.lie 0.5 -> {0.5 * (1 + 5e-13)!r}"]
+    out = compare(0.5 * (1 + 5e-12))
+    lines = out.stdout.splitlines()
+    assert out.returncode == 1 and len(lines) == 2 and "terms.lie 0.5 ->" in lines[0], lines
+    out = compare(None)
+    assert out.returncode == 1 and "terms.lie 0.5 -> None" in out.stdout
+
+
 def test_compare_reports_unreadable(tmp_path):
     (tmp_path / "parent.json").write_text("{")
     out = subprocess.run([sys.executable, str(TOOL), str(tmp_path / "parent.json"),

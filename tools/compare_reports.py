@@ -5,17 +5,19 @@
 Applies the rule a change that keeps results must meet: the same records
 (matched by their labels and their order among records with equal labels),
 each with the same status, and every lhs and rhs within REL_MOVE relative
-of the parent's.  A worst-sample record (WORST_SAMPLE) reports the sample
-with the largest error, so its lhs/rhs jump to another sample when roundoff
-moves; for it the test is instead that rel_err stays at most
+of the parent's.  So must every term in extra.terms of a record whose
+right side is a sum of named terms (TERMS): a change cannot move one term
+while the sum holds.  A worst-sample record (WORST_SAMPLE) reports the
+sample with the largest error, so its lhs/rhs jump to another sample when
+roundoff moves; for it the test is instead that rel_err stays at most
 max(parent rel_err, WORST_FLOOR).  Non-numeric values ("inf", "nan",
 null) must be equal.
 
 Prints one line per problem and a summary line on stdout; exits 0 when
 there is no problem, 1 when there is one and 2 when a report cannot be
-read.  Every record whose lhs, rhs or rel_err moved at all, within the rule
-or not, also gets one informational "moved:" line on stderr, which leaves
-the exit code alone.  Uses the standard library only.
+read.  Every record whose lhs, rhs, rel_err or a term moved at all, within
+the rule or not, also gets one informational "moved:" line on stderr, which
+leaves the exit code alone.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import sys
 REL_MOVE = 1e-12
 WORST_FLOOR = 1e-13
 WORST_SAMPLE = ("variance_identity", "hodge_decomposition", "intertwining")
+TERMS = ("decomposition_identity", "green_identity", "h1_identity")
 LABELS = ("check_id", "kind", "domain", "potential", "p", "b", "N", "h_param",
           "quad_order", "mesh_h")
 
@@ -50,10 +53,18 @@ def _moved(old, new, rel) -> bool:
     return abs(new - old) > rel * max(abs(old), abs(new))
 
 
+def _terms(rec) -> dict:
+    """extra.terms of a TERMS record, keyed "terms.<name>"; {} otherwise."""
+    if rec["check_id"] not in TERMS:
+        return {}
+    terms = (rec.get("extra") or {}).get("terms") or {}
+    return {f"terms.{k}": v for k, v in terms.items()}
+
+
 def compare(parent: dict, change: dict) -> tuple[list[str], list[str]]:
     """Problem lines, empty when the change keeps the parent's results, and
-    one "moved:" line per record in both reports whose lhs, rhs or rel_err
-    is not exactly the parent's."""
+    one "moved:" line per record in both reports whose lhs, rhs, rel_err or
+    a term is not exactly the parent's."""
     old, new = _keyed(parent["records"]), _keyed(change["records"])
     problems, moves = [], []
     for key in old.keys() | new.keys():
@@ -67,8 +78,11 @@ def compare(parent: dict, change: dict) -> tuple[list[str], list[str]]:
             problems.append(f"{name}: appears")
             continue
         a, b = old[key], new[key]
-        shifts = [f"{side} {a[side]!r} -> {b[side]!r}" for side in ("lhs", "rhs", "rel_err")
-                  if _moved(a[side], b[side], 0.0)]
+        ta, tb = _terms(a), _terms(b)
+        values = {side: (a[side], b[side]) for side in ("lhs", "rhs", "rel_err")}
+        values.update({t: (ta.get(t), tb.get(t)) for t in sorted(ta.keys() | tb.keys())})
+        shifts = [f"{side} {x!r} -> {y!r}" for side, (x, y) in values.items()
+                  if _moved(x, y, 0.0)]
         if shifts:
             moves.append(f"moved: {name}: " + ", ".join(shifts))
         if a["status"] != b["status"]:
@@ -81,9 +95,9 @@ def compare(parent: dict, change: dict) -> tuple[list[str], list[str]]:
             elif rb > max(ra, WORST_FLOOR):
                 problems.append(f"{name}: rel_err rises {ra!r} -> {rb!r}")
             continue
-        for side in ("lhs", "rhs"):
-            if _moved(a[side], b[side], REL_MOVE):
-                problems.append(f"{name}: {side} {a[side]!r} -> {b[side]!r}")
+        for side, (x, y) in values.items():
+            if side != "rel_err" and _moved(x, y, REL_MOVE):
+                problems.append(f"{name}: {side} {x!r} -> {y!r}")
     return sorted(problems), sorted(moves)
 
 
