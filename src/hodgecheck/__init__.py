@@ -22,7 +22,7 @@ from .curvature import (EndomorphismField, PositivityViolationError,
 from .domains import DomainSpec, boundary_quadrature, domain_quadrature
 from .meshing import (SimplicialComplex, boundary_geometry, generate_mesh,
                       incidence_matrix, refine)
-from .operators import (AssembledOperator, Cochain, OperatorChain,
+from .operators import (AssembledOperator, OperatorChain,
                         UnsupportedRealizationError, dual_problem)
 from .potentials import Potential, WeightedMeasure, parse_potential
 from .records import CheckRecord
@@ -34,7 +34,7 @@ from .whitney import assemble_mass, interpolate
 
 __all__ = [
     "AnalyticForm", "AssembledOperator", "BoundaryConditionError", "CheckRecord",
-    "Cochain", "ConfigError", "DomainSpec", "EndomorphismField",
+    "ConfigError", "DomainSpec", "EndomorphismField",
     "HodgeSplit", "OperatorChain", "PositivityViolationError", "Potential",
     "Report", "RunConfig", "SimplicialComplex", "SpectralResult",
     "UnsupportedRealizationError", "WeightedMeasure", "assemble_mass",

@@ -33,6 +33,9 @@ __all__ = ["AnalyticForm", "BoundaryConditionError", "exact_polynomial",
            "weighted_laplacian_poly", "evaluate_square_free"]
 
 
+BC_TOL = 1e-10  # largest boundary trace norm verify_bc reads as zero
+
+
 class BoundaryConditionError(ValueError):
     pass
 
@@ -199,15 +202,15 @@ class AnalyticForm:
         return (float(np.linalg.norm(tpart, axis=1).max()),
                 float(np.linalg.norm(comp - tpart, axis=1).max()))
 
-    def verify_bc(self, boundary, tol: float = 1e-10):
+    def verify_bc(self, boundary):
         """Check the declared boundary condition on sampled boundary points."""
         if self.bc == "none":
             return
         tmax, nmax = self.boundary_trace_norms(boundary)
-        if self.bc == "tangential" and tmax > tol:
+        if self.bc == "tangential" and tmax > BC_TOL:
             raise BoundaryConditionError(
                 f"{self.name}: declared t w = 0 but max |t w| = {tmax:.2e}")
-        if self.bc == "normal" and nmax > tol:
+        if self.bc == "normal" and nmax > BC_TOL:
             raise BoundaryConditionError(
                 f"{self.name}: declared n w = 0 but max |n w| = {nmax:.2e}")
 

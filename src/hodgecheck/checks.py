@@ -34,14 +34,14 @@ import sympy as sp
 from . import exterior, runcache
 from .analytic_forms import (AnalyticForm, BoundaryConditionError, evaluate_square_free,
                              exact_polynomial, weighted_laplacian_poly)
-from .curvature import (bakry_emery_tensor, boundary_operator, hessian_p,
+from .curvature import (POSITIVITY_TOL, bakry_emery_tensor, boundary_operator, hessian_p,
                         invert_endo_field, restricted_min_eig)
 from .domains import DomainSpec, boundary_quadrature, domain_quadrature
 from .meshing import generate_mesh, refine
-from .operators import CHAIN_QUAD_ORDER, Cochain, OperatorChain, column_dots, dual_problem
+from .operators import CHAIN_QUAD_ORDER, OperatorChain, column_dots, dual_problem
 from .potentials import Potential, WeightedMeasure
 from .records import DEFAULT_TOLERANCES, CheckRecord, identity_record, inequality_record
-from .spectral import kernel_projector, lowest_eigenpairs, solve_on_range
+from .spectral import hodge_decompose, kernel_projector, lowest_eigenpairs, solve_on_range
 
 __all__ = [
     "eval_decomposition_identity",
@@ -64,7 +64,6 @@ __all__ = [
 IDENTITY_TOL = DEFAULT_TOLERANCES["identity_rel"]
 INEQ_REL = DEFAULT_TOLERANCES["inequality_rel"]
 INEQ_ABS = DEFAULT_TOLERANCES["inequality_abs"]
-POSITIVITY_TOL = 1e-10
 BOUNDARY_SLACK = 1e-9
 GAP_HYPOTHESIS_ORDER = 6  # quadrature order of the hypothesis check of both gap checks
 
@@ -451,7 +450,7 @@ def _bl_bound(form: AnalyticForm, potential: Potential, domain: DomainSpec, b: s
     else:
         chain = OperatorChain(_mesh(domain, mesh_h), potential, b)
         kp = kernel_projector(chain.operator(q), seed=seed)
-        proj = kp.apply(chain.interpolate(form).values)
+        proj = kp.apply(chain.interpolate(form))
         proj_sq = float(proj @ (chain.mass(q) @ proj)) / measure.Z
         lhs, kdim = sigma - proj_sq, kp.dim
     rhs = math.nan
@@ -462,7 +461,7 @@ def _bl_bound(form: AnalyticForm, potential: Potential, domain: DomainSpec, b: s
         else:
             D = form.d() if variant == "coclosed" else form.codifferential(potential)
             dvals = D.components(pts)
-            inv = invert_endo_field(field, POSITIVITY_TOL).evaluate(pts)
+            inv = invert_endo_field(field).evaluate(pts)
             rhs = factor * measure.expect(
                 np.einsum("mi,mi->m", np.einsum("mij,mj->mi", inv, dvals), dvals))
     return hyp, lhs, kdim, proj_sq, sigma, rhs
@@ -547,23 +546,21 @@ def check_bl_forms(form: AnalyticForm, potential: Potential, domain: DomainSpec,
 # Variance identity and spectral-side checks
 # ---------------------------------------------------------------------------
 
-def check_variance_identity(eta: Cochain, chain: OperatorChain):
+def check_variance_identity(eta: np.ndarray, chain: OperatorChain):
     """Two routes of the exact discrete variance identity.
 
     lhs = ||eta - pi eta||^2_M,  rhs = <(L^(1)|_{Ran d})^{-1} d eta, d eta>_M,
     where pi is the kernel projector of L^(0) (the constants of each
     component; none for tangential on a domain with boundary) and the range
-    solve finds the kernel of L^(1) itself.  eta.values of shape (dim, m)
-    give m samples in one range solve and (lhs, rhs) as arrays; a vector
-    gives floats.
+    solve finds the kernel of L^(1) itself.  eta is a 0-cochain; a block
+    of shape (dim, m) gives m samples in one range solve and (lhs, rhs) as
+    arrays, a vector gives floats.
     """
-    if eta.degree != 0:
-        raise ValueError("variance identity needs a 0-cochain")
-    centered = kernel_projector(chain.operator(0)).complement(eta.values)
+    centered = kernel_projector(chain.operator(0)).complement(eta)
     lhs = column_dots(centered, chain.mass(0) @ centered)
-    deta = chain.apply_d(eta)
-    w = solve_on_range(chain.operator(1), deta.values)
-    rhs = column_dots(w, chain.mass(1) @ deta.values)
+    deta = chain.apply_d(0, eta)
+    w = solve_on_range(chain.operator(1), deta)
+    rhs = column_dots(w, chain.mass(1) @ deta)
     return lhs, rhs
 
 
@@ -577,7 +574,7 @@ def variance_identity_record(domain: DomainSpec, potential: Potential, b: str,
     cplx = _mesh(domain, mesh_h)
     chain = OperatorChain(cplx, potential, b)
     draws = np.random.default_rng(seed).standard_normal((n_samples, chain.dim(0)))
-    lhs, rhs = check_variance_identity(Cochain(0, b, draws.T), chain)
+    lhs, rhs = check_variance_identity(draws.T, chain)
     worst = 0.0
     pair = (0.0, 0.0)
     for x, y in zip(lhs.tolist(), rhs.tolist()):
@@ -766,14 +763,12 @@ def duality_spectrum_check(domain: DomainSpec, potential: Potential, k: int = 3,
 def hodge_decomposition_record(domain: DomainSpec, potential: Potential, b: str,
                                p: int, mesh_h: float, n_samples: int = 5, seed: int = 1234,
                                tol: float = DEFAULT_TOLERANCES["hodge_rel"]) -> CheckRecord:
-    from .spectral import hodge_decompose
-
     cplx = _mesh(domain, mesh_h)
     chain = OperatorChain(cplx, potential, b)
     op = chain.operator(p)
     kp = kernel_projector(op, seed=seed)
     X = np.random.default_rng(seed).standard_normal((n_samples, chain.dim(p))).T
-    split = hodge_decompose(Cochain(p, b, X), op, kernel=kp)
+    split = hodge_decompose(X, op, kernel=kp)
     worst_rec = float(split.recomposition_residual.max(initial=0.0))
     worst_orth = float(split.orthogonality_residuals.max(initial=0.0))
     return identity_record("hodge_decomposition", worst_rec, 0.0, tol,

@@ -63,6 +63,13 @@ class RunConfig:
     def echo(self) -> dict:
         return self.raw
 
+    @property
+    def duality_levels(self) -> int:
+        """Levels of the duality ladder, the deepest mesh ladder of a run:
+        1e-6 agreement needs one Richardson stage beyond the h^2 and h^4
+        terms, so at least 4."""
+        return max(4, self.refinements + 1)
+
 
 def _known_keys(obj: dict, prefix: str, keys):
     """Refuse the first key of obj outside keys, at the path prefix + key."""
@@ -275,8 +282,8 @@ def check_mesh_budget(cfg: RunConfig):
     run would exceed MAX_TOP_SIMPLICES; run_config and convergence_study call
     it before any mesh is built.
 
-    The deepest ladder is the duality ladder, max(4, refinements + 1) levels
-    from target_h, and each refinement multiplies the top simplices by 2^d.
+    The deepest ladder is the duality ladder, cfg.duality_levels levels from
+    target_h, and each refinement multiplies the top simplices by 2^d.
     A level-0 mesh is estimated at SIMPLEX_DENSITY[d] * measure / h^d.
     """
     d = cfg.domain.ambient_dim
@@ -286,7 +293,7 @@ def check_mesh_budget(cfg: RunConfig):
         size = math.inf
     for _ in range(d):
         size /= cfg.target_h        # overflows to inf, never raises
-    size *= sum(2 ** (d * level) for level in range(max(4, cfg.refinements + 1)))
+    size *= sum(2 ** (d * level) for level in range(cfg.duality_levels))
     if size > MAX_TOP_SIMPLICES:
         raise ConfigError("mesh.target_h",
                           f"the mesh ladder would hold about {size:.3g} top simplices, "

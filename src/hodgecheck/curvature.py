@@ -42,6 +42,8 @@ __all__ = [
     "restricted_min_eig",
 ]
 
+POSITIVITY_TOL = 1e-10  # smallest eigenvalue a field required positive definite may have
+
 
 class PositivityViolationError(ValueError):
     """A field required positive definite failed at a sampled point."""
@@ -170,15 +172,16 @@ def boundary_operator(b: str, p: int, boundary) -> np.ndarray:
     return _symmetric(mats, f"K_{b}^{p}")
 
 
-def invert_endo_field(field: EndomorphismField, positivity_tol: float = 1e-10) -> EndomorphismField:
-    """Pointwise inverse; positivity is checked at every evaluated point."""
+def invert_endo_field(field: EndomorphismField) -> EndomorphismField:
+    """Pointwise inverse; positivity (eigenvalues >= POSITIVITY_TOL) is
+    checked at every evaluated point."""
 
     def evaluator(x):
         mats = field.evaluate(x)
         vals = np.linalg.eigvalsh(mats)
         idx = int(np.argmin(vals[:, 0]))
-        if vals[idx, 0] < positivity_tol:
-            raise PositivityViolationError(np.atleast_2d(x)[idx], vals[idx, 0], positivity_tol)
+        if vals[idx, 0] < POSITIVITY_TOL:
+            raise PositivityViolationError(np.atleast_2d(x)[idx], vals[idx, 0], POSITIVITY_TOL)
         return np.linalg.inv(mats)
 
     return EndomorphismField(field.degree, field.n, evaluator, f"inv({field.name})")

@@ -183,21 +183,16 @@ class SimplicialComplex:
                 "boundary markers not closed under faces"
         else:
             assert np.all(self.top_volumes(signed=True) > 0), "reversed 1D edge"
-        D_list = [incidence_matrix(self, p).entries for p in range(self.dim)]
+        D_list = [incidence_matrix(self, p) for p in range(self.dim)]
         for k in range(len(D_list) - 1):
             prod = D_list[k + 1] @ D_list[k]
             assert prod.nnz == 0 or np.all(prod.data == 0), "D D != 0"
         return True
 
 
-@dataclass
-class IncidenceMatrix:
-    degree: int
-    entries: sparse.csr_matrix  # integer entries in {-1, 0, +1}
-
-
-def incidence_matrix(cplx: SimplicialComplex, p: int) -> IncidenceMatrix:
-    """Signed incidence D_p mapping p-cochains to (p+1)-cochains."""
+def incidence_matrix(cplx: SimplicialComplex, p: int) -> sparse.csr_matrix:
+    """Signed incidence D_p mapping p-cochains to (p+1)-cochains: an integer
+    CSR matrix with entries in {-1, 0, +1}."""
     if p < 0 or p >= cplx.dim:
         raise ValueError(f"incidence degree p={p} out of range for dim {cplx.dim}")
     if p == 0:
@@ -206,15 +201,13 @@ def incidence_matrix(cplx: SimplicialComplex, p: int) -> IncidenceMatrix:
         rows = np.repeat(np.arange(ne), 2)
         cols = edges.ravel()
         vals = np.tile(np.array([-1, 1]), ne)
-        D = sparse.csr_matrix((vals, (rows, cols)), shape=(ne, nv), dtype=np.int64)
-        return IncidenceMatrix(0, D)
+        return sparse.csr_matrix((vals, (rows, cols)), shape=(ne, nv), dtype=np.int64)
     # p == 1, dim == 2: d[v0, v1, v2] = [v0, v1] - [v0, v2] + [v1, v2]
     nt, ne = cplx.num(2), cplx.num(1)
     rows = np.repeat(np.arange(nt), 3)
     vals = (cplx.tri_edge_sign * np.array([1, -1, 1])).ravel()
-    D = sparse.csr_matrix((vals, (rows, cplx.tri_edges.ravel())), shape=(nt, ne),
-                          dtype=np.int64)
-    return IncidenceMatrix(1, D)
+    return sparse.csr_matrix((vals, (rows, cplx.tri_edges.ravel())), shape=(nt, ne),
+                             dtype=np.int64)
 
 
 def betti_numbers(cplx: SimplicialComplex) -> tuple:
@@ -367,13 +360,8 @@ def _annulus_mesh(spec, h):
         verts.append(np.column_stack([center[0] + r * np.cos(th),
                                       center[1] + r * np.sin(th)]))
     verts = np.vstack(verts)
-    vid = lambda i, j: i * nth + (j % nth)
-    tris = []
-    for i in range(nr):
-        for j in range(nth):
-            tris.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)))
-            tris.append((vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)))
-    return _from_triangles(verts, np.asarray(tris, dtype=int), spec)
+    tris = _grid_triangles(nr, nth, lambda i, j: i * nth + (j % nth))
+    return _from_triangles(verts, tris, spec)
 
 
 def _polygon_mesh(vertices, h, spec):

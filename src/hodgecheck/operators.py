@@ -31,8 +31,6 @@ orders them with a symmetric fill-reducing order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg as dla
 import scipy.sparse as sparse
@@ -41,11 +39,10 @@ import scipy.sparse.linalg as spla
 from . import runcache
 from .meshing import SimplicialComplex, betti_numbers, incidence_matrix
 from .potentials import Potential
-from .whitney import assemble_mass
+from .whitney import assemble_mass, interpolate
 
 __all__ = [
     "UnsupportedRealizationError",
-    "Cochain",
     "OperatorChain",
     "AssembledOperator",
     "dual_problem",
@@ -89,17 +86,6 @@ def column_dots(a: np.ndarray, b: np.ndarray):
         return float(a @ b)
     a, b = np.asfortranarray(a), np.asfortranarray(b)
     return np.array([a[:, j] @ b[:, j] for j in range(a.shape[1])])
-
-
-@dataclass
-class Cochain:
-    """Coefficients of a discrete p-form on the retained degrees of freedom.
-    apply_d and the variance identity also take values of shape (dim, m):
-    a block of m cochains, one per column."""
-
-    degree: int
-    realization: str
-    values: np.ndarray
 
 
 class OperatorChain:
@@ -200,38 +186,30 @@ class OperatorChain:
 
     def d_matrix(self, p: int) -> sparse.csr_matrix:
         if p not in self._D:
-            D = incidence_matrix(self.cplx, p).entries
+            D = incidence_matrix(self.cplx, p)
             self._D[p] = D[np.ix_(self.free_dofs(p + 1), self.free_dofs(p))].tocsr()
         return self._D[p]
 
     # -- cochain calculus ----------------------------------------------------
-    def inner(self, a: Cochain, b: Cochain) -> float:
-        return float(a.values @ (self.mass(a.degree) @ b.values))
-
-    def norm(self, a: Cochain) -> float:
-        return float(np.sqrt(max(0.0, self.inner(a, a))))
-
-    def apply_d(self, c: Cochain) -> Cochain:
-        if c.degree >= self.cplx.dim:
+    # A p-cochain is the array of its coefficients on free_dofs(p): a vector,
+    # or a (dim, m) block of m cochains, one per column.
+    def apply_d(self, p: int, x: np.ndarray) -> np.ndarray:
+        if p >= self.cplx.dim:
             raise ValueError("apply_d at top degree")
-        return Cochain(c.degree + 1, c.realization, self.d_matrix(c.degree) @ c.values)
+        return self.d_matrix(p) @ x
 
-    def apply_codifferential(self, c: Cochain) -> Cochain:
+    def apply_codifferential(self, p: int, x: np.ndarray) -> np.ndarray:
         """Weighted adjoint d*_V = M_{p-1}^{-1} D^T M_p."""
-        if c.degree < 1:
+        if p < 1:
             raise ValueError("codifferential at degree 0")
-        p = c.degree
-        rhs = self.d_matrix(p - 1).T @ (self.mass(p) @ c.values)
-        return Cochain(p - 1, c.realization, self.mass_solve(p - 1, rhs))
+        return self.mass_solve(p - 1, self.d_matrix(p - 1).T @ (self.mass(p) @ x))
 
     def operator(self, p: int) -> "AssembledOperator":
         return AssembledOperator(self, p)
 
-    def interpolate(self, form, quad_order: int = 6) -> Cochain:
-        from .whitney import interpolate
-
-        full = interpolate(form, self.cplx, quad_order)
-        return Cochain(form.degree, self.realization, full[self.free_dofs(form.degree)])
+    def interpolate(self, form) -> np.ndarray:
+        """Whitney interpolant of an analytic form on the free DOFs of its degree."""
+        return interpolate(form, self.cplx)[self.free_dofs(form.degree)]
 
 
 class AssembledOperator:

@@ -194,24 +194,15 @@ class WeightedMeasure:
     quad_order: int = 8
 
     def __post_init__(self):
-        quad = domain_quadrature(self.domain, self.quad_order)
-        w = self.potential.weight(quad.points)
+        self.quadrature = domain_quadrature(self.domain, self.quad_order)
+        w = self.potential.weight(self.quadrature.points)
         if not np.all(np.isfinite(w)):
             raise ValueError("weight exp(-V) not finite on the domain")
-        self.normalization = float(quad.integrate(w))
-        if not (np.isfinite(self.normalization) and self.normalization > 0):
+        self.Z = float(self.quadrature.integrate(w))
+        if not (np.isfinite(self.Z) and self.Z > 0):
             raise ValueError("normalization of exp(-V) d mu must be positive and finite")
-        self._quad = quad
-
-    @property
-    def Z(self) -> float:
-        return self.normalization
+        self._weights = self.quadrature.weights * w   # the rule's weights times exp(-V)
 
     def expect(self, values: np.ndarray) -> float:
         """Integral against d nu, for values sampled at the rule's points."""
-        w = self.potential.weight(self._quad.points)
-        return float(np.dot(self._quad.weights * w, values)) / self.normalization
-
-    @property
-    def quadrature(self):
-        return self._quad
+        return float(np.dot(self._weights, values)) / self.Z

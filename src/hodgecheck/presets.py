@@ -118,8 +118,6 @@ def test_form(spec: DomainSpec, p: int, b: str) -> AnalyticForm:
             return AnalyticForm(2, 0, [_bubble(spec) * (x1 + sp.Rational(1, 2))],
                                 bc="tangential", name="bubble-p0")
         return AnalyticForm(2, 0, [x1 + x2**2 / 3], bc="normal", name="free-p0")
-    if spec.kind == "polygon":
-        raise ValueError("no built-in p >= 1 test forms for general polygons")
     if p == 1:
         if spec.kind in ("disk", "annulus"):
             cx = spec.parameters[-2], spec.parameters[-1]

@@ -280,10 +280,9 @@ def _hodge(cfg: RunConfig, p: int, b: str):
 
 
 def _duality(cfg: RunConfig):
-    # 1e-6 agreement needs one Richardson stage beyond the h^2 and h^4 terms
     return checks.duality_spectrum_check(
         cfg.domain, cfg.potential, k=cfg.eigen_count, mesh_h=cfg.target_h,
-        levels=max(4, cfg.refinements + 1), seed=cfg.seed,
+        levels=cfg.duality_levels, seed=cfg.seed,
         tol=cfg.tolerances["duality_rel"])
 
 

@@ -62,7 +62,7 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .operators import AssembledOperator, Cochain, OperatorChain, column_dots, sparse_lu
+from .operators import AssembledOperator, OperatorChain, column_dots, sparse_lu
 
 __all__ = [
     "SpectralResult",
@@ -75,6 +75,10 @@ __all__ = [
     "solve_on_range",
     "check_intertwining",
 ]
+
+EIGEN_RESIDUAL_TOL = 1e-9
+"""lowest_eigenpairs certifies an eigenpair when its residual's M^{-1}-norm
+is at most 100 EIGEN_RESIDUAL_TOL (1 + |lambda|)."""
 
 SPECTRA_CUTOFF = 300
 """Largest dimension whose spectrum takes "dense-eigh"; above it a spectrum
@@ -164,8 +168,7 @@ def _m_orthonormalize(M, vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-9,
-                      seed: int = 1234) -> SpectralResult:
+def lowest_eigenpairs(op: AssembledOperator, k: int, seed: int = 1234) -> SpectralResult:
     """k smallest eigenpairs of S x = lambda M x with certified residuals
     and kernel count (the module docstring).
 
@@ -174,8 +177,6 @@ def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-9,
     """
     if not (1 <= k <= op.dim):
         raise ValueError(f"need 1 <= k <= {op.dim}, got {k}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if op.dim <= SPECTRA_CUTOFF:
         vals, vecs = op.pencil()
         vals, vecs = vals[:k], vecs[:, :k]
@@ -186,7 +187,7 @@ def lowest_eigenpairs(op: AssembledOperator, k: int, tol: float = 1e-9,
     vals, vecs = vals[order], vecs[:, order]
     vecs = _m_orthonormalize(op.M, vecs)
     res = _residual_norms(op, vals, vecs)
-    bad = res > max(tol, 1e-12) * 100 * (1.0 + np.abs(vals))
+    bad = res > EIGEN_RESIDUAL_TOL * 100 * (1.0 + np.abs(vals))
     if bad.any():
         raise SolverError("eigenpair residuals did not certify", residuals=res)
     b = op.chain.betti(op.p)
@@ -394,9 +395,9 @@ def _certificate(op: AssembledOperator, B, X, project):
 
 @dataclass
 class HodgeSplit:
-    kernel_part: Cochain
-    exact_part: Cochain
-    coexact_part: Cochain
+    kernel_part: np.ndarray
+    exact_part: np.ndarray
+    coexact_part: np.ndarray
     recomposition_residual: float | np.ndarray
     orthogonality_residuals: tuple | np.ndarray = field(default_factory=tuple)
 
@@ -404,28 +405,26 @@ class HodgeSplit:
 _PAIRS = ((0, 1), (0, 2), (1, 2))   # (kernel, exact), (kernel, coexact), (exact, coexact)
 
 
-def hodge_decompose(x: Cochain, op: AssembledOperator, kernel: KernelProjector) -> HodgeSplit:
-    """Split a cochain into kernel + d(d*_V v) + d*_V(d v) parts.
+def hodge_decompose(X: np.ndarray, op: AssembledOperator, kernel: KernelProjector) -> HodgeSplit:
+    """Split a cochain of degree op.p into kernel + d(d*_V v) + d*_V(d v) parts.
 
     v solves the operator equation on the complement of ``kernel`` (op's
     kernel_projector), so the exact part is d(d*_V v), the coexact d*_V(d v).
-    x.values of shape (dim, m) split m cochains in one range solve; then
+    X of shape (dim, m) splits m cochains in one range solve; then
     the parts are blocks, recomposition_residual holds one value per column
     and orthogonality_residuals is a (3, m) array over the pairs (kernel,
     exact), (kernel, coexact) and (exact, coexact), 0 where a part vanishes.
     A vector keeps the pairs whose parts are both nonzero, as a tuple.
     """
     chain, p = op.chain, op.p
-    X = x.values
     xk = kernel.apply(X)
     v = solve_on_range(op, X - xk, kernel=kernel)
-    vc = Cochain(p, x.realization, v)
     if op.has_down:
-        exact = chain.apply_d(chain.apply_codifferential(vc)).values
+        exact = chain.apply_d(p - 1, chain.apply_codifferential(p, v))
     else:
         exact = np.zeros_like(X)
     if op.has_up:
-        coexact = chain.apply_codifferential(chain.apply_d(vc)).values
+        coexact = chain.apply_codifferential(p + 1, chain.apply_d(p, v))
     else:
         coexact = np.zeros_like(X)
 
@@ -442,7 +441,7 @@ def hodge_decompose(x: Cochain, op: AssembledOperator, kernel: KernelProjector) 
                      for ok, (i, j) in zip(nonzero, _PAIRS)])
     if X.ndim == 1:
         rec, orth = float(rec), tuple(float(o) for o, ok in zip(orth, nonzero) if ok)
-    return HodgeSplit(*(Cochain(p, x.realization, part) for part in parts), rec, orth)
+    return HodgeSplit(*parts, rec, orth)
 
 
 def check_intertwining(chain: OperatorChain, p: int, n_samples: int = 10,

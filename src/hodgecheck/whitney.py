@@ -28,6 +28,8 @@ from .potentials import Potential
 
 __all__ = ["assemble_mass", "interpolate", "AssemblyWarning", "segment_rule", "triangle_rule"]
 
+INTERPOLATION_QUAD_ORDER = 6  # edge and triangle rules of the DOF integrals in interpolate
+
 
 class AssemblyWarning(UserWarning):
     """Quadrature order too low for the requested potential degree."""
@@ -162,7 +164,7 @@ def _scatter(loc, dofs, size):
     return 0.5 * (M + M.T)  # symmetrize away roundoff asymmetry
 
 
-def interpolate(form, cplx: SimplicialComplex, quad_order: int = 6) -> np.ndarray:
+def interpolate(form, cplx: SimplicialComplex) -> np.ndarray:
     """Canonical Whitney interpolation: DOF integrals of an analytic form.
 
     p = 0: vertex values; p = 1: oriented edge integrals of the tangential
@@ -172,14 +174,14 @@ def interpolate(form, cplx: SimplicialComplex, quad_order: int = 6) -> np.ndarra
     if p == 0:
         return form.components(cplx.vertex_coords)[:, 0]
     if p == 1:
-        t, wt = segment_rule(quad_order)
+        t, wt = segment_rule(INTERPOLATION_QUAD_ORDER)
         ec = cplx.element_coords(1)
         a = ec[:, 0, :]
         d = ec[:, 1, :] - a
         pts = a[:, None, :] + t[None, :, None] * d[:, None, :]
         vals = form.components(pts.reshape(-1, cplx.n)).reshape(len(a), len(t), -1)
         return np.einsum("q,eqx,ex->e", wt, vals, d)
-    ref, wref = triangle_rule(quad_order)
+    ref, wref = triangle_rule(INTERPOLATION_QUAD_ORDER)
     ec, J, detJ, _ = _element_geometry(cplx)
     pts = _quad_points(ec, J, ref)
     vals = form.components(pts.reshape(-1, 2)).reshape(ec.shape[0], len(wref))

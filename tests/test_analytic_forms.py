@@ -92,10 +92,10 @@ def test_interpolation_exact_for_whitney_fields():
     c = chain.interpolate(const)
     ec = m.element_coords(1)
     expect = (ec[:, 1, :] - ec[:, 0, :]) @ np.array([2.0, -1.0])
-    assert np.allclose(c.values, expect, atol=1e-13)
+    assert np.allclose(c, expect, atol=1e-13)
     top = AnalyticForm(2, 2, [sp.Integer(3)])
     c2 = chain.interpolate(top)
-    assert np.allclose(c2.values, 3 * m.top_volumes(), atol=1e-13)
+    assert np.allclose(c2, 3 * m.top_volumes(), atol=1e-13)
 
 
 _CALCULUS_FORMS = {

@@ -21,7 +21,7 @@ from hodgecheck.checks import (check_bl_forms, check_bl_scalar, check_gamma2,
                                variance_identity_record)
 from hodgecheck.domains import DomainSpec
 from hodgecheck.meshing import generate_mesh
-from hodgecheck.operators import CHAIN_QUAD_ORDER, Cochain, OperatorChain
+from hodgecheck.operators import CHAIN_QUAD_ORDER, OperatorChain
 from hodgecheck.potentials import Potential, _COORDS
 from hodgecheck.presets import gamma2_bump
 import hodgecheck.spectral as spectral
@@ -310,7 +310,7 @@ def test_variance_identity_exactness():
     # constant cochain, normal realization: both sides vanish
     m = generate_mesh(DISK, 0.35)
     chain = OperatorChain(m, VX2, "normal")
-    lhs, rhs = check_variance_identity(Cochain(0, "normal", np.ones(chain.dim(0))), chain)
+    lhs, rhs = check_variance_identity(np.ones(chain.dim(0)), chain)
     assert abs(lhs) < 1e-14 and abs(rhs) < 1e-12
 
 
@@ -601,3 +601,19 @@ def test_every_chain_is_built_at_the_chain_quadrature_order(monkeypatch):
     assert orders and set(orders) == {CHAIN_QUAD_ORDER}
     assert {r.quad_order for r in records if r.check_id in DISCRETE_CHECKS} \
         == {CHAIN_QUAD_ORDER}
+
+
+@pytest.mark.parametrize("b", ["normal", "tangential"])
+def test_polygon_top_degree_identities(b):
+    """The L-shape has p = 2 test forms (only p = 1 has none): at quad order
+    24 its decomposition, Green and h1 records pass at roundoff."""
+    from hodgecheck.presets import test_form
+
+    form, pot = test_form(L_SHAPE, 2, b), Potential.quadratic(1.0, 2)
+    recs = [eval_decomposition_identity(form, pot, L_SHAPE, b, 24),
+            eval_green_identity(form, pot, L_SHAPE, b, 24),
+            eval_h1_identity(form, L_SHAPE, b, 24)]
+    for rec in recs:
+        assert rec.status == "pass" and rec.rel_err <= 1e-13, (rec.check_id, rec.rel_err)
+    with pytest.raises(ValueError, match="no p=1 test form for polygon"):
+        test_form(L_SHAPE, 1, b)

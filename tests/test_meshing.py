@@ -49,12 +49,12 @@ def test_mesh_invariants(spec):
     m.validate()
     # incidence composition vanishes in exact integer arithmetic
     if m.dim == 2:
-        D0 = incidence_matrix(m, 0).entries
-        D1 = incidence_matrix(m, 1).entries
+        D0 = incidence_matrix(m, 0)
+        D1 = incidence_matrix(m, 1)
         prod = (D1 @ D0).toarray()
         assert np.all(prod == 0)
         assert set(np.unique(D1.toarray())) <= {-1, 0, 1}
-    D0 = incidence_matrix(m, 0).entries
+    D0 = incidence_matrix(m, 0)
     assert np.all(np.asarray(np.abs(D0).sum(axis=1)).ravel() == 2)
 
 
@@ -199,7 +199,7 @@ def test_edge_table_matches_dict_oracle():
         idx, sgn, D1, bedge, bvert = edge_table_oracle(m)
         assert np.array_equal(m.tri_edges, idx), label
         assert np.array_equal(m.tri_edge_sign, sgn), label
-        assert np.array_equal(incidence_matrix(m, 1).entries.toarray(), D1), label
+        assert np.array_equal(incidence_matrix(m, 1).toarray(), D1), label
         assert np.array_equal(m.boundary_marker[1], bedge), label
         assert np.array_equal(m.boundary_marker[0], bvert), label
     assert seen_2d == 9

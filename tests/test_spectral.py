@@ -16,7 +16,7 @@ from hodgecheck.checks import (check_variance_identity, hodge_decomposition_reco
                                semiclassical_sweep, variance_identity_record)
 from hodgecheck.domains import DomainSpec
 from hodgecheck.meshing import SimplicialComplex, betti_numbers, generate_mesh, refine
-from hodgecheck.operators import Cochain, OperatorChain, dual_problem
+from hodgecheck.operators import OperatorChain, dual_problem
 from hodgecheck.potentials import Potential
 import hodgecheck.spectral as spectral
 from hodgecheck.spectral import (KernelProjector, SolverError, hodge_decompose,
@@ -123,11 +123,11 @@ def test_solve_on_range_consistency():
     op0, op1 = chain.operator(0), chain.operator(1)
     eta = chain.interpolate(_linear_form())
     kp = kernel_projector(op0)
-    centered = kp.complement(eta.values)
+    centered = kp.complement(eta)
     lhs = float(centered @ (chain.mass(0) @ centered))
-    deta = chain.apply_d(eta)
-    w = solve_on_range(op1, deta.values, tol=1e-12)
-    rhs = float(w @ (chain.mass(1) @ deta.values))
+    deta = chain.apply_d(0, eta)
+    w = solve_on_range(op1, deta, tol=1e-12)
+    rhs = float(w @ (chain.mass(1) @ deta))
     assert abs(lhs - rhs) <= 1e-9 * lhs
     assert abs(lhs - 1 / 12) <= 1e-6
     assert np.allclose(solve_on_range(op1, np.zeros(op1.dim)), 0.0)
@@ -140,27 +140,31 @@ def _linear_form():
     return AnalyticForm(1, 0, [_COORDS[0]], name="x")
 
 
+def _mass_norm(chain, p, x):
+    return float(np.sqrt(x @ (chain.mass(p) @ x)))
+
+
 def test_hodge_decomposition():
     m = generate_mesh(DomainSpec.annulus(0.5, 1.0), 0.25)
     chain = OperatorChain(m, Potential.quadratic(1.0, 2), "tangential")
     op = chain.operator(1)
     kp = kernel_projector(op)
     rng = np.random.default_rng(3)
-    x = Cochain(1, "tangential", rng.standard_normal(chain.dim(1)))
+    x = rng.standard_normal(chain.dim(1))
     split = hodge_decompose(x, op, kernel=kp)
     assert split.recomposition_residual <= 1e-8
     assert max(split.orthogonality_residuals, default=0.0) <= 1e-8
     # kernel input decomposes to itself
     if kp.dim:
-        xk = Cochain(1, "tangential", kp.basis[:, 0].copy())
+        xk = kp.basis[:, 0].copy()
         s2 = hodge_decompose(xk, op, kernel=kp)
-        assert chain.norm(s2.exact_part) <= 1e-8
-        assert chain.norm(s2.coexact_part) <= 1e-8
+        assert _mass_norm(chain, 1, s2.exact_part) <= 1e-8
+        assert _mass_norm(chain, 1, s2.coexact_part) <= 1e-8
     # exact input has negligible coexact part
-    y = Cochain(0, "tangential", rng.standard_normal(chain.dim(0)))
-    dy = chain.apply_d(y)
+    y = rng.standard_normal(chain.dim(0))
+    dy = chain.apply_d(0, y)
     s3 = hodge_decompose(dy, op, kernel=kp)
-    assert chain.norm(s3.coexact_part) <= 1e-8 * chain.norm(dy)
+    assert _mass_norm(chain, 1, s3.coexact_part) <= 1e-8 * _mass_norm(chain, 1, dy)
 
 
 def test_lowest_eigenpairs_validation():
@@ -170,8 +174,6 @@ def test_lowest_eigenpairs_validation():
         lowest_eigenpairs(op, 0)
     with pytest.raises(ValueError):
         lowest_eigenpairs(op, op.dim + 1)
-    with pytest.raises(ValueError):
-        lowest_eigenpairs(op, 1, tol=-1.0)
 
 
 def test_spectral_result_json():
@@ -357,7 +359,7 @@ def _range_case(domain, realization, h, p, with_projector):
     kp = kernel_projector(op) if with_projector else None
     rng = np.random.default_rng(5)
     if p == 1:
-        rhs = chain.apply_d(Cochain(0, realization, rng.standard_normal(chain.dim(0)))).values
+        rhs = chain.apply_d(0, rng.standard_normal(chain.dim(0)))
     else:
         rhs = kp.complement(rng.standard_normal(op.dim))
     return op, rhs, kp
@@ -398,7 +400,7 @@ def test_range_solve_refines_smooth_fine_rhs():
     chain = OperatorChain(m, Potential.zero(1), "normal")
     op = chain.operator(1)
     eta = chain.interpolate(_linear_form())
-    deta = chain.apply_d(eta).values
+    deta = chain.apply_d(0, eta)
     w = solve_on_range(op, deta, tol=1e-11)
     assert _certified_residual(op, deta, w) <= 1e-11
     lhs, rhs = check_variance_identity(eta, chain)
@@ -478,8 +480,7 @@ def test_range_solve_large_chain_without_eigh(monkeypatch, domain):
     assert chain.dim(1) > 3000
     rng = np.random.default_rng(2)
     for _ in range(3):
-        lhs, rhs = check_variance_identity(Cochain(0, "normal", rng.standard_normal(chain.dim(0))),
-                                           chain)
+        lhs, rhs = check_variance_identity(rng.standard_normal(chain.dim(0)), chain)
         assert abs(lhs - rhs) <= 1e-13 * lhs
     assert calls == []
 
@@ -492,7 +493,7 @@ def _double_well_case(h_param):
     identity inverts it."""
     V = Potential.quartic_double_well(1.0, 1).rescaled(h_param)
     chain = OperatorChain(generate_mesh(DomainSpec.interval(-2, 2), 1 / 64), V, "tangential")
-    eta = Cochain(0, "tangential", np.random.default_rng(3).standard_normal(chain.dim(0)))
+    eta = np.random.default_rng(3).standard_normal(chain.dim(0))
     return chain, eta
 
 
@@ -502,7 +503,7 @@ def test_range_solve_inverts_small_nonkernel_modes(h_param):
     and the variance identity holds, on the saddle and on the oracle."""
     chain, eta = _double_well_case(h_param)
     op = chain.operator(1)
-    deta = chain.apply_d(eta).values
+    deta = chain.apply_d(0, eta)
     w = solve_on_range(op, deta)
     assert _certified_residual(op, deta, w) <= 1e-11
     lhs, rhs = check_variance_identity(eta, chain)
@@ -521,11 +522,10 @@ def test_pencil_drops_projector_span(h_param):
     op = chain.operator(1)
     kp = kernel_projector(op)
     assert kp.dim == 1
-    deta = chain.apply_d(eta).values
+    deta = chain.apply_d(0, eta)
     w = solve_on_range(op, deta, kernel=kp)
     assert _certified_residual(op, deta, w, kp) <= 1e-11
-    assert chain.norm(Cochain(1, "tangential", kp.apply(w))) <= 1e-14 * \
-        chain.norm(Cochain(1, "tangential", w))
+    assert _mass_norm(chain, 1, kp.apply(w)) <= 1e-14 * _mass_norm(chain, 1, w)
     assert np.abs(w - solve_on_range(op, deta)).max() <= 1e-12 * np.abs(w).max()
 
 
@@ -545,7 +545,7 @@ def test_cg_certifies_on_true_residual(h_param, certifies):
         rhs = rhs + 1.0
     else:
         chain, eta = _double_well_case(h_param)
-        op, rhs = chain.operator(1), chain.apply_d(eta).values
+        op, rhs = chain.operator(1), chain.apply_d(0, eta)
         kp = kernel_projector(op)
     if not certifies:
         with pytest.raises(SolverError, match="did not certify"):
@@ -565,7 +565,7 @@ def test_range_solve_refuses_modes_at_roundoff():
     vals, _ = chain.operator(1).pencil()
     assert abs(vals[1]) <= 1e-15 * vals[-1]
     with pytest.raises(SolverError, match="did not certify"):
-        solve_on_range(chain.operator(1), chain.apply_d(eta).values)
+        solve_on_range(chain.operator(1), chain.apply_d(0, eta))
 
 
 LSHAPE = DomainSpec.polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
@@ -701,7 +701,7 @@ def test_variance_record_equals_per_sample_computation(monkeypatch, domain, V, b
     rng = np.random.default_rng(seed)
     worst, pair = 0.0, (0.0, 0.0)
     for _ in range(n_samples):
-        lhs, rhs = check_variance_identity(Cochain(0, b, rng.standard_normal(chain.dim(0))), chain)
+        lhs, rhs = check_variance_identity(rng.standard_normal(chain.dim(0)), chain)
         rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
         if rel > worst:
             worst, pair = rel, (lhs, rhs)
@@ -812,7 +812,7 @@ def test_harmonic_basis_counts_components():
         assert kp.dim == 2
         # one component per column
         assert np.count_nonzero(np.abs(kp.basis) > 1e-12, axis=1).max() == 1
-        eta = Cochain(0, b, rng.standard_normal((chain.dim(0), 3)))
+        eta = rng.standard_normal((chain.dim(0), 3))
         lhs, rhs = check_variance_identity(eta, chain)
         assert np.abs(lhs - rhs).max() <= 1e-13 * lhs.max()
 
@@ -830,14 +830,14 @@ def test_block_hodge_decompose_matches_columns(domain, b, p):
     op = chain.operator(p)
     kp = kernel_projector(op)
     X = np.random.default_rng(2).standard_normal((chain.dim(p), 4))
-    split = hodge_decompose(Cochain(p, b, X), op, kernel=kp)
+    split = hodge_decompose(X, op, kernel=kp)
     assert split.recomposition_residual.shape == (4,)
     assert split.orthogonality_residuals.shape == (3, 4)
     for j in range(4):
-        one = hodge_decompose(Cochain(p, b, X[:, j]), op, kernel=kp)
+        one = hodge_decompose(X[:, j], op, kernel=kp)
         for block, col in zip((split.kernel_part, split.exact_part, split.coexact_part),
                               (one.kernel_part, one.exact_part, one.coexact_part)):
-            assert np.abs(block.values[:, j] - col.values).max() <= 1e-12 * np.abs(X).max()
+            assert np.abs(block[:, j] - col).max() <= 1e-12 * np.abs(X).max()
         assert split.recomposition_residual[j] == pytest.approx(one.recomposition_residual,
                                                                 abs=1e-15)
         assert split.orthogonality_residuals[:, j].max() == pytest.approx(
