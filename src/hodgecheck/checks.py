@@ -423,7 +423,7 @@ def _n_factor(N: float) -> float:
 
 def _bl_bound(form: AnalyticForm, potential: Potential, domain: DomainSpec, b: str,
               variant: str, N: float | None, quad_order: int,
-              mesh_h: float | None, seed: int | None) -> tuple:
+              mesh_h: float | None) -> tuple:
     """||w - pi_b w||^2 <= c int <(Ric_V^(p))^-1 Dw, Dw> dnu for a q-form w:
     D = d, p = q + 1 (coclosed) or D = d*_V, p = q - 1 (closed); the field
     is _curvature_field(potential, p, N), c = (N - 1)/N for a given N
@@ -449,7 +449,7 @@ def _bl_bound(form: AnalyticForm, potential: Potential, domain: DomainSpec, b: s
         lhs, kdim, proj_sq = measure.expect((vals - mean) ** 2), 1, mean ** 2
     else:
         chain = OperatorChain(_mesh(domain, mesh_h), potential, b)
-        kp = kernel_projector(chain.operator(q), seed=seed)
+        kp = kernel_projector(chain.operator(q))
         proj = kp.apply(chain.interpolate(form))
         proj_sq = float(proj @ (chain.mass(q) @ proj)) / measure.Z
         lhs, kdim = sigma - proj_sq, kp.dim
@@ -482,7 +482,7 @@ def check_bl_scalar(form: AnalyticForm, potential: Potential, domain: DomainSpec
                 domain_quadrature(domain, 4).points).max()))):
             raise BoundaryConditionError("tangential scalar case needs w = 0 on the boundary")
     hyp, lhs, *_, rhs = _bl_bound(form, potential, domain, b, "coclosed", N, quad_order,
-                                  None, None)   # q = 0 reads no mesh_h or seed
+                                  None)   # q = 0 reads no mesh_h
     return inequality_record("bl_scalar", lhs, rhs, hyp.status, tol_rel, tol_abs,
                              witness=hyp.witness, **_labels(domain, potential),
                              p=1, b=b, N=N, quad_order=quad_order,
@@ -492,8 +492,7 @@ def check_bl_scalar(form: AnalyticForm, potential: Potential, domain: DomainSpec
 
 def check_bl_forms(form: AnalyticForm, potential: Potential, domain: DomainSpec,
                    b: str, variant: str, quad_order: int = 8, mesh_h: float = 0.15,
-                   tol_rel: float = INEQ_REL, tol_abs: float = INEQ_ABS,
-                   seed: int = 1234) -> CheckRecord:
+                   tol_rel: float = INEQ_REL, tol_abs: float = INEQ_ABS) -> CheckRecord:
     """Form-degree bound ||w - pi_b w||^2 <= int <(Ric_V^(p))^-1 Dw, Dw> dnu.
 
     variant "coclosed" (d*_V w = 0, D = d, p = q+1) or "closed"
@@ -534,7 +533,7 @@ def check_bl_forms(form: AnalyticForm, potential: Potential, domain: DomainSpec,
                                  tol_rel, tol_abs, **_labels(domain, potential),
                                  p=p, b=b, quad_order=quad_order, extra=extra)
     hyp, lhs, kdim, proj_sq, sigma, rhs = _bl_bound(form, potential, domain, b, variant,
-                                                    None, quad_order, mesh_h, seed)
+                                                    None, quad_order, mesh_h)
     extra.update({"hypothesis": hyp.to_dict(), "kernel_dim": kdim,
                   "projection_norm_sq": proj_sq, "l2_norm_sq": sigma})
     return inequality_record("bl_forms", lhs, rhs, hyp.status, tol_rel, tol_abs,
@@ -766,7 +765,7 @@ def hodge_decomposition_record(domain: DomainSpec, potential: Potential, b: str,
     cplx = _mesh(domain, mesh_h)
     chain = OperatorChain(cplx, potential, b)
     op = chain.operator(p)
-    kp = kernel_projector(op, seed=seed)
+    kp = kernel_projector(op)
     X = np.random.default_rng(seed).standard_normal((n_samples, chain.dim(p))).T
     split = hodge_decompose(X, op, kernel=kp)
     worst_rec = float(split.recomposition_residual.max(initial=0.0))

@@ -223,7 +223,7 @@ def _bl_forms(cfg: RunConfig, b: str):
     return [checks.check_bl_forms(
         form, cfg.potential, cfg.domain, b, variant, cfg.quad_order,
         mesh_h=cfg.target_h, tol_rel=cfg.tolerances["inequality_rel"],
-        tol_abs=cfg.tolerances["inequality_abs"], seed=cfg.seed)
+        tol_abs=cfg.tolerances["inequality_abs"])
         for form, variant in bl_form_cases(cfg.domain, cfg.potential.expr, b)]
 
 

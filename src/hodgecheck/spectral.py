@@ -43,15 +43,16 @@ at degree 0 the sigma row and column are absent, and where b_p = 0 there
 is no border.
 
 A kernel basis (kernel_projector, and the border of a range solve without
-one) is exact at degrees 0 and n, from the component labels of the mesh
+one) is built from the chain's topology, never by an eigensolve.  At
+degrees 0 and n it comes from the component labels of the mesh
 (_harmonic_basis): the locally constant functions at degree 0 and M_n^{-1}
 times the indicators of the components at degree n, each kept only where
-it lies in the free DOFs' kernel.  Only 0 < p < n with b_p > 0 (p = 1 on
-the annulus and the flat torus) takes the first b_p eigenvectors of a
-lowest_eigenpairs probe.  One sparse_lu per chain, degree and border serves every
-right side; a block of right sides is solved column by column in one
-call, each column refined on its true residual and certified by
-_certificate.
+it lies in the free DOFs' kernel.  At 0 < p < n with b_p > 0 (p = 1 on the
+annulus and the flat torus) it comes from b_1 integer cocycles of a
+tree-cotree split (_cocycle_basis), made coclosed by one range solve at
+degree 0.  One sparse_lu per chain, degree and border serves every right
+side; a block of right sides is solved column by column in one call, each
+column refined on its true residual and certified by _certificate.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sparse
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .operators import AssembledOperator, OperatorChain, column_dots, sparse_lu
@@ -115,7 +117,6 @@ the disk and to 9e-12 on the interval, where the fine levels sit at the
 pencil's conditioning floor eps * lambda_top / lambda (lambda_top its
 largest eigenvalue).
 """
-KERNEL_PROBES = 6  # least eigenpairs probed for a kernel basis where 0 < p < n and b_p > 0 (_kernel_basis)
 
 
 class SolverError(RuntimeError):
@@ -273,18 +274,16 @@ class KernelProjector:
         return x - self.apply(x)
 
 
-def _kernel_basis(op: AssembledOperator, seed: int = 1234) -> np.ndarray:
-    """An M-orthonormal basis of the kernel of op, b_p columns: in closed
-    form at degrees 0 and n (_harmonic_basis), else the first b_p
-    eigenvectors of the lowest max(KERNEL_PROBES, b_p + 1); empty, with no
-    eigensolve, when b_p = 0."""
+def _kernel_basis(op: AssembledOperator) -> np.ndarray:
+    """An M-orthonormal basis of the kernel of op, b_p columns, from the
+    chain's topology: _harmonic_basis at degrees 0 and n, _cocycle_basis
+    between them; empty when b_p = 0."""
     b = op.chain.betti(op.p)
     if b == 0:
         return np.zeros((op.dim, 0))
     if op.p in (0, op.chain.cplx.dim):
         return _harmonic_basis(op, b)
-    res = lowest_eigenpairs(op, min(op.dim, max(KERNEL_PROBES, b + 1)), seed=seed)
-    return res.eigenvectors[:, :b]
+    return _cocycle_basis(op.chain)
 
 
 def _harmonic_basis(op: AssembledOperator, b: int) -> np.ndarray:
@@ -310,10 +309,90 @@ def _harmonic_basis(op: AssembledOperator, b: int) -> np.ndarray:
     return _m_orthonormalize(op.M, chain.mass_solve(p, K) if p else K)
 
 
-def kernel_projector(op: AssembledOperator, seed: int = 1234) -> KernelProjector:
+def _cocycle_basis(chain: OperatorChain) -> np.ndarray:
+    """The b_1 harmonic 1-forms of a 2D chain: eta = Z - d U for the
+    integer cocycles Z of _cocycles, with L^(0) U = d*_V Z, so that
+    d eta = 0 exactly and d*_V eta = 0 to the range solve's certificate;
+    M-orthonormalized."""
+    eta = _cocycles(chain).astype(float)
+    if chain.dim(0):
+        eta -= chain.apply_d(0, solve_on_range(chain.operator(0),
+                                                chain.apply_codifferential(1, eta)))
+    return _m_orthonormalize(chain.mass(1), eta)
+
+
+def _cocycles(chain: OperatorChain) -> np.ndarray:
+    """b_1 integer 1-cocycles, one per cohomology generator, from a
+    tree-cotree split of the free DOFs (Eppstein, SODA 2003) that reads D_0
+    and D_1 alone, as an int64 (dim_1, b_1) array.
+
+    T is a spanning forest of the free vertices and edges plus a ground node
+    (the boundary vertices, under tangential); C one of the triangles and the
+    edges not in T plus an outside node (across the free boundary edges,
+    under normal).  The edges in neither are the generators.  Z is 1 on its
+    generator, 0 on T and the other generators, and on C the values that
+    make D_1 Z = 0: the rows of D_1 on C, one root row dropped per dual tree,
+    form a unimodular square system.  A generator count other than b_1, or
+    a rounded Z with D_1 Z != 0 in integers, raises SolverError."""
+    D0, D1 = chain.d_matrix(0), chain.d_matrix(1)
+    nv, nt = D0.shape[1], D1.shape[0]
+    tree, _ = _spanning_forest(_graph_ends(D0), nv + 1)
+    rest = np.nonzero(~tree)[0]
+    in_cotree, labels = _spanning_forest(_graph_ends(D1.T.tocsr()[rest]), nt + 1)
+    cotree = np.zeros_like(tree)
+    cotree[rest[in_cotree]] = True
+    gens = np.nonzero(~tree & ~cotree)[0]
+    b = chain.betti(1)
+    if len(gens) != b:
+        raise SolverError(f"tree-cotree split: {len(gens)} generator(s), but b_1 = {b}")
+    Z = np.zeros((D1.shape[1], b), dtype=np.int64)
+    Z[gens, np.arange(b)] = 1
+    cot = np.nonzero(cotree)[0]
+    if len(cot):
+        last = np.unique(labels[::-1], return_index=True)[1]
+        keep = np.setdiff1d(np.arange(nt), nt - last)   # the last node of a tree is its root
+        rhs = -D1[keep][:, gens].toarray().astype(float)
+        Z[cot] = np.rint(spla.spsolve(D1[keep][:, cot].tocsc().astype(float), rhs)
+                         .reshape(len(cot), b))
+    if (D1 @ Z != 0).any():
+        raise SolverError("tree-cotree split: a rounded cocycle has D_1 Z != 0")
+    return Z
+
+
+def _graph_ends(A) -> np.ndarray:
+    """The two nodes each row of the incidence matrix A (rows the graph's
+    edges, a CSR matrix) joins, as an (m, 2) array, where the node
+    A.shape[1] takes minus the row sum: a row with no entry is a loop at it.
+    A row with other than two entries raises SolverError."""
+    A = sparse.hstack([A, sparse.csr_matrix(-A.sum(axis=1))], format="csr")
+    A.eliminate_zeros()
+    count = np.diff(A.indptr)
+    if ((count != 0) & (count != 2)).any():
+        raise SolverError("tree-cotree split: a row of the incidence matrix is no graph edge")
+    ends = np.full((A.shape[0], 2), A.shape[1] - 1)
+    two = np.nonzero(count)[0]
+    ends[two] = A.indices[A.indptr[two][:, None] + [0, 1]]
+    return ends
+
+
+def _spanning_forest(ends, nnodes):
+    """Mask of the edges in a spanning forest of the graph whose edges join
+    the node pairs ends (the first of parallel edges; no loops), and the
+    component label of each node."""
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    _, first = np.unique(lo * nnodes + hi, return_index=True)
+    first = first[lo[first] != hi[first]]
+    graph = sparse.csr_matrix((first + 1.0, (lo[first], hi[first])), shape=(nnodes, nnodes))
+    forest = csgraph.minimum_spanning_tree(graph)   # the weight e + 1 names edge e
+    mask = np.zeros(len(ends), dtype=bool)
+    mask[forest.data.astype(np.int64) - 1] = True
+    return mask, csgraph.connected_components(forest, directed=False)[1]
+
+
+def kernel_projector(op: AssembledOperator) -> KernelProjector:
     """Projector onto the kernel of op: its b_p harmonic forms
     (_kernel_basis), empty when b_p = 0."""
-    return KernelProjector(op.M, _kernel_basis(op, seed))
+    return KernelProjector(op.M, _kernel_basis(op))
 
 
 def solve_on_range(op: AssembledOperator, rhs: np.ndarray, tol: float = 1e-11,
@@ -324,11 +403,12 @@ def solve_on_range(op: AssembledOperator, rhs: np.ndarray, tol: float = 1e-11,
     shape.  Solves S w = M rhs through the kernel-bordered saddle of the
     module docstring, factored once per chain, degree and border
     (_range_lu).  The border K is the basis of ``kernel`` when one is
-    given, else the first b_p eigenvectors (none when b_p = 0); every other
-    mode is inverted however small its eigenvalue.  Each column is refined
-    on its true residual at least once and then while that residual halves;
-    its M^{-1}-norm, kernel components deflated (_certificate), must come to
-    at most tol times that of b = M rhs, else SolverError names the column.
+    given, else the chain's own (_kernel_basis; none when b_p = 0); every
+    other mode is inverted however small its eigenvalue.  Each column is
+    refined on its true residual at least once and then while that
+    residual halves; its M^{-1}-norm, kernel components deflated
+    (_certificate), must come to at most tol times that of b = M rhs, else
+    SolverError names the column.
     All columns still refining share each LU solve.  A right side with a
     part along K (a kernel part without a projector) fails the test.
     """

@@ -12,6 +12,7 @@ from hodgecheck.analytic_forms import AnalyticForm
 from hodgecheck.domains import domain_quadrature
 from hodgecheck.meshing import LOCAL_EDGES
 from hodgecheck.potentials import _COORDS
+from hodgecheck.spectral import lowest_eigenpairs
 from hodgecheck.whitney import triangle_rule
 
 
@@ -175,6 +176,13 @@ def range_solve_oracle(op, rhs, kernel=None, steps=4):
         w = w + V @ (inv * (V.T @ r))
         r = b - op.stiff_matvec(w)
     return w
+
+
+def kernel_probe_oracle(op, b, probes=6):
+    """The kernel basis an eigensolve finds: the first b eigenvectors of the
+    lowest max(probes, b + 1) eigenpairs of op (lowest_eigenpairs certifies
+    their residuals and that the first b sit at roundoff)."""
+    return lowest_eigenpairs(op, min(op.dim, max(probes, b + 1))).eigenvectors[:, :b]
 
 
 def whitney_mass_oracle(cplx, p, potential, quad_order):

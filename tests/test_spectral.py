@@ -22,7 +22,7 @@ import hodgecheck.spectral as spectral
 from hodgecheck.spectral import (KernelProjector, SolverError, hodge_decompose,
                                  kernel_projector, lowest_eigenpairs, solve_on_range)
 
-from oracles import fd_oracle_1d, range_solve_oracle
+from oracles import fd_oracle_1d, kernel_probe_oracle, range_solve_oracle
 
 
 def test_interval_closed_form_spectra():
@@ -453,25 +453,29 @@ def test_range_solve_deflates_given_projector(monkeypatch, spectra_cutoff):
     (variance_identity_record, (), {"samples", "worst_rel"}),
 ], ids=["hodge_decomposition", "variance_identity"])
 def test_projector_and_range_solves_share_one_decomposition(monkeypatch, record, args, extra):
-    """On the annulus each record finds the kernel of L^(1) with one dense
-    eigendecomposition (a projector, or the range solve's own border) and
-    factors one bordered saddle for all of its samples."""
+    """On the annulus each record builds the kernel of L^(1) (a projector,
+    or the range solve's own border) with no dense eigh: its cocycle is made
+    coclosed by one degree-0 saddle, bordered by the constants, and one
+    degree-1 saddle, bordered by the harmonic field, serves all samples."""
     calls, lus = [], []
     eigh, lu = operators.dla.eigh, spectral.sparse_lu
     monkeypatch.setattr(operators.dla, "eigh", lambda *a: calls.append(1) or eigh(*a))
     monkeypatch.setattr(spectral, "sparse_lu", lambda A: lus.append(A.shape) or lu(A))
-    rec = record(DomainSpec.annulus(0.5, 1.0), Potential.quadratic(1.0, 2), "normal",
-                 *args, mesh_h=0.3, n_samples=3)
+    domain, V = DomainSpec.annulus(0.5, 1.0), Potential.quadratic(1.0, 2)
+    rec = record(domain, V, "normal", *args, mesh_h=0.3, n_samples=3)
     assert rec.passed and set(rec.extra) == extra
-    assert len(calls) == 1 and len(lus) == 1
+    chain = OperatorChain(generate_mesh(domain, 0.3), V, "normal")
+    n0, n1 = chain.dim(0) + 1, chain.dim(0) + chain.dim(1) + 1
+    assert calls == [] and lus == [(n0, n0), (n1, n1)]
 
 
 @pytest.mark.parametrize("domain", [DomainSpec.disk(1.0), DomainSpec.annulus(0.5, 1.0)],
                          ids=["disk-3660", "annulus-3404-kernel"])
 def test_range_solve_large_chain_without_eigh(monkeypatch, domain):
     """p = 1, normal, two refinements of h = 0.3: 3660 DOFs on the disk and
-    3404 on the annulus, whose harmonic field the border finds through
-    eigsh.  No dense eigh runs, and the variance identity holds to 1e-13."""
+    3404 on the annulus, whose harmonic field the border builds from an
+    integer cocycle.  No dense eigh runs, and the variance identity holds
+    to 1e-13."""
     calls = []
     eigh = operators.dla.eigh
     monkeypatch.setattr(operators.dla, "eigh", lambda *a: calls.append(1) or eigh(*a))
@@ -747,7 +751,7 @@ def test_harmonic_basis_in_closed_form(monkeypatch, domain, h, b, p):
     chain = OperatorChain(generate_mesh(domain, h), V, b)
     op, bp = chain.operator(p), chain.betti(p)
     assert bp >= 1
-    probe = lowest_eigenpairs(op, min(op.dim, max(spectral.KERNEL_PROBES, bp + 1)))
+    probe = lowest_eigenpairs(op, min(op.dim, max(6, bp + 1)))
     monkeypatch.setattr(spectral, "lowest_eigenpairs", None)
     K = kernel_projector(op).basis
     assert K.shape == (op.dim, bp)
@@ -761,25 +765,81 @@ def test_harmonic_basis_in_closed_form(monkeypatch, domain, h, b, p):
     assert _sin_angle(op.M, K, probe.eigenvectors[:, :bp]) <= 1e-12
 
 
+def _no_eigensolve(*args, **kwargs):
+    raise AssertionError("a kernel basis ran an eigensolve")
+
+
 @pytest.mark.parametrize("domain, h, b", [
+    (DomainSpec.interval(0, 1), 1 / 32, "normal"),
+    (DomainSpec.interval(0, 1), 1 / 32, "tangential"),
+    (DomainSpec.disk(1.0), 0.3, "normal"),
+    (DomainSpec.disk(1.0), 0.3, "tangential"),
     (DomainSpec.annulus(0.5, 1.0), 0.25, "normal"),
     (DomainSpec.annulus(0.5, 1.0), 0.25, "tangential"),
     (DomainSpec.flat_torus(1.0, 1.0), 0.35, "none"),
-], ids=["annulus-normal", "annulus-tangential", "torus-2d"])
-def test_kernel_probe_runs_only_between_degrees(monkeypatch, domain, h, b):
-    """0 < p < n with b_p > 0 (p = 1 on the annulus and the torus) is the
-    one place a kernel basis still takes an eigensolve: the projectors of
-    all three degrees make one probe, at p = 1."""
-    calls = []
-    probe = spectral.lowest_eigenpairs
-    monkeypatch.setattr(spectral, "lowest_eigenpairs",
-                        lambda op, k, **kw: calls.append(op.p) or probe(op, k, **kw))
-    V = Potential.quadratic(1.0, 2) if domain.has_boundary else Potential.zero(2)
+], ids=["interval-normal", "interval-tangential", "disk-normal", "disk-tangential",
+        "annulus-normal", "annulus-tangential", "torus-2d"])
+def test_no_kernel_basis_runs_an_eigensolve(monkeypatch, domain, h, b):
+    """Every degree of every realization builds its kernel basis from
+    topology: with lowest_eigenpairs raising, each projector holds b_p
+    harmonic forms and each range solve without one finds its own border
+    and certifies."""
+    monkeypatch.setattr(spectral, "lowest_eigenpairs", _no_eigensolve)
+    n = domain.ambient_dim
+    V = Potential.quadratic(1.0, n) if domain.has_boundary else Potential.zero(n)
     chain = OperatorChain(generate_mesh(domain, h), V, b)
-    kps = [kernel_projector(chain.operator(p)) for p in range(3)]
-    assert calls == [1]
-    assert [kp.dim for kp in kps] == [chain.betti(p) for p in range(3)]
-    assert chain.betti(1) >= 1
+    rng = np.random.default_rng(0)
+    for p in range(n + 1):
+        op = chain.operator(p)
+        kp = kernel_projector(op)
+        assert kp.dim == chain.betti(p)
+        assert spectral._residual_norms(op, np.zeros(kp.dim), kp.basis).max(initial=0) <= 1e-10
+        if p:
+            rhs = chain.d_matrix(p - 1) @ rng.standard_normal(chain.dim(p - 1))
+            w = solve_on_range(op, rhs)
+            assert _certified_residual(op, rhs, w, kp) <= 1e-11
+    assert domain.kind not in ("annulus", "flat_torus") or chain.betti(1) >= 1
+
+
+@pytest.mark.parametrize("domain, h, V, b", [
+    (DomainSpec.annulus(0.5, 1.0), 0.1, Potential.quadratic(1.0, 2), "normal"),
+    (DomainSpec.annulus(0.5, 1.0), 0.1, Potential.quadratic(1.0, 2), "tangential"),
+    (DomainSpec.annulus(0.5, 1.0), 0.8, Potential.quadratic(1.0, 2), "tangential"),
+    (DomainSpec.flat_torus(1.0, 1.0), 0.2, Potential.zero(2), "none"),
+    (DomainSpec.annulus(0.3, 1.2), 0.05,
+     Potential.quartic_double_well(0.75, 2).rescaled(0.05), "normal"),
+], ids=["annulus-normal", "annulus-tangential", "annulus-no-free-vertex", "torus-2d",
+        "double-well-19398"])
+def test_cocycle_basis_spans_the_probe_kernel(domain, h, V, b):
+    """The tree-cotree cocycles are integer and closed in int64, one per
+    generator; their harmonic parts span the kernel an eigensolve probe
+    finds, to a principal angle of 1e-10, with eigen residuals far below
+    the probe's certificate.  The double well's p = 1 chain has 19398 DOFs;
+    the coarse tangential annulus has no free vertex, so no correction."""
+    chain = OperatorChain(generate_mesh(domain, h), V, b)
+    op = chain.operator(1)
+    Z = spectral._cocycles(chain)
+    assert Z.dtype == np.int64 and Z.shape == (op.dim, chain.betti(1))
+    assert not (chain.d_matrix(1) @ Z).any()
+    K = kernel_projector(op).basis
+    assert np.abs(K.T @ (op.M @ K) - np.eye(K.shape[1])).max() <= 1e-12
+    assert spectral._residual_norms(op, np.zeros(K.shape[1]), K).max() <= 1e-9
+    assert _sin_angle(op.M, K, kernel_probe_oracle(op, chain.betti(1))) <= 1e-10
+
+
+def test_cocycle_count_is_certified(monkeypatch):
+    """A b_1 one too large raises SolverError at the tree-cotree count, in a
+    projector and in a range solve's border, and no eigensolve stands in."""
+    monkeypatch.setattr(spectral, "lowest_eigenpairs", _no_eigensolve)
+    chain = OperatorChain(generate_mesh(DomainSpec.annulus(0.5, 1.0), 0.3),
+                          Potential.quadratic(1.0, 2), "normal")
+    betti = chain.betti
+    monkeypatch.setattr(chain, "betti", lambda p: betti(p) + (p == 1))
+    op = chain.operator(1)
+    with pytest.raises(SolverError, match=r"1 generator\(s\), but b_1 = 2"):
+        kernel_projector(op)
+    with pytest.raises(SolverError, match="tree-cotree"):
+        solve_on_range(op, chain.d_matrix(0) @ np.ones(chain.dim(0)))
 
 
 def test_closed_form_kernel_is_exact_under_strong_weights():
@@ -848,15 +908,16 @@ def test_block_hodge_decompose_matches_columns(domain, b, p):
 
 def test_hodge_record_makes_one_range_solve(monkeypatch):
     """hodge_decomposition_record splits all its samples, drawn as one
-    (n_samples, dim) block, in one range solve."""
+    (n_samples, dim) block, in one degree-1 range solve; its kernel
+    projector makes the one degree-0 solve of the cocycle's correction."""
     calls = []
     solve = spectral.solve_on_range
     monkeypatch.setattr(spectral, "solve_on_range",
-                        lambda op, r, **kw: calls.append(r.shape) or solve(op, r, **kw))
+                        lambda op, r, **kw: calls.append((op.p, r.shape)) or solve(op, r, **kw))
     domain, V = DomainSpec.annulus(0.5, 1.0), Potential.quadratic(1.0, 2)
     rec = hodge_decomposition_record(domain, V, "tangential", 1, 0.3, n_samples=5, seed=4)
     chain = OperatorChain(generate_mesh(domain, 0.3), V, "tangential")
-    assert calls == [(chain.dim(1), 5)]
+    assert calls == [(0, (chain.dim(0), 1)), (1, (chain.dim(1), 5))]
     assert rec.passed and rec.extra["kernel_dim"] == 1 and rec.extra["samples"] == 5
 
 
