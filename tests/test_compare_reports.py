@@ -93,6 +93,55 @@ def test_compare_reports_checks_identity_terms(tmp_path):
     assert out.returncode == 1 and "terms.lie 0.5 -> None" in out.stdout
 
 
+def _spectral_parent():
+    spectrum = _record("eigen_spectrum", 1, 3.8, 3.8, 0.0)
+    spectrum["extra"] = {"spectral": {"eigenvalues": [0.0, 3.8, 3.8, 10.1]}}
+    gap = _record("gap_lower_bound", 1, 1.0, 3.8, 0.0)
+    gap["extra"] = {"eigenvalues": [3.9, 3.85, 3.8]}
+    sweep = _record("semiclassical_sweep", 1, 1.0, 3.8, 0.0)
+    sweep["extra"] = {"lambda1": 3.8}
+    duality = _record("duality_spectrum", 0, 3.8, 3.8, 0.0)
+    duality["extra"] = {"direct_levels": [[3.9, 3.9], [3.82, 3.82]],
+                        "dual_levels": [[3.7, 3.7], [3.78, 3.78]],
+                        "direct_extrapolated": [3.8, 3.8], "dual_extrapolated": [3.8, 3.8]}
+    return {"records": [spectrum, gap, sweep, duality]}
+
+
+@pytest.mark.parametrize("record, path, value, problem", [
+    (0, ("spectral", "eigenvalues"), [0.0, 3.8, 3.8 * (1 + 5e-13), 10.1], None),
+    (0, ("spectral", "eigenvalues"), [0.0, 3.8, 10.1, 10.1], "spectral.eigenvalues[2] 3.8 -> 10.1"),
+    (0, ("spectral", "eigenvalues"), [0.0, 3.8, 3.8], "spectral.eigenvalues[3] 10.1 -> None"),
+    (1, ("eigenvalues",), [3.9, 3.85 * (1 + 5e-12), 3.8], "eigenvalues[1] 3.85 ->"),
+    (2, ("lambda1",), 3.8 * (1 + 5e-12), "lambda1 3.8 ->"),
+    (3, ("dual_levels",), [[3.7, 3.7], [3.78, 3.79]], "dual_levels[1][1] 3.78 -> 3.79"),
+    (3, ("direct_extrapolated",), [3.8], "direct_extrapolated[1] 3.8 -> None"),
+], ids=["within", "dropped-double-copy", "shorter", "gap", "sweep", "levels", "extrapolated"])
+def test_compare_reports_checks_every_eigenvalue(tmp_path, record, path, value, problem):
+    """Each element of a spectral record's eigenvalue lists is held to
+    REL_MOVE while lhs and rhs stay put: a dropped middle copy of a double
+    eigenvalue, or a list of another length, is a problem; a move within
+    the rule gets a "moved:" line only."""
+    parent, change = _spectral_parent(), _spectral_parent()
+    target = change["records"][record]["extra"]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    paths = [tmp_path / "parent.json", tmp_path / "change.json"]
+    for f, report in zip(paths, (parent, change)):
+        f.write_text(json.dumps(report))
+    out = subprocess.run([sys.executable, str(TOOL), *map(str, paths)],
+                         capture_output=True, text=True)
+    lines = out.stdout.splitlines()
+    if problem is None:
+        assert out.returncode == 0 and lines == ["4 -> 4 records, 0 problem(s)"], lines
+        assert out.stderr.splitlines() == [
+            f"moved: eigen_spectrum p=1 b=normal N=None h_param=1.0 quad_order=8 #0: "
+            f"spectral.eigenvalues[2] 3.8 -> {3.8 * (1 + 5e-13)!r}"]
+    else:
+        assert out.returncode == 1 and len(lines) == 2 and problem in lines[0], lines
+        assert lines[1].endswith("1 problem(s)")
+
+
 def test_compare_reports_unreadable(tmp_path):
     (tmp_path / "parent.json").write_text("{")
     out = subprocess.run([sys.executable, str(TOOL), str(tmp_path / "parent.json"),

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 from scipy.special import jnp_zeros
 
@@ -238,24 +239,42 @@ def test_eigsh_paths_never_factor_inside_arpack(monkeypatch):
                          ids=["shift-invert-p0", "mixed-p1"])
 def test_sparse_path_matches_explicit_pencil(monkeypatch, realization, p):
     """Above SPECTRA_CUTOFF the eigenvalues are, bit for bit, those of
-    shift-invert eigsh on the pencil written out here: (S_up, M) under the
-    shift -1e-2 at p = 0, and the mixed saddle under -1e-2 mean diag M at
-    p = 1, its u-blocks kept."""
+    shift-invert eigsh on the primal pencil (S_p, M_p) as written out here.
+    OPinv(y) is the u-block of the solve of the shifted saddle for (0, y):
+    S_up - sigma M under sigma = -1e-2 at p = 0, the mixed saddle under
+    -1e-2 mean diag M at p = 1, factored once by sparse_lu under a reverse
+    Cuthill-McKee pre-order.  The start vector is the u-part of a seeded
+    saddle-length vector, and ARPACK never applies A."""
     monkeypatch.setattr(spectral, "SPECTRA_CUTOFF", 1)
     k, seed = 4, 1234
     chain = OperatorChain(generate_mesh(DomainSpec.disk(1.0), 0.3),
                           Potential.quadratic(1.0, 2), realization)
-    M = chain.mass(p)
+    M, n = chain.mass(p), chain.dim(p)
     if p == 0:
-        vals, _ = spectral._shift_invert_eigsh(chain.up_stiffness(0), M, k, -1e-2, seed)
+        sigma, nlow = -1e-2, 0
+        A = chain.up_stiffness(0) - sigma * M
     else:
-        Mlow = chain.mass(0).tocsr()
-        B = (chain.d_matrix(0).T @ M).T.tocsr()
-        A = sparse.bmat([[-Mlow, B.T], [B, chain.up_stiffness(1)]], format="csc")
-        Mbig = sparse.bmat([[sparse.csr_matrix(Mlow.shape), None], [None, M]], format="csc")
         sigma = -1e-2 * float(np.mean(M.diagonal()))
-        vals, vecs = spectral._shift_invert_eigsh(A, Mbig, k, sigma, seed)
-        vals = vals[np.linalg.norm(vecs[Mlow.shape[0]:], axis=0) > 1e-8]
+        Mlow = chain.mass(0).tocsr()
+        nlow = Mlow.shape[0]
+        B = (chain.d_matrix(0).T @ M).T.tocsr()
+        A = sparse.bmat([[-Mlow, B.T], [B, chain.up_stiffness(1) - sigma * M]], format="csc")
+    perm = csgraph.reverse_cuthill_mckee(A, symmetric_mode=True)
+    lu = operators.sparse_lu(A[perm][:, perm])
+    u = np.argsort(perm)[nlow:]
+
+    def opinv(y):
+        z = np.zeros(nlow + n)
+        z[u] = y
+        return lu.solve(z)[u]
+
+    def refuse(x):
+        raise AssertionError("ARPACK applied A in shift-invert mode")
+
+    v0 = np.random.default_rng(seed).standard_normal(nlow + n)[nlow:]
+    vals, _ = spla.eigsh(spla.LinearOperator((n, n), matvec=refuse, dtype=float), k=k,
+                         M=M.tocsr(), sigma=sigma, which="LM", v0=v0, maxiter=500,
+                         OPinv=spla.LinearOperator((n, n), matvec=opinv, dtype=float))
     res = lowest_eigenpairs(chain.operator(p), k, seed=seed)
     assert res.solver == ("eigsh-shift-invert" if p == 0 else "eigsh-mixed")
     assert res.kernel_dim == 0
@@ -283,22 +302,43 @@ def test_spectrum_path_rule(monkeypatch):
     assert _certified_residual(op, rhs, w, kp) <= 1e-11
 
 
-def test_sparse_lu_fill_and_solves():
-    """On the disk at h = 0.05 the symmetric order of sparse_lu fills L + U
-    less than SuperLU's default order, for the p = 1 mass and the p = 1 mixed
-    saddle, and its solves match spsolve."""
+@pytest.fixture(scope="module")
+def disk_p1_shifted_saddle():
+    """The p = 1 normal operator on the disk at h = 0.05 (7656 DOFs) and its
+    saddle (10 267 DOFs) under the eigensolve's shift."""
     chain = OperatorChain(generate_mesh(DomainSpec.disk(1.0), 0.05),
                           Potential.quadratic(1.0, 2), "normal")
     op = chain.operator(1)
-    A, Mbig, _ = spectral._saddle(op)
     sigma = -1e-2 * float(np.mean(op.M.diagonal()))
+    return op, spectral._saddle(op, sigma)
+
+
+def test_sparse_lu_fill_and_solves(disk_p1_shifted_saddle):
+    """On the disk at h = 0.05 the symmetric order of sparse_lu fills L + U
+    less than SuperLU's default order, for the p = 1 mass and the p = 1
+    shifted mixed saddle, and its solves match spsolve."""
+    op, saddle = disk_p1_shifted_saddle
     rng = np.random.default_rng(0)
-    for X in (chain.mass(1), (A - sigma * Mbig).tocsc()):
+    for X in (op.M, saddle):
         lu, default = operators.sparse_lu(X), spla.splu(X)
         assert lu.L.nnz + lu.U.nnz < default.L.nnz + default.U.nnz
         b = rng.standard_normal(X.shape[0])
         x, ref = lu.solve(b), spla.spsolve(X, b)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_eigensolve_factor_rcm_fill_and_solves(disk_p1_shifted_saddle):
+    """The eigensolve's factor of the p = 1 shifted saddle (_rcm_lu) fills
+    L + U to at most 0.7 times plain sparse_lu of the same matrix, and its
+    solves, permuted back, match spsolve."""
+    _, saddle = disk_p1_shifted_saddle
+    lu, perm = spectral._rcm_lu(saddle)
+    plain = operators.sparse_lu(saddle)
+    assert lu.L.nnz + lu.U.nnz <= 0.7 * (plain.L.nnz + plain.U.nnz)
+    b = np.random.default_rng(0).standard_normal(saddle.shape[0])
+    x, ref = np.empty_like(b), spla.spsolve(saddle, b)
+    x[perm] = lu.solve(b[perm])
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_spectral_result_m_orthonormal():
@@ -407,13 +447,10 @@ def test_range_solve_refines_smooth_fine_rhs():
     assert abs(lhs - rhs) <= 1e-12 * lhs and abs(lhs - 1 / 12) <= 1e-6
 
 
-@pytest.mark.parametrize("spectra_cutoff", [None, 1], ids=["dense-pencil", "eigsh"])
-def test_range_solve_zero_and_kernel_rhs(monkeypatch, spectra_cutoff):
-    """Without a projector the border is the first b_0 = 1 eigenvectors,
-    found on the dense pencil or (a cutoff of 1) by eigsh.  A zero right
-    side gives zero, a kernel part cannot be solved."""
-    if spectra_cutoff is not None:
-        monkeypatch.setattr(spectral, "SPECTRA_CUTOFF", spectra_cutoff)
+def test_range_solve_zero_and_kernel_rhs():
+    """Without a projector the border is the chain's own b_0 = 1 kernel
+    basis, the closed-form constant.  A zero right side gives zero, a
+    kernel part cannot be solved."""
     op, rhs, kp = _range_case(DomainSpec.disk(1.0), "normal", 0.3, 0, True)
     assert np.array_equal(solve_on_range(op, np.zeros(op.dim)), np.zeros(op.dim))
     w = solve_on_range(op, rhs)
@@ -654,7 +691,7 @@ def test_no_kernel_probe_where_betti_is_zero(monkeypatch):
     rhs = chain.d_matrix(0) @ np.random.default_rng(0).standard_normal(chain.dim(0))
     w = solve_on_range(op, rhs)
     assert _certified_residual(op, rhs, w) <= 1e-11
-    assert spectral._saddle(op)[0].shape == chain._range[(1, id(None))][1].shape
+    assert spectral._saddle(op).shape == chain._range[(1, id(None))][1].shape
 
 
 @pytest.mark.parametrize("domain, h, realization", [
