@@ -26,7 +26,7 @@ Identity inventory (f = V/2 throughout, flat ambient so Ric = 0):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import sympy as sp
@@ -593,16 +593,24 @@ def _mesh(domain: DomainSpec, mesh_h: float, level: int = 0, coarser=None):
                            lambda: refine(coarser) if level else generate_mesh(domain, mesh_h))
 
 
-def _ladder(domain: DomainSpec, mesh_h: float, levels: int, problems, k: int,
+def _ladder(domain: DomainSpec, mesh_h: float, levels: int, problems, k: int | None,
             seed: int) -> list:
-    """min(k, dim) lowest eigenpairs of each (potential, b, degree) problem
-    at every level of one mesh ladder, refined between levels only and
-    solved one chain at a time: one list of SpectralResults (each with its
-    level's mesh_h) per problem, coarsest level first.
+    """The lowest eigenpairs of each (potential, b, degree) problem at every
+    level of one mesh ladder, refined between levels only and solved one
+    chain at a time: one list of SpectralResults (each with its level's
+    mesh_h) per problem, coarsest level first.  A rung holds min(k, dim)
+    pairs, or for k None the kernel and lambda_1: chain.betti(degree) + 1
+    pairs, capped at dim.
 
     Meshes and spectra are read from the run cache, keyed by content (the
-    potential by its expression, never its name); a spectrum's arrays are
-    read-only, since a run may share it between checks.
+    potential by its expression, never its name) and never by k: a run
+    keeps one spectrum per problem.  A request for no more pairs than it
+    holds is served as views of its first pairs, without an eigensolve; a
+    request for more solves again and replaces it.  A spectrum's arrays are
+    read-only, since a run may share it between checks.  A dense rung
+    slices one full eigh, so the pairs served are those a fresh solve
+    gives, bit for bit; on a sparse rung they differ from a fresh solve's
+    at roundoff, so there check order and cache scope can move them.
     """
     spectra = [[] for _ in problems]
     cplx = None
@@ -611,15 +619,32 @@ def _ladder(domain: DomainSpec, mesh_h: float, levels: int, problems, k: int,
         for rungs, (potential, b, degree) in zip(spectra, problems):
             def solve():
                 op = OperatorChain(cplx, potential, b).operator(degree)
-                res = lowest_eigenpairs(op, min(k, op.dim), seed=seed)
+                res = lowest_eigenpairs(op, _pairs(op.chain.betti(degree), op.dim, k), seed=seed)
                 for array in (res.eigenvalues, res.eigenvectors, res.residual_norms):
                     array.flags.writeable = False
                 return res   # the chain is freed before the next one is assembled
 
-            rungs.append(runcache.cached(
-                ("spectrum", domain, mesh_h, level, potential.expr, potential.n, b, degree,
-                 k, seed), solve))
+            held = runcache.cached(("spectrum", domain, mesh_h, level, potential.expr,
+                                    potential.n, b, degree, seed), dict)
+            res = held.get("spectrum")
+            if res is None or _pairs(res.kernel_dim, res.dim, k) > len(res.eigenvalues):
+                res = held["spectrum"] = solve()
+            rungs.append(_leading(res, _pairs(res.kernel_dim, res.dim, k)))
     return spectra
+
+
+def _pairs(kernel_dim: int, dim: int, k: int | None) -> int:
+    """The pairs a request for k asks of a dim-dimensional problem: k, or
+    for None the kernel and lambda_1, capped at dim."""
+    return min(kernel_dim + 1 if k is None else k, dim)
+
+
+def _leading(res, n: int):
+    """res itself if it holds n pairs, else views of its first n."""
+    if n == len(res.eigenvalues):
+        return res
+    return replace(res, eigenvalues=res.eigenvalues[:n], eigenvectors=res.eigenvectors[:, :n],
+                   residual_norms=res.residual_norms[:n])
 
 
 def _paths(rungs) -> dict:
@@ -696,10 +721,13 @@ def semiclassical_sweep(potential: Potential, domain: DomainSpec, b: str, p: int
     minimum (the interior minimum of hypothesis_check) up to the
     mesh-resolution term.  Every h is solved on the one mesh of mesh_h, and
     its record, graded by _gap_record at that one level, carries h as its
-    h_param.
+    h_param.  A record reads lambda_1 only, so each h asks _ladder for the
+    kernel and lambda_1 (k None); a larger spectrum of the same problem
+    already in the run cache (eigen_spectrum's at h = 1) serves it.
     """
     bound_degree = max(p, 1)
-    spectra = _ladder(domain, mesh_h, 1, [(potential.rescaled(h), b, p) for h in h_list], 4, seed)
+    spectra = _ladder(domain, mesh_h, 1, [(potential.rescaled(h), b, p) for h in h_list],
+                      None, seed)
     records = []
     for h, [res] in zip(h_list, spectra):
         hyp = hypothesis_check(potential, domain, b, bound_degree,

@@ -7,17 +7,19 @@ is dropped.  Outside a scope ``cached`` just computes, so a direct call
 behaves as if there were no cache.
 
 Keys are content, never names: a mesh is keyed by (domain, mesh_h, level),
-a spectrum by its mesh key, potential expression, realization, degree, k
-and seed (every chain is at operators.CHAIN_QUAD_ORDER), a full weighted
-mass by the identity of its complex (held in the value, so the id is not
-reused while the scope is open), degree, potential expression, n and
-quadrature order, a potential's derivatives by (expr, n), a lambdified
-function by (expr, n), the gamma2 polynomials by (bump expr, V expr, n,
-centre).  Only meshes, spectra (k eigenpairs), interior curvature minima,
-functions, full masses (read-only, before a realization restricts them),
-potential derivations and gamma2 square-free decompositions are cached: no
-chain, operator, factorization or dense pencil is held beyond the check
-that built it.
+a spectrum by its mesh key, potential expression, realization, degree and
+seed (every chain is at operators.CHAIN_QUAD_ORDER), a full weighted mass
+by the identity of its complex (held in the value, so the id is not reused
+while the scope is open), degree, potential expression, n and quadrature
+order, a potential's derivatives by (expr, n), a lambdified function by
+(expr, n), the gamma2 polynomials by (bump expr, V expr, n, centre).  The
+number of eigenpairs is no part of a spectrum's key: its value is a dict
+holding the run's one spectrum of that problem, which checks._ladder
+serves to requests for no more pairs and replaces for more.  Only meshes,
+spectra, interior curvature minima, functions, full masses (read-only,
+before a realization restricts them), potential derivations and gamma2
+square-free decompositions are cached: no chain, operator, factorization
+or dense pencil is held beyond the check that built it.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from hodgecheck.domains import DomainSpec
 from hodgecheck.meshing import SimplicialComplex, generate_mesh
 from hodgecheck.operators import OperatorChain
 from hodgecheck.potentials import Potential, _COORDS, _lambdify
-from hodgecheck.spectral import SpectralResult, check_intertwining
+from hodgecheck.spectral import SPECTRA_CUTOFF, check_intertwining
 
 ROOT = Path(__file__).resolve().parents[1]
 SMALL_DISK = {
@@ -72,7 +72,7 @@ def test_report_byte_identical_inside_and_outside_a_scope(monkeypatch):
     assert outside.finalize().to_json() == inside
     assert json.loads(inside)["summary"]["fail"] == 0
     assert {t for t in stored if t.__name__ != "function"} == {
-        SimplicialComplex, SpectralResult, tuple}
+        SimplicialComplex, dict, tuple}   # a dict holds each problem's spectrum
 
 
 @pytest.mark.parametrize("entry", [report_mod.run_config, report_mod.convergence_study])
@@ -102,9 +102,11 @@ def test_scope_dropped_on_return_and_on_raise(monkeypatch, entry):
 
 
 def test_problems_differing_in_one_key_field_do_not_share(monkeypatch):
-    """Each of realization, k, seed, the potential expression (semiclassical
+    """Each of realization, seed, the potential expression (semiclassical
     h) and mesh_h makes a new entry; the potential's name does not:
-    rescaled(1.0) renames V but solves the same problem."""
+    rescaled(1.0) renames V but solves the same problem.  k is not in the
+    key: fewer pairs are served from the entry, more solve once and
+    replace it."""
     solved = _counting(monkeypatch, checks_mod, "lowest_eigenpairs")
 
     def spectrum(potential=V1, b="normal", k=3, seed=1, mesh_h=1 / 16):
@@ -115,18 +117,27 @@ def test_problems_differing_in_one_key_field_do_not_share(monkeypatch):
         base = spectrum()
         assert spectrum() is base and spectrum(V1.rescaled(1.0)) is base
         assert len(solved) == 1
-        variants = [dict(b="tangential"), dict(k=2), dict(seed=2),
+        fewer = spectrum(k=2)
+        assert len(solved) == 1 and fewer is not base
+        assert np.array_equal(fewer.eigenvalues, base.eigenvalues[:2])
+        more = spectrum(k=5)
+        assert len(solved) == 2 and len(more.eigenvalues) == 5
+        assert spectrum(k=5) is more and len(spectrum().eigenvalues) == 3
+        assert len(solved) == 2
+        variants = [dict(b="tangential"), dict(seed=2),
                     dict(potential=V1.rescaled(0.5)), dict(mesh_h=1 / 8)]
-        for i, variant in enumerate(variants, start=2):
+        for i, variant in enumerate(variants, start=3):
             assert spectrum(**variant) is not base
             assert len(solved) == i
     spectrum()
-    assert len(solved) == len(variants) + 2   # outside a scope every call solves
+    assert len(solved) == len(variants) + 3   # outside a scope every call solves
 
 
 def test_disk_suite_solves_each_spectrum_once(monkeypatch):
     """On the shipped disk suite the three p = 0 gap cases and the direct
-    side of duality_spectrum ask for one ladder; it is solved once."""
+    side of duality_spectrum ask for one ladder; it is solved once per
+    number of pairs (eigen_spectrum's 3-pair level-0 solve and the gap's
+    4-pair one share a key)."""
     raw = json.loads((ROOT / "examples_config" / "disk_suite.json").read_text())
     raw["checks"] = ["eigen_spectrum", "gap_lower_bound", "duality_spectrum"]
     requested = []
@@ -137,13 +148,23 @@ def test_disk_suite_solves_each_spectrum_once(monkeypatch):
             requested.append(key)
         return lookup(key, compute)
 
+    solved = []
+    solve = checks_mod.lowest_eigenpairs
+
+    def counted(op, k, **kwargs):
+        solved.append((requested[-1], k))
+        return solve(op, k, **kwargs)
+
     monkeypatch.setattr(runcache, "cached", spy)
-    solved = _counting(monkeypatch, checks_mod, "lowest_eigenpairs")
+    monkeypatch.setattr(checks_mod, "lowest_eigenpairs", counted)
     rep = report_mod.run_config(load_config(raw))
     assert rep.summary["fail"] == 0
-    assert len(solved) == len(set(requested)) < len(requested)
-    # levels 0-2 of the p = 0 normal ladder: three gap cases and duality's direct side
-    assert sorted(map(requested.count, set(requested)))[-4:] == [1, 4, 4, 4]
+    assert len(solved) == len(set(solved)) < len(requested)
+    assert {key for key, _ in solved} == set(requested)
+    # levels 0-2 of the p = 0 normal ladder: three gap cases and duality's direct
+    # side, and eigen_spectrum at level 0; the p = 1 normal gap case's level 0
+    # shares eigen_spectrum's key
+    assert sorted(map(requested.count, set(requested)))[-5:] == [1, 2, 4, 4, 5]
 
 
 def test_cached_spectrum_is_read_only():
@@ -152,6 +173,62 @@ def test_cached_spectrum_is_read_only():
     for array in (res.eigenvalues, res.eigenvectors, res.residual_norms):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
+
+
+def test_lambda1_request_solves_kernel_and_lambda1_only(monkeypatch):
+    """On a sparse rung a k None request asks lowest_eigenpairs for b_p + 1
+    pairs, and its lambda_1 is within 1e-12 of a 4-pair solve's."""
+    disk, V = DomainSpec.disk(1.0), Potential.quadratic(1.0, 2)
+    solved = _counting(monkeypatch, checks_mod, "lowest_eigenpairs")
+    [[alone]] = checks_mod._ladder(disk, 0.2, 1, [(V, "normal", 1)], None, 1234)
+    [[op, k]] = solved
+    assert op.dim > SPECTRA_CUTOFF and alone.solver.startswith("eigsh")
+    assert k == op.chain.betti(1) + 1 == len(alone.eigenvalues)
+    [[four]] = checks_mod._ladder(disk, 0.2, 1, [(V, "normal", 1)], 4, 1234)
+    lam, ref = alone.eigenvalues[alone.kernel_dim], four.eigenvalues[four.kernel_dim]
+    assert abs(lam - ref) <= 1e-12 * abs(ref)
+
+
+def test_lambda1_request_is_served_from_a_larger_spectrum(monkeypatch):
+    """In one scope a k None request after a 4-pair solve makes no
+    eigensolve and returns read-only views of the first pairs."""
+    annulus, V = DomainSpec.annulus(0.5, 1.0), Potential.quadratic(1.0, 2)
+    solved = _counting(monkeypatch, checks_mod, "lowest_eigenpairs")
+    with runcache.scope():
+        [[four]] = checks_mod._ladder(annulus, 0.4, 1, [(V, "normal", 1)], 4, 1234)
+        [[res]] = checks_mod._ladder(annulus, 0.4, 1, [(V, "normal", 1)], None, 1234)
+    assert len(solved) == 1 and res.kernel_dim == 1 and len(res.eigenvalues) == 2
+    for view, full in ((res.eigenvalues, four.eigenvalues),
+                       (res.eigenvectors, four.eigenvectors),
+                       (res.residual_norms, four.residual_norms)):
+        assert view.base is not None and np.shares_memory(view, full)
+        assert np.array_equal(view, full[..., :2]) and not view.flags.writeable
+
+
+def test_sweep_statuses_and_lambda1_do_not_depend_on_check_order():
+    """On a sparse disk the h = 1 sweep rung is served by eigen_spectrum's
+    solve when that check runs first, and solved alone when it runs last;
+    statuses agree and lambda_1 moves at roundoff only."""
+    raw = {"domain": {"kind": "disk", "parameters": [1.0, 0.0, 0.0]},
+           "potential": "quadratic(1.0)", "degrees": [0, 1], "realizations": ["normal"],
+           "N": ["inf"], "checks": ["eigen_spectrum", "semiclassical_sweep"],
+           "mesh": {"target_h": 0.15, "refinements": 0}, "h_list": [1.0, 0.5],
+           "eigen_count": 4, "seed": 5}
+
+    def records(checks):
+        rep = report_mod.run_config(load_config({**raw, "checks": checks}))
+        return {(r.check_id, r.p, r.h_param): r for r in rep.records}
+
+    forward = records(raw["checks"])
+    reverse = records(raw["checks"][::-1])
+    assert forward.keys() == reverse.keys()
+    assert {r.extra["solvers"][0] for r in forward.values()
+            if r.check_id == "semiclassical_sweep"} == {"eigsh-shift-invert", "eigsh-mixed"}
+    for key, rec in forward.items():
+        assert rec.status == reverse[key].status != "error"
+        if rec.check_id == "semiclassical_sweep":
+            lam, again = rec.extra["lambda1"], reverse[key].extra["lambda1"]
+            assert abs(lam - again) <= 1e-12 * abs(lam)
 
 
 def test_lambdify_and_interior_minimum_once_per_run(monkeypatch):
