@@ -26,7 +26,7 @@ Identity inventory (f = V/2 throughout, flat ambient so Ric = 0):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
@@ -602,34 +602,24 @@ def _ladder(domain: DomainSpec, mesh_h: float, levels: int, problems, k: int | N
     pairs, or for k None the kernel and lambda_1: chain.betti(degree) + 1
     pairs, capped at dim.
 
-    Meshes and spectra are read from the run cache, keyed by content (the
-    potential by its expression, never its name) and never by k: a run
-    keeps one spectrum per problem.  A request for no more pairs than it
-    holds is served as views of its first pairs, without an eigensolve; a
-    request for more solves again and replaces it.  A spectrum's arrays are
-    read-only, since a run may share it between checks.  A dense rung
-    slices one full eigh, so the pairs served are those a fresh solve
-    gives, bit for bit; on a sparse rung they differ from a fresh solve's
-    at roundoff, so there check order and cache scope can move them.
+    Meshes are read from the run cache, and lowest_eigenpairs keeps the
+    run's one spectrum of each problem there (keyed by the chain's content,
+    never by k), so a request for no more pairs than it holds is served as
+    read-only views of its first pairs.  A dense rung slices one full eigh,
+    so the pairs served are those a fresh solve gives, bit for bit; on a
+    sparse rung they differ from a fresh solve's at roundoff, so there
+    check order and cache scope can move them.
     """
     spectra = [[] for _ in problems]
     cplx = None
     for level in range(levels):
         cplx = _mesh(domain, mesh_h, level, cplx)
         for rungs, (potential, b, degree) in zip(spectra, problems):
-            def solve():
-                op = OperatorChain(cplx, potential, b).operator(degree)
-                res = lowest_eigenpairs(op, _pairs(op.chain.betti(degree), op.dim, k), seed=seed)
-                for array in (res.eigenvalues, res.eigenvectors, res.residual_norms):
-                    array.flags.writeable = False
-                return res   # the chain is freed before the next one is assembled
-
-            held = runcache.cached(("spectrum", domain, mesh_h, level, potential.expr,
-                                    potential.n, b, degree, seed), dict)
-            res = held.get("spectrum")
-            if res is None or _pairs(res.kernel_dim, res.dim, k) > len(res.eigenvalues):
-                res = held["spectrum"] = solve()
-            rungs.append(_leading(res, _pairs(res.kernel_dim, res.dim, k)))
+            # an operator assembles on first use, and its chain is freed
+            # before the next one is built
+            op = OperatorChain(cplx, potential, b).operator(degree)
+            rungs.append(lowest_eigenpairs(op, _pairs(op.chain.betti(degree), op.dim, k),
+                                           seed=seed))
     return spectra
 
 
@@ -637,14 +627,6 @@ def _pairs(kernel_dim: int, dim: int, k: int | None) -> int:
     """The pairs a request for k asks of a dim-dimensional problem: k, or
     for None the kernel and lambda_1, capped at dim."""
     return min(kernel_dim + 1 if k is None else k, dim)
-
-
-def _leading(res, n: int):
-    """res itself if it holds n pairs, else views of its first n."""
-    if n == len(res.eigenvalues):
-        return res
-    return replace(res, eigenvalues=res.eigenvalues[:n], eigenvectors=res.eigenvectors[:, :n],
-                   residual_norms=res.residual_norms[:n])
 
 
 def _paths(rungs) -> dict:

@@ -23,10 +23,12 @@ duality checks compare the direct assembly against.
 
 Every sparse LU factorization of the package goes through sparse_lu: the
 mass factors here (the codifferential, the dense down-block of the
-stiffness, the M^{-1}-norms of residuals), the shifted saddles through
-which the sparse eigensolvers of spectral invert their pencils and the
-kernel-bordered saddles of its range solves.  All of these matrices are
-symmetric, so sparse_lu orders them with a symmetric fill-reducing order.
+stiffness, the M^{-1}-norms of residuals), the shifted up-blocks
+S_up - shift M through which the sparse eigensolvers of spectral invert
+their pencils (at degree 0 directly, at the top degree with the diagonal
+mass eliminated) and the kernel-bordered saddles of its range solves.  All
+of these matrices are symmetric, so sparse_lu orders them with a symmetric
+fill-reducing order.
 """
 
 from __future__ import annotations
@@ -63,15 +65,17 @@ def sparse_lu(A):
 
     * ``permc_spec="MMD_AT_PLUS_A"``: minimum degree on the pattern of
       A^T + A.  Every matrix factored here is symmetric (a weighted mass,
-      the shifted mixed saddle of an eigensolve, the range solve's saddle,
-      bordered or not), and SuperLU's default COLAMD is an order for
-      unsymmetric matrices.  On the disk at h = 0.05 this order cuts L + U
-      of the p = 1 mass (7656 DOFs) from 436 676 to 241 216 nonzeros and
-      that of the normal p = 1 shifted saddle (10 267 DOFs) from 1 375 017
-      to 1 065 428; factorizations and solves get faster.  MMD starts from
-      the matrix's own order, so a caller may pre-order: spectral._rcm_lu
-      passes that saddle under a reverse Cuthill-McKee order, and L + U
-      falls to 655 961.
+      the shifted up-block S_up - shift M of an eigensolve, the range
+      solve's saddle, bordered or not), and SuperLU's default COLAMD is an
+      order for unsymmetric matrices.  On the disk at h = 0.05 this order
+      cuts L + U of the p = 1 mass (7656 DOFs) from 436 676 to 241 216
+      nonzeros and that of the normal p = 1 mixed saddle under the
+      eigensolve shift (10 267 DOFs) from 1 375 017 to 1 065 428;
+      factorizations and solves get faster.  MMD starts from the matrix's
+      own order, so a caller may pre-order: spectral._rcm_lu passes the
+      eigensolves' shifted up-blocks under a reverse Cuthill-McKee order,
+      and the top-degree one of that disk (S_up(1) - shift M_1, 7656 DOFs)
+      fills 201 474 against 241 216.
     * ``relax=1``: no relaxed supernodes.  Under SuperLU's default
       relaxation this order meets a slow case at the same fill: the
       23 880-DOF saddle of the disk suite's duality ladder took 1.8 s to
@@ -230,12 +234,20 @@ class AssembledOperator:
         cplx = chain.cplx
         self.has_up = p < cplx.dim
         self.has_down = p > 0 and chain.dim(p - 1) > 0
-        self.M = chain.mass(p)
-        self.up_stiff = chain.up_stiffness(p)
 
     @property
     def dim(self) -> int:
         return self.chain.dim(self.p)
+
+    @property
+    def M(self) -> sparse.csc_matrix:
+        """The mass M_p, assembled on first use (an operator whose spectrum
+        the run cache already holds assembles nothing)."""
+        return self.chain.mass(self.p)
+
+    @property
+    def up_stiff(self) -> sparse.csr_matrix:
+        return self.chain.up_stiffness(self.p)
 
     def stiff_matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -5,40 +5,46 @@ sparse one above it (SpectralResult.solver names the one taken):
 
 * "dense-eigh": ``scipy.linalg.eigh`` on the materialized pencil (the
   down-block of S is dense anyway once materialized);
-* "eigsh-mixed" and "eigsh-shift-invert": shift-invert ``eigsh`` on the
-  primal pencil (S_p, M_p), whose inverse it applies through the mixed
-  saddle form (_saddle): the auxiliary variable sigma = d*_V u keeps the
-  dense inverse out of the down-block, and for a right side y
+* "eigsh-shift-invert" at a degree without a down block (degree 0, or no
+  free DOF below): shift-invert ``eigsh`` on the primal pencil (S_p, M_p),
+  whose inverse is one factor of S_up - shift M_p, shift -1e-2;
+* "eigsh-mixed" at p >= 1, routed by degree through two exact identities,
+  so that no eigensolve factors the indefinite mixed saddle:
+  - at the top degree n the Whitney mass M_n is diagonal, so the u-block
+    of the shifted mixed saddle (sigma = d*_V u, shift -1e-2 mean diag
+    M_n) is eliminated exactly, and shift-invert ``eigsh`` applies
+    (S_n - shift M_n)^{-1} through one SPD factor of
+    S_up(n-1) - shift M_{n-1} (_shift_invert_eigs);
+  - at 0 < p < n (p = 1 in 2D) supersymmetry gives the spectrum: d and
+    d*_V intertwine the Laplacians of one chain, so the nonzero spectrum of
+    L^(1) is the union of those of L^(0) and L^(2), carried by D u and
+    d*_V w, and its kernel is the b_1 harmonic forms of _kernel_basis
+    (_split_eigs).  The two neighbouring spectra are lowest_eigenpairs
+    calls themselves, each routed by its own dimension and degree.
 
-      [-M_{p-1}   D^T M_p          ] [sigma]   [0]
-      [ M_p D     S_up - shift M_p ] [  u  ] = [y]
-
-  gives u = (S_p - shift M_p)^{-1} y.  The shift is -1e-2 mean diag M_p.
-  Without a codifferential block (degree 0) the saddle is S_up - shift M
-  itself, the shift is -1e-2 and the label "eigsh-shift-invert".
-
-The sparse path factors the shifted saddle once (_rcm_lu): a reverse
+Each sparse factor is taken once per eigensolve (_rcm_lu): a reverse
 Cuthill-McKee pre-order (George & Liu 1981), then operators.sparse_lu (the
-package's one sparse LU, under a symmetric fill-reducing order).  From the
-saddle's own [sigma; u] order that order fills L + U of the p = 1 saddle on
-the disk at h = 0.05 (10 267 DOFs, normal) to 1 065 428 nonzeros, from the
-RCM order to 655 961; 744 087 against 664 198 under tangential.  The
-u-block of its solve is ``eigsh``'s ``OPinv``, so ARPACK never factors on
-its own, and ARPACK's vectors and inner products are p-form DOFs with the
-mass M_p (Lehoucq, Sorensen & Yang 1998); the saddle is freed before it
-iterates.
+package's one sparse LU, under a symmetric fill-reducing order).  Its solve
+is ``eigsh``'s ``OPinv``, so ARPACK never factors on its own, and ARPACK's
+vectors and inner products are p-form DOFs with the mass M_p (Lehoucq,
+Sorensen & Yang 1998).  A run solves each problem once: lowest_eigenpairs
+keeps one spectrum per chain content and degree in the run cache and
+serves smaller requests from it, so the p = 0 spectrum a check solved
+serves the p = 1 spectrum built on it.
 
-Every spectrum is certified on the primal pencil: each eigenpair's residual
-in the M^{-1}-norm, and its kernel count.  The kernel of L^(p) on a Whitney
-chain is the space of discrete harmonic forms, whose dimension is the Betti
-number b_p of the chain's cochain complex whatever V is (OperatorChain.betti:
-absolute for normal and none, relative for tangential).  So the first b_p
-eigenvalues are the kernel: they must sit at roundoff, |lambda_{b-1}| <=
-1e-8 max(lambda_b, 1), else SolverError("kernel unresolved"), and they are
-reported as 0.  An exponentially small eigenvalue above them stays.
+Every spectrum is certified on its own primal pencil: each eigenpair's
+residual in the M^{-1}-norm, and its kernel count.  The kernel of L^(p) on
+a Whitney chain is the space of discrete harmonic forms, whose dimension is
+the Betti number b_p of the chain's cochain complex whatever V is
+(OperatorChain.betti: absolute for normal and none, relative for
+tangential).  So the first b_p eigenvalues are the kernel: they must sit at
+roundoff, |lambda_{b-1}| <= 1e-8 max(lambda_b, 1), else
+SolverError("kernel unresolved"), and they are reported as 0.  An
+exponentially small eigenvalue above them stays.
 
-Solves on Ran d take one path (solve_on_range): the same saddle,
-unshifted, bordered by a kernel basis K with C = M_p K as a Lagrange
+Solves on Ran d take one path (solve_on_range): the mixed saddle form,
+whose auxiliary variable sigma = d*_V w keeps the dense inverse out of the
+down-block, bordered by a kernel basis K with C = M_p K as a Lagrange
 multiplier (Arnold-Falk-Winther, Acta Numerica 2006),
 
     [-M_{p-1}   D^T M_p   0 ] [sigma ]   [0]
@@ -64,13 +70,14 @@ column refined on its true residual and certified by _certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
+from . import runcache
 from .operators import AssembledOperator, OperatorChain, column_dots, sparse_lu
 
 __all__ = [
@@ -91,38 +98,44 @@ is at most 100 EIGEN_RESIDUAL_TOL (1 + |lambda|)."""
 
 SPECTRA_CUTOFF = 300
 """Largest dimension whose spectrum takes "dense-eigh"; above it a spectrum
-takes the sparse path of its degree, whatever the chain holds.  A spectrum needs only its k lowest
-eigenpairs (k <= 6 in the shipped configs, at most MAX_EIGEN_COUNT + 1 =
-101), so above this a full O(n^3) eigh costs more than the sparse path,
-and ARPACK's k < dim always holds there.  One lowest_eigenpairs call,
-k = 4, quadratic(1), normal realization, fresh chain with its masses
-factored, best of 5, one BLAS thread, dense path -> sparse path:
+takes the sparse path of its degree, whatever the chain holds.  A
+spectrum needs only its k lowest eigenpairs (k <= 6 in the shipped
+configs, at most MAX_EIGEN_COUNT + 1 = 101), so above this a full
+O(n^3) eigh costs more than the sparse path, and ARPACK's k < dim always
+holds there.  One lowest_eigenpairs call, k = 4, quadratic(1), normal
+realization, fresh chain with its masses factored, best of 5, one BLAS
+thread, dense path -> sparse path:
 
     disk      p = 0   dim   91     3.0 ->  6.5 ms
     disk      p = 0   dim  169     7.0 ->  8.7 ms
     disk      p = 0   dim  271    16.5 -> 10.8 ms
     disk      p = 0   dim  397    37.3 -> 12.6 ms
-    disk      p = 1   dim  240    15.4 -> 15.3 ms
-    disk      p = 1   dim  342    30.0 -> 17.9 ms
-    disk      p = 1   dim  462    60.4 -> 20.3 ms
-    disk      p = 1   dim 1122   492   -> 35.4 ms
-    disk      p = 2   dim  150     9.3 -> 16.8 ms
-    disk      p = 2   dim  294    27.0 -> 24.9 ms
-    disk      p = 2   dim  486    77.1 -> 25.6 ms
-    disk      p = 2   dim  864   315   -> 35.1 ms
+    disk      p = 1   dim  240     9.4 ->  6.9 ms
+    disk      p = 1   dim  342    21.0 -> 12.4 ms
+    disk      p = 1   dim  462    43.7 -> 21.6 ms
+    disk      p = 1   dim 1122   387   -> 25.1 ms
+    disk      p = 2   dim  150     4.6 ->  8.9 ms
+    disk      p = 2   dim  294    17.0 -> 10.0 ms
+    disk      p = 2   dim  486    57.0 -> 13.9 ms
+    disk      p = 2   dim  864   246   -> 26.3 ms
     interval  p = 0   dim  129     3.8 ->  3.9 ms
     interval  p = 0   dim  257    12.4 ->  4.3 ms
     interval  p = 0   dim  513    64.4 ->  5.0 ms
-    interval  p = 1   dim  128     6.5 ->  7.9 ms
-    interval  p = 1   dim  512    78.4 ->  9.7 ms
+    interval  p = 1   dim  128     3.1 ->  4.2 ms
+    interval  p = 1   dim  512    64.3 ->  5.6 ms
 
-In 2D the paths cost the same at about 220 (p = 0) to 290 (p = 2); the
-cutoff sits at the top of that range.  On the interval the crossover is
-near 130, but a 1D pencil below the cutoff costs at most about 20 ms
-either way.  Eigenvalues of the two paths agreed to 1.3e-13 relative on
-the disk and to 9e-12 on the interval, where the fine levels sit at the
-pencil's conditioning floor eps * lambda_top / lambda (lambda_top its
-largest eigenvalue).
+The p = 1 and p = 2 rows were measured again for the routes of
+_split_eigs and the top degree (2-core container, best of two runs of
+5); the other rows are older, from a host that read about 20 % slower on
+the same dense eigh.  The sparse p = 1 time on the disk includes the
+p = 0 and p = 2 spectra it is built on, each on its own path (dense up to
+the cutoff).  In 2D the paths cost the same at about 220 (p = 0 and
+p = 2) and below 240 (p = 1); the cutoff sits above that range.  On the
+interval the crossover is near 130 to 160, but a 1D pencil below the
+cutoff costs at most about 20 ms either way.  Eigenvalues of the two paths
+agreed to 1.3e-13 relative on the disk and to 9e-12 on the interval,
+where the fine levels sit at the pencil's conditioning floor
+eps * lambda_top / lambda (lambda_top its largest eigenvalue).
 """
 
 
@@ -178,20 +191,50 @@ def _m_orthonormalize(M, vecs: np.ndarray) -> np.ndarray:
 
 def lowest_eigenpairs(op: AssembledOperator, k: int, seed: int = 1234) -> SpectralResult:
     """k smallest eigenpairs of S x = lambda M x with certified residuals
-    and kernel count (the module docstring).
+    and kernel count (the module docstring), solved once per problem in a
+    run.
 
-    "dense-eigh" when op.dim is at most SPECTRA_CUTOFF, else shift-invert
-    eigsh on the pencil, inverted through op's shifted saddle
-    (_saddle_eigs).
+    The run cache (see runcache) keeps one spectrum per problem, keyed by
+    the chain's content: its complex (by id, held in the value), potential
+    expression and n, realization and quadrature order, and the degree and
+    seed.  A request for no more pairs than the entry holds is served as
+    views of its first pairs, without an eigensolve; a request for more
+    solves again (_eigenpairs) and replaces the entry.  A spectrum's arrays
+    are read-only, since a run may share it.
     """
     if not (1 <= k <= op.dim):
         raise ValueError(f"need 1 <= k <= {op.dim}, got {k}")
+    chain = op.chain
+    held = runcache.cached(("spectrum", id(chain.cplx), chain.potential.expr, chain.potential.n,
+                            chain.realization, chain.quad_order, op.p, seed),
+                           lambda: {"complex": chain.cplx})
+    res = held.get("spectrum")
+    if res is None or len(res.eigenvalues) < k:
+        res = held["spectrum"] = _eigenpairs(op, k, seed)
+    return _leading(res, k)
+
+
+def _leading(res: SpectralResult, k: int) -> SpectralResult:
+    """res itself if it holds k pairs, else views of its first k."""
+    if k == len(res.eigenvalues):
+        return res
+    return replace(res, eigenvalues=res.eigenvalues[:k], eigenvectors=res.eigenvectors[:, :k],
+                   residual_norms=res.residual_norms[:k])
+
+
+def _eigenpairs(op: AssembledOperator, k: int, seed: int) -> SpectralResult:
+    """The k smallest eigenpairs, solved and certified: "dense-eigh" when
+    op.dim is at most SPECTRA_CUTOFF, else at 0 < p < n with a down block
+    the union of the neighbouring spectra (_split_eigs), and otherwise
+    shift-invert eigsh (_shift_invert_eigs)."""
     if op.dim <= SPECTRA_CUTOFF:
         vals, vecs = op.pencil()
-        vals, vecs = vals[:k], vecs[:, :k]
-        solver = "dense-eigh"
+        vals, vecs, solver = vals[:k], vecs[:, :k], "dense-eigh"
+    elif op.has_down and op.has_up:
+        vals, vecs = _split_eigs(op, k, seed)
+        solver = "eigsh-mixed"
     else:
-        vals, vecs, solver = _saddle_eigs(op, k, seed)
+        vals, vecs, solver = _shift_invert_eigs(op, k, seed)
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     vecs = _m_orthonormalize(op.M, vecs)
@@ -207,59 +250,72 @@ def lowest_eigenpairs(op: AssembledOperator, k: int, seed: int = 1234) -> Spectr
                               f"{vals[:b + 1]} do not sit at roundoff below 1e-8 * {scale:.3e}",
                               residuals=vals[:b + 1])
         vals[:b] = 0.0
-    h = op.chain.cplx.mesh_size_h
-    return SpectralResult(vals, vecs, b, res, seed, h, solver)
+    for array in (vals, vecs, res):
+        array.flags.writeable = False
+    return SpectralResult(vals, vecs, b, res, seed, op.chain.cplx.mesh_size_h, solver)
 
 
-def _saddle(op: AssembledOperator, shift: float = 0.0):
-    """The saddle of the module docstring under the given shift: its
-    u-block is S_up - shift M_p, and its sigma block the first
-    shape[0] - op.dim rows and columns.  Without a codifferential block
-    (degree 0) the saddle is S_up - shift M.  A zero shift adds no
-    entries."""
-    S = op.up_stiff - shift * op.M if shift else op.up_stiff
-    if not op.has_down:
-        return S
+def _split_eigs(op: AssembledOperator, k: int, seed: int):
+    """The k lowest eigenpairs of op at 0 < p < n (p = 1 in 2D) from the
+    spectra of its neighbours on the same chain.
+
+    d and d*_V intertwine the Laplacians of one chain (the shared masses
+    make it exact), and in 2D every nonzero mode of L^(0) is coexact and
+    every one of L^(2) exact.  So the nonzero spectrum of L^(1) is the
+    union of theirs: an M-orthonormal eigenvector u of L^(0) with
+    eigenvalue lambda gives D u / sqrt(lambda), and one w of L^(2) gives
+    d*_V w / sqrt(lambda), both M-normalized.  The kernel is the b_p forms
+    of _kernel_basis, valued at their Rayleigh quotients, so the kernel
+    count of _eigenpairs still tests them.  Each neighbour q is asked
+    (lowest_eigenpairs, so the run's spectrum of that problem serves) for
+    b_q + k pairs, capped at dim_q: k nonzero pairs of each are at hand."""
     chain, p = op.chain, op.p
-    Mlow = chain.mass(p - 1).tocsr()
-    D = chain.d_matrix(p - 1)
-    B = (D.T @ op.M).T.tocsr()     # M_p D
-    return sparse.bmat([[-Mlow, B.T], [B, S]], format="csc")
+    K = _kernel_basis(op)
+    vals, vecs = [column_dots(K, op.stiff_matvec(K))], [K]
+    for q, lift in ((p - 1, lambda u: chain.apply_d(p - 1, u)),
+                    (p + 1, lambda w: chain.apply_codifferential(p + 1, w))):
+        sub = lowest_eigenpairs(chain.operator(q), min(chain.betti(q) + k, chain.dim(q)), seed)
+        lam = sub.eigenvalues[sub.kernel_dim:]
+        vals.append(lam)
+        vecs.append(lift(sub.eigenvectors[:, sub.kernel_dim:]) / np.sqrt(lam))
+    vals, vecs = np.concatenate(vals), np.hstack(vecs)
+    first = np.argsort(vals, kind="stable")[:k]
+    return vals[first], vecs[:, first]
 
 
-def _rcm_lu(A):
-    """sparse_lu of the symmetric matrix A under a reverse Cuthill-McKee
-    pre-order perm (George & Liu 1981), so the factor is of
-    A[perm][:, perm], and perm.  On the shifted saddle MMD fills less from
-    this order than from the saddle's own [sigma; u] one.  Once permuted, A
-    is freed unless the caller holds it."""
-    perm = csgraph.reverse_cuthill_mckee(A, symmetric_mode=True)
-    A = A[perm][:, perm]
-    return sparse_lu(A), perm
+def _shift_invert_eigs(op: AssembledOperator, k: int, seed: int):
+    """The k eigenpairs of the pencil (S_p, M_p) nearest a shift sigma, by
+    shift-invert eigsh on the p-form DOFs, and the solver label.
 
+    Without a down block (degree 0, or no free DOF below) OPinv is
+    (S_up - sigma M_p)^{-1}, sigma = -1e-2: "eigsh-shift-invert".  At the
+    top degree n, S_up is zero and M_n diagonal (entries m), so the u-block
+    -sigma M_n of the shifted mixed saddle
 
-def _saddle_eigs(op: AssembledOperator, k, seed):
-    """The k eigenpairs of the pencil (S_p, M_p) nearest the shift
-    sigma = -1e-2 (times mean diag M_p when there is a sigma block), and
-    the solver label.
+        [-M_{n-1}   D^T M_n    ] [s]   [0]
+        [ M_n D     -sigma M_n ] [u] = [y]
 
-    Shift-invert eigsh iterates on the p-form DOFs: its OPinv(y) is the
-    u-block of the shifted saddle's solve for the right side (0, y), which
-    is (S_p - sigma M_p)^{-1} y, from one _rcm_lu factor.  The saddle is
-    freed once permuted, so only the factor, M_p and ARPACK's workspace
-    live while ARPACK iterates.  The start vector is the u-part of a seeded
-    saddle-length vector; A is never applied in this mode."""
-    n = op.dim
-    sigma = -1e-2 * (float(np.mean(op.M.diagonal())) if op.has_down else 1.0)
-    lu, perm = _rcm_lu(_saddle(op, sigma))
-    nlow = len(perm) - n
-    u = np.argsort(perm)[nlow:]    # where each u-DOF sits in the factor's order
+    is eliminated exactly: (S_up(n-1) - sigma M_{n-1}) s = D^T y and
+    OPinv(y) = u = (D s - y/m) / sigma = (S_n - sigma M_n)^{-1} y, with
+    sigma = -1e-2 mean(m): "eigsh-mixed".  Either way one SPD factor
+    (_shifted_solver) serves every solve, and only it, M_p and ARPACK's
+    workspace live while ARPACK iterates.  The start vector is the p-form
+    part of a seeded vector of length dim_{n-1} + dim_n at the top degree,
+    dim_p otherwise; A is never applied in this mode."""
+    n, chain = op.dim, op.chain
+    if op.has_down:
+        q, m = op.p - 1, op.M.diagonal()
+        sigma = -1e-2 * float(np.mean(m))
+        solve = _shifted_solver(chain.up_stiffness(q) - sigma * chain.mass(q))
+        D = chain.d_matrix(q)
 
-    def opinv(y):
-        z = np.zeros(nlow + n)
-        z[u] = y
-        return lu.solve(z)[u]
+        def opinv(y):
+            return (D @ solve(D.T @ y) - y / m) / sigma
 
+        nlow, solver = chain.dim(q), "eigsh-mixed"
+    else:
+        sigma, nlow, solver = -1e-2, 0, "eigsh-shift-invert"
+        opinv = _shifted_solver(op.up_stiff - sigma * op.M)
     v0 = np.random.default_rng(seed).standard_normal(nlow + n)[nlow:]
     try:
         vals, vecs = spla.eigsh(spla.LinearOperator((n, n), matvec=op.stiff_matvec, dtype=float),
@@ -269,7 +325,43 @@ def _saddle_eigs(op: AssembledOperator, k, seed):
     except spla.ArpackNoConvergence as e:
         raise SolverError(f"eigensolver hit the iteration cap: {e}",
                           residuals=getattr(e, "eigenvalues", None)) from e
-    return vals, vecs, "eigsh-mixed" if nlow else "eigsh-shift-invert"
+    return vals, vecs, solver
+
+
+def _shifted_solver(A):
+    """y -> A^{-1} y for a symmetric shifted matrix A (S_up - sigma M),
+    from one _rcm_lu factor."""
+    lu, perm = _rcm_lu(A)
+
+    def solve(y):
+        x = np.empty_like(y)
+        x[perm] = lu.solve(y[perm])
+        return x
+
+    return solve
+
+
+def _saddle(op: AssembledOperator):
+    """The unbordered saddle of the range solve (module docstring): its
+    sigma block is the first shape[0] - op.dim rows and columns, its u-block
+    S_up.  Without a codifferential block (degree 0) it is S_up itself."""
+    if not op.has_down:
+        return op.up_stiff
+    chain, p = op.chain, op.p
+    Mlow = chain.mass(p - 1).tocsr()
+    D = chain.d_matrix(p - 1)
+    B = (D.T @ op.M).T.tocsr()     # M_p D
+    return sparse.bmat([[-Mlow, B.T], [B, op.up_stiff]], format="csc")
+
+
+def _rcm_lu(A):
+    """sparse_lu of the symmetric matrix A under a reverse Cuthill-McKee
+    pre-order perm (George & Liu 1981), so the factor is of
+    A[perm][:, perm], and perm.  Once permuted, A is freed unless the
+    caller holds it."""
+    perm = csgraph.reverse_cuthill_mckee(A, symmetric_mode=True)
+    A = A[perm][:, perm]
+    return sparse_lu(A), perm
 
 
 @dataclass

@@ -5,14 +5,17 @@ from itertools import combinations
 import numpy as np
 import scipy.linalg as dla
 import scipy.sparse as sparse
+import scipy.sparse.csgraph as csgraph
+import scipy.sparse.linalg as spla
 import sympy as sp
 
 from hodgecheck import exterior
 from hodgecheck.analytic_forms import AnalyticForm
 from hodgecheck.domains import domain_quadrature
 from hodgecheck.meshing import LOCAL_EDGES
+from hodgecheck.operators import sparse_lu
 from hodgecheck.potentials import _COORDS
-from hodgecheck.spectral import lowest_eigenpairs
+from hodgecheck.spectral import SPECTRA_CUTOFF, lowest_eigenpairs
 from hodgecheck.whitney import triangle_rule
 
 
@@ -180,9 +183,59 @@ def range_solve_oracle(op, rhs, kernel=None, steps=4):
 
 def kernel_probe_oracle(op, b, probes=6):
     """The kernel basis an eigensolve finds: the first b eigenvectors of the
-    lowest max(probes, b + 1) eigenpairs of op (lowest_eigenpairs certifies
-    their residuals and that the first b sit at roundoff)."""
-    return lowest_eigenpairs(op, min(op.dim, max(probes, b + 1))).eigenvectors[:, :b]
+    lowest max(probes, b + 1) eigenpairs of op.  Up to SPECTRA_CUTOFF they
+    come from lowest_eigenpairs (dense eigh; it certifies their residuals
+    and that the first b sit at roundoff); above it from
+    mixed_saddle_eigs_oracle, since lowest_eigenpairs builds a p = 1
+    spectrum on the kernel basis under test."""
+    k = min(op.dim, max(probes, b + 1))
+    if op.dim <= SPECTRA_CUTOFF:
+        return lowest_eigenpairs(op, k).eigenvectors[:, :b]
+    return mixed_saddle_eigs_oracle(op, k)[1][:, :b]
+
+
+def shifted_mixed_saddle(op, shift):
+    """The mixed saddle of a degree p >= 1 with a down block under a shift:
+
+        [-M_{p-1}   D^T M_p          ]
+        [ M_p D     S_up - shift M_p ],
+
+    whose u-block solve for the right side (0, y) is (S_p - shift M_p)^{-1} y
+    (its sigma block, the first dim_{p-1} rows, is d*_V u)."""
+    chain, p = op.chain, op.p
+    B = (chain.d_matrix(p - 1).T @ op.M).T.tocsr()
+    return sparse.bmat([[-chain.mass(p - 1).tocsr(), B.T],
+                        [B, chain.up_stiffness(p) - shift * op.M]], format="csc")
+
+
+def mixed_saddle_eigs_oracle(op, k, seed=1234):
+    """Eigenvalues (ascending) and M-orthonormal eigenvectors of the k
+    pairs of (S_p, M_p) nearest the shift -1e-2 mean diag M_p, for p >= 1
+    with a down block, by shift-invert eigsh on the p-form DOFs whose OPinv
+    is the u-block of one factor of shifted_mixed_saddle (a reverse
+    Cuthill-McKee pre-order, then operators.sparse_lu).  The start vector
+    is the u-part of a seeded saddle-length vector.  This was the sparse
+    route of every p >= 1 spectrum; lowest_eigenpairs no longer factors a
+    mixed saddle, so it is an independent cross-check."""
+    n = op.dim
+    shift = -1e-2 * float(np.mean(op.M.diagonal()))
+    A = shifted_mixed_saddle(op, shift)
+    nlow = A.shape[0] - n
+    perm = csgraph.reverse_cuthill_mckee(A, symmetric_mode=True)
+    lu = sparse_lu(A[perm][:, perm])
+    u = np.argsort(perm)[nlow:]
+
+    def opinv(y):
+        z = np.zeros(nlow + n)
+        z[u] = y
+        return lu.solve(z)[u]
+
+    v0 = np.random.default_rng(seed).standard_normal(nlow + n)[nlow:]
+    vals, vecs = spla.eigsh(spla.LinearOperator((n, n), matvec=op.stiff_matvec, dtype=float),
+                            k=k, M=op.M.tocsr(), sigma=shift, which="LM", v0=v0, maxiter=500,
+                            OPinv=spla.LinearOperator((n, n), matvec=opinv, dtype=float))
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
 
 
 def whitney_mass_oracle(cplx, p, potential, quad_order):

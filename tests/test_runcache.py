@@ -11,12 +11,13 @@ from hodgecheck import checks as checks_mod
 from hodgecheck import operators as operators_mod
 from hodgecheck import report as report_mod
 from hodgecheck import runcache
+from hodgecheck import spectral as spectral_mod
 from hodgecheck.config import load_config
 from hodgecheck.domains import DomainSpec
 from hodgecheck.meshing import SimplicialComplex, generate_mesh
-from hodgecheck.operators import OperatorChain
+from hodgecheck.operators import CHAIN_QUAD_ORDER, OperatorChain
 from hodgecheck.potentials import Potential, _COORDS, _lambdify
-from hodgecheck.spectral import SPECTRA_CUTOFF, check_intertwining
+from hodgecheck.spectral import SPECTRA_CUTOFF, check_intertwining, lowest_eigenpairs
 
 ROOT = Path(__file__).resolve().parents[1]
 SMALL_DISK = {
@@ -102,16 +103,18 @@ def test_scope_dropped_on_return_and_on_raise(monkeypatch, entry):
 
 
 def test_problems_differing_in_one_key_field_do_not_share(monkeypatch):
-    """Each of realization, seed, the potential expression (semiclassical
-    h) and mesh_h makes a new entry; the potential's name does not:
-    rescaled(1.0) renames V but solves the same problem.  k is not in the
-    key: fewer pairs are served from the entry, more solve once and
-    replace it."""
-    solved = _counting(monkeypatch, checks_mod, "lowest_eigenpairs")
+    """A spectrum is keyed by its chain's content: each of the complex
+    (mesh_h), the potential expression (semiclassical h), realization,
+    quadrature order, degree and seed makes a new entry; the potential's
+    name does not: rescaled(1.0) renames V but solves the same problem.  k
+    is not in the key: fewer pairs are served from the entry, more solve
+    once and replace it."""
+    solved = _counting(monkeypatch, spectral_mod, "_eigenpairs")
 
-    def spectrum(potential=V1, b="normal", k=3, seed=1, mesh_h=1 / 16):
-        [[res]] = checks_mod._ladder(INTERVAL, mesh_h, 1, [(potential, b, 0)], k, seed)
-        return res
+    def spectrum(potential=V1, b="normal", k=3, seed=1, mesh_h=1 / 16, degree=0,
+                 quad_order=CHAIN_QUAD_ORDER):
+        chain = OperatorChain(checks_mod._mesh(INTERVAL, mesh_h), potential, b, quad_order)
+        return lowest_eigenpairs(chain.operator(degree), k, seed=seed)
 
     with runcache.scope():
         base = spectrum()
@@ -124,8 +127,8 @@ def test_problems_differing_in_one_key_field_do_not_share(monkeypatch):
         assert len(solved) == 2 and len(more.eigenvalues) == 5
         assert spectrum(k=5) is more and len(spectrum().eigenvalues) == 3
         assert len(solved) == 2
-        variants = [dict(b="tangential"), dict(seed=2),
-                    dict(potential=V1.rescaled(0.5)), dict(mesh_h=1 / 8)]
+        variants = [dict(b="tangential"), dict(seed=2), dict(potential=V1.rescaled(0.5)),
+                    dict(mesh_h=1 / 8), dict(degree=1), dict(quad_order=8)]
         for i, variant in enumerate(variants, start=3):
             assert spectrum(**variant) is not base
             assert len(solved) == i
@@ -134,10 +137,11 @@ def test_problems_differing_in_one_key_field_do_not_share(monkeypatch):
 
 
 def test_disk_suite_solves_each_spectrum_once(monkeypatch):
-    """On the shipped disk suite the three p = 0 gap cases and the direct
-    side of duality_spectrum ask for one ladder; it is solved once per
-    number of pairs (eigen_spectrum's 3-pair level-0 solve and the gap's
-    4-pair one share a key)."""
+    """On the shipped disk suite the three p = 0 gap cases, the direct side
+    of duality_spectrum and the sparse p = 1 gap rungs ask for one p = 0
+    ladder; it is solved once per number of pairs (eigen_spectrum's 3-pair
+    level-0 solve and the gap's 4-pair one share a key, and so do the gap's
+    4-pair rungs and the 5 pairs, b_0 + 4, that a p = 1 rung asks)."""
     raw = json.loads((ROOT / "examples_config" / "disk_suite.json").read_text())
     raw["checks"] = ["eigen_spectrum", "gap_lower_bound", "duality_spectrum"]
     requested = []
@@ -149,22 +153,23 @@ def test_disk_suite_solves_each_spectrum_once(monkeypatch):
         return lookup(key, compute)
 
     solved = []
-    solve = checks_mod.lowest_eigenpairs
+    solve = spectral_mod._eigenpairs
 
-    def counted(op, k, **kwargs):
-        solved.append((requested[-1], k))
-        return solve(op, k, **kwargs)
+    def counted(op, k, seed):
+        solved.append((requested[-1], k))   # the key lowest_eigenpairs just read
+        return solve(op, k, seed)
 
     monkeypatch.setattr(runcache, "cached", spy)
-    monkeypatch.setattr(checks_mod, "lowest_eigenpairs", counted)
+    monkeypatch.setattr(spectral_mod, "_eigenpairs", counted)
     rep = report_mod.run_config(load_config(raw))
     assert rep.summary["fail"] == 0
     assert len(solved) == len(set(solved)) < len(requested)
     assert {key for key, _ in solved} == set(requested)
     # levels 0-2 of the p = 0 normal ladder: three gap cases and duality's direct
-    # side, and eigen_spectrum at level 0; the p = 1 normal gap case's level 0
+    # side, with eigen_spectrum at level 0 and, at the sparse levels 1-2, the
+    # p = 1 normal gap case's spectrum built on them; that case's level 0
     # shares eigen_spectrum's key
-    assert sorted(map(requested.count, set(requested)))[-5:] == [1, 2, 4, 4, 5]
+    assert sorted(map(requested.count, set(requested)))[-5:] == [1, 2, 5, 5, 5]
 
 
 def test_cached_spectrum_is_read_only():
@@ -193,7 +198,7 @@ def test_lambda1_request_is_served_from_a_larger_spectrum(monkeypatch):
     """In one scope a k None request after a 4-pair solve makes no
     eigensolve and returns read-only views of the first pairs."""
     annulus, V = DomainSpec.annulus(0.5, 1.0), Potential.quadratic(1.0, 2)
-    solved = _counting(monkeypatch, checks_mod, "lowest_eigenpairs")
+    solved = _counting(monkeypatch, spectral_mod, "_eigenpairs")
     with runcache.scope():
         [[four]] = checks_mod._ladder(annulus, 0.4, 1, [(V, "normal", 1)], 4, 1234)
         [[res]] = checks_mod._ladder(annulus, 0.4, 1, [(V, "normal", 1)], None, 1234)
@@ -203,6 +208,27 @@ def test_lambda1_request_is_served_from_a_larger_spectrum(monkeypatch):
                        (res.residual_norms, four.residual_norms)):
         assert view.base is not None and np.shares_memory(view, full)
         assert np.array_equal(view, full[..., :2]) and not view.flags.writeable
+
+
+def test_p1_spectrum_is_built_on_the_runs_p0_spectrum(monkeypatch):
+    """In one scope a sparse p = 1 spectrum after its p = 0 problem makes
+    no new p = 0 eigensolve: the sweep's p = 0 rung (kernel and lambda_1,
+    b_0 + 1 pairs) is exactly what the p = 1 lambda_1 asks of it, so only
+    p = 2 is solved besides.  lambda_1 of p = 1 is the smaller of the two
+    neighbours' lambda_1, bit for bit.  Outside a scope p = 0 is solved
+    again."""
+    disk, V = DomainSpec.disk(1.0), Potential.quadratic(1.0, 2)
+    solved = _counting(monkeypatch, spectral_mod, "_eigenpairs")
+    problems = [(V, "normal", 0), (V, "normal", 1)]
+    with runcache.scope():
+        [[zero], [one]] = checks_mod._ladder(disk, 0.15, 1, problems, None, 1234)
+        two = lowest_eigenpairs(OperatorChain(checks_mod._mesh(disk, 0.15), V, "normal")
+                                .operator(2), 1, seed=1234)
+    assert one.dim > SPECTRA_CUTOFF and one.solver == "eigsh-mixed"
+    assert [(op.p, k) for op, k, _ in solved] == [(0, 2), (1, 1), (2, 1)]
+    assert one.eigenvalues[0] == min(zero.eigenvalues[1], two.eigenvalues[0])
+    checks_mod._ladder(disk, 0.15, 1, problems, None, 1234)
+    assert [op.p for op, _, _ in solved[3:]] == [0, 1, 0, 2]
 
 
 def test_sweep_statuses_and_lambda1_do_not_depend_on_check_order():

@@ -5,7 +5,6 @@ import json
 
 import numpy as np
 import pytest
-import scipy.sparse as sparse
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 from scipy.special import jnp_zeros
@@ -23,7 +22,8 @@ import hodgecheck.spectral as spectral
 from hodgecheck.spectral import (KernelProjector, SolverError, hodge_decompose,
                                  kernel_projector, lowest_eigenpairs, solve_on_range)
 
-from oracles import fd_oracle_1d, kernel_probe_oracle, range_solve_oracle
+from oracles import (fd_oracle_1d, kernel_probe_oracle, mixed_saddle_eigs_oracle,
+                     range_solve_oracle, shifted_mixed_saddle)
 
 
 def test_interval_closed_form_spectra():
@@ -235,38 +235,69 @@ def test_eigsh_paths_never_factor_inside_arpack(monkeypatch):
     assert lowest_eigenpairs(chain.operator(1), 3).solver == "eigsh-mixed"
 
 
-@pytest.mark.parametrize("realization, p", [("tangential", 0), ("normal", 1)],
-                         ids=["shift-invert-p0", "mixed-p1"])
-def test_sparse_path_matches_explicit_pencil(monkeypatch, realization, p):
-    """Above SPECTRA_CUTOFF the eigenvalues are, bit for bit, those of
-    shift-invert eigsh on the primal pencil (S_p, M_p) as written out here.
-    OPinv(y) is the u-block of the solve of the shifted saddle for (0, y):
-    S_up - sigma M under sigma = -1e-2 at p = 0, the mixed saddle under
-    -1e-2 mean diag M at p = 1, factored once by sparse_lu under a reverse
-    Cuthill-McKee pre-order.  The start vector is the u-part of a seeded
-    saddle-length vector, and ARPACK never applies A."""
-    monkeypatch.setattr(spectral, "SPECTRA_CUTOFF", 1)
-    k, seed = 4, 1234
-    chain = OperatorChain(generate_mesh(DomainSpec.disk(1.0), 0.3),
-                          Potential.quadratic(1.0, 2), realization)
+_DISK_01 = DomainSpec.disk(1.0), 0.1
+ORACLE_CASES = (
+    [(_DISK_01, Potential.quadratic(1.0, 2).rescaled(h), b) for b in ("normal", "tangential")
+     for h in (1.0, 0.125)]
+    + [((DomainSpec.annulus(0.5, 1.0), 0.15), Potential.quadratic(1.0, 2), b)
+       for b in ("normal", "tangential")]
+    + [((DomainSpec.flat_torus(1.0, 1.0), 0.08), Potential.zero(2), "none")])
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("mesh, V, b", ORACLE_CASES,
+                         ids=["disk-normal-h1", "disk-normal-h0.125", "disk-tangential-h1",
+                              "disk-tangential-h0.125", "annulus-normal", "annulus-tangential",
+                              "torus"])
+def test_sparse_spectra_match_mixed_saddle_oracle(mesh, V, b, p):
+    """The sparse p = 1 (union of the p = 0 and p = 2 spectra) and p = 2
+    (eliminated top degree) spectra against shift-invert eigsh through the
+    shifted mixed saddle: k = b_p + 4 eigenvalues, the kernel count, and
+    every eigenvalue above the kernel within 1e-12 relative, both copies of
+    each double eigenvalue included (each case has one).  The annulus has
+    b_1 = 1 and the flat torus b_1 = 2."""
+    chain = OperatorChain(generate_mesh(*mesh), V, b)
+    op, bp = chain.operator(p), chain.betti(p)
+    assert op.dim > spectral.SPECTRA_CUTOFF
+    res = lowest_eigenpairs(op, bp + 4)
+    ref, _ = mixed_saddle_eigs_oracle(op, bp + 4)
+    assert res.solver == "eigsh-mixed" and res.kernel_dim == bp
+    assert np.abs(ref[:bp]).max(initial=0.0) <= 1e-8 * ref[bp]
+    assert np.allclose(res.eigenvalues[bp:], ref[bp:], rtol=1e-12, atol=0)
+    assert (np.diff(ref[bp:]) <= 1e-9 * ref[-1]).any()
+
+
+def _explicit_shift_invert(chain, p, k, seed):
+    """Shift-invert eigsh on the primal pencil (S_p, M_p) as written out
+    here, at p = 0 or the top degree n; the sorted eigenvalues.  At p = 0
+    OPinv is (S_up - sigma M)^{-1} under sigma = -1e-2.  At p = n, with
+    sigma = -1e-2 mean diag M_n = -1e-2 mean(m), OPinv(y) = (D s - y/m) /
+    sigma for (S_up(n-1) - sigma M_{n-1}) s = D^T y.  Each factor is one
+    sparse_lu under a reverse Cuthill-McKee pre-order; the start vector is
+    the p-form part of a seeded vector of length dim_{p-1} + dim_p (dim_0
+    at p = 0), and ARPACK never applies A."""
     M, n = chain.mass(p), chain.dim(p)
+    q = max(p - 1, 0)
     if p == 0:
         sigma, nlow = -1e-2, 0
         A = chain.up_stiffness(0) - sigma * M
     else:
-        sigma = -1e-2 * float(np.mean(M.diagonal()))
-        Mlow = chain.mass(0).tocsr()
-        nlow = Mlow.shape[0]
-        B = (chain.d_matrix(0).T @ M).T.tocsr()
-        A = sparse.bmat([[-Mlow, B.T], [B, chain.up_stiffness(1) - sigma * M]], format="csc")
+        m = M.diagonal()
+        sigma, nlow = -1e-2 * float(np.mean(m)), chain.dim(q)
+        A = chain.up_stiffness(q) - sigma * chain.mass(q)
     perm = csgraph.reverse_cuthill_mckee(A, symmetric_mode=True)
     lu = operators.sparse_lu(A[perm][:, perm])
-    u = np.argsort(perm)[nlow:]
+
+    def solve(y):
+        x = np.empty_like(y)
+        x[perm] = lu.solve(y[perm])
+        return x
 
     def opinv(y):
-        z = np.zeros(nlow + n)
-        z[u] = y
-        return lu.solve(z)[u]
+        if p == 0:
+            return solve(y)
+        D = chain.d_matrix(q)
+        return (D @ solve(D.T @ y) - y / m) / sigma
 
     def refuse(x):
         raise AssertionError("ARPACK applied A in shift-invert mode")
@@ -275,49 +306,79 @@ def test_sparse_path_matches_explicit_pencil(monkeypatch, realization, p):
     vals, _ = spla.eigsh(spla.LinearOperator((n, n), matvec=refuse, dtype=float), k=k,
                          M=M.tocsr(), sigma=sigma, which="LM", v0=v0, maxiter=500,
                          OPinv=spla.LinearOperator((n, n), matvec=opinv, dtype=float))
+    return np.sort(vals)
+
+
+@pytest.mark.parametrize("realization, p", [("tangential", 0), ("normal", 1), ("normal", 2)],
+                         ids=["shift-invert-p0", "mixed-p1", "mixed-p2"])
+def test_sparse_path_matches_explicit_pencil(monkeypatch, realization, p):
+    """Above SPECTRA_CUTOFF the eigenvalues are, bit for bit, those of the
+    routes written out here.  At p = 0 and p = n: shift-invert eigsh on the
+    primal pencil (_explicit_shift_invert).  At p = 1: the union of the
+    nonzero spectra of p = 0 (b_0 + k pairs) and p = 2 (b_2 + k pairs),
+    each solved that way, its k lowest; the disk has b_1 = 0."""
+    monkeypatch.setattr(spectral, "SPECTRA_CUTOFF", 1)
+    k, seed = 4, 1234
+    chain = OperatorChain(generate_mesh(DomainSpec.disk(1.0), 0.3),
+                          Potential.quadratic(1.0, 2), realization)
+    if p == 1:
+        b0, b2 = chain.betti(0), chain.betti(2)
+        vals = np.sort(np.concatenate([_explicit_shift_invert(chain, 0, b0 + k, seed)[b0:],
+                                       _explicit_shift_invert(chain, 2, b2 + k, seed)[b2:]]))[:k]
+    else:
+        vals = _explicit_shift_invert(chain, p, k, seed)
     res = lowest_eigenpairs(chain.operator(p), k, seed=seed)
     assert res.solver == ("eigsh-shift-invert" if p == 0 else "eigsh-mixed")
     assert res.kernel_dim == 0
-    assert np.array_equal(res.eigenvalues, np.sort(vals))
+    assert np.array_equal(res.eigenvalues, vals)
 
 
 def test_spectrum_path_rule(monkeypatch):
     """A spectrum takes dense-eigh only up to SPECTRA_CUTOFF, whatever the
-    chain holds.  Above it a kernel projector takes the sparse path, and the
-    range solve after it runs no eigh.  Above SPECTRA_CUTOFF no config asks
+    chain holds, and so does each sub-spectrum of a p = 1 spectrum: on the
+    annulus p = 1 (dim 377, kernel 1) lowest_eigenpairs builds the p = 1
+    spectrum from one dense eigh of p = 0 and one of p = 2, each at most
+    SPECTRA_CUTOFF, and builds no mixed saddle (only the degree-0 range
+    solve of its cocycle basis reads _saddle).  A kernel projector and the
+    range solve after it run no eigh.  Above SPECTRA_CUTOFF no config asks
     ARPACK for k >= dim."""
     assert MAX_EIGEN_COUNT + 1 < spectral.SPECTRA_CUTOFF
-    calls = []
-    eigh = operators.dla.eigh
-    monkeypatch.setattr(operators.dla, "eigh", lambda *a: calls.append(1) or eigh(*a))
-    m = generate_mesh(DomainSpec.annulus(0.5, 1.0), 0.25)   # p = 1: dim 377, kernel 1
+    dims, saddles = [], []
+    eigh, saddle = operators.dla.eigh, spectral._saddle
+    monkeypatch.setattr(operators.dla, "eigh", lambda *a: dims.append(len(a[0])) or eigh(*a))
+    monkeypatch.setattr(spectral, "_saddle", lambda op: saddles.append(op.p) or saddle(op))
+    m = generate_mesh(DomainSpec.annulus(0.5, 1.0), 0.25)
     chain = OperatorChain(m, Potential.quadratic(1.0, 2), "normal")
     op = chain.operator(1)
     assert spectral.SPECTRA_CUTOFF < op.dim
-    assert lowest_eigenpairs(op, 4).solver == "eigsh-mixed"
+    res = lowest_eigenpairs(op, 4)
+    assert res.solver == "eigsh-mixed" and res.kernel_dim == 1
+    assert dims == [chain.dim(0), chain.dim(2)] and max(dims) <= spectral.SPECTRA_CUTOFF
+    assert saddles == [0]
     kp = kernel_projector(op)
     rhs = chain.d_matrix(0) @ np.random.default_rng(0).standard_normal(chain.dim(0))
     w = solve_on_range(op, rhs, kernel=kp)
-    assert kp.dim == 1 and calls == []
+    assert kp.dim == 1 and len(dims) == 2
     assert _certified_residual(op, rhs, w, kp) <= 1e-11
 
 
 @pytest.fixture(scope="module")
-def disk_p1_shifted_saddle():
-    """The p = 1 normal operator on the disk at h = 0.05 (7656 DOFs) and its
-    saddle (10 267 DOFs) under the eigensolve's shift."""
-    chain = OperatorChain(generate_mesh(DomainSpec.disk(1.0), 0.05),
-                          Potential.quadratic(1.0, 2), "normal")
-    op = chain.operator(1)
-    sigma = -1e-2 * float(np.mean(op.M.diagonal()))
-    return op, spectral._saddle(op, sigma)
+def disk_fine_chain():
+    """The normal chain on the disk at h = 0.05: 7656 p = 1 DOFs, 5046 p = 2."""
+    return OperatorChain(generate_mesh(DomainSpec.disk(1.0), 0.05),
+                         Potential.quadratic(1.0, 2), "normal")
 
 
-def test_sparse_lu_fill_and_solves(disk_p1_shifted_saddle):
+def _mass_shift(M) -> float:
+    return -1e-2 * float(np.mean(M.diagonal()))
+
+
+def test_sparse_lu_fill_and_solves(disk_fine_chain):
     """On the disk at h = 0.05 the symmetric order of sparse_lu fills L + U
     less than SuperLU's default order, for the p = 1 mass and the p = 1
-    shifted mixed saddle, and its solves match spsolve."""
-    op, saddle = disk_p1_shifted_saddle
+    shifted mixed saddle (10 267 DOFs), and its solves match spsolve."""
+    op = disk_fine_chain.operator(1)
+    saddle = shifted_mixed_saddle(op, _mass_shift(op.M))
     rng = np.random.default_rng(0)
     for X in (op.M, saddle):
         lu, default = operators.sparse_lu(X), spla.splu(X)
@@ -327,16 +388,23 @@ def test_sparse_lu_fill_and_solves(disk_p1_shifted_saddle):
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_eigensolve_factor_rcm_fill_and_solves(disk_p1_shifted_saddle):
-    """The eigensolve's factor of the p = 1 shifted saddle (_rcm_lu) fills
-    L + U to at most 0.7 times plain sparse_lu of the same matrix, and its
+def test_eigensolve_factor_rcm_fill_and_solves(disk_fine_chain):
+    """The top-degree eigensolve's factor on the disk at h = 0.05, _rcm_lu
+    of S_up(1) - sigma M_1 (7656 DOFs), fills L + U to at most 0.9 times
+    plain sparse_lu of the same matrix and 0.9 times the RCM-ordered factor
+    of the shifted p = 2 mixed saddle it replaces (12 702 DOFs); its
     solves, permuted back, match spsolve."""
-    _, saddle = disk_p1_shifted_saddle
-    lu, perm = spectral._rcm_lu(saddle)
-    plain = operators.sparse_lu(saddle)
-    assert lu.L.nnz + lu.U.nnz <= 0.7 * (plain.L.nnz + plain.U.nnz)
-    b = np.random.default_rng(0).standard_normal(saddle.shape[0])
-    x, ref = np.empty_like(b), spla.spsolve(saddle, b)
+    chain = disk_fine_chain
+    sigma = _mass_shift(chain.mass(2))
+    A = (chain.up_stiffness(1) - sigma * chain.mass(1)).tocsc()
+    lu, perm = spectral._rcm_lu(A)
+    fill = lu.L.nnz + lu.U.nnz
+    plain = operators.sparse_lu(A)
+    saddle, _ = spectral._rcm_lu(shifted_mixed_saddle(chain.operator(2), sigma))
+    assert fill <= 0.9 * (plain.L.nnz + plain.U.nnz)
+    assert fill <= 0.9 * (saddle.L.nnz + saddle.U.nnz)
+    b = np.random.default_rng(0).standard_normal(A.shape[0])
+    x, ref = np.empty_like(b), spla.spsolve(A, b)
     x[perm] = lu.solve(b[perm])
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
