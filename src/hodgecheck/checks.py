@@ -41,7 +41,8 @@ from .meshing import generate_mesh, refine
 from .operators import CHAIN_QUAD_ORDER, OperatorChain, column_dots, dual_problem
 from .potentials import Potential, WeightedMeasure
 from .records import DEFAULT_TOLERANCES, CheckRecord, identity_record, inequality_record
-from .spectral import hodge_decompose, kernel_projector, lowest_eigenpairs, solve_on_range
+from .spectral import (SolverError, hodge_decompose, kernel_projector, lowest_eigenpairs,
+                       solve_on_range)
 
 __all__ = [
     "eval_decomposition_identity",
@@ -635,9 +636,12 @@ def _paths(rungs) -> dict:
 
 
 def _first_nonkernel_eigenvalue(res) -> float:
+    """lambda_1; one at or below 0 is roundoff, not a gap: SolverError."""
     above = res.eigenvalues[res.kernel_dim:]
     if len(above) == 0:
         raise RuntimeError("no nonkernel eigenvalue found; raise k")
+    if above[0] <= 0.0:
+        raise SolverError(f"first nonkernel eigenvalue {above[0]:.3e} <= 0: roundoff, no gap")
     return float(above[0])
 
 

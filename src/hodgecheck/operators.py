@@ -24,11 +24,11 @@ duality checks compare the direct assembly against.
 Every sparse LU factorization of the package goes through sparse_lu: the
 mass factors here (the codifferential, the dense down-block of the
 stiffness, the M^{-1}-norms of residuals), the shifted up-blocks
-S_up - shift M through which the sparse eigensolvers of spectral invert
-their pencils (at degree 0 directly, at the top degree with the diagonal
-mass eliminated) and the kernel-bordered saddles of its range solves.  All
-of these matrices are symmetric, so sparse_lu orders them with a symmetric
-fill-reducing order.
+S_up - shift M through which the sparse eigensolvers and the top-degree
+range solve of spectral invert their pencils (at degree 0 directly, at the
+top degree with the diagonal mass eliminated) and the degree-0 S_up of the
+range solves, bordered by the kernel.  All of these matrices are
+symmetric, so sparse_lu orders them with a symmetric fill-reducing order.
 """
 
 from __future__ import annotations
@@ -65,22 +65,21 @@ def sparse_lu(A):
 
     * ``permc_spec="MMD_AT_PLUS_A"``: minimum degree on the pattern of
       A^T + A.  Every matrix factored here is symmetric (a weighted mass,
-      the shifted up-block S_up - shift M of an eigensolve, the range
-      solve's saddle, bordered or not), and SuperLU's default COLAMD is an
-      order for unsymmetric matrices.  On the disk at h = 0.05 this order
-      cuts L + U of the p = 1 mass (7656 DOFs) from 436 676 to 241 216
-      nonzeros and that of the normal p = 1 mixed saddle under the
-      eigensolve shift (10 267 DOFs) from 1 375 017 to 1 065 428;
-      factorizations and solves get faster.  MMD starts from the matrix's
-      own order, so a caller may pre-order: spectral._rcm_lu passes the
-      eigensolves' shifted up-blocks under a reverse Cuthill-McKee order,
-      and the top-degree one of that disk (S_up(1) - shift M_1, 7656 DOFs)
-      fills 201 474 against 241 216.
+      the shifted up-block S_up - shift M of an eigensolve or a top-degree
+      range solve, the degree-0 S_up of a range solve, bordered or not),
+      and SuperLU's default COLAMD is an order for unsymmetric matrices.
+      On the disk at h = 0.05 this order cuts L + U of the p = 1 mass
+      (7656 DOFs) from 436 676 to 241 216 nonzeros and that of the normal
+      p = 1 mixed saddle under the eigensolve shift (10 267 DOFs) from
+      1 375 017 to 1 065 428.  MMD starts from the matrix's own order, so
+      a caller may pre-order: spectral._rcm_lu passes the shifted up-blocks
+      under a reverse Cuthill-McKee order, and the top-degree one of that
+      disk (S_up(1) - shift M_1, 7656 DOFs) fills 201 474 against 241 216.
     * ``relax=1``: no relaxed supernodes.  Under SuperLU's default
       relaxation this order meets a slow case at the same fill: the
       23 880-DOF saddle of the disk suite's duality ladder took 1.8 s to
       factor, against 0.05 s with relax=1 (0.10 s under COLAMD).
-    Pivoting keeps SuperLU's default, since the saddle is indefinite.
+    Pivoting keeps SuperLU's default, since the bordered S_up is indefinite.
     """
     return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1)
 
@@ -102,8 +101,8 @@ class OperatorChain:
     matrices are assembled lazily and shared between the per-degree
     operators, which is what makes the supersymmetry identity exact at the
     matrix level.  The sparse up-blocks of the stiffness, mass
-    factorizations and the factored kernel-bordered saddles of range solves
-    are cached beside them.  The chain keeps no AssembledOperator: an
+    factorizations, kernel bases and range solvers (spectral) are cached
+    beside them, one per degree.  The chain keeps no AssembledOperator: an
     operator refers back to its chain, and that cycle would keep each chain
     and its factorizations alive until the cyclic garbage collector runs.
     The full mass of each degree, before a realization restricts it to its
@@ -122,6 +121,7 @@ class OperatorChain:
         self._mass = {}
         self._up = {}
         self._factor = {}
+        self._kernel = {}
         self._range = {}
         self._D = {}
         self._free = {}

@@ -14,7 +14,7 @@ sparse one above it (SpectralResult.solver names the one taken):
     of the shifted mixed saddle (sigma = d*_V u, shift -1e-2 mean diag
     M_n) is eliminated exactly, and shift-invert ``eigsh`` applies
     (S_n - shift M_n)^{-1} through one SPD factor of
-    S_up(n-1) - shift M_{n-1} (_shift_invert_eigs);
+    S_up(n-1) - shift M_{n-1} (_shifted_inverse);
   - at 0 < p < n (p = 1 in 2D) supersymmetry gives the spectrum: d and
     d*_V intertwine the Laplacians of one chain, so the nonzero spectrum of
     L^(1) is the union of those of L^(0) and L^(2), carried by D u and
@@ -42,30 +42,30 @@ roundoff, |lambda_{b-1}| <= 1e-8 max(lambda_b, 1), else
 SolverError("kernel unresolved"), and they are reported as 0.  An
 exponentially small eigenvalue above them stays.
 
-Solves on Ran d take one path (solve_on_range): the mixed saddle form,
-whose auxiliary variable sigma = d*_V w keeps the dense inverse out of the
-down-block, bordered by a kernel basis K with C = M_p K as a Lagrange
-multiplier (Arnold-Falk-Winther, Acta Numerica 2006),
+Solves on Ran d (solve_on_range) refine on the true residual with one
+solver per chain and degree (_range_lu); none factors a mixed saddle.  At
+a degree without a down block (degree 0) the solve is exact: S_up
+bordered by the kernel basis K, with C = M_p K as a Lagrange multiplier
+(Arnold-Falk-Winther, Acta Numerica 2006), [[S_up, C], [C^T, 0]], so that
+w is M-orthogonal to K and S w = b up to the part of b along K.  At the
+top degree n >= 2 it is (S_n - RANGE_SHIFT M_n)^{-1} through the
+eigensolve's elimination (_shifted_inverse), the kernel part of b
+deflated before it and of w after it.  At every other degree (0 < p < n,
+and the 1D top degree) it is the Hodge split w = D L_{p-1}^{-2} d*_V r +
+d*_V L_{p+1}^{-2} D r for r = M_p^{-1} b, through the solvers of degrees
+p - 1 and p + 1, so that no factor of degree p is taken.
 
-    [-M_{p-1}   D^T M_p   0 ] [sigma ]   [0]
-    [ M_p D     S_up      C ] [  w   ] = [b]
-    [ 0         C^T       0 ] [lambda]   [0],
-
-so that w is M-orthogonal to K and S w = b up to the part of b along K;
-at degree 0 the sigma row and column are absent, and where b_p = 0 there
-is no border.
-
-A kernel basis (kernel_projector, and the border of a range solve without
-one) is built from the chain's topology, never by an eigensolve.  At
-degrees 0 and n it comes from the component labels of the mesh
-(_harmonic_basis): the locally constant functions at degree 0 and M_n^{-1}
-times the indicators of the components at degree n, each kept only where
-it lies in the free DOFs' kernel.  At 0 < p < n with b_p > 0 (p = 1 on the
-annulus and the flat torus) it comes from b_1 integer cocycles of a
-tree-cotree split (_cocycle_basis), made coclosed by one range solve at
-degree 0.  One sparse_lu per chain, degree and border serves every right
-side; a block of right sides is solved column by column in one call, each
-column refined on its true residual and certified by _certificate.
+A kernel basis (kernel_projector, the border and deflations of the range
+solves) is built once per chain and degree from the chain's topology,
+never by an eigensolve.  At degrees 0 and n it comes from the component
+labels of the mesh (_harmonic_basis): the locally constant functions at
+degree 0 and M_n^{-1} times the indicators of the components at degree n,
+each kept only where it lies in the free DOFs' kernel.  At 0 < p < n with
+b_p > 0 (p = 1 on the annulus and the flat torus) it comes from b_1
+integer cocycles of a tree-cotree split (_cocycle_basis), made coclosed by
+one range solve at degree 0.  A block of right sides is solved in one
+call, each column refined until its residual no longer halves and
+certified by _certificate.
 """
 
 from __future__ import annotations
@@ -95,6 +95,10 @@ __all__ = [
 EIGEN_RESIDUAL_TOL = 1e-9
 """lowest_eigenpairs certifies an eigenpair when its residual's M^{-1}-norm
 is at most 100 EIGEN_RESIDUAL_TOL (1 + |lambda|)."""
+
+RANGE_SHIFT = -1e-8
+"""The shift sigma of the top-degree range solve: each refinement step
+contracts the error on a mode lambda by |sigma| / (lambda + |sigma|)."""
 
 SPECTRA_CUTOFF = 300
 """Largest dimension whose spectrum takes "dense-eigh"; above it a spectrum
@@ -289,30 +293,17 @@ def _shift_invert_eigs(op: AssembledOperator, k: int, seed: int):
 
     Without a down block (degree 0, or no free DOF below) OPinv is
     (S_up - sigma M_p)^{-1}, sigma = -1e-2: "eigsh-shift-invert".  At the
-    top degree n, S_up is zero and M_n diagonal (entries m), so the u-block
-    -sigma M_n of the shifted mixed saddle
-
-        [-M_{n-1}   D^T M_n    ] [s]   [0]
-        [ M_n D     -sigma M_n ] [u] = [y]
-
-    is eliminated exactly: (S_up(n-1) - sigma M_{n-1}) s = D^T y and
-    OPinv(y) = u = (D s - y/m) / sigma = (S_n - sigma M_n)^{-1} y, with
-    sigma = -1e-2 mean(m): "eigsh-mixed".  Either way one SPD factor
-    (_shifted_solver) serves every solve, and only it, M_p and ARPACK's
-    workspace live while ARPACK iterates.  The start vector is the p-form
-    part of a seeded vector of length dim_{n-1} + dim_n at the top degree,
-    dim_p otherwise; A is never applied in this mode."""
+    top degree n it is _shifted_inverse at sigma = -1e-2 mean diag M_n:
+    "eigsh-mixed".  Either way one SPD factor (_shifted_solver) serves every
+    solve, and only it, M_p and ARPACK's workspace live while ARPACK
+    iterates.  The start vector is the p-form part of a seeded vector of
+    length dim_{n-1} + dim_n at the top degree, dim_p otherwise; A is never
+    applied in this mode."""
     n, chain = op.dim, op.chain
     if op.has_down:
-        q, m = op.p - 1, op.M.diagonal()
-        sigma = -1e-2 * float(np.mean(m))
-        solve = _shifted_solver(chain.up_stiffness(q) - sigma * chain.mass(q))
-        D = chain.d_matrix(q)
-
-        def opinv(y):
-            return (D @ solve(D.T @ y) - y / m) / sigma
-
-        nlow, solver = chain.dim(q), "eigsh-mixed"
+        sigma = -1e-2 * float(np.mean(op.M.diagonal()))
+        opinv = _shifted_inverse(op, sigma)
+        nlow, solver = chain.dim(op.p - 1), "eigsh-mixed"
     else:
         sigma, nlow, solver = -1e-2, 0, "eigsh-shift-invert"
         opinv = _shifted_solver(op.up_stiff - sigma * op.M)
@@ -328,6 +319,26 @@ def _shift_invert_eigs(op: AssembledOperator, k: int, seed: int):
     return vals, vecs, solver
 
 
+def _shifted_inverse(op: AssembledOperator, sigma: float):
+    """y -> (S_n - sigma M_n)^{-1} y at the top degree n, y one vector or a
+    (dim, m) block.  S_up is zero there and M_n diagonal (entries m), so the
+    u-block -sigma M_n of the shifted mixed saddle
+
+        [-M_{n-1}   D^T M_n    ] [s]   [0]
+        [ M_n D     -sigma M_n ] [u] = [y]
+
+    is eliminated exactly: (S_up(n-1) - sigma M_{n-1}) s = D^T y and
+    u = (D s - y/m) / sigma, through one SPD factor (_shifted_solver)."""
+    chain, q = op.chain, op.p - 1
+    solve = _shifted_solver(chain.up_stiffness(q) - sigma * chain.mass(q))
+    D, m = chain.d_matrix(q), op.M.diagonal()
+
+    def inverse(y):
+        return (D @ solve(D.T @ y) - (y.T / m).T) / sigma
+
+    return inverse
+
+
 def _shifted_solver(A):
     """y -> A^{-1} y for a symmetric shifted matrix A (S_up - sigma M),
     from one _rcm_lu factor."""
@@ -339,19 +350,6 @@ def _shifted_solver(A):
         return x
 
     return solve
-
-
-def _saddle(op: AssembledOperator):
-    """The unbordered saddle of the range solve (module docstring): its
-    sigma block is the first shape[0] - op.dim rows and columns, its u-block
-    S_up.  Without a codifferential block (degree 0) it is S_up itself."""
-    if not op.has_down:
-        return op.up_stiff
-    chain, p = op.chain, op.p
-    Mlow = chain.mass(p - 1).tocsr()
-    D = chain.d_matrix(p - 1)
-    B = (D.T @ op.M).T.tocsr()     # M_p D
-    return sparse.bmat([[-Mlow, B.T], [B, op.up_stiff]], format="csc")
 
 
 def _rcm_lu(A):
@@ -395,13 +393,16 @@ class KernelProjector:
 def _kernel_basis(op: AssembledOperator) -> np.ndarray:
     """An M-orthonormal basis of the kernel of op, b_p columns, from the
     chain's topology: _harmonic_basis at degrees 0 and n, _cocycle_basis
-    between them; empty when b_p = 0."""
-    b = op.chain.betti(op.p)
-    if b == 0:
-        return np.zeros((op.dim, 0))
-    if op.p in (0, op.chain.cplx.dim):
-        return _harmonic_basis(op, b)
-    return _cocycle_basis(op.chain)
+    between them; empty when b_p = 0.  Kept read-only on the chain, which
+    builds it once per degree."""
+    chain, p = op.chain, op.p
+    if p not in chain._kernel:
+        b = chain.betti(p)
+        K = (np.zeros((op.dim, 0)) if b == 0 else _harmonic_basis(op, b)
+             if p in (0, chain.cplx.dim) else _cocycle_basis(chain))
+        K.flags.writeable = False
+        chain._kernel[p] = K
+    return chain._kernel[p]
 
 
 def _harmonic_basis(op: AssembledOperator, b: int) -> np.ndarray:
@@ -518,17 +519,16 @@ def solve_on_range(op: AssembledOperator, rhs: np.ndarray, tol: float = 1e-11,
     """Solve L^(p) w = rhs for rhs in Ran d, with w orthogonal to the kernel.
 
     rhs is one vector or a (dim, m) block of m right sides, and w has its
-    shape.  Solves S w = M rhs through the kernel-bordered saddle of the
-    module docstring, factored once per chain, degree and border
-    (_range_lu).  The border K is the basis of ``kernel`` when one is
-    given, else the chain's own (_kernel_basis; none when b_p = 0); every
-    other mode is inverted however small its eigenvalue.  Each column is
-    refined on its true residual at least once and then while that
-    residual halves; its M^{-1}-norm, kernel components deflated
-    (_certificate), must come to at most tol times that of b = M rhs, else
-    SolverError names the column.
-    All columns still refining share each LU solve.  A right side with a
-    part along K (a kernel part without a projector) fails the test.
+    shape.  Solves S w = M rhs by iterative refinement on the true residual
+    with _range_lu, which inverts every mode above the chain's kernel
+    however small its eigenvalue; each iterate is projected off ``kernel``
+    when one is given.  Each column is refined until its residual no longer
+    falls below half its last value and keeps its iterate of least
+    residual.  That residual's M^{-1}-norm, kernel components deflated
+    (_certificate), must be at most tol times that of b = M rhs, else
+    SolverError names the column.  All columns still refining share each
+    solve.  A right side with a part along the kernel (a kernel part
+    without a projector) fails the test.
     """
     rhs = np.asarray(rhs, dtype=float)
     B = op.M @ rhs.reshape(op.dim, -1)
@@ -537,49 +537,65 @@ def solve_on_range(op: AssembledOperator, rhs: np.ndarray, tol: float = 1e-11,
         return kernel.complement(x) if kernel is not None and kernel.dim else x
 
     target = tol * np.sqrt(np.maximum(column_dots(B, op.chain.mass_solve(op.p, B)), 1e-300))
-    solve = _range_lu(op, kernel)
-    X = solve(B)
+    solve = _range_lu(op)
+    X = project(solve(B))
     R, res = _certificate(op, B, X, project)
     active = np.arange(B.shape[1])
     while active.size:
-        # the residual barely sees the error of a mode with a small
-        # eigenvalue; one refinement step removes most of it
-        X[:, active] = X[:, active] + solve(R)
-        R, new = _certificate(op, B[:, active], X[:, active], project)
-        done = new <= target[active]
-        stalled = ~done & (new > res / 2)
-        if stalled.any():
-            j = int(np.argmax(stalled))
+        trial = X[:, active] + project(solve(R))
+        R, new = _certificate(op, B[:, active], trial, project)
+        better = new < res
+        X[:, active[better]] = trial[:, better]     # each column keeps its best iterate
+        falling, best = new < res / 2, np.minimum(new, res)
+        failed = ~falling & (best > target[active])
+        if failed.any():
+            j = int(np.argmax(failed))
             where = f" (column {active[j]})" if rhs.ndim == 2 else ""
-            raise SolverError(f"range solve did not certify{where}: residual {new[j]:.2e} "
-                              f"above {target[active[j]]:.2e}", residuals=new[stalled])
-        active, R, res = active[~done], R[:, ~done], new[~done]
+            raise SolverError(f"range solve did not certify{where}: residual {best[j]:.2e} "
+                              f"above {target[active[j]]:.2e}", residuals=best[failed])
+        active, R, res = active[falling], R[:, falling], new[falling]
     return X if rhs.ndim == 2 else X[:, 0]
 
 
-def _range_lu(op: AssembledOperator, kernel: KernelProjector | None):
-    """B -> the w-block of the kernel-bordered saddle's solution for the
-    right sides (0, B, 0), B of shape (dim, m), from one sparse_lu kept on
-    the chain per degree and border (the projector is held with it, so its
-    id is not reused)."""
-    key = (op.p, id(kernel))
-    cache = op.chain._range
-    if key not in cache:
-        K = kernel.basis if kernel is not None else _kernel_basis(op)
-        A = _saddle(op)
-        nlow = A.shape[0] - op.dim
+def _range_lu(op: AssembledOperator):
+    """B -> W, about S_p^+ B for right sides B of shape (dim, m), by the
+    route of op's degree (the module docstring): the part of B along the
+    chain's kernel is dropped, every other mode inverted, and W is
+    M-orthogonal to the kernel.  Built once per chain and degree
+    (OperatorChain._range), as a closure that holds no chain."""
+    chain, p, up = op.chain, op.p, op.has_up
+    if p in chain._range:
+        return chain._range[p]
+    kernel = kernel_projector(op)
+    if not op.has_down:
+        A, K = op.up_stiff, kernel.basis
         if K.shape[1]:
-            C = sparse.vstack([sparse.csr_matrix((nlow, K.shape[1])),
-                               sparse.csr_matrix(op.M @ K)])
+            C = sparse.csr_matrix(op.M @ K)
             A = sparse.bmat([[A, C], [C.T, None]])
-        cache[key] = (kernel, sparse_lu(A), nlow)
-    _, lu, nlow = cache[key]
+        lu, dim = sparse_lu(A), op.dim
 
-    def solve(B):
-        full = np.zeros((lu.shape[0], B.shape[1]))
-        full[nlow:nlow + op.dim] = B
-        return lu.solve(full)[nlow:nlow + op.dim]
+        def solve(B):
+            full = np.zeros((lu.shape[0], B.shape[1]))
+            full[:dim] = B
+            return lu.solve(full)[:dim]
+    elif not up and p > 1:
+        inverse, m = _shifted_inverse(op, RANGE_SHIFT), op.M.diagonal()[:, None]
 
+        def solve(B):   # the inverse would scale the kernel part of B by 1/|sigma|
+            return kernel.complement(inverse(B - m * kernel.apply(B / m)))
+    else:
+        low, D, Mlow = _range_lu(chain.operator(p - 1)), chain.d_matrix(p - 1), chain.mass(p - 1)
+        if up:
+            high, Dp, Mhigh = _range_lu(chain.operator(p + 1)), chain.d_matrix(p), chain.mass(p + 1)
+            mass_lu = chain.mass_factor(p)
+
+        def solve(B):
+            W = D @ low(Mlow @ low(D.T @ B))
+            if up:
+                Y = high(Mhigh @ high(Mhigh @ (Dp @ mass_lu.solve(B))))
+                W += mass_lu.solve(Dp.T @ (Mhigh @ Y))
+            return kernel.complement(W)
+    chain._range[p] = solve
     return solve
 
 

@@ -389,6 +389,27 @@ def test_both_gap_checks_fail_one_low_level(monkeypatch):
     assert all("C_fit" in r.extra and "C_cap" in r.extra for r in recs)
 
 
+def test_gap_checks_refuse_a_nonpositive_lambda1():
+    """[-2, 2] under the double well over h, tangential p = 0, mesh_h 0.02
+    (b_0 = 0): lambda_1 reads -5.9e-13 at h = 0.05, below the pencil's
+    roundoff floor.  Both gap checks raise SolverError rather than grade it
+    as a gap, and a run reports the sweep's case as an error record."""
+    from hodgecheck.report import run_config
+
+    interval, V = DomainSpec.interval(-2, 2), Potential.quartic_double_well(1.0, 1)
+    with pytest.raises(spectral.SolverError, match="<= 0"):
+        semiclassical_sweep(V, interval, "tangential", 0, [0.1, 0.05], mesh_h=0.02)
+    with pytest.raises(spectral.SolverError, match="<= 0"):
+        check_gap_lower_bound(V.rescaled(0.05), interval, "tangential", 0, mesh_h=0.02,
+                              levels=1)
+    cfg = load_config({"domain": {"kind": "interval", "parameters": [-2.0, 2.0]},
+                       "potential": "quartic_double_well(1.0)", "degrees": [0],
+                       "realizations": ["tangential"], "checks": ["semiclassical_sweep"],
+                       "mesh": {"target_h": 0.02}, "h_list": [0.1, 0.05]})
+    [rec] = run_config(cfg).records
+    assert rec.status == "fail" and rec.error.startswith("SolverError: first nonkernel")
+
+
 def test_ladder_walks_one_mesh_ladder(monkeypatch):
     """A ladder of L levels generates one mesh and refines it L - 1 times;
     the duality check solves both sides on one ladder and the semiclassical

@@ -338,15 +338,16 @@ def test_spectrum_path_rule(monkeypatch):
     chain holds, and so does each sub-spectrum of a p = 1 spectrum: on the
     annulus p = 1 (dim 377, kernel 1) lowest_eigenpairs builds the p = 1
     spectrum from one dense eigh of p = 0 and one of p = 2, each at most
-    SPECTRA_CUTOFF, and builds no mixed saddle (only the degree-0 range
-    solve of its cocycle basis reads _saddle).  A kernel projector and the
-    range solve after it run no eigh.  Above SPECTRA_CUTOFF no config asks
-    ARPACK for k >= dim."""
+    SPECTRA_CUTOFF, and factors no mixed saddle (its one factor is the
+    degree-0 range solve's, for its cocycle basis: S_up(0) bordered by the
+    constants).  A kernel projector and the range solve after it run no
+    eigh, and that solve adds one factor, S_up(1) - sigma M_1 of the top
+    degree.  Above SPECTRA_CUTOFF no config asks ARPACK for k >= dim."""
     assert MAX_EIGEN_COUNT + 1 < spectral.SPECTRA_CUTOFF
-    dims, saddles = [], []
-    eigh, saddle = operators.dla.eigh, spectral._saddle
+    dims, factors = [], []
+    eigh, lu = operators.dla.eigh, spectral.sparse_lu
     monkeypatch.setattr(operators.dla, "eigh", lambda *a: dims.append(len(a[0])) or eigh(*a))
-    monkeypatch.setattr(spectral, "_saddle", lambda op: saddles.append(op.p) or saddle(op))
+    monkeypatch.setattr(spectral, "sparse_lu", lambda A: factors.append(A.shape[0]) or lu(A))
     m = generate_mesh(DomainSpec.annulus(0.5, 1.0), 0.25)
     chain = OperatorChain(m, Potential.quadratic(1.0, 2), "normal")
     op = chain.operator(1)
@@ -354,11 +355,12 @@ def test_spectrum_path_rule(monkeypatch):
     res = lowest_eigenpairs(op, 4)
     assert res.solver == "eigsh-mixed" and res.kernel_dim == 1
     assert dims == [chain.dim(0), chain.dim(2)] and max(dims) <= spectral.SPECTRA_CUTOFF
-    assert saddles == [0]
+    assert factors == [chain.dim(0) + 1]
     kp = kernel_projector(op)
     rhs = chain.d_matrix(0) @ np.random.default_rng(0).standard_normal(chain.dim(0))
     w = solve_on_range(op, rhs, kernel=kp)
     assert kp.dim == 1 and len(dims) == 2
+    assert factors == [chain.dim(0) + 1, chain.dim(1)]
     assert _certified_residual(op, rhs, w, kp) <= 1e-11
 
 
@@ -407,6 +409,34 @@ def test_eigensolve_factor_rcm_fill_and_solves(disk_fine_chain):
     x, ref = np.empty_like(b), spla.spsolve(A, b)
     x[perm] = lu.solve(b[perm])
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("realization", ["normal", "tangential"])
+@pytest.mark.parametrize("p", [1, 2])
+def test_range_solve_fill_on_fine_disk(monkeypatch, disk_fine_chain, p, realization):
+    """On the disk at h = 0.05 a hodge_decompose of 5 random cochains at
+    p = 1 and p = 2 certifies on range-solve factors of at most 0.5 M
+    entries of L + U in all: S_up(0) (bordered by the constants under
+    normal) and S_up(1) - sigma M_1, 0.20-0.33 M together.  The mixed
+    saddles they replace filled 0.74-11.3 M."""
+    chain = disk_fine_chain
+    if realization == "tangential":
+        chain = OperatorChain(chain.cplx, chain.potential, realization)
+    chain._range.clear()     # the fixture's chain is shared across cases
+    fills = []
+    lu = spectral.sparse_lu
+
+    def counted(A):
+        factor = lu(A)
+        fills.append(factor.L.nnz + factor.U.nnz)
+        return factor
+
+    monkeypatch.setattr(spectral, "sparse_lu", counted)
+    op = chain.operator(p)
+    X = np.random.default_rng(0).standard_normal((op.dim, 5))
+    split = hodge_decompose(X, op, kernel=kernel_projector(op))
+    assert split.recomposition_residual.max() <= 1e-12
+    assert fills and sum(fills) <= 0.5e6
 
 
 def test_spectral_result_m_orthonormal():
@@ -559,9 +589,11 @@ def test_range_solve_deflates_given_projector(monkeypatch, spectra_cutoff):
 ], ids=["hodge_decomposition", "variance_identity"])
 def test_projector_and_range_solves_share_one_decomposition(monkeypatch, record, args, extra):
     """On the annulus each record builds the kernel of L^(1) (a projector,
-    or the range solve's own border) with no dense eigh: its cocycle is made
-    coclosed by one degree-0 saddle, bordered by the constants, and one
-    degree-1 saddle, bordered by the harmonic field, serves all samples."""
+    or the range solve's own) with no dense eigh and no mixed saddle: one
+    factor of S_up(0) bordered by the constants serves the degree-0 solve
+    that makes its cocycle coclosed and the exact half of the degree-1
+    split, and one of S_up(1) - sigma M_1 the coexact half, for all
+    samples."""
     calls, lus = [], []
     eigh, lu = operators.dla.eigh, spectral.sparse_lu
     monkeypatch.setattr(operators.dla, "eigh", lambda *a: calls.append(1) or eigh(*a))
@@ -570,7 +602,7 @@ def test_projector_and_range_solves_share_one_decomposition(monkeypatch, record,
     rec = record(domain, V, "normal", *args, mesh_h=0.3, n_samples=3)
     assert rec.passed and set(rec.extra) == extra
     chain = OperatorChain(generate_mesh(domain, 0.3), V, "normal")
-    n0, n1 = chain.dim(0) + 1, chain.dim(0) + chain.dim(1) + 1
+    n0, n1 = chain.dim(0) + 1, chain.dim(1)
     assert calls == [] and lus == [(n0, n0), (n1, n1)]
 
 
@@ -677,6 +709,31 @@ def test_range_solve_refuses_modes_at_roundoff():
         solve_on_range(chain.operator(1), chain.apply_d(0, eta))
 
 
+@pytest.mark.parametrize("realization", ["normal", "tangential"])
+def test_top_degree_range_solve_inverts_small_eigenvalue(realization):
+    """p = 2 on disk(1.5), mesh_h 0.1, under the double well over h: the
+    lowest eigenvalue above the kernel is 3.8e-7 at h = 0.012 and 7.9e-9 at
+    h = 0.010.  The top-degree refinement contracts that mode by
+    |sigma| / (lambda + |sigma|) a step, sigma = RANGE_SHIFT = -1e-8, so a
+    hodge_decompose certifies at h = 0.012 and refuses at h = 0.010, where
+    the contraction is above 1/2."""
+    cplx = generate_mesh(DomainSpec.disk(1.5), 0.1)
+    rng = np.random.default_rng(0)
+    for h, certifies in ((0.012, True), (0.010, False)):
+        chain = OperatorChain(cplx, Potential.quartic_double_well(1.0, 2).rescaled(h),
+                              realization)
+        op = chain.operator(2)
+        kp = kernel_projector(op)
+        X = rng.standard_normal((op.dim, 5))
+        if not certifies:
+            with pytest.raises(SolverError, match="did not certify"):
+                hodge_decompose(X, op, kernel=kp)
+            continue
+        split = hodge_decompose(X, op, kernel=kp)
+        assert split.recomposition_residual.max() <= 1e-10
+        assert split.orthogonality_residuals.max() <= 1e-10
+
+
 LSHAPE = DomainSpec.polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
 
 
@@ -750,8 +807,13 @@ def test_kernel_count_is_certified(monkeypatch):
 
 def test_no_kernel_probe_where_betti_is_zero(monkeypatch):
     """Where b_p = 0 neither a projector nor a range solve runs an
-    eigensolve, and the range solve factors an unbordered saddle."""
+    eigensolve, and the range solve takes no factor of its own degree: the
+    degree-1 split runs on the factors of degrees 0 and 2, kept on the
+    chain by degree."""
     monkeypatch.setattr(spectral, "lowest_eigenpairs", None)
+    factors = []
+    lu = spectral.sparse_lu
+    monkeypatch.setattr(spectral, "sparse_lu", lambda A: factors.append(A.shape[0]) or lu(A))
     chain = OperatorChain(generate_mesh(DomainSpec.disk(1.0), 0.3), Potential.quadratic(1.0, 2),
                           "normal")
     op = chain.operator(1)
@@ -759,7 +821,8 @@ def test_no_kernel_probe_where_betti_is_zero(monkeypatch):
     rhs = chain.d_matrix(0) @ np.random.default_rng(0).standard_normal(chain.dim(0))
     w = solve_on_range(op, rhs)
     assert _certified_residual(op, rhs, w) <= 1e-11
-    assert spectral._saddle(op).shape == chain._range[(1, id(None))][1].shape
+    assert sorted(chain._range) == [0, 1, 2]
+    assert factors == [chain.dim(0) + 1, chain.dim(1)]
 
 
 @pytest.mark.parametrize("domain, h, realization", [
