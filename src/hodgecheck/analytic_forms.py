@@ -1,7 +1,8 @@
 """Analytic differential forms with exact derivative evaluators, and exact
 polynomial calculus.
 
-Components are sympy expressions in Cartesian coordinates (x1[, x2]);
+Components are sympy expressions in Cartesian coordinates (x1[, x2]),
+and sympy is imported where a form or polynomial is first built;
 values are lambdified on the first ``components`` call and first
 derivatives on the first ``component_grads`` call, so a form that is only
 an intermediate term is never compiled.  The calculus is Witten's: ``d(f)``
@@ -23,11 +24,9 @@ polynomials, given by their square-free decompositions, at one point set.
 from __future__ import annotations
 
 import numpy as np
-import sympy as sp
-from sympy.polys.polyerrors import BasePolynomialError
 
 from . import exterior
-from .potentials import Potential, _COORDS, _lambdify
+from .potentials import Potential, _coords, _lambdify
 
 __all__ = ["AnalyticForm", "BoundaryConditionError", "exact_polynomial",
            "weighted_laplacian_poly", "evaluate_square_free"]
@@ -57,8 +56,10 @@ def exact_polynomial(expr, n: int, center, name: str) -> sp.Poly:
     value, against 3e-14.  Raises ValueError naming ``name`` and expr unless
     expr is a polynomial in x1..xn with rational or float coefficients.
     """
+    import sympy as sp
+    from sympy.polys.polyerrors import BasePolynomialError
     expr = sp.sympify(expr)
-    syms = _COORDS[:n]
+    syms = _coords()[:n]
     exact = expr.xreplace({f: sp.Rational(f) for f in expr.atoms(sp.Float)})
     exact = exact.xreplace({s: s + sp.Rational(float(c)) for s, c in zip(syms, center)})
     try:
@@ -120,6 +121,7 @@ class AnalyticForm:
     """Degree-p form with C(n, p) sympy component expressions."""
 
     def __init__(self, n: int, degree: int, comps, bc: str = "none", name: str = "form"):
+        import sympy as sp
         self.n = int(n)
         self.degree = int(degree)
         C = exterior.num_components(self.n, self.degree)
@@ -143,7 +145,8 @@ class AnalyticForm:
     def component_grads(self, x) -> np.ndarray:
         """(m, C, n) array of d(component_c)/dx_i."""
         if self._grads is None:
-            self._grads = [[_lambdify(sp.diff(c, s), self.n) for s in _COORDS[:self.n]]
+            import sympy as sp
+            self._grads = [[_lambdify(sp.diff(c, s), self.n) for s in _coords()[:self.n]]
                            for c in self.comps]
         x = np.atleast_2d(np.asarray(x, dtype=float))
         out = np.empty((x.shape[0], len(self.comps), self.n))
@@ -164,12 +167,13 @@ class AnalyticForm:
         first, int(M_i[r, c]) * coefficient * v_c, and summed over source
         components c, then i: the partial_i terms in one sum and the
         (partial_i f) terms, from f.grad_exprs, in another, added last."""
+        import sympy as sp
         dpart = [sp.Integer(0)] * mats[0].shape[0]
         fpart = list(dpart)
         for c, v in enumerate(self.comps):
             for i, M in enumerate(mats):
                 for r in np.flatnonzero(M[:, c]):
-                    dpart[r] += int(M[r, c]) * sign * sp.diff(v, _COORDS[i])
+                    dpart[r] += int(M[r, c]) * sign * sp.diff(v, _coords()[i])
                     if f is not None:
                         fpart[r] += int(M[r, c]) * f.grad_exprs[i] * v
         return AnalyticForm(self.n, degree, [a + b for a, b in zip(dpart, fpart)], name=name)

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 
 from . import exterior, runcache
 from .analytic_forms import (AnalyticForm, BoundaryConditionError, evaluate_square_free,
@@ -72,7 +71,7 @@ DECOMPOSITION_TERMS = ("h1_seminorm", "curvature", "boundary_K", "boundary_weigh
 
 
 def _half(potential: Potential) -> Potential:
-    return Potential(potential.expr / 2, potential.n, name=f"{potential.name}/2")
+    return potential._scaled(0.5, lambda: potential.expr / 2, f"{potential.name}/2")
 
 
 def _labels(domain: DomainSpec, potential: Potential) -> dict:
@@ -251,6 +250,7 @@ def _gamma2_polys(bump, V, n: int, center) -> list:
     n, centre) in a run, as convergence_study checks one bump at several
     quadrature orders."""
     def build():
+        import sympy as sp
         w = exact_polynomial(bump, n, center, "gamma2 bump w")
         v = exact_polynomial(V, n, center, "gamma2 potential V")
         grad_v = [v.diff(s) for s in w.gens]
@@ -405,7 +405,7 @@ def _interior_min(potential: Potential, domain: DomainSpec, p: int, N: float | N
         i = int(np.argmin(vals))
         return float(vals[i]), tuple(float(c) for c in quad.points[i])
 
-    return runcache.cached(("interior_min", potential.expr, potential.n, domain, p,
+    return runcache.cached(("interior_min", potential.key, potential.n, domain, p,
                             N if p == 1 else None, quad_order), compute)
 
 

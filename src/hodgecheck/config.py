@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from .curvature import _admissible_N
 from .domains import DomainSpec, DomainValidationError
 from .potentials import Potential, parse_potential
-from .presets import CHECK_IDS
+from .presets import CHECK_IDS, SYMBOLIC_CHECKS
 from .records import DEFAULT_TOLERANCES, decode_extended
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "check_mesh_budget"]
@@ -19,8 +19,8 @@ MAX_REFINEMENTS = 6
 MAX_QUAD_ORDER = 32
 MAX_EIGEN_COUNT = 100
 MAX_SAMPLES = 1000
-MAX_POTENTIAL_DEGREE = 12  # total degree of a polynomial-table term; sympy
-                           # derives each term symbolically at load time
+MAX_POTENTIAL_DEGREE = 12  # total degree of a polynomial-table term; a table,
+                           # unlike a preset, is derived by sympy at load time
 MAX_TOP_SIMPLICES = 8_000_000  # estimated, summed over the deepest mesh ladder
 # top simplices per measure / h^d on a level-0 mesh, at or above every
 # mesher's measured ratio: 1.0 in 1D (up to rounding to whole elements); in
@@ -208,7 +208,8 @@ def load_config(source) -> RunConfig:
     The realizations are settled against the domain here: a domain with
     boundary takes tangential and normal, a closed domain only none.  A
     closed domain also takes only a constant potential.  Every object
-    refuses a key it does not know, at that key's path.
+    refuses a key it does not know, at that key's path.  Only a check of
+    presets.SYMBOLIC_CHECKS makes it import sympy.
     """
     if isinstance(source, dict):
         raw = source
@@ -249,6 +250,8 @@ def load_config(source) -> RunConfig:
         return cid
 
     checks = _distinct(raw, "checks", [], check_id)   # empty: nothing to run
+    if SYMBOLIC_CHECKS.intersection(checks):
+        potential.grad_exprs   # sympy and V's symbolic form: set-up for the analytic checks
     mesh = _typed(raw.get("mesh", {}), "mesh", dict, "an object")
     _known_keys(mesh, "mesh.", ("target_h", "refinements"))
     target_h = _positive(mesh.get("target_h", 0.25), "mesh.target_h")

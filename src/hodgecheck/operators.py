@@ -160,7 +160,7 @@ class OperatorChain:
                     array.flags.writeable = False   # shared by the chains of a run
                 return self.cplx, M   # holding the complex keeps its id from reuse
 
-            _, M = runcache.cached(("mass", id(self.cplx), p, self.potential.expr,
+            _, M = runcache.cached(("mass", id(self.cplx), p, self.potential.key,
                                     self.potential.n, self.quad_order), assemble)
             free = self.free_dofs(p)
             self._mass[p] = M[np.ix_(free, free)].tocsc()

@@ -11,16 +11,12 @@ from __future__ import annotations
 
 import math
 
-import sympy as sp
-
 from .analytic_forms import AnalyticForm
 from .domains import DomainSpec
-from .potentials import _COORDS, PRESET_POTENTIALS
+from .potentials import PRESET_POTENTIALS, _coords
 
-__all__ = ["DOMAIN_PRESETS", "CHECK_IDS", "test_form",
+__all__ = ["DOMAIN_PRESETS", "CHECK_IDS", "SYMBOLIC_CHECKS", "test_form",
             "gamma2_bump", "bl_form_cases", "PRESET_POTENTIALS"]
-
-x1, x2 = _COORDS
 
 DOMAIN_PRESETS = {
     "interval": "interval(a, b) in R^1",
@@ -51,9 +47,16 @@ CHECK_IDS = {
     "duality_spectrum": "direct normal assembly at p = 0 vs its star dual (n, tangential, -V)",
 }
 
+# The checks that differentiate analytic test forms, the only ones that need
+# sympy; load_config imports it and builds V's symbolic form for them.
+SYMBOLIC_CHECKS = frozenset({"decomposition_identity", "green_identity", "h1_identity",
+                             "gamma2", "bl_scalar", "bl_forms"})
+
 
 def _bubble(spec: DomainSpec):
     """A smooth scalar vanishing on the boundary of the domain."""
+    import sympy as sp
+    x1, x2 = _coords()
     if spec.kind == "interval":
         a, b = spec.parameters
         return (x1 - a) * (b - x1)
@@ -83,6 +86,8 @@ def _bubble(spec: DomainSpec):
 
 def test_form(spec: DomainSpec, p: int, b: str) -> AnalyticForm:
     """A smooth degree-p form satisfying the realization b on the domain."""
+    import sympy as sp
+    x1, x2 = _coords()
     n = spec.ambient_dim
     if not spec.has_boundary:
         if n == 1:
@@ -148,6 +153,8 @@ def test_form(spec: DomainSpec, p: int, b: str) -> AnalyticForm:
 
 def gamma2_bump(spec: DomainSpec, flavor: int = 0) -> AnalyticForm:
     """Interior-supported scalar: polynomial bump (w and dw vanish on the boundary)."""
+    import sympy as sp
+    x1, x2 = _coords()
     base = _bubble(spec)
     mods = [sp.Integer(1), 1 + x1 / 2, 1 - (x1 if spec.ambient_dim == 1 else x2) / 3]
     return AnalyticForm(spec.ambient_dim, 0, [base**4 * mods[flavor % len(mods)]],
@@ -161,6 +168,8 @@ def bl_form_cases(spec: DomainSpec, potential_expr, b: str):
     construction); closed top forms are arbitrary densities with the
     realization's trace condition.
     """
+    import sympy as sp
+    x1, x2 = _coords()
     if spec.ambient_dim != 2 or spec.kind not in ("disk", "annulus", "rectangle"):
         return []
     cases = []

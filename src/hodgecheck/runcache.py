@@ -8,12 +8,12 @@ behaves as if there were no cache.
 
 Keys are content, never names: a mesh is keyed by (domain, mesh_h, level),
 a spectrum by its chain's content: the identity of its complex, potential
-expression and n, realization and quadrature order, with the degree and
-seed; a full weighted mass by the identity of its complex, degree,
-potential expression, n and quadrature order.  A complex is held in the
+key (Potential.key) and n, realization and quadrature order, with the degree
+and seed; a full weighted mass by the identity of its complex, degree,
+potential key, n and quadrature order.  A complex is held in the
 value keyed by its id, so the id is not reused while the scope is open.  A
-potential's derivatives are keyed by (expr, n), a lambdified function by
-(expr, n), the gamma2 polynomials by (bump expr, V expr, n, centre).  The
+table potential's derivatives, a symbolic gradient and a lambdified
+function are keyed by (expr, n), the gamma2 polynomials by (bump expr, V expr, n, centre).  The
 number of eigenpairs is no part of a spectrum's key: its value is a dict
 holding the run's one spectrum of that problem, which
 spectral.lowest_eigenpairs serves to requests for no more pairs and
@@ -21,8 +21,8 @@ replaces for more, whichever check asks; so a p = 1 spectrum, built on
 the p = 0 and p = 2 spectra of its chain, reads the p = 0 spectrum a sweep
 rung already solved.  Only meshes,
 spectra, interior curvature minima, functions, full masses (read-only,
-before a realization restricts them), potential derivations and gamma2
-square-free decompositions are cached: no chain, operator, factorization
+before a realization restricts them), potential derivations, gradients and
+gamma2 square-free decompositions are cached: no chain, operator, factorization
 or dense pencil is held beyond the check that built it.
 """
 

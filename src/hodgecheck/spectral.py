@@ -200,7 +200,7 @@ def lowest_eigenpairs(op: AssembledOperator, k: int, seed: int = 1234) -> Spectr
 
     The run cache (see runcache) keeps one spectrum per problem, keyed by
     the chain's content: its complex (by id, held in the value), potential
-    expression and n, realization and quadrature order, and the degree and
+    key and n, realization and quadrature order, and the degree and
     seed.  A request for no more pairs than the entry holds is served as
     views of its first pairs, without an eigensolve; a request for more
     solves again (_eigenpairs) and replaces the entry.  A spectrum's arrays
@@ -209,7 +209,7 @@ def lowest_eigenpairs(op: AssembledOperator, k: int, seed: int = 1234) -> Spectr
     if not (1 <= k <= op.dim):
         raise ValueError(f"need 1 <= k <= {op.dim}, got {k}")
     chain = op.chain
-    held = runcache.cached(("spectrum", id(chain.cplx), chain.potential.expr, chain.potential.n,
+    held = runcache.cached(("spectrum", id(chain.cplx), chain.potential.key, chain.potential.n,
                             chain.realization, chain.quad_order, op.p, seed),
                            lambda: {"complex": chain.cplx})
     res = held.get("spectrum")

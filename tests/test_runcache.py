@@ -341,9 +341,10 @@ def test_mismatched_quadrature_control_gets_its_own_mass(monkeypatch):
 
 
 def test_rescaled_derives_once_per_expression(monkeypatch):
-    """A semiclassical sweep rescales V once per h and check: inside a scope
-    each V/h is derived once, outside every construction derives."""
-    V = Potential.quartic_double_well(1.0, 2)
+    """A semiclassical sweep rescales V once per h and check: for an
+    expression potential, inside a scope each V/h is derived once, outside
+    every construction derives."""
+    V = Potential(Potential.quartic_double_well(1.0, 2).expr, 2)
     derived = []
     lookup = runcache.cached
 
@@ -364,6 +365,36 @@ def test_rescaled_derives_once_per_expression(monkeypatch):
     for h in hs:
         V.rescaled(h)
     assert len(derived) == 2 * len(hs)
+
+
+def test_rescaled_preset_derives_and_lambdifies_nothing(monkeypatch):
+    """A preset's V/h scales its closed form: rescaling, negating, halving
+    and evaluating derive, lambdify and cache no expression, and V/h keeps
+    its own content key."""
+    V = Potential.quartic_double_well(1.0, 2)
+    stored = []
+    lookup = runcache.cached
+
+    def spy(key, compute):
+        stored.append(key[0])
+        return lookup(key, compute)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a preset called sympy diff or lambdify")
+
+    monkeypatch.setattr(runcache, "cached", spy)
+    monkeypatch.setattr(sp, "diff", forbidden)
+    monkeypatch.setattr(sp, "lambdify", forbidden)
+    x = np.random.default_rng(2).uniform(-1.0, 1.0, (5, 2))
+    keys = set()
+    with runcache.scope():
+        for h in (1.0, 0.5, 0.25, 0.125):
+            for W in (V.rescaled(h), V.rescaled(h).negated(), checks_mod._half(V.rescaled(h))):
+                keys.add(W.key)
+                for f in ("value", "grad", "hess", "laplacian"):
+                    assert np.all(np.isfinite(getattr(W, f)(x)))
+    assert stored == [] and len(keys) == 9   # half of V/h is V/(2h)
+    assert V.rescaled(0.5).key != V.key == V.rescaled(1.0).key
 
 
 @pytest.mark.parametrize("pot, is_constant, poly_degree", [
