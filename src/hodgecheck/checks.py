@@ -71,7 +71,7 @@ DECOMPOSITION_TERMS = ("h1_seminorm", "curvature", "boundary_K", "boundary_weigh
 
 
 def _half(potential: Potential) -> Potential:
-    return potential._scaled(0.5, lambda: potential.expr / 2, f"{potential.name}/2")
+    return potential._scaled(0.5, f"{potential.name}/2")
 
 
 def _labels(domain: DomainSpec, potential: Potential) -> dict:
@@ -778,14 +778,12 @@ def hodge_decomposition_record(domain: DomainSpec, potential: Potential, b: str,
                                tol: float = DEFAULT_TOLERANCES["hodge_rel"]) -> CheckRecord:
     cplx = _mesh(domain, mesh_h)
     chain = OperatorChain(cplx, potential, b)
-    op = chain.operator(p)
-    kp = kernel_projector(op)
     X = np.random.default_rng(seed).standard_normal((n_samples, chain.dim(p))).T
-    split = hodge_decompose(X, op, kernel=kp)
+    split = hodge_decompose(X, chain.operator(p))
     worst_rec = float(split.recomposition_residual.max(initial=0.0))
     worst_orth = float(split.orthogonality_residuals.max(initial=0.0))
     return identity_record("hodge_decomposition", worst_rec, 0.0, tol,
                            rel_err=max(worst_rec, worst_orth), **_labels(domain, potential),
                            p=p, b=b, mesh_h=cplx.mesh_size_h, quad_order=CHAIN_QUAD_ORDER,
-                           extra={"kernel_dim": kp.dim, "recomposition": worst_rec,
+                           extra={"kernel_dim": chain.betti(p), "recomposition": worst_rec,
                                   "orthogonality": worst_orth, "samples": n_samples})

@@ -110,6 +110,10 @@ class DomainSpec:
     # -- validation --------------------------------------------------------
     def _validate(self):
         p = self.parameters
+        if not np.isfinite(p).all():
+            raise DomainValidationError("parameters", f"must be finite, got {p}")
+        if not all(np.isfinite(v).all() for v in self.vertices):
+            raise DomainValidationError("vertices", "must be finite")
         if self.kind == "interval":
             if len(p) != 2 or not p[0] < p[1]:
                 raise DomainValidationError("parameters", "interval needs a < b")

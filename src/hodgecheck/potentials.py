@@ -5,7 +5,8 @@ Delta V (= trace Hess V, the Euclidean sign convention).  A preset evaluates
 its closed form without sympy, with the floating-point operations, in order,
 and the printed constants of ``sp.lambdify`` on its sympy expression, so
 the two agree bit for bit; another expression (a polynomial table) is
-derived by sympy diff and lambdify.  ``expr`` and the symbolic gradient
+derived by sympy diff and lambdify.  A preset's ``expr`` (built from its
+closed form alone, _Preset.symbolic) and the symbolic gradient
 ``grad_exprs`` are built, and sympy imported, on first access.  The tests
 check the evaluators against central differences of V as a guard.
 
@@ -21,7 +22,6 @@ import math
 import re
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Callable
 
 import numpy as np
 
@@ -104,18 +104,27 @@ def _squares(coeffs, k=0.0):
 
 @dataclass(frozen=True)
 class _Preset:
-    """A preset's closed form c*|x|^2, c*(|x|^2 - A)^2, c*x1 or 0, and
-    symbolic() building the sympy expression it evaluates.  c is sympy's
-    Float: times(s) rounds c*s once, as sympy multiplies Floats."""
+    """A preset's closed form c*|x|^2, c*(|x|^2 - A)^2, c*x1 or 0.  c is
+    sympy's Float: times(s) rounds c*s once, as sympy multiplies Floats, so
+    symbolic(n) rebuilds from (kind, c, A) alone the sympy expression the
+    preset's construction, scaled, has always had."""
 
     kind: str
     c: float
     A: float = 0.0
-    symbolic: Callable = None
 
-    def times(self, s: float, symbolic) -> "_Preset":
+    def times(self, s: float) -> "_Preset":
         c = self.c * s
-        return _Preset(self.kind, c, self.A, symbolic) if c else _Preset("zero", 0.0, 0.0, symbolic)
+        return _Preset(self.kind, c, self.A) if c else _Preset("zero", 0.0)
+
+    def symbolic(self, n: int):
+        """The sympy expression on R^n that the evaluators evaluate (for
+        "zero", c = 0.0 and sympy reads 0.0*x1 as its Integer 0)."""
+        x = _coords()[:n]
+        if self.kind in ("zero", "linear"):
+            return self.c * x[0]
+        squares = sum(s**2 for s in x)
+        return self.c * (squares if self.kind == "quadratic" else (squares - self.A) ** 2)
 
     def evaluators(self, n: int):
         """(value, gradient, Hessian, Laplacian) evaluators on (m, n) points."""
@@ -152,6 +161,8 @@ class Potential:
     closed form, else the expression V/h): one key, one set of evaluators."""
 
     def __init__(self, expr, n: int, name: str = "custom", h_param: float = 1.0):
+        if n not in (1, 2):
+            raise ValueError(f"a potential lives on R^1 or R^2, got n = {n!r}")
         h_param = float(h_param)
         if not (math.isfinite(h_param) and h_param > 0):
             raise ValueError(f"h_param must be finite and positive, got {h_param!r}")
@@ -160,8 +171,7 @@ class Potential:
         self.h_param = h_param
         # effective potential V/h is what every evaluator sees
         if isinstance(expr, _Preset):
-            self._preset = pre = expr.times(1.0 / h_param, lambda: expr.symbolic() / h_param)
-            self._expr = self._grad_exprs = None
+            self._preset = pre = expr.times(1.0 / h_param)
             self._v, self._grad, self._hess, self._lap = pre.evaluators(self.n)
             self.key = (pre.kind, pre.c, pre.A)
             self.poly_degree = {"zero": 0, "linear": 1, "quadratic": 2, "quartic": 4}[pre.kind]
@@ -169,26 +179,22 @@ class Potential:
             return
         import sympy as sp
         self._preset = None
-        self._expr = self.key = sp.sympify(expr) / h_param
-        self._v = _lambdify(self._expr, self.n)
-        (self._grad_exprs, self._grad, self._hess, self._lap, self.is_constant,
-         self.poly_degree) = _derive(self._expr, self.n)
+        self.expr = self.key = sp.sympify(expr) / h_param
+        self._v = _lambdify(self.expr, self.n)
+        (self.grad_exprs, self._grad, self._hess, self._lap, self.is_constant,
+         self.poly_degree) = _derive(self.expr, self.n)
 
-    @property
+    @functools.cached_property
     def expr(self):
-        """V/h as a sympy expression."""
-        if self._expr is None:
-            self._expr = self._preset.symbolic()
-        return self._expr
+        """V/h as a sympy expression; a preset builds it on first access."""
+        return self._preset.symbolic(self.n)
 
-    @property
+    @functools.cached_property
     def grad_exprs(self) -> tuple:
         """The symbolic gradient of expr; once per (expr, n) in a run."""
-        if self._grad_exprs is None:
-            import sympy as sp
-            self._grad_exprs = runcache.cached(("gradient", self.expr, self.n), lambda: tuple(
-                sp.diff(self.expr, s) for s in _coords()[:self.n]))
-        return self._grad_exprs
+        import sympy as sp
+        return runcache.cached(("gradient", self.expr, self.n), lambda: tuple(
+            sp.diff(self.expr, s) for s in _coords()[:self.n]))
 
     # -- evaluators ----------------------------------------------------------
     def value(self, x) -> np.ndarray:
@@ -218,19 +224,20 @@ class Potential:
         return np.einsum("ij,ij->i", self.grad(x), np.asarray(normals, dtype=float))
 
     # -- transforms ----------------------------------------------------------
-    def _scaled(self, s: float, symbolic, name: str, h_param: float = 1.0) -> "Potential":
-        """Potential(symbolic(), n, name, h_param) for symbolic() = s * expr;
-        a preset scales its closed form by s and defers symbolic()."""
+    def _scaled(self, s: float, name: str, h_param: float = 1.0) -> "Potential":
+        """s V at h_param: a preset scales its closed form by s, an
+        expression its expr by the exact rational of s."""
         if self._preset is None:
-            return Potential(symbolic(), self.n, name, h_param)
-        return Potential(self._preset.times(s, symbolic), self.n, name, h_param)
+            import sympy as sp
+            return Potential(sp.Rational(s) * self.expr, self.n, name, h_param)
+        return Potential(self._preset.times(s), self.n, name, h_param)
 
     def negated(self) -> "Potential":
-        return self._scaled(-1.0, lambda: -self.expr, f"neg({self.name})")
+        return self._scaled(-1.0, f"neg({self.name})")
 
     def rescaled(self, h: float) -> "Potential":
         """Semiclassical rescaling: effective potential becomes V/h."""
-        return self._scaled(1.0, lambda: self.expr, f"{self.name}/h={h:g}", h)
+        return self._scaled(1.0, f"{self.name}/h={h:g}", h)
 
     def __repr__(self):
         return f"Potential({self.name}, n={self.n})"
@@ -238,48 +245,37 @@ class Potential:
     # -- presets ---------------------------------------------------------------
     @staticmethod
     def zero(n: int) -> "Potential":
-        return Potential(_preset("zero", 0.0, n, lambda sp, x: sp.Integer(0)), n, name="zero")
+        return Potential(_Preset("zero", 0.0), n, name="zero")
 
     @staticmethod
     def quadratic(alpha: float, n: int) -> "Potential":
-        return Potential(_preset("quadratic", 0.5 * alpha, n,
-                                 lambda sp, x: sp.Rational(1, 2) * alpha * sum(s**2 for s in x)),
-                         n, name=f"quadratic({alpha:g})")
+        return Potential(_Preset("quadratic", 0.5 * alpha), n, name=f"quadratic({alpha:g})")
 
     @staticmethod
     def quartic_double_well(a: float, n: int) -> "Potential":
-        return Potential(_preset("quartic", 0.25, n,
-                                 lambda sp, x: (sum(s**2 for s in x) - a**2) ** 2 / 4, a**2),
-                         n, name=f"quartic_double_well({a:g})")
+        return Potential(_Preset("quartic", 0.25, a**2), n, name=f"quartic_double_well({a:g})")
 
     @staticmethod
     def linear(c: float, n: int) -> "Potential":
-        return Potential(_preset("linear", c, n, lambda sp, x: c * x[0]), n, name=f"linear({c:g})")
+        return Potential(_Preset("linear", c), n, name=f"linear({c:g})")
 
     @staticmethod
     def polynomial(terms, n: int) -> "Potential":
-        """terms: iterable of (exponents..., coefficient) rows."""
+        """terms: iterable of (exponents..., coefficient) rows, each with n
+        non-negative integer exponents and a finite coefficient."""
         import sympy as sp
         expr = sp.Integer(0)
         for row in terms:
             *exps, coef = row
-            if len(exps) != n:
-                raise ValueError(f"polynomial term {row} needs {n} exponents")
+            if not (len(exps) == n and all(float(e).is_integer() and e >= 0 for e in exps)
+                    and math.isfinite(float(coef))):
+                raise ValueError(f"polynomial term {row} needs {n} non-negative integer "
+                                 "exponents and a finite coefficient")
             mono = sp.Integer(1)
             for s, e in zip(_coords()[:n], exps):
                 mono *= s ** int(e)
             expr += float(coef) * mono
         return Potential(expr, n, name="polynomial")
-
-
-def _preset(kind: str, c: float, n: int, build, A: float = 0.0) -> _Preset:
-    """The closed form of a preset on R^n with coefficient c; build(sympy,
-    [x1..xn]) is the expression that preset has always had."""
-    def symbolic():
-        import sympy as sp
-        return build(sp, _coords()[:n])
-
-    return _Preset(kind, 1.0, A).times(c, symbolic)
 
 
 PRESET_POTENTIALS = {

@@ -53,7 +53,9 @@ eigensolve's elimination (_shifted_inverse), the kernel part of b
 deflated before it and of w after it.  At every other degree (0 < p < n,
 and the 1D top degree) it is the Hodge split w = D L_{p-1}^{-2} d*_V r +
 d*_V L_{p+1}^{-2} D r for r = M_p^{-1} b, through the solvers of degrees
-p - 1 and p + 1, so that no factor of degree p is taken.
+p - 1 and p + 1, so that no factor of degree p is taken.  Every route
+returns w M-orthogonal to the chain's kernel, so neither solve_on_range
+nor hodge_decompose takes a projector: the kernel is the chain's own.
 
 A kernel basis (kernel_projector, the border and deflations of the range
 solves) is built once per chain and degree from the chain's topology,
@@ -70,7 +72,7 @@ certified by _certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sparse
@@ -514,36 +516,31 @@ def kernel_projector(op: AssembledOperator) -> KernelProjector:
     return KernelProjector(op.M, _kernel_basis(op))
 
 
-def solve_on_range(op: AssembledOperator, rhs: np.ndarray, tol: float = 1e-11,
-                   kernel: KernelProjector | None = None) -> np.ndarray:
+def solve_on_range(op: AssembledOperator, rhs: np.ndarray, tol: float = 1e-11) -> np.ndarray:
     """Solve L^(p) w = rhs for rhs in Ran d, with w orthogonal to the kernel.
 
     rhs is one vector or a (dim, m) block of m right sides, and w has its
     shape.  Solves S w = M rhs by iterative refinement on the true residual
     with _range_lu, which inverts every mode above the chain's kernel
-    however small its eigenvalue; each iterate is projected off ``kernel``
-    when one is given.  Each column is refined until its residual no longer
-    falls below half its last value and keeps its iterate of least
-    residual.  That residual's M^{-1}-norm, kernel components deflated
-    (_certificate), must be at most tol times that of b = M rhs, else
-    SolverError names the column.  All columns still refining share each
-    solve.  A right side with a part along the kernel (a kernel part
-    without a projector) fails the test.
+    however small its eigenvalue and returns each iterate M-orthogonal to
+    that kernel.  Each column is refined until its residual no longer falls
+    below half its last value and keeps its iterate of least residual.
+    That residual's M^{-1}-norm (_certificate) must be at most tol times
+    that of b = M rhs, else SolverError names the column.  All columns
+    still refining share each solve.  A right side with a part along the
+    kernel fails the test: no w solves it, so a caller deflates that part
+    first (kernel_projector(op).complement).
     """
     rhs = np.asarray(rhs, dtype=float)
     B = op.M @ rhs.reshape(op.dim, -1)
-
-    def project(x):
-        return kernel.complement(x) if kernel is not None and kernel.dim else x
-
     target = tol * np.sqrt(np.maximum(column_dots(B, op.chain.mass_solve(op.p, B)), 1e-300))
     solve = _range_lu(op)
-    X = project(solve(B))
-    R, res = _certificate(op, B, X, project)
+    X = solve(B)
+    R, res = _certificate(op, B, X)
     active = np.arange(B.shape[1])
     while active.size:
-        trial = X[:, active] + project(solve(R))
-        R, new = _certificate(op, B[:, active], trial, project)
+        trial = X[:, active] + solve(R)
+        R, new = _certificate(op, B[:, active], trial)
         better = new < res
         X[:, active[better]] = trial[:, better]     # each column keeps its best iterate
         falling, best = new < res / 2, np.minimum(new, res)
@@ -599,12 +596,12 @@ def _range_lu(op: AssembledOperator):
     return solve
 
 
-def _certificate(op: AssembledOperator, B, X, project):
+def _certificate(op: AssembledOperator, B, X):
     """True residuals R = B - S X and their certified norms sqrt(z.Mz), one
-    per column, where z = M^{-1} r with kernel components deflated (not
-    r.z, which cancels when r lies almost wholly in the kernel)."""
+    per column, where z = M^{-1} r (not r.z, which cancels when r lies
+    almost wholly in the kernel)."""
     R = B - op.stiff_matvec(X)
-    Z = project(op.chain.mass_solve(op.p, R))
+    Z = op.chain.mass_solve(op.p, R)
     return R, np.sqrt(column_dots(Z, op.M @ Z))
 
 
@@ -614,26 +611,28 @@ class HodgeSplit:
     exact_part: np.ndarray
     coexact_part: np.ndarray
     recomposition_residual: float | np.ndarray
-    orthogonality_residuals: tuple | np.ndarray = field(default_factory=tuple)
+    orthogonality_residuals: np.ndarray
 
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))   # (kernel, exact), (kernel, coexact), (exact, coexact)
 
 
-def hodge_decompose(X: np.ndarray, op: AssembledOperator, kernel: KernelProjector) -> HodgeSplit:
+def hodge_decompose(X: np.ndarray, op: AssembledOperator) -> HodgeSplit:
     """Split a cochain of degree op.p into kernel + d(d*_V v) + d*_V(d v) parts.
 
-    v solves the operator equation on the complement of ``kernel`` (op's
-    kernel_projector), so the exact part is d(d*_V v), the coexact d*_V(d v).
-    X of shape (dim, m) splits m cochains in one range solve; then
-    the parts are blocks, recomposition_residual holds one value per column
-    and orthogonality_residuals is a (3, m) array over the pairs (kernel,
-    exact), (kernel, coexact) and (exact, coexact), 0 where a part vanishes.
-    A vector keeps the pairs whose parts are both nonzero, as a tuple.
+    The kernel part is the projection onto op's harmonic forms
+    (kernel_projector), and v solves the operator equation on the rest, so
+    the exact part is d(d*_V v), the coexact d*_V(d v).  X of shape (dim, m)
+    splits m cochains in one range solve; then the parts are blocks and
+    recomposition_residual holds one value per column.  A vector is a
+    one-column block: its parts are vectors and its recomposition residual
+    a scalar.  orthogonality_residuals holds 3 values per column, over the
+    pairs (kernel, exact), (kernel, coexact) and (exact, coexact), 0 where
+    a part vanishes: a (3,) array for a vector, (3, m) for a block.
     """
     chain, p = op.chain, op.p
-    xk = kernel.apply(X)
-    v = solve_on_range(op, X - xk, kernel=kernel)
+    xk = kernel_projector(op).apply(X)
+    v = solve_on_range(op, X - xk)
     if op.has_down:
         exact = chain.apply_d(p - 1, chain.apply_codifferential(p, v))
     else:
@@ -650,12 +649,10 @@ def hodge_decompose(X: np.ndarray, op: AssembledOperator, kernel: KernelProjecto
     rec = norm(r) / np.maximum(norm(X), 1e-300)
     parts = (xk, exact, coexact)
     norms = [norm(part) for part in parts]
-    nonzero = [(norms[i] > 0) & (norms[j] > 0) for i, j in _PAIRS]
-    orth = np.array([np.where(ok, np.abs(column_dots(parts[i], op.M @ parts[j]))
+    orth = np.array([np.where((norms[i] > 0) & (norms[j] > 0),
+                              np.abs(column_dots(parts[i], op.M @ parts[j]))
                               / np.maximum(norms[i] * norms[j], 1e-300), 0.0)
-                     for ok, (i, j) in zip(nonzero, _PAIRS)])
-    if X.ndim == 1:
-        rec, orth = float(rec), tuple(float(o) for o, ok in zip(orth, nonzero) if ok)
+                     for i, j in _PAIRS])
     return HodgeSplit(*parts, rec, orth)
 
 

@@ -26,6 +26,24 @@ def test_validation_errors():
     DomainSpec.polygon([(0, 0), (1, 0), (1, 1), (0, 1)])  # CCW square ok
 
 
+@pytest.mark.parametrize("make, field_name", [
+    (lambda: DomainSpec.disk(math.nan), "parameters"),
+    (lambda: DomainSpec.disk(1.0, (math.nan, 0)), "parameters"),
+    (lambda: DomainSpec.interval(0, math.inf), "parameters"),
+    (lambda: DomainSpec.annulus(0.5, math.inf), "parameters"),
+    (lambda: DomainSpec.circle(math.inf), "parameters"),
+    (lambda: DomainSpec.flat_torus(math.inf, 1), "parameters"),
+    (lambda: DomainSpec.polygon([(0, 0), (1, 0), (math.nan, 1), (0, 1)]), "vertices"),
+], ids=["disk-nan-radius", "disk-nan-center", "interval-inf", "annulus-inf", "circle-inf",
+        "torus-inf", "polygon-nan-vertex"])
+def test_non_finite_domains_are_refused(make, field_name):
+    """A non-finite parameter or vertex is refused at construction, naming
+    its field, before any mesh is generated."""
+    with pytest.raises(DomainValidationError) as e:
+        make()
+    assert e.value.field_name == field_name
+
+
 def test_boundaryless_kinds():
     assert not DomainSpec.circle(1.0).has_boundary
     assert not DomainSpec.flat_torus(1.0, 2.0).has_boundary

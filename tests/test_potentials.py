@@ -130,6 +130,63 @@ def test_preset_evaluators_equal_lambdify_bit_for_bit(preset, args, n, variant):
         assert V.grad_exprs == tuple(sp.diff(e, s) for s in xs)
 
 
+_CONSTRUCTIONS = {
+    "zero": lambda x: sp.Integer(0),
+    "quadratic": lambda x, alpha: sp.Rational(1, 2) * alpha * sum(s**2 for s in x),
+    "quartic_double_well": lambda x, a: (sum(s**2 for s in x) - a**2) ** 2 / 4,
+    "linear": lambda x, c: c * x[0],
+}
+
+
+def _replayed(expr, h, variant):
+    """expr (V at h_param 1) as sympy builds it through rescaled(h) and the
+    variant: V/h, then -(V/h) or (V/h)/2 over the new potential's h_param 1."""
+    e = expr / h
+    return {"plain": e, "negated": -e / 1.0, "half": e / 2 / 1.0}[variant]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("preset, args", PRESETS, ids=lambda v: str(v))
+def test_preset_expr_is_its_construction(preset, args, n, variant):
+    """A preset's sympy form, built from its closed form (kind, c, A), is
+    srepr-identical to the construction the preset has always had, at V/h,
+    -V/h and V/2h."""
+    base = _CONSTRUCTIONS[preset](_coords()[:n], *args) / 1.0
+    for h in (1.0, 0.5, 0.3, 0.125, 0.05):
+        V = VARIANTS[variant](getattr(Potential, preset)(*args, n).rescaled(h))
+        assert sp.srepr(V.expr) == sp.srepr(_replayed(base, h, variant))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_table_expr_scales_exactly(variant):
+    """A table potential scales its expression by the exact rational of the
+    scale: -expr, expr and expr/2, as sympy builds them."""
+    T = Potential.polynomial([[2, 0, 1.5], [1, 1, -0.25], [0, 3, 0.1]], 2)
+    for h in (1.0, 0.5, 0.3, 0.125, 0.05):
+        V = VARIANTS[variant](T.rescaled(h))
+        assert sp.srepr(V.expr) == sp.srepr(_replayed(T.expr, h, variant))
+
+
+@pytest.mark.parametrize("row", [[2.5, 0, 1.0], [-1, 0, 1.0], [1, 0, float("nan")]],
+                         ids=["fractional-exponent", "negative-exponent", "nan-coefficient"])
+def test_polynomial_refuses_bad_rows(row):
+    """A table row needs non-negative integer exponents and a finite
+    coefficient; the error names the row."""
+    with pytest.raises(ValueError, match="non-negative integer exponents"):
+        Potential.polynomial([[0, 0, 1.0], row], 2)
+
+
+def test_potential_refuses_other_dimensions():
+    """A potential lives on R^1 or R^2, the package's ambient dimensions."""
+    for n in (0, 3):
+        for make in (lambda: Potential.quartic_double_well(1.0, n),
+                     lambda: Potential.quadratic(1.0, n), lambda: Potential.zero(n),
+                     lambda: Potential(_coords()[0], n)):
+            with pytest.raises(ValueError, match="R\\^1 or R\\^2"):
+                make()
+
+
 def test_content_keys():
     """A potential's cache key is its content: rescaled(1.0) keeps the key,
     a zero-coefficient preset shares the zero potential's key, other h and
